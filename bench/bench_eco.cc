@@ -1,7 +1,9 @@
 // ECO bench: incremental (delta) evaluation vs full recompute on full-chip
 // designs, plus the snapshot warm-start path.
 //
-// For each design size the bench
+// One certified Stage II surrogate is fitted up front (it depends on the
+// structure only) and attached to every design's model. For each design
+// size the bench
 //   1. cold-builds an IncrementalEngine (full two-stage evaluation),
 //   2. saves / reloads the engine snapshot (io/snapshot), timing both and
 //      checking the restored fields are bitwise identical,
@@ -20,7 +22,6 @@
 //   --moves=20             random single-TSV moves per design
 //   --seed=7               RNG seed for the move sequence
 //   --density=0.0025       TSVs per um^2
-//   --quant=0.25           Stage II pitch quantization step, um
 //   --spacing=2.0          simulation-point grid spacing, um
 //   --threads=1            threads for the cold build / rebuild
 //   --out-dir=results      where eco.jsonl and snapshots go
@@ -36,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "analytic/surrogate.h"
 #include "common.h"
 #include "core/incremental_engine.h"
 #include "io/snapshot.h"
@@ -55,7 +57,6 @@ struct Options {
   std::size_t moves = 20;
   std::uint64_t seed = 7;
   double density = 0.25e-2;
-  double quant_step = 0.25;
   double spacing = 2.0;
   std::size_t threads = 1;
   bool fast = false;
@@ -90,8 +91,6 @@ Options parse(int argc, char** argv) {
       o.seed = std::stoull(value("--seed="));
     } else if (arg.rfind("--density=", 0) == 0) {
       o.density = std::stod(value("--density="));
-    } else if (arg.rfind("--quant=", 0) == 0) {
-      o.quant_step = std::stod(value("--quant="));
     } else if (arg.rfind("--spacing=", 0) == 0) {
       o.spacing = std::stod(value("--spacing="));
     } else if (arg.rfind("--threads=", 0) == 0) {
@@ -136,9 +135,17 @@ int main(int argc, char** argv) {
       std::make_shared<const ana::InclusionResponse>(structure);
 
   std::printf("=== ECO workloads: incremental apply vs full recompute ===\n");
-  std::printf("threads=%zu spacing=%.3g um quant=%.3g um moves=%zu seed=%llu\n",
-              threads, opt.spacing, opt.quant_step, opt.moves,
+  std::printf("threads=%zu spacing=%.3g um moves=%zu seed=%llu\n", threads,
+              opt.spacing, opt.moves,
               static_cast<unsigned long long>(opt.seed));
+
+  const auto t_fit0 = Clock::now();
+  const auto surrogate = std::make_shared<const ana::PairSurrogate>(
+      ana::PairSurrogate::fit(
+          ana::InteractiveStressModel(response, single.k_hat())));
+  const double fit_s = seconds_since(t_fit0);
+  std::printf("surrogate fit: %.3fs (certified rel bound %.3g)\n", fit_s,
+              surrogate->certificate().certified_rel_bound);
 
   for (const std::size_t count : opt.designs) {
     const tsvlib::FullChipSpec spec =
@@ -154,9 +161,8 @@ int main(int argc, char** argv) {
 
     const auto model = std::make_shared<const ana::InteractiveStressModel>(
         response, single.k_hat());
+    model->attach_surrogate(surrogate);
     core::IncrementalOptions eopt;
-    eopt.stage2.use_lookup_table = true;
-    eopt.stage2.pitch_quant_step = opt.quant_step;
     eopt.num_threads = threads;
 
     const auto t_build0 = Clock::now();
@@ -239,7 +245,7 @@ int main(int argc, char** argv) {
         .uint("points", grid.size())
         .num("spacing_um", opt.spacing, "%.3g")
         .uint("threads", threads)
-        .num("quant_step_um", opt.quant_step, "%.3g")
+        .num("surrogate_fit_s", fit_s, "%.4f")
         .num("build_s", build_s, "%.4f")
         .num("snapshot_save_s", save_s, "%.4f")
         .uint("snapshot_bytes", snap_bytes)

@@ -1,33 +1,22 @@
 // Full-chip scalability bench: synthetic designs (regular arrays +
 // clustered banks + random logic TSVs, see tsv/fullchip.h) evaluated with
 // the tiled streaming driver. For each design size it times Stage I and
-// three Stage II configurations at equal thread count:
+// the two Stage II paths at equal thread count:
 //
 //   series   — the exact potential series (the accuracy-bench path),
-//   lookup   — the polar look-up table with exact-pitch caching: regular
-//              arrays hit the cache, but every unique bank/logic pitch
-//              builds its own table,
-//   quant    — the pitch-quantized table cache (--quant, default 0.25 um):
-//              all pairs in a quantization bucket share one table, so the
-//              whole design needs ~(pitch range / step) builds,
 //   surrogate— the certified Chebyshev surrogate (analytic/surrogate.h)
 //              fitted once up front; pairs whose pitch falls outside the
-//              fitted domain fall back to the quantized table cache, and
-//              the per-design fallback counters are reported.
-//   farfield — the hierarchical far-field aggregate (core/far_field.h) on
-//              top of the surrogate+quant configuration: pairs are exact
-//              only inside the blend disc and the thin edge ring, the
-//              mid-zone comes from per-cluster bicubic tiles. The row
-//              reports the build (fold) time, the machine-checked
-//              certificate bound, and the fold dispatch counters.
+//              fitted domain fall back to the exact series, and the
+//              per-design fallback counters are reported.
 //
 // Above kSeriesLimit TSVs the exact-series row is skipped (it dominates
 // wall time); accuracy is still measured exactly by evaluating the exact
 // framework on the strided probe points only.
 //
-// The quant configuration is then re-run with tiled checkpointing enabled
-// (io::evaluate_with_checkpoint, ~3 checkpoints per run) to measure the
-// wall-time overhead of crash tolerance — the README quotes a <= 5% budget.
+// The surrogate configuration is then re-run with tiled checkpointing
+// enabled (io::evaluate_with_checkpoint, ~3 checkpoints per run) to measure
+// the wall-time overhead of crash tolerance — the README quotes a <= 5%
+// budget.
 //
 // Prints a human table plus one machine-readable JSON line per design
 // (also appended to <out-dir>/fullchip.jsonl) for trajectory tracking.
@@ -35,10 +24,6 @@
 // Options (beyond the shared bench flags):
 //   --designs=1000,10000   TSV counts to sweep
 //   --density=0.0025       TSVs per um^2 (chip is sized from count/density)
-//   --quant=0.25           pitch quantization step, um
-//   --skip-uncached        skip the exact-pitch lookup rows (they dominate
-//                          wall time at 10k+ TSVs: one table build per
-//                          unique pitch)
 //
 // No FEM solve is needed: Stage I uses the analytic radial table.
 
@@ -54,7 +39,6 @@
 
 #include "analytic/surrogate.h"
 #include "common.h"
-#include "core/far_field.h"
 #include "core/tiled_evaluator.h"
 #include "io/snapshot.h"
 #include "io/table_printer.h"
@@ -66,11 +50,9 @@ namespace {
 struct Options {
   std::vector<std::size_t> designs = {1000, 10000};
   double density = 0.25e-2;    // paper Table 6 sparse case
-  double quant_step = 0.25;    // um
   double spacing = 2.0;        // um, simulation-point grid
   std::size_t threads = 1;
   std::size_t tile_points = 64 * 1024;
-  bool skip_uncached = false;
   bool fast = false;
   std::string out_dir = ".";
 };
@@ -86,8 +68,6 @@ Options parse(int argc, char** argv) {
       o.fast = true;
       o.spacing = 4.0;
       o.designs = {1000};
-    } else if (arg == "--skip-uncached") {
-      o.skip_uncached = true;
     } else if (arg.rfind("--designs=", 0) == 0) {
       o.designs.clear();
       std::string list = value("--designs=");
@@ -100,8 +80,6 @@ Options parse(int argc, char** argv) {
       }
     } else if (arg.rfind("--density=", 0) == 0) {
       o.density = std::stod(value("--density="));
-    } else if (arg.rfind("--quant=", 0) == 0) {
-      o.quant_step = std::stod(value("--quant="));
     } else if (arg.rfind("--spacing=", 0) == 0) {
       o.spacing = std::stod(value("--spacing="));
     } else if (arg.rfind("--threads=", 0) == 0) {
@@ -125,22 +103,13 @@ double peak_rss_mb() {
 }
 
 /// One Stage II configuration evaluated through the tiled driver with a
-/// fresh interactive model (so every run pays its own table builds).
+/// fresh interactive model (so every run starts with a cold pitch cache).
 struct RunResult {
   tsv::core::TiledStats stats;
-  tsv::ana::PairTableCacheStats cache;
-  std::size_t tables = 0;
   double max_vm = 0.0;
   double wall_seconds = 0.0;  ///< full evaluate() wall time, consumer included
-  double build_seconds = 0.0;  ///< framework ctor (includes far-field fold)
   std::vector<tsv::num::SymTensor2> probe;  ///< strided field subsample
   std::vector<tsv::geo::Point> probe_pts;   ///< coordinates of the probes
-  // Far-field aggregate reporting (farfield row only).
-  bool far_active = false;
-  double far_bound = -1.0;
-  std::size_t far_clusters = 0;
-  tsv::core::FarFieldBuildStats far_stats;
-  double far_tile_mb = 0.0;
 };
 
 }  // namespace
@@ -152,12 +121,12 @@ int main(int argc, char** argv) {
   const tsvlib::TsvStructure structure = tsvlib::TsvStructure::baseline_bcb();
   const mat::ThermalLoad load{};
 
-  std::printf("=== Full-chip workloads: tiled evaluation + pitch-quantized "
-              "Stage II cache ===\n");
+  std::printf("=== Full-chip workloads: tiled evaluation, exact series vs "
+              "certified surrogate ===\n");
   std::printf("host hardware threads: %zu; rows use threads=%zu, spacing=%.3g "
-              "um, tile=%zu points, quant step=%.3g um\n",
+              "um, tile=%zu points\n",
               num::hardware_thread_count(), threads, opt.spacing,
-              opt.tile_points, opt.quant_step);
+              opt.tile_points);
 
   const ana::SingleTsvModel single(structure, load);
   const core::RadialStressTable table =
@@ -204,43 +173,23 @@ int main(int argc, char** argv) {
                 design.count(tsvlib::TsvKind::kRandom), spec.chip.width(),
                 spec.chip.height(), grid.size(), csv_path.c_str());
 
-    // Every run gets a fresh interactive model so the table cache starts
+    // Every run gets a fresh interactive model so the pitch cache starts
     // cold; the probe keeps a strided subsample for cross-run accuracy
     // checks without holding the O(chip) field.
     std::size_t ckpt_every = 8;
-    const auto run = [&](bool lookup, double quant,
-                         const std::string& ckpt_path = std::string(),
-                         bool use_surrogate = false, bool use_far = false) {
+    const auto run = [&](bool use_surrogate,
+                         const std::string& ckpt_path = std::string()) {
       const auto model = std::make_shared<const ana::InteractiveStressModel>(
           response, single.k_hat());
       if (use_surrogate) model->attach_surrogate(surrogate);
       core::FrameworkOptions fopt;
       fopt.num_threads = threads;
-      fopt.stage2.use_lookup_table = lookup;
-      fopt.stage2.pitch_quant_step = quant;
-      fopt.stage2.use_far_field = use_far;
-      const auto build_start = std::chrono::steady_clock::now();
       const core::StressFramework framework(design.placement, table, model,
                                             fopt);
       core::TiledOptions topt;
       topt.max_tile_points = opt.tile_points;
       const core::TiledEvaluator tiled(framework, topt);
       RunResult r;
-      r.build_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - build_start)
-                            .count();
-      if (use_far && framework.stage2() != nullptr) {
-        const core::FarFieldAggregate* far =
-            framework.stage2()->attached_far_field();
-        if (far != nullptr) {
-          r.far_active = framework.stage2()->active_far_field() != nullptr;
-          r.far_bound = far->certificate().certified_rel_bound;
-          r.far_clusters = far->cluster_count();
-          r.far_stats = far->build_stats();
-          r.far_tile_mb =
-              static_cast<double>(far->tile_bytes()) / (1024.0 * 1024.0);
-        }
-      }
       std::size_t seen = 0;
       const auto consume = [&](const core::Tile& tile) {
         for (std::size_t i = 0; i < tile.stress.size(); ++i, ++seen) {
@@ -260,8 +209,6 @@ int main(int argc, char** argv) {
       r.wall_seconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)
                            .count();
-      r.cache = model->table_cache_stats();
-      r.tables = model->table_cache_size();
       return r;
     };
 
@@ -271,62 +218,39 @@ int main(int argc, char** argv) {
     constexpr std::size_t kSeriesLimit = 20000;
     const bool ran_series = design.placement.size() <= kSeriesLimit;
     RunResult series;
-    if (ran_series) series = run(false, 0.0);
-    RunResult lookup;
-    // The exact-pitch cache keeps one table per unique pitch alive — at 10k
-    // TSVs that is tens of GB of tables, so the uncached reference row only
-    // runs for small designs (the quantized speedup is measured there).
-    constexpr std::size_t kUncachedLimit = 2000;
-    const bool ran_uncached =
-        !opt.skip_uncached && design.placement.size() <= kUncachedLimit;
-    if (!ran_uncached && !opt.skip_uncached)
-      std::printf("(skipping exact-pitch lookup row: > %zu TSVs)\n",
-                  kUncachedLimit);
-    if (ran_uncached) lookup = run(true, 0.0);
-    const RunResult quant = run(true, opt.quant_step);
+    if (ran_series) series = run(false);
 
-    // Surrogate fast path on top of the quantized cache: in-domain pairs go
-    // through the certified kernel, out-of-domain pitches fall back to the
-    // quantized tables. The use counters are process-wide on the shared fit,
-    // so reset before the run to report per-design numbers.
+    // The use counters are process-wide on the shared fit, so reset before
+    // the run to report per-design numbers.
     surrogate->reset_use_stats();
-    const RunResult surro = run(true, opt.quant_step, std::string(), true);
+    const RunResult surro = run(true);
     const ana::SurrogateUseStats sur_use = surrogate->use_stats();
 
-    // Hierarchical far-field row: surrogate + quantized cache for the near
-    // disc and edge ring, per-cluster bicubic tiles for the mid zone. The
-    // fold (framework build) is timed separately from the evaluate.
-    surrogate->reset_use_stats();
-    const RunResult farf = run(true, opt.quant_step, std::string(), true,
-                               true);
-    const ana::SurrogateUseStats far_use = surrogate->use_stats();
-
-    // Checkpointed re-run of the quantized configuration: same field, plus
+    // Checkpointed re-run of the surrogate configuration: same field, plus
     // resumable checkpoints (io::evaluate_with_checkpoint). Each checkpoint
     // holds the whole finished prefix of the field, so the cadence sets the
     // total bytes written; ~3 checkpoints per run keeps the wall-time delta
-    // against the plain quant run inside the <= 5% budget.
+    // against the plain run inside the <= 5% budget.
     const std::string ckpt_path =
         opt.out_dir + "/fullchip_" + std::to_string(count) + ".ckpt";
     // Roughly 3 checkpoints per run whatever the tile count (8 on the 25-tile
     // 10k design), so small designs still exercise the write path.
-    ckpt_every = std::max<std::size_t>(1, quant.stats.tiles / 3);
-    const RunResult quant_ckpt = run(true, opt.quant_step, ckpt_path);
+    ckpt_every = std::max<std::size_t>(1, surro.stats.tiles / 3);
+    const RunResult surro_ckpt = run(true, ckpt_path);
     // One more interleaved trial per variant, min wall each: single-run
     // deltas on a shared host are dominated by scheduler noise (the plain
-    // quant wall itself moves a few percent between runs).
+    // wall itself moves a few percent between runs).
     const double plain_wall =
-        std::min(quant.wall_seconds, run(true, opt.quant_step).wall_seconds);
-    const double ckpt_wall =
-        std::min(quant_ckpt.wall_seconds,
-                 run(true, opt.quant_step, ckpt_path).wall_seconds);
+        std::min(surro.wall_seconds, run(true).wall_seconds);
+    const double ckpt_wall = std::min(surro_ckpt.wall_seconds,
+                                      run(true, ckpt_path).wall_seconds);
     const double ckpt_overhead =
         plain_wall > 0.0 ? ckpt_wall / plain_wall - 1.0 : 0.0;
 
-    // Max probe deviation of each fast path vs the exact series, relative
-    // to the field scale (the documented look-up budget is ~1%). When the
-    // full series row was skipped, the exact reference is still computed —
-    // framework.evaluate() on the probe coordinates only.
+    // Max probe deviation of the surrogate vs the exact series, relative to
+    // the field scale. When the full series row was skipped, the exact
+    // reference is still computed — framework.evaluate() on the probe
+    // coordinates only.
     std::vector<num::SymTensor2> exact_probe;
     if (ran_series) {
       exact_probe = series.probe;
@@ -337,113 +261,61 @@ int main(int argc, char** argv) {
       fopt.num_threads = threads;
       const core::StressFramework exact_fw(design.placement, table, model,
                                            fopt);
-      exact_probe = exact_fw.evaluate(quant.probe_pts).stress;
+      exact_probe = exact_fw.evaluate(surro.probe_pts).stress;
     }
     double scale = 0.0;
-    double worst = 0.0;
     double sur_worst = 0.0;
-    double far_worst = 0.0;
     for (std::size_t i = 0; i < exact_probe.size(); ++i) {
       scale = std::max({scale, std::abs(exact_probe[i].s11),
                         std::abs(exact_probe[i].s22)});
-      worst = std::max({worst,
-                        std::abs(quant.probe[i].s11 - exact_probe[i].s11),
-                        std::abs(quant.probe[i].s22 - exact_probe[i].s22),
-                        std::abs(quant.probe[i].s12 - exact_probe[i].s12)});
       sur_worst = std::max({sur_worst,
                             std::abs(surro.probe[i].s11 - exact_probe[i].s11),
                             std::abs(surro.probe[i].s22 - exact_probe[i].s22),
                             std::abs(surro.probe[i].s12 -
                                      exact_probe[i].s12)});
-      far_worst = std::max({far_worst,
-                            std::abs(farf.probe[i].s11 - exact_probe[i].s11),
-                            std::abs(farf.probe[i].s22 - exact_probe[i].s22),
-                            std::abs(farf.probe[i].s12 -
-                                     exact_probe[i].s12)});
     }
-    const double field_err = scale > 0.0 ? worst / scale : 0.0;
     const double sur_field_err = scale > 0.0 ? sur_worst / scale : 0.0;
-    const double far_field_err = scale > 0.0 ? far_worst / scale : 0.0;
 
-    io::TablePrinter out({"stage II path", "stageI(s)", "stageII(s)",
-                          "tables", "hits", "misses", "hit%"});
+    io::TablePrinter out({"stage II path", "stageI(s)", "stageII(s)", "AR"});
     const auto add_row = [&](const char* name, const RunResult& r) {
       out.add_row({name, io::TablePrinter::format(r.stats.stage1_seconds, 3),
                    io::TablePrinter::format(r.stats.stage2_seconds, 3),
-                   std::to_string(r.tables), std::to_string(r.cache.hits),
-                   std::to_string(r.cache.misses),
-                   io::TablePrinter::format(100.0 * r.cache.hit_rate(), 3)});
+                   io::TablePrinter::format(
+                       r.stats.stage1_seconds > 0.0
+                           ? r.stats.stage2_seconds / r.stats.stage1_seconds
+                           : 0.0,
+                       3)});
     };
     if (ran_series) add_row("series", series);
-    if (ran_uncached) add_row("lookup (exact pitch)", lookup);
-    add_row("lookup (quantized)", quant);
-    add_row("surrogate (+quant fb)", surro);
-    add_row("farfield (hier tiles)", farf);
+    add_row("surrogate (+series fb)", surro);
     out.print(std::cout);
 
-    const double speedup_vs_lookup =
-        ran_uncached && quant.stats.stage2_seconds > 0.0
-            ? lookup.stats.stage2_seconds / quant.stats.stage2_seconds
-            : 0.0;
-    const double speedup_vs_series =
-        ran_series && quant.stats.stage2_seconds > 0.0
-            ? series.stats.stage2_seconds / quant.stats.stage2_seconds
-            : 0.0;
-    std::printf("tiles %zu (%zu x %zu, peak %zu points); pair culling "
-                "%zu/%zu evaluated\n",
-                quant.stats.tiles, quant.stats.tiles_x,
-                quant.stats.tiles_y, quant.stats.peak_tile_points,
-                quant.stats.culled_pairs,
-                quant.stats.total_pairs * quant.stats.tiles);
-    if (!ran_series)
-      std::printf("(series row skipped above %zu TSVs; exact reference "
-                  "evaluated at the %zu probe points only)\n",
-                  kSeriesLimit, exact_probe.size());
-    if (ran_uncached)
-      std::printf("quantized cache speedup: %.1fx vs exact-pitch lookup, "
-                  "%.1fx vs series\n",
-                  speedup_vs_lookup, speedup_vs_series);
-    else if (ran_series)
-      std::printf("quantized cache speedup: %.1fx vs series (uncached row "
-                  "skipped)\n", speedup_vs_series);
-    std::printf("quantized field vs series (probe of %zu points): max dev "
-                "%.2f%% of field scale; max von Mises %.1f MPa; peak RSS "
-                "%.0f MB\n",
-                exact_probe.size(), 100.0 * field_err, quant.max_vm,
-                peak_rss_mb());
     const double sur_speedup =
         ran_series && surro.stats.stage2_seconds > 0.0
             ? series.stats.stage2_seconds / surro.stats.stage2_seconds
             : 0.0;
-    std::printf("surrogate: %.1fx vs series (%.1fx vs quantized); pairs "
-                "%llu surrogate / %llu fallback; field vs series max dev "
-                "%.4f%% of scale\n",
+    std::printf("tiles %zu (%zu x %zu, peak %zu points); pair culling "
+                "%zu/%zu evaluated\n",
+                surro.stats.tiles, surro.stats.tiles_x, surro.stats.tiles_y,
+                surro.stats.peak_tile_points, surro.stats.culled_pairs,
+                surro.stats.total_pairs * surro.stats.tiles);
+    if (!ran_series)
+      std::printf("(series row skipped above %zu TSVs; exact reference "
+                  "evaluated at the %zu probe points only)\n",
+                  kSeriesLimit, exact_probe.size());
+    std::printf("surrogate: %.1fx vs series; pairs %llu surrogate / %llu "
+                "fallback; field vs series max dev %.4f%% of scale (probe of "
+                "%zu points); max von Mises %.1f MPa; peak RSS %.0f MB\n",
                 sur_speedup,
-                surro.stats.stage2_seconds > 0.0
-                    ? quant.stats.stage2_seconds / surro.stats.stage2_seconds
-                    : 0.0,
                 static_cast<unsigned long long>(sur_use.surrogate_pairs),
                 static_cast<unsigned long long>(sur_use.fallback_pairs),
-                100.0 * sur_field_err);
-    std::printf("farfield: %s (cert bound %.4f, tol 1e-2); build (fold) "
-                "%.3f s, %zu clusters, %.1f MB tiles; fold pairs %zu "
-                "(%zu surrogate / %zu table / %zu series); stage II %.3f s "
-                "(%.1fx vs quantized); field vs series max dev %.4f%% of "
-                "scale\n",
-                farf.far_active ? "ACTIVE" : "INERT (gate rejected)",
-                farf.far_bound, farf.build_seconds, farf.far_clusters,
-                farf.far_tile_mb, farf.far_stats.pairs,
-                farf.far_stats.surrogate_pairs, farf.far_stats.table_pairs,
-                farf.far_stats.series_pairs, farf.stats.stage2_seconds,
-                farf.stats.stage2_seconds > 0.0
-                    ? quant.stats.stage2_seconds / farf.stats.stage2_seconds
-                    : 0.0,
-                100.0 * far_field_err);
+                100.0 * sur_field_err, exact_probe.size(), surro.max_vm,
+                peak_rss_mb());
     std::printf("checkpointing (every %zu tiles): %zu checkpoints, %.3f s "
                 "writing; wall %.3f s vs %.3f s plain (min of 2 each) -> "
                 "overhead %+.2f%%\n",
-                ckpt_every, quant_ckpt.stats.checkpoints_written,
-                quant_ckpt.stats.checkpoint_seconds, ckpt_wall, plain_wall,
+                ckpt_every, surro_ckpt.stats.checkpoints_written,
+                surro_ckpt.stats.checkpoint_seconds, ckpt_wall, plain_wall,
                 100.0 * ckpt_overhead);
 
     bench::JsonRow row("fullchip");
@@ -455,48 +327,25 @@ int main(int argc, char** argv) {
         .uint("points", grid.size())
         .num("spacing_um", opt.spacing, "%.3g")
         .uint("threads", threads)
-        .uint("tiles", quant.stats.tiles)
-        .uint("peak_tile_points", quant.stats.peak_tile_points)
-        .uint("total_pairs", quant.stats.total_pairs)
-        .num("stage1_s", quant.stats.stage1_seconds, "%.4f")
+        .uint("tiles", surro.stats.tiles)
+        .uint("peak_tile_points", surro.stats.peak_tile_points)
+        .uint("total_pairs", surro.stats.total_pairs)
+        .num("stage1_s", surro.stats.stage1_seconds, "%.4f")
         .num("stage2_series_s",
              ran_series ? series.stats.stage2_seconds : -1.0, "%.4f")
-        .num("stage2_lookup_s",
-             ran_uncached ? lookup.stats.stage2_seconds : -1.0, "%.4f")
-        .num("stage2_quant_s", quant.stats.stage2_seconds, "%.4f")
         .num("stage2_surrogate_s", surro.stats.stage2_seconds, "%.4f")
         .uint("surrogate_pairs", sur_use.surrogate_pairs)
         .uint("surrogate_fallbacks", sur_use.fallback_pairs)
         .num("surrogate_cert_bound",
              surrogate->certificate().certified_rel_bound, "%.3g")
         .num("surrogate_field_err_frac", sur_field_err, "%.6f")
-        .num("stage2_farfield_s", farf.stats.stage2_seconds, "%.4f")
-        .num("farfield_build_s", farf.build_seconds, "%.4f")
-        .uint("farfield_active", farf.far_active ? 1 : 0)
-        .num("farfield_cert_bound", farf.far_bound, "%.5f")
-        .uint("farfield_clusters", farf.far_clusters)
-        .num("farfield_tile_mb", farf.far_tile_mb, "%.2f")
-        .uint("farfield_fold_pairs", farf.far_stats.pairs)
-        .uint("farfield_fold_surrogate", farf.far_stats.surrogate_pairs)
-        .uint("farfield_fold_table", farf.far_stats.table_pairs)
-        .uint("farfield_fold_series", farf.far_stats.series_pairs)
-        .uint("farfield_near_surrogate", far_use.surrogate_pairs)
-        .uint("farfield_near_fallback", far_use.fallback_pairs)
-        .num("farfield_field_err_frac", far_field_err, "%.6f")
-        .num("quant_step_um", opt.quant_step, "%.3g")
-        .uint("quant_tables", quant.tables)
-        .uint("quant_hits", quant.cache.hits)
-        .uint("quant_misses", quant.cache.misses)
-        .num("quant_hit_rate", quant.cache.hit_rate(), "%.4f")
-        .num("speedup_vs_lookup", speedup_vs_lookup, "%.2f")
-        .num("speedup_vs_series", speedup_vs_series, "%.2f")
-        .num("field_err_frac", field_err, "%.5f")
-        .num("max_vm_mpa", quant.max_vm, "%.2f")
+        .num("speedup_vs_series", sur_speedup, "%.2f")
+        .num("max_vm_mpa", surro.max_vm, "%.2f")
         .uint("checkpoint_every_tiles", ckpt_every)
-        .uint("checkpoints_written", quant_ckpt.stats.checkpoints_written)
-        .num("checkpoint_write_s", quant_ckpt.stats.checkpoint_seconds, "%.4f")
-        .num("quant_wall_s", plain_wall, "%.4f")
-        .num("quant_ckpt_wall_s", ckpt_wall, "%.4f")
+        .uint("checkpoints_written", surro_ckpt.stats.checkpoints_written)
+        .num("checkpoint_write_s", surro_ckpt.stats.checkpoint_seconds, "%.4f")
+        .num("surrogate_wall_s", plain_wall, "%.4f")
+        .num("surrogate_ckpt_wall_s", ckpt_wall, "%.4f")
         .num("checkpoint_overhead_frac", ckpt_overhead, "%.4f")
         .num("peak_rss_mb", peak_rss_mb(), "%.1f");
     bench::append_jsonl(opt.out_dir + "/fullchip.jsonl", row);

@@ -11,13 +11,18 @@
 //
 // Each case is run twice: serial (threads=1, the exact baseline path) and
 // parallel (threads=N from --threads, default 8; 0 = hardware concurrency).
-// Trend checks use the serial rows so they stay comparable with the paper;
-// a per-case Stage I/II speedup summary follows the table.
+// Every row reports AR for both Stage II paths: the exact series (the
+// paper's method) and the certified surrogate (fitted once per process, its
+// fit time printed separately). Trend checks use the serial series rows so
+// they stay comparable with the paper; a per-case Stage I/II speedup
+// summary follows the table.
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <iostream>
 
+#include "analytic/surrogate.h"
 #include "common.h"
 #include "numeric/parallel.h"
 #include "tsv/generators.h"
@@ -34,10 +39,10 @@ struct Case {
 struct Timing {
   double stage1 = 0.0;
   double stage2 = 0.0;
-  double lookup2 = 0.0;  // Stage II with the polar look-up table
+  double surrogate2 = 0.0;  // Stage II through the certified surrogate
   double ar() const { return stage1 > 0.0 ? 100.0 * stage2 / stage1 : 0.0; }
-  double lookup_ar() const {
-    return stage1 > 0.0 ? 100.0 * lookup2 / stage1 : 0.0;
+  double surrogate_ar() const {
+    return stage1 > 0.0 ? 100.0 * surrogate2 / stage1 : 0.0;
   }
 };
 
@@ -74,6 +79,16 @@ int main(int argc, char** argv) {
       structure);
   const auto model = std::make_shared<const ana::InteractiveStressModel>(
       response, single.k_hat());
+  const auto surrogate_model =
+      std::make_shared<const ana::InteractiveStressModel>(response,
+                                                          single.k_hat());
+  const auto fit_start = std::chrono::steady_clock::now();
+  surrogate_model->attach_surrogate(std::make_shared<const ana::PairSurrogate>(
+      ana::PairSurrogate::fit(*surrogate_model)));
+  std::printf("surrogate fit: %.0f ms (once per process)\n",
+              std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - fit_start)
+                  .count());
 
   const auto run_case = [&](const tsvlib::Placement& placement,
                             const geo::SampleGrid& grid,
@@ -83,21 +98,18 @@ int main(int argc, char** argv) {
     const core::StressFramework pf(placement, table, model, opt);
     const core::StressResult res = pf.evaluate(grid);
 
-    // Same workload with the Stage-II polar look-up table (the "table
-    // look-up" variant; ~1% field accuracy cost, see bench_ablation).
-    core::FrameworkOptions lookup_opt;
-    lookup_opt.num_threads = threads;
-    lookup_opt.stage2.use_lookup_table = true;
-    const core::StressFramework pf_lookup(placement, table, model, lookup_opt);
-    const core::StressResult res_lookup = pf_lookup.evaluate(grid);
+    // Same workload through the certified surrogate.
+    const core::StressFramework pf_surrogate(placement, table,
+                                             surrogate_model, opt);
+    const core::StressResult res_surrogate = pf_surrogate.evaluate(grid);
 
     return Timing{res.stage1_seconds, res.stage2_seconds,
-                  res_lookup.stage2_seconds};
+                  res_surrogate.stage2_seconds};
   };
 
   io::TablePrinter out({"case", "TSVs", "dens(1e-2/um^2)", "points",
                         "threads", "stageI(s)", "stageII(s)", "AR(%)",
-                        "lookupII(s)", "lookupAR(%)"});
+                        "surrogateII(s)", "surrogateAR(%)"});
   std::vector<Timing> serial(cases.size());
   std::vector<Timing> parallel(cases.size());
   for (std::size_t i = 0; i < cases.size(); ++i) {
@@ -123,8 +135,8 @@ int main(int argc, char** argv) {
                    io::TablePrinter::format(t.stage1, 3),
                    io::TablePrinter::format(t.stage2, 3),
                    io::TablePrinter::format(t.ar(), 3),
-                   io::TablePrinter::format(t.lookup2, 3),
-                   io::TablePrinter::format(t.lookup_ar(), 3)});
+                   io::TablePrinter::format(t.surrogate2, 3),
+                   io::TablePrinter::format(t.surrogate_ar(), 3)});
     };
     add_row(1, serial[i]);
     add_row(par_threads, parallel[i]);

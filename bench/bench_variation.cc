@@ -3,14 +3,14 @@
 //
 // For each design size the bench
 //   1. builds a VariationEngine (one resident IncrementalEngine over the
-//      design, quantized Stage II tables by default),
+//      design, Stage II through a freshly fitted certified surrogate),
 //   2. streams N jitter+CTE samples through it (each sample is an edit
 //      batch, never a fresh build), collecting the per-point statistics and
 //      the pitch regression,
 //   3. times both recompute baselines a naive Monte Carlo loop could pay
 //      per sample: cold (fresh characterization + engine build, which is
 //      the bench's own build_seconds) and warm (in-place rebuild() with all
-//      tables cached),
+//      characterization cached),
 //   4. reports speedup_cold = cold_build_s / mean_sample_s — the
 //      acceptance floor is >= 50x at 1k TSVs (tools/check_kernel_perf.py
 //      --variation gates CI on it) — plus speedup_warm for transparency.
@@ -29,9 +29,7 @@
 //   --seed=1               sampler seed
 //   --jitter-tsvs=4        TSVs jittered per sample
 //   --density=0.0025       TSVs per um^2
-//   --quant=0.25           Stage II pitch quantization step, um
 //   --spacing=2.5          simulation-point grid spacing, um
-//   --surrogate            fit + use the certified Stage II surrogate
 //   --threads=1            threads for the accumulation pass
 //   --out-dir=results      where variation.jsonl goes
 
@@ -61,9 +59,7 @@ struct Options {
   std::uint64_t seed = 1;
   std::size_t jitter_tsvs = 4;
   double density = 0.25e-2;
-  double quant_step = 0.25;
   double spacing = 2.5;
-  bool surrogate = false;
   std::size_t threads = 1;
   bool fast = false;
   std::string out_dir = "results";
@@ -99,12 +95,8 @@ Options parse(int argc, char** argv) {
       o.jitter_tsvs = std::stoul(value("--jitter-tsvs="));
     } else if (arg.rfind("--density=", 0) == 0) {
       o.density = std::stod(value("--density="));
-    } else if (arg.rfind("--quant=", 0) == 0) {
-      o.quant_step = std::stod(value("--quant="));
     } else if (arg.rfind("--spacing=", 0) == 0) {
       o.spacing = std::stod(value("--spacing="));
-    } else if (arg == "--surrogate") {
-      o.surrogate = true;
     } else if (arg.rfind("--threads=", 0) == 0) {
       o.threads = std::stoul(value("--threads="));
     } else if (arg.rfind("--out-dir=", 0) == 0) {
@@ -128,10 +120,10 @@ int main(int argc, char** argv) {
   std::printf("=== Variation workloads: Monte Carlo samples as edit batches "
               "===\n");
   std::printf("samples=%zu jitter_tsvs=%zu seed=%llu spacing=%.3g um "
-              "quant=%.3g um surrogate=%d threads=%zu\n",
+              "threads=%zu\n",
               opt.samples, opt.jitter_tsvs,
               static_cast<unsigned long long>(opt.seed), opt.spacing,
-              opt.quant_step, opt.surrogate ? 1 : 0, opt.threads);
+              opt.threads);
 
   for (const std::size_t count : opt.designs) {
     const tsvlib::FullChipSpec spec =
@@ -150,9 +142,7 @@ int main(int argc, char** argv) {
     vspec.samples = opt.samples;
     vspec.jitter_tsvs = std::min(opt.jitter_tsvs, design.placement.size());
     stats::VariationOptions vopt;
-    vopt.engine.stage2.use_lookup_table = true;
-    vopt.engine.stage2.pitch_quant_step = opt.quant_step;
-    vopt.fit_surrogate = opt.surrogate;
+    vopt.fit_surrogate = true;
     vopt.num_threads = opt.threads;
 
     stats::VariationEngine engine(design.placement, grid, vspec, vopt);
@@ -180,7 +170,7 @@ int main(int argc, char** argv) {
     // The naive alternatives, one full recompute per sample. Cold is what
     // "not a fresh full build" contrasts with: characterize + build a new
     // engine for the perturbed placement (the bench's own build cost).
-    // Warm keeps every table cached and only re-evaluates fields in place.
+    // Warm keeps the characterization and only re-evaluates fields in place.
     const double cold_s = res.build_seconds;
     const auto t_warm0 = Clock::now();
     const double drift_mpa = engine.engine(0).rebuild();
@@ -206,8 +196,6 @@ int main(int argc, char** argv) {
         .uint("samples", res.samples)
         .uint("jitter_tsvs", vspec.jitter_tsvs)
         .num("spacing_um", opt.spacing, "%.3g")
-        .num("quant_step_um", opt.quant_step, "%.3g")
-        .boolean("surrogate", opt.surrogate)
         .uint("threads", opt.threads)
         .num("build_s", res.build_seconds, "%.4f")
         .num("mean_sample_s", mean_sample_s, "%.6f")

@@ -87,7 +87,7 @@ std::vector<PairSweepResult> run_pair_sweep(
 /// every bench appends trajectory rows (<out-dir>/*.jsonl) the same way.
 ///
 ///   JsonRow row("fullchip");
-///   row.uint("tsvs", n).num("stage1_s", s1, "%.4f").str("mode", "quant");
+///   row.uint("tsvs", n).num("stage1_s", s1, "%.4f").str("mode", "series");
 ///   append_jsonl(out_dir + "/fullchip.jsonl", row);
 ///
 /// num() takes a printf format so rows keep their established field

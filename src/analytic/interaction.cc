@@ -63,73 +63,6 @@ const RegionField& InteractiveStressModel::combined_for_pitch(
   return cache_.emplace(key, std::move(combined)).first->second;
 }
 
-const PairStressTable& InteractiveStressModel::table_for_pitch(
-    double pitch, double r_max, double quant_step) const {
-  TSV_REQUIRE(quant_step >= 0.0, "negative pitch quantization step");
-  if (quant_step > 0.0) {
-    // Snap to the nearest multiple of the step, but never below the TSV
-    // diameter (the combined response requires a non-overlapping pair).
-    double snapped = std::round(pitch / quant_step) * quant_step;
-    while (snapped < 2.0 * outer_radius_) snapped += quant_step;
-    pitch = snapped;
-  }
-  const std::pair<long long, long long> key{std::llround(pitch * 1e6),
-                                            std::llround(r_max * 1e6)};
-  {
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    if (const auto it = table_cache_.find(key); it != table_cache_.end()) {
-      table_hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  table_misses_.fetch_add(1, std::memory_order_relaxed);
-  const RegionField& combined = combined_for_pitch(pitch);
-  PairStressTable table(*this, combined, pitch, r_max, PairTableOptions{});
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  return table_cache_.emplace(key, std::move(table)).first->second;
-}
-
-PairTableCacheStats InteractiveStressModel::table_cache_stats() const {
-  return {table_hits_.load(std::memory_order_relaxed),
-          table_misses_.load(std::memory_order_relaxed)};
-}
-
-void InteractiveStressModel::reset_table_cache_stats() const {
-  table_hits_.store(0, std::memory_order_relaxed);
-  table_misses_.store(0, std::memory_order_relaxed);
-}
-
-std::size_t InteractiveStressModel::table_cache_size() const {
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  return table_cache_.size();
-}
-
-std::vector<PairStressTable::Data>
-InteractiveStressModel::export_table_cache() const {
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  std::vector<PairStressTable::Data> out;
-  out.reserve(table_cache_.size());
-  // std::map iterates in key order, so the export (and any snapshot built
-  // from it) is deterministic.
-  for (const auto& [key, table] : table_cache_) out.push_back(table.to_data());
-  return out;
-}
-
-std::size_t InteractiveStressModel::import_table_cache(
-    std::vector<PairStressTable::Data> tables) const {
-  std::size_t inserted = 0;
-  for (PairStressTable::Data& data : tables) {
-    // Reconstruct the cache key exactly as table_for_pitch would: the
-    // stored pitch is already snapped, so no re-quantization is needed.
-    const std::pair<long long, long long> key{std::llround(data.pitch * 1e6),
-                                              std::llround(data.r_max * 1e6)};
-    PairStressTable table(std::move(data));
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    inserted += table_cache_.emplace(key, std::move(table)).second ? 1 : 0;
-  }
-  return inserted;
-}
-
 void InteractiveStressModel::attach_surrogate(
     std::shared_ptr<const PairSurrogate> surrogate) const {
   const std::lock_guard<std::mutex> lock(cache_mutex_);
@@ -143,16 +76,24 @@ std::shared_ptr<const PairSurrogate> InteractiveStressModel::surrogate()
 }
 
 std::shared_ptr<const PairSurrogate> InteractiveStressModel::surrogate_for(
-    double tolerance, double r_needed) const {
-  std::shared_ptr<const PairSurrogate> s;
-  {
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    s = surrogate_;
-  }
+    double r_needed) const {
+  std::shared_ptr<const PairSurrogate> s = surrogate();
   if (s == nullptr) return nullptr;
-  if (!s->certificate().certified_within(tolerance)) return nullptr;
+  if (!s->certificate().certified_within(kSurrogateTolerance)) return nullptr;
   if (s->r_max() < r_needed) return nullptr;
   return s;
+}
+
+void InteractiveStressModel::accumulate_series(const geo::Point& victim,
+                                               const geo::Point& aggressor,
+                                               const geo::Point* points,
+                                               std::size_t n,
+                                               num::SymTensor2* out) const {
+  const double pitch = geo::distance(victim, aggressor);
+  const RegionField& combined = combined_for_pitch(pitch);
+  for (std::size_t i = 0; i < n; ++i)
+    out[i] += stress_with_combined(combined, victim, aggressor, pitch,
+                                   points[i]);
 }
 
 num::SymTensor2 InteractiveStressModel::stress_at(

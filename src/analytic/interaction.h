@@ -12,38 +12,24 @@
 // Pitch enters only through the expansion coefficients
 // beta_n = -khat / dhat^(n+1); responses are combined once per pitch and
 // cached, so evaluating many points against the same pair is cheap.
+//
+// Stage II has exactly two evaluation paths, and accumulate_pair is the one
+// place that chooses between them: the attached certified surrogate
+// (analytic/surrogate.h) for pitches inside its fitted domain, the exact
+// series for everything else.
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 #include "analytic/mode_solver.h"
-#include "analytic/pair_table.h"
 #include "analytic/single_tsv.h"
+#include "analytic/surrogate.h"
 #include "geometry/point.h"
 
 namespace tsv::ana {
-
-class PairSurrogate;
-
-/// Hit/miss counters of the per-pitch PairStressTable cache. A miss is a
-/// table build; full-chip arrays repeat a handful of pitches, so the hit
-/// rate measures how well pitch quantization amortizes the builds.
-struct PairTableCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-
-  std::uint64_t lookups() const { return hits + misses; }
-  double hit_rate() const {
-    return lookups() > 0
-               ? static_cast<double>(hits) / static_cast<double>(lookups())
-               : 0.0;
-  }
-};
 
 class InteractiveStressModel {
  public:
@@ -85,51 +71,9 @@ class InteractiveStressModel {
                                        const geo::Point& aggressor,
                                        double pitch, const geo::Point& p) const;
 
-  /// Polar look-up table of the pair-local field for a pitch, tabulated out
-  /// to `r_max` and cached per quantized (pitch, r_max). Roughly an order
-  /// of magnitude cheaper per point than the series (bilinear interpolation
-  /// vs three Horner evaluations) at ~1% field accuracy; see the Stage II
-  /// lookup option and bench_ablation. Thread-safe like combined_for_pitch.
-  ///
-  /// `quant_step` (um) controls how pitches share tables. 0 keeps the exact
-  /// per-pitch cache (keys quantized only to 1e-6 um against fp noise):
-  /// regular arrays repeat a handful of pitches and hit constantly, but on
-  /// random placements every pair has a unique pitch and every lookup
-  /// builds. A positive step snaps the pitch to the nearest multiple of
-  /// `quant_step` (never below the TSV diameter), so a whole design needs
-  /// only ~(pitch range / step) table builds. The extra field error is the
-  /// pitch sensitivity over half a step — at the paper's geometry a 0.25 um
-  /// step stays within the table's own ~1% interpolation budget (see
-  /// test_quantized_cache).
-  const PairStressTable& table_for_pitch(double pitch, double r_max,
-                                         double quant_step = 0.0) const;
-
-  /// Cumulative hit/miss counters of table_for_pitch since construction (or
-  /// the last reset). Thread-safe; under concurrent builds of the same key
-  /// the losers still count as misses, so `misses` can slightly exceed the
-  /// number of cached tables.
-  PairTableCacheStats table_cache_stats() const;
-  void reset_table_cache_stats() const;
-
-  /// Number of distinct PairStressTables currently cached.
-  std::size_t table_cache_size() const;
-
-  /// Snapshot support (io/snapshot): copies every cached PairStressTable
-  /// out in deterministic key order. The cache key is reconstructed from
-  /// each table's own (pitch, r_max) — table_for_pitch stores tables under
-  /// their snapped pitch, so export → import round-trips exactly.
-  std::vector<PairStressTable::Data> export_table_cache() const;
-
-  /// Pre-warms the table cache from snapshot data (e.g. a warm start that
-  /// skips all table builds). Existing entries win on key collision.
-  /// Returns the number of tables inserted. Does not touch the hit/miss
-  /// counters.
-  std::size_t import_table_cache(
-      std::vector<PairStressTable::Data> tables) const;
-
   /// Attaches (or, with nullptr, detaches) a certified Chebyshev surrogate
   /// (analytic/surrogate.h) for the Stage II fast path. Thread-safe;
-  /// replaces any previous surrogate. Like the table cache this is an
+  /// replaces any previous surrogate. Like the per-pitch cache this is an
   /// evaluation accelerator, so it lives mutably on the const model shared
   /// across stages.
   void attach_surrogate(std::shared_ptr<const PairSurrogate> surrogate) const;
@@ -138,24 +82,43 @@ class InteractiveStressModel {
   std::shared_ptr<const PairSurrogate> surrogate() const;
 
   /// The attached surrogate iff its certificate attests a verified relative
-  /// bound <= `tolerance` AND its fitted radius covers `r_needed` (points
-  /// beyond the fitted r_max would silently evaluate to zero); nullptr
-  /// otherwise, in which case callers use the table/series paths.
-  std::shared_ptr<const PairSurrogate> surrogate_for(double tolerance,
-                                                     double r_needed) const;
+  /// bound <= kSurrogateTolerance AND its fitted radius covers `r_needed`
+  /// (points beyond the fitted r_max would silently evaluate to zero);
+  /// nullptr otherwise. Stage II callers resolve this once per evaluation
+  /// (or edit) and hand it to accumulate_pair.
+  std::shared_ptr<const PairSurrogate> surrogate_for(double r_needed) const;
+
+  /// Stage II per-pair evaluation, the only place a path is chosen: adds
+  /// the ordered pair's interactive stress at points[0..n) into out[i]
+  /// through `surrogate` when it is non-null and covers the pair pitch
+  /// (counted on its use stats either way), and through the exact series
+  /// otherwise. `surrogate` must come from surrogate_for (or be nullptr for
+  /// the series only). Defined inline so the callers' pair loops call the
+  /// surrogate kernel directly.
+  void accumulate_pair(const PairSurrogate* surrogate,
+                       const geo::Point& victim, const geo::Point& aggressor,
+                       const geo::Point* points, std::size_t n,
+                       num::SymTensor2* out) const {
+    if (surrogate == nullptr ||
+        !surrogate->try_accumulate(victim, aggressor, points, n, out))
+      accumulate_series(victim, aggressor, points, n, out);
+  }
 
  private:
+  /// The exact series leg of accumulate_pair.
+  void accumulate_series(const geo::Point& victim,
+                         const geo::Point& aggressor,
+                         const geo::Point* points, std::size_t n,
+                         num::SymTensor2* out) const;
+
   std::shared_ptr<const InclusionResponse> response_;
   double k_hat_ = 0.0;        ///< K / R'^2, MPa
   double outer_radius_ = 0.0; ///< R', um
-  /// Guards both caches (Stage II evaluates pairs from many threads).
+  /// Guards the pitch cache and the surrogate slot (Stage II evaluates
+  /// pairs from many threads).
   mutable std::mutex cache_mutex_;
   mutable std::map<long long, RegionField> cache_;
-  mutable std::map<std::pair<long long, long long>, PairStressTable>
-      table_cache_;
   mutable std::shared_ptr<const PairSurrogate> surrogate_;
-  mutable std::atomic<std::uint64_t> table_hits_{0};
-  mutable std::atomic<std::uint64_t> table_misses_{0};
 };
 
 }  // namespace tsv::ana

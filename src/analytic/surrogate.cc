@@ -411,9 +411,9 @@ __attribute__((always_inline)) inline void kernel_body(
         f22 += x * ((d22[ne] + two_y * oe1 - oe2) - oe1);
         g12 += x * ((d12[ne] + two_y * og1 - og2) - og1);
       }
-      // Back-rotation into chip frame at full lane width (the lane-wise
-      // algebra of num::rotate_double_angle), leaving only the indexed
-      // read-modify-write of `out` per lane.
+      // Back-rotation into chip frame at full lane width (the double-angle
+      // form of cylindrical_to_cartesian, lane-wise), leaving only the
+      // indexed read-modify-write of `out` per lane.
       V stv;
       std::memcpy(&stv, sx_b + b, sizeof(stv));
       const V s12 = stv * g12;
@@ -621,8 +621,8 @@ void PairSurrogate::accumulate(const geo::Point& victim,
   const double ay = aggressor.y - victim.y;
   const double d2 = ax * ax + ay * ay;
   TSV_REQUIRE(d2 > 0.0, "coincident pair");
-  // Pair-frame rotation coefficients hoisted once per pair, exactly as in
-  // PairStressTable::accumulate: no trig of beta anywhere.
+  // Pair-frame rotation coefficients hoisted once per pair: no trig of
+  // beta anywhere.
   const double inv_d = 1.0 / std::sqrt(d2);
   const double inv_d2 = 1.0 / d2;
   KernelArgs k;

@@ -30,10 +30,10 @@
 // comparison against the exact series (Chebyshev-offset nodes, random
 // points, segment/interface boundaries, random pair frames) whose observed
 // maximum error — with a safety margin — becomes the SurrogateCertificate.
-// Consumers only use a surrogate whose certificate passes their tolerance
-// (InteractiveOptions::surrogate_tolerance); pairs whose pitch falls
-// outside the fitted [pitch_min, pitch_max] fall back to the exact series
-// per pair, tracked by counters. Certificates and coefficients serialize
+// Stage II only uses a surrogate whose certificate passes
+// kSurrogateTolerance; pairs whose pitch falls outside the fitted
+// [pitch_min, pitch_max] fall back to the exact series per pair, tracked by
+// counters. Certificates and coefficients serialize
 // through io/snapshot (SnapshotKind::kSurrogate) bitwise.
 
 #include <atomic>
@@ -110,6 +110,10 @@ struct SurrogateCertificate {
   }
 };
 
+/// Largest certified relative field error Stage II accepts from an attached
+/// surrogate (InteractiveStressModel::surrogate_for gates on it).
+inline constexpr double kSurrogateTolerance = 1e-6;
+
 /// Counters of the pitch-domain gate (see try_accumulate).
 struct SurrogateUseStats {
   std::uint64_t surrogate_pairs = 0;  ///< pairs evaluated by the surrogate
@@ -142,8 +146,8 @@ class PairSurrogate {
   };
 
   /// Fits and certifies a surrogate against `model`'s exact interaction
-  /// series. Sampling mirrors PairStressTable (pair frame, victim at the
-  /// origin, aggressor on +x) but at Chebyshev-Gauss nodes per segment.
+  /// series. Sampling is in the pair frame (victim at the origin,
+  /// aggressor on +x) at Chebyshev-Gauss nodes per segment.
   /// Deterministic for fixed options. Resets the use counters on return.
   static PairSurrogate fit(const InteractiveStressModel& model,
                            const SurrogateFitOptions& options = {});
@@ -181,16 +185,16 @@ class PairSurrogate {
   /// interactive stress at each of points[0..n) into out[i] and returns
   /// true; otherwise leaves `out` untouched and returns false so the caller
   /// falls back to the exact series. Either way the matching use counter is
-  /// bumped. Points at r >= r_max() contribute zero (same convention as
-  /// PairStressTable). Thread-safe; bitwise deterministic for a fixed
-  /// (pair, points) regardless of thread count or call order.
+  /// bumped. Points at r >= r_max() contribute zero. Thread-safe; bitwise
+  /// deterministic for a fixed (pair, points) regardless of thread count or
+  /// call order.
   bool try_accumulate(const geo::Point& victim, const geo::Point& aggressor,
                       const geo::Point* points, std::size_t n,
                       num::SymTensor2* out) const;
 
   /// Unconditional batch kernel; requires covers(distance(victim,
-  /// aggressor)). The pair-frame rotation is hoisted per pair exactly like
-  /// PairStressTable::accumulate; per point the kernel is trig-free.
+  /// aggressor)). The pair-frame rotation is hoisted per pair; per point
+  /// the kernel is trig-free.
   void accumulate(const geo::Point& victim, const geo::Point& aggressor,
                   const geo::Point* points, std::size_t n,
                   num::SymTensor2* out) const;

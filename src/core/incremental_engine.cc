@@ -177,152 +177,21 @@ void IncrementalEngine::apply_stage1(const geo::Point& c, double sign,
   stats.stage1_point_updates += disc_idx_.size();
 }
 
-template <typename F>
-void IncrementalEngine::for_box_points(const geo::Box& box, F&& f) const {
-  const geo::Box& b = grid_.box();
-  const auto axis_range = [](double lo0, double hi0, double lo, double step,
-                             std::size_t n) {
-    long i0 = 0;
-    long i1 = static_cast<long>(n) - 1;
-    if (step > 0.0) {
-      i0 = std::max(i0,
-                    static_cast<long>(std::floor((lo0 - lo) / step)) - 1);
-      i1 = std::min(i1, static_cast<long>(std::ceil((hi0 - lo) / step)) + 1);
-    }
-    return std::pair<long, long>{i0, i1};
-  };
-  const auto [ix0, ix1] =
-      axis_range(box.lo.x, box.hi.x, b.lo.x, grid_.dx(), grid_.nx());
-  const auto [iy0, iy1] =
-      axis_range(box.lo.y, box.hi.y, b.lo.y, grid_.dy(), grid_.ny());
-  for (long iy = iy0; iy <= iy1; ++iy) {
-    for (long ix = ix0; ix <= ix1; ++ix) {
-      const geo::Point p = grid_.point(static_cast<std::size_t>(ix),
-                                       static_cast<std::size_t>(iy));
-      if (box.contains(p))
-        f(static_cast<std::size_t>(iy) * grid_.nx() +
-              static_cast<std::size_t>(ix),
-          p);
-    }
-  }
-}
-
-void IncrementalEngine::ensure_far_field(
-    const tsvlib::Placement& current) const {
-  if (far_ != nullptr) return;
-  far_ = FarFieldAggregate::build(
-      current, *model_, with_threads(options_.stage2, options_.num_threads),
-      options_.stage2.far_field);
-}
-
-void IncrementalEngine::apply_pair_near(const geo::Point& victim,
-                                        const geo::Point& aggressor,
-                                        double sign, ApplyStats& stats) {
-  // Mirrors the exact half of InteractiveStage::evaluate_pairs in far-field
-  // mode: the near disc (r <= blend_r1) plus the edge ring at the influence
-  // cutoff, same dispatch, same 1 - tile_weight(r) complement weight, so
-  // the incremental exact sum matches the full evaluation's contribution.
-  const InteractiveOptions& opt = options_.stage2;
-  const FarFieldOptions& fopt = far_->options();
-  const double pitch = geo::distance(victim, aggressor);
-
-  disc_idx_.clear();
-  disc_pts_.clear();
-  const auto append = [&](std::size_t i, const geo::Point& p) {
-    disc_idx_.push_back(i);
-    disc_pts_.push_back(p);
-  };
-  for_disc_points(victim, far_->near_radius(), append);
-  const double ei2 = far_->edge_inner() * far_->edge_inner();
-  for_disc_points(victim, opt.influence_radius,
-                  [&](std::size_t i, const geo::Point& p) {
-                    if (geo::distance_squared(p, victim) > ei2) append(i, p);
-                  });
-  disc_contrib_.assign(disc_pts_.size(), num::SymTensor2{});
-
-  const auto scatter = [&] {
-    for (std::size_t j = 0; j < disc_idx_.size(); ++j) {
-      const double wn = 1.0 - tile_weight(geo::distance(disc_pts_[j], victim),
-                                          fopt, opt.influence_radius);
-      stage2_[disc_idx_[j]] += sign * (wn * disc_contrib_[j]);
-      touch(disc_idx_[j], stats);
-    }
-    stats.stage2_point_updates += disc_idx_.size();
-  };
-  if (opt.allow_surrogate) {
-    const std::shared_ptr<const ana::PairSurrogate> surrogate =
-        model_->surrogate_for(opt.surrogate_tolerance, opt.influence_radius);
-    if (surrogate != nullptr &&
-        surrogate->try_accumulate(victim, aggressor, disc_pts_.data(),
-                                  disc_pts_.size(), disc_contrib_.data())) {
-      scatter();
-      return;
-    }
-  }
-  if (opt.use_lookup_table) {
-    const ana::PairStressTable& table = model_->table_for_pitch(
-        pitch, opt.influence_radius, opt.pitch_quant_step);
-    table.accumulate(victim, aggressor, disc_pts_.data(), disc_pts_.size(),
-                     disc_contrib_.data());
-  } else {
-    const ana::RegionField& combined = model_->combined_for_pitch(pitch);
-    for (std::size_t j = 0; j < disc_pts_.size(); ++j) {
-      disc_contrib_[j] = model_->stress_with_combined(
-          combined, victim, aggressor, pitch, disc_pts_[j]);
-    }
-  }
-  scatter();
-}
-
-void IncrementalEngine::apply_pair(const geo::Point& victim,
+void IncrementalEngine::apply_pair(const ana::PairSurrogate* surrogate,
+                                   const geo::Point& victim,
                                    const geo::Point& aggressor, double sign,
                                    ApplyStats& stats) {
-  // Mirrors the inner loop of InteractiveStage::evaluate_pairs so that the
-  // incremental sum is built from the very same contributions a full
-  // evaluation would accumulate.
-  const double pitch = geo::distance(victim, aggressor);
-  const InteractiveOptions& opt = options_.stage2;
-  if (opt.allow_surrogate) {
-    // Same certificate/coverage gate as InteractiveStage::evaluate_pairs,
-    // so an engine edit adds/removes exactly the contribution a full
-    // surrogate-path evaluation would have accumulated.
-    const std::shared_ptr<const ana::PairSurrogate> surrogate =
-        model_->surrogate_for(opt.surrogate_tolerance, opt.influence_radius);
-    if (surrogate != nullptr) {
-      gather_disc(victim, opt.influence_radius);
-      if (surrogate->try_accumulate(victim, aggressor, disc_pts_.data(),
-                                    disc_pts_.size(), disc_contrib_.data())) {
-        for (std::size_t j = 0; j < disc_idx_.size(); ++j) {
-          stage2_[disc_idx_[j]] += sign * disc_contrib_[j];
-          touch(disc_idx_[j], stats);
-        }
-        stats.stage2_point_updates += disc_idx_.size();
-        return;
-      }
-    }
+  // The very same per-pair call InteractiveStage::evaluate_pairs makes, so
+  // the incremental sum is built from the contributions a full evaluation
+  // would accumulate.
+  gather_disc(victim, options_.stage2.influence_radius);
+  model_->accumulate_pair(surrogate, victim, aggressor, disc_pts_.data(),
+                          disc_pts_.size(), disc_contrib_.data());
+  for (std::size_t j = 0; j < disc_idx_.size(); ++j) {
+    stage2_[disc_idx_[j]] += sign * disc_contrib_[j];
+    touch(disc_idx_[j], stats);
   }
-  if (opt.use_lookup_table) {
-    const ana::PairStressTable& table = model_->table_for_pitch(
-        pitch, opt.influence_radius, opt.pitch_quant_step);
-    gather_disc(victim, opt.influence_radius);
-    table.accumulate(victim, aggressor, disc_pts_.data(), disc_pts_.size(),
-                     disc_contrib_.data());
-    for (std::size_t j = 0; j < disc_idx_.size(); ++j) {
-      stage2_[disc_idx_[j]] += sign * disc_contrib_[j];
-      touch(disc_idx_[j], stats);
-    }
-    stats.stage2_point_updates += disc_idx_.size();
-  } else {
-    const ana::RegionField& combined = model_->combined_for_pitch(pitch);
-    for_disc_points(victim, opt.influence_radius,
-                    [&](std::size_t i, const geo::Point& p) {
-                      stage2_[i] += sign * model_->stress_with_combined(
-                                               combined, victim, aggressor,
-                                               pitch, p);
-                      touch(i, stats);
-                      ++stats.stage2_point_updates;
-                    });
-  }
+  stats.stage2_point_updates += disc_idx_.size();
 }
 
 ApplyStats IncrementalEngine::apply(const Delta& delta) {
@@ -410,16 +279,10 @@ ApplyStats IncrementalEngine::apply(const Delta& delta) {
 
   const bool interactive = options_.enable_interactive;
 
-  // --- Far-field setup: materialize the aggregate against the PRE-edit
-  // placement (its tiles are subtracted before re-folding). Mirrors the
-  // full path's gate: when the certificate fails the tolerance, evaluation
-  // ignores the aggregate, so the delta must use the direct path too.
-  const bool farfield = interactive && options_.stage2.use_far_field;
-  if (farfield) ensure_far_field(placement());
-  const bool far_on =
-      farfield && far_ != nullptr &&
-      far_->certificate().certified_within(options_.stage2.far_field_tolerance);
-  std::vector<std::int64_t> touched_cells;
+  // Same certificate/coverage gate as a full evaluation, resolved once.
+  const std::shared_ptr<const ana::PairSurrogate> surrogate =
+      interactive ? model_->surrogate_for(options_.stage2.influence_radius)
+                  : nullptr;
 
   // --- Subtract the departing contributions against the OLD placement.
   if (!departing.empty()) {
@@ -453,23 +316,11 @@ ApplyStats IncrementalEngine::apply(const Delta& delta) {
       gone_pairs.erase(std::unique(gone_pairs.begin(), gone_pairs.end()),
                        gone_pairs.end());
     }
-    for (const std::uint32_t id : departing) {
+    for (const std::uint32_t id : departing)
       apply_stage1(centers_[id], -1.0, stats);
-      // The victim's own cell is touched even when it has no pairs: build()
-      // keys clusters by victim cell, so the cluster must disappear (or
-      // shrink) exactly as a fresh build over the edited placement would.
-      if (far_on) touched_cells.push_back(far_->cell_key(centers_[id]));
-    }
     for (const auto& [u, v] : gone_pairs) {
-      if (far_on) {
-        apply_pair_near(centers_[u], centers_[v], -1.0, stats);
-        apply_pair_near(centers_[v], centers_[u], -1.0, stats);
-        touched_cells.push_back(far_->cell_key(centers_[u]));
-        touched_cells.push_back(far_->cell_key(centers_[v]));
-      } else {
-        apply_pair(centers_[u], centers_[v], -1.0, stats);
-        apply_pair(centers_[v], centers_[u], -1.0, stats);
-      }
+      apply_pair(surrogate.get(), centers_[u], centers_[v], -1.0, stats);
+      apply_pair(surrogate.get(), centers_[v], centers_[u], -1.0, stats);
       stats.removed_pairs += 2;
     }
   }
@@ -498,50 +349,13 @@ ApplyStats IncrementalEngine::apply(const Delta& delta) {
       fresh_pairs.erase(std::unique(fresh_pairs.begin(), fresh_pairs.end()),
                         fresh_pairs.end());
     }
-    for (const std::uint32_t id : arriving) {
+    for (const std::uint32_t id : arriving)
       apply_stage1(centers_[id], +1.0, stats);
-      // Mirror of the departing side: a pair-less arrival still owns a
-      // (zero-pair) cluster in a fresh build, so materialize its cell.
-      if (far_on) touched_cells.push_back(far_->cell_key(centers_[id]));
-    }
     for (const auto& [u, v] : fresh_pairs) {
-      if (far_on) {
-        apply_pair_near(centers_[u], centers_[v], +1.0, stats);
-        apply_pair_near(centers_[v], centers_[u], +1.0, stats);
-        touched_cells.push_back(far_->cell_key(centers_[u]));
-        touched_cells.push_back(far_->cell_key(centers_[v]));
-      } else {
-        apply_pair(centers_[u], centers_[v], +1.0, stats);
-        apply_pair(centers_[v], centers_[u], +1.0, stats);
-      }
+      apply_pair(surrogate.get(), centers_[u], centers_[v], +1.0, stats);
+      apply_pair(surrogate.get(), centers_[v], centers_[u], +1.0, stats);
       stats.added_pairs += 2;
     }
-  }
-
-  // --- Re-fold exactly the clusters whose pair set changed: subtract the
-  // stale tile's reads, rebuild it from the committed placement through
-  // the canonical enumeration (bitwise a fresh build), add the new reads.
-  if (far_on && !touched_cells.empty()) {
-    std::sort(touched_cells.begin(), touched_cells.end());
-    touched_cells.erase(
-        std::unique(touched_cells.begin(), touched_cells.end()),
-        touched_cells.end());
-    for (const std::int64_t key : touched_cells) {
-      const geo::Box support = far_->cell_support(key);
-      for_box_points(support, [&](std::size_t i, const geo::Point& p) {
-        stage2_[i] -= far_->eval_cell(key, p);
-        touch(i, stats);
-        ++stats.farfield_point_updates;
-      });
-      far_->rebuild_cell(key, final_pts, final_index, *model_,
-                         options_.stage2);
-      for_box_points(support, [&](std::size_t i, const geo::Point& p) {
-        stage2_[i] += far_->eval_cell(key, p);
-        ++stats.farfield_point_updates;
-      });
-      ++stats.clusters_rebuilt;
-    }
-    far_->refresh_fingerprint(final_pts);
   }
 
   stats.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
@@ -571,14 +385,8 @@ void IncrementalEngine::full_evaluate(
       current, table_, with_threads(options_.stage1, options_.num_threads));
   stage1 = s1.evaluate(points);
   if (options_.enable_interactive && current.size() >= 2) {
-    InteractiveStage s2(
+    const InteractiveStage s2(
         current, model_, with_threads(options_.stage2, options_.num_threads));
-    if (options_.stage2.use_far_field) {
-      // The engine-maintained aggregate; the stage's own gates (cutoffs,
-      // fingerprint, certificate tolerance) decide whether it is used.
-      ensure_far_field(current);
-      s2.attach_far_field(far_);
-    }
     stage2 = s2.evaluate(points);
   } else {
     stage2.assign(points.size(), num::SymTensor2{});

@@ -80,10 +80,6 @@ struct ApplyStats {
   std::size_t stage2_point_updates = 0;  ///< per-pair disc point ops
   std::size_t removed_pairs = 0;         ///< ordered pairs subtracted
   std::size_t added_pairs = 0;           ///< ordered pairs added
-  /// Far-field maintenance (only when stage2.use_far_field is active):
-  /// cluster tiles re-folded and grid points updated through tile reads.
-  std::size_t clusters_rebuilt = 0;
-  std::size_t farfield_point_updates = 0;
   double seconds = 0.0;
 };
 
@@ -119,13 +115,6 @@ class IncrementalEngine {
   /// placement a from-scratch evaluation would see.
   tsvlib::Placement placement() const;
 
-  /// The engine's far-field aggregate (lazily built on the first
-  /// evaluation/apply that needs it; nullptr when stage2.use_far_field is
-  /// off or nothing has needed it yet). The engine keeps it synchronized
-  /// with the placement: an edit re-folds exactly the clusters whose pair
-  /// set changed.
-  const FarFieldAggregate* far_field() const { return far_.get(); }
-
   /// Accumulated per-point fields, indexed like grid().points().
   const std::vector<num::SymTensor2>& stage1_field() const { return stage1_; }
   const std::vector<num::SymTensor2>& stage2_field() const { return stage2_; }
@@ -150,7 +139,7 @@ class IncrementalEngine {
 
   /// Everything needed to resurrect an engine without re-evaluating:
   /// io/snapshot serializes this verbatim (plus the single-TSV table and
-  /// the model's pair-table cache).
+  /// the model's surrogate).
   struct State {
     tsvlib::TsvStructure structure;
     geo::Box grid_box{{0.0, 0.0}, {1.0, 1.0}};
@@ -191,24 +180,13 @@ class IncrementalEngine {
   void apply_stage1(const geo::Point& c, double sign, ApplyStats& stats);
 
   /// Adds or subtracts one ordered pair's Stage-II contribution over the
-  /// victim's influence disc. Mirrors InteractiveStage::evaluate_pairs.
-  void apply_pair(const geo::Point& victim, const geo::Point& aggressor,
+  /// victim's influence disc through the same
+  /// InteractiveStressModel::accumulate_pair call as
+  /// InteractiveStage::evaluate_pairs. `surrogate` is the model's
+  /// surrogate_for gate, resolved once per apply().
+  void apply_pair(const ana::PairSurrogate* surrogate,
+                  const geo::Point& victim, const geo::Point& aggressor,
                   double sign, ApplyStats& stats);
-
-  /// Far-field variant of apply_pair: only the near disc (the aggregate's
-  /// near radius), weighted by the complementary partition of unity
-  /// 1 - w(r). The far remainder lives in the cluster tiles, which apply()
-  /// maintains separately via FarFieldAggregate::rebuild_cell.
-  void apply_pair_near(const geo::Point& victim, const geo::Point& aggressor,
-                       double sign, ApplyStats& stats);
-
-  /// Calls f(point_index, point) for every grid point inside `box`
-  /// (closed containment, like Box::contains).
-  template <typename F>
-  void for_box_points(const geo::Box& box, F&& f) const;
-
-  /// Builds the far-field aggregate against `current` if absent.
-  void ensure_far_field(const tsvlib::Placement& current) const;
 
   /// Fresh full evaluation of the current active placement.
   void full_evaluate(std::vector<num::SymTensor2>& stage1,
@@ -228,10 +206,6 @@ class IncrementalEngine {
 
   std::vector<num::SymTensor2> stage1_;
   std::vector<num::SymTensor2> stage2_;
-
-  /// Lazily built, incrementally maintained far-field tiles (mutable: the
-  /// const full_evaluate also materializes it on demand for attachment).
-  mutable std::shared_ptr<FarFieldAggregate> far_;
 
   /// Distinct-dirty-point accounting: stamp_[i] == epoch_ marks a point
   /// already counted during the current apply().

@@ -57,8 +57,6 @@ InteractiveStage::InteractiveStage(
   TSV_REQUIRE(options_.pair_pitch_cutoff > 0.0 &&
                   options_.influence_radius > 0.0,
               "cutoffs must be positive");
-  TSV_REQUIRE(options_.pitch_quant_step >= 0.0,
-              "negative pitch quantization step");
 }
 
 num::SymTensor2 InteractiveStage::stress_at(const geo::Point& p) const {
@@ -79,21 +77,6 @@ num::SymTensor2 InteractiveStage::stress_at(const geo::Point& p) const {
   return sum;
 }
 
-void InteractiveStage::attach_far_field(
-    std::shared_ptr<const FarFieldAggregate> far) {
-  far_ = std::move(far);
-  far_matches_ = far_ != nullptr && far_->compatible_with(options_) &&
-                 far_->placement_fingerprint() ==
-                     fingerprint_centers(placement_.centers());
-}
-
-const FarFieldAggregate* InteractiveStage::active_far_field() const {
-  if (!options_.use_far_field || !far_matches_) return nullptr;
-  return far_->certificate().certified_within(options_.far_field_tolerance)
-             ? far_.get()
-             : nullptr;
-}
-
 std::vector<std::pair<std::uint32_t, std::uint32_t>>
 InteractiveStage::ordered_pairs() const {
   const auto& centers = placement_.centers();
@@ -112,10 +95,7 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>>
 InteractiveStage::ordered_pairs_near(const geo::Box& region) const {
   const auto& centers = placement_.centers();
   // Over-query a disc covering the region plus the influence halo, then
-  // keep the victims whose true box distance is within the radius. The
-  // far-field path needs the same reach: its exact edge ring extends to
-  // the influence radius (only the mid zone between blend_r1 and the ring
-  // moves into the tiles).
+  // keep the victims whose true box distance is within the radius.
   const double reach = options_.influence_radius;
   const double half_diag =
       std::hypot(region.width(), region.height()) / 2.0;
@@ -185,121 +165,43 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_pairs(
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs,
     const geo::GridIndex& point_index) const {
   const auto& centers = placement_.centers();
-  // Surrogate fast path, hoisted out of the pair loop: one certificate and
-  // coverage check per evaluate, then a per-pair pitch gate inside
-  // try_accumulate. nullptr when disabled, absent, over-tolerance, or
-  // fitted short of the influence radius.
+  // The certificate/coverage gate is resolved once per evaluate; the
+  // per-pair pitch gate lives in accumulate_pair.
   const std::shared_ptr<const ana::PairSurrogate> surrogate =
-      options_.allow_surrogate
-          ? model_->surrogate_for(options_.surrogate_tolerance,
-                                  options_.influence_radius)
-          : nullptr;
-  // Far-field fast path (also gated once per evaluate): each pair is
-  // evaluated exactly only over its near disc (r <= blend_r1) and the thin
-  // edge ring at the influence cutoff, weighted by the complement
-  // 1 - tile_weight(r); the smooth mid-zone remainder is added per point
-  // from the cluster tiles after the pair loop.
-  const FarFieldAggregate* far = active_far_field();
+      model_->surrogate_for(options_.influence_radius);
   // Pair-parallel: every chunk of pairs accumulates into its own private
   // buffer (writing `out[n] +=` across chunks would race), and the partial
   // fields merge in chunk index order afterwards. With num_threads == 1
   // this degenerates to the exact serial pair loop.
-  std::vector<num::SymTensor2> out = num::parallel_reduce<
-      std::vector<num::SymTensor2>>(
+  return num::parallel_reduce<std::vector<num::SymTensor2>>(
       pairs.size(), options_.num_threads,
       [&] { return std::vector<num::SymTensor2>(points.size()); },
       [&](std::vector<num::SymTensor2>& out, std::size_t begin,
           std::size_t end) {
+        // Chunk-local gather/scatter buffers keep their steady-state
+        // capacity across pairs.
         std::vector<std::uint32_t> affected;
-        std::vector<std::uint32_t> ring;
         std::vector<geo::Point> gathered;
-        std::vector<double> near_w;
         std::vector<num::SymTensor2> contrib;
         for (std::size_t k = begin; k < end; ++k) {
           const auto [v, a] = pairs[k];
           const geo::Point& victim = centers[v];
-          const geo::Point& aggressor = centers[a];
-          const double pitch = geo::distance(victim, aggressor);
-          if (far != nullptr) {
-            point_index.query_radius(victim, far->near_radius(), affected);
-            point_index.query_annulus(victim, far->edge_inner(),
-                                      options_.influence_radius, ring);
-            affected.insert(affected.end(), ring.begin(), ring.end());
-          } else {
-            point_index.query_radius(victim, options_.influence_radius,
-                                     affected);
-          }
+          point_index.query_radius(victim, options_.influence_radius,
+                                   affected);
           const std::size_t m = affected.size();
-          if (far != nullptr) {
-            near_w.resize(m);
-            for (std::size_t j = 0; j < m; ++j) {
-              near_w[j] =
-                  1.0 - tile_weight(
-                            geo::distance(points[affected[j]], victim),
-                            far->options(), options_.influence_radius);
-            }
-          }
-          if (surrogate != nullptr) {
-            gathered.resize(m);
-            for (std::size_t j = 0; j < m; ++j)
-              gathered[j] = points[affected[j]];
-            contrib.assign(m, num::SymTensor2{});
-            if (surrogate->try_accumulate(victim, aggressor, gathered.data(),
-                                          m, contrib.data())) {
-              if (far != nullptr) {
-                for (std::size_t j = 0; j < m; ++j)
-                  out[affected[j]] += near_w[j] * contrib[j];
-              } else {
-                for (std::size_t j = 0; j < m; ++j)
-                  out[affected[j]] += contrib[j];
-              }
-              continue;  // next pair; out-of-domain pitches fall through
-            }
-          }
-          if (options_.use_lookup_table) {
-            const ana::PairStressTable& table = model_->table_for_pitch(
-                pitch, options_.influence_radius, options_.pitch_quant_step);
-            // Batch path: gather the affected points, run the flat kernel
-            // (beta hoisted once for this pair), then scatter-add. The
-            // chunk-local buffers keep their steady-state capacity across
-            // pairs.
-            gathered.resize(m);
-            for (std::size_t j = 0; j < m; ++j)
-              gathered[j] = points[affected[j]];
-            contrib.assign(m, num::SymTensor2{});
-            table.accumulate(victim, aggressor, gathered.data(), m,
-                             contrib.data());
-            if (far != nullptr) {
-              for (std::size_t j = 0; j < m; ++j)
-                out[affected[j]] += near_w[j] * contrib[j];
-            } else {
-              for (std::size_t j = 0; j < m; ++j)
-                out[affected[j]] += contrib[j];
-            }
-          } else {
-            const ana::RegionField& combined =
-                model_->combined_for_pitch(pitch);
-            for (std::size_t j = 0; j < m; ++j) {
-              const std::uint32_t n = affected[j];
-              const num::SymTensor2 s = model_->stress_with_combined(
-                  combined, victim, aggressor, pitch, points[n]);
-              out[n] += far != nullptr ? near_w[j] * s : s;
-            }
-          }
+          gathered.resize(m);
+          for (std::size_t j = 0; j < m; ++j)
+            gathered[j] = points[affected[j]];
+          contrib.assign(m, num::SymTensor2{});
+          model_->accumulate_pair(surrogate.get(), victim, centers[a],
+                                  gathered.data(), m, contrib.data());
+          for (std::size_t j = 0; j < m; ++j) out[affected[j]] += contrib[j];
         }
       },
       [](std::vector<num::SymTensor2>& total,
          const std::vector<num::SymTensor2>& part) {
         for (std::size_t n = 0; n < total.size(); ++n) total[n] += part[n];
       });
-  if (far != nullptr) {
-    // Tile pass: each point owns its own output slot, so a plain parallel
-    // loop is race-free and bitwise independent of the thread count.
-    num::parallel_for(points.size(), options_.num_threads, [&](std::size_t i) {
-      out[i] += far->eval(points[i]);
-    });
-  }
-  return out;
 }
 
 }  // namespace tsv::core

@@ -6,6 +6,12 @@
 //   2) the victim lies within `influence_radius` of the point
 // (both 25 um in the paper). Each unordered pair is processed in two rounds
 // with the roles exchanged, exactly as in Sec. 4.
+//
+// The batched evaluate takes each pair through
+// InteractiveStressModel::accumulate_pair: the model's certified surrogate
+// when one is attached, the exact series otherwise (and for every pitch
+// outside the surrogate's domain). stress_at always uses the exact series,
+// so it can differ from evaluate() by up to the surrogate's certified bound.
 
 #include <cstdint>
 #include <memory>
@@ -13,7 +19,6 @@
 #include <vector>
 
 #include "analytic/interaction.h"
-#include "core/far_field.h"
 #include "geometry/grid_index.h"
 #include "tsv/placement.h"
 
@@ -22,47 +27,6 @@ namespace tsv::core {
 struct InteractiveOptions {
   double pair_pitch_cutoff = 25.0;  ///< um
   double influence_radius = 25.0;   ///< um, victim to simulation point
-  /// Evaluate pairs through a cached polar look-up table instead of the
-  /// potential series: ~10x cheaper per point at ~1% field accuracy.
-  /// Recommended for full-chip runs; off by default so the accuracy
-  /// benches exercise the exact series.
-  bool use_lookup_table = false;
-  /// Pitch quantization step (um) for the look-up-table cache: pairs whose
-  /// pitch snaps to the same multiple of the step share one table, so a
-  /// full-chip design costs ~(pitch range / step) table builds instead of
-  /// one per unique pitch. 0 = exact-pitch tables (every unique pitch
-  /// builds its own). Only meaningful with use_lookup_table; 0.25 um stays
-  /// within the table's ~1% interpolation budget (see test_quantized_cache).
-  double pitch_quant_step = 0.0;
-  /// Use a certified Chebyshev surrogate (analytic/surrogate.h) attached to
-  /// the model for the Stage II batch path when available. The surrogate is
-  /// only consulted if its certificate attests a verified relative field
-  /// error <= `surrogate_tolerance` and its fitted radius covers
-  /// `influence_radius`; pairs whose pitch falls outside the fitted domain
-  /// fall back to the table/series paths per pair (counter-tracked on the
-  /// surrogate). With no surrogate attached this flag is inert, so default
-  /// behavior is unchanged. Set false to force the exact paths even when a
-  /// certified surrogate is attached.
-  bool allow_surrogate = true;
-  /// Maximum certified relative field error accepted from an attached
-  /// surrogate (gates on SurrogateCertificate::certified_rel_bound).
-  double surrogate_tolerance = 1e-6;
-  /// Route the batched evaluate through an attached hierarchical far-field
-  /// aggregate (core/far_field.h): pairs are evaluated exactly only inside
-  /// the aggregate's near radius and the smooth remainder comes from
-  /// per-cluster tiles. Like allow_surrogate, the flag is inert unless an
-  /// aggregate is attached whose certificate attests a relative bound
-  /// <= far_field_tolerance AND whose placement fingerprint matches this
-  /// stage's placement. stress_at() always stays on the exact per-pair
-  /// path, so in far-field mode it can differ from evaluate() by up to the
-  /// certified bound.
-  bool use_far_field = false;
-  /// Maximum certified relative field error accepted from an attached
-  /// far-field aggregate (gates on FarFieldCertificate).
-  double far_field_tolerance = 1e-2;
-  /// Clustering/tiling/certification knobs used when a caller (framework,
-  /// engine, bench) builds the aggregate for this stage.
-  FarFieldOptions far_field{};
   /// Threads for the batched evaluate: 0 = hardware concurrency, 1 = serial
   /// (the default baseline path). Pairs are chunked statically; each chunk
   /// accumulates into a private output buffer and the partials merge in
@@ -112,22 +76,6 @@ class InteractiveStage {
       const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs)
       const;
 
-  /// Attaches a far-field aggregate for the batched evaluate. The stage
-  /// only routes through it when options().use_far_field is set, the
-  /// aggregate's cutoffs match, its placement fingerprint matches this
-  /// stage's placement, and its certificate passes far_field_tolerance —
-  /// otherwise evaluation silently stays on the direct path (mirroring the
-  /// allow_surrogate contract). Passing nullptr detaches.
-  void attach_far_field(std::shared_ptr<const FarFieldAggregate> far);
-
-  /// The attached aggregate when the evaluate path will actually use it
-  /// (all gates pass), nullptr otherwise.
-  const FarFieldAggregate* active_far_field() const;
-
-  /// The attached aggregate regardless of gating — for reporting (bench
-  /// rows print the certificate bound even when the gate rejected it).
-  const FarFieldAggregate* attached_far_field() const { return far_.get(); }
-
   /// Ordered victim/aggressor pairs within the pitch cutoff.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> ordered_pairs() const;
 
@@ -157,8 +105,6 @@ class InteractiveStage {
   std::shared_ptr<const ana::InteractiveStressModel> model_;
   InteractiveOptions options_;
   geo::GridIndex tsv_index_;
-  std::shared_ptr<const FarFieldAggregate> far_;
-  bool far_matches_ = false;  ///< cutoffs + placement fingerprint verified
   /// Guards the point-index cache (evaluate is const and may run from
   /// several threads).
   mutable std::mutex point_cache_mutex_;

@@ -79,53 +79,6 @@ std::vector<std::uint32_t> GridIndex::query_radius(const Point& q,
   return out;
 }
 
-void GridIndex::query_annulus(const Point& q, double r_inner, double r_outer,
-                              std::vector<std::uint32_t>& out) const {
-  TSV_REQUIRE(0.0 <= r_inner && r_inner <= r_outer,
-              "annulus radii must satisfy 0 <= r_inner <= r_outer");
-  out.clear();
-  const auto cell_range = [&](double lo, double hi, double origin,
-                              std::size_t n) {
-    const double a = (lo - origin) / cell_;
-    const double b = (hi - origin) / cell_;
-    const long last = static_cast<long>(n) - 1;
-    const long ia = std::clamp(static_cast<long>(std::floor(a)), 0L, last);
-    const long ib = std::clamp(static_cast<long>(std::floor(b)), 0L, last);
-    return std::pair<long, long>{ia, ib};
-  };
-  const auto [ix0, ix1] =
-      cell_range(q.x - r_outer, q.x + r_outer, bounds_.lo.x, nx_);
-  const auto [iy0, iy1] =
-      cell_range(q.y - r_outer, q.y + r_outer, bounds_.lo.y, ny_);
-  const double ri2 = r_inner * r_inner;
-  const double ro2 = r_outer * r_outer;
-  for (long iy = iy0; iy <= iy1; ++iy) {
-    for (long ix = ix0; ix <= ix1; ++ix) {
-      // Skip interior buckets wholly inside the inner disc (their farthest
-      // corner is still within r_inner). Edge buckets also hold clamped
-      // outside points, so only interior cells are safe to skip.
-      if (ix > 0 && ix < static_cast<long>(nx_) - 1 && iy > 0 &&
-          iy < static_cast<long>(ny_) - 1) {
-        const double cx0 = bounds_.lo.x + static_cast<double>(ix) * cell_;
-        const double cy0 = bounds_.lo.y + static_cast<double>(iy) * cell_;
-        const double dx = std::max(std::abs(q.x - cx0),
-                                   std::abs(q.x - (cx0 + cell_)));
-        const double dy = std::max(std::abs(q.y - cy0),
-                                   std::abs(q.y - (cy0 + cell_)));
-        if (dx * dx + dy * dy <= ri2) continue;
-      }
-      const std::size_t c =
-          static_cast<std::size_t>(iy) * nx_ + static_cast<std::size_t>(ix);
-      for (std::size_t k = bucket_ptr_[c]; k < bucket_ptr_[c + 1]; ++k) {
-        const std::uint32_t idx = bucket_items_[k];
-        const double d2 = distance_squared(points_[idx], q);
-        if (d2 > ri2 && d2 <= ro2) out.push_back(idx);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-}
-
 std::uint32_t GridIndex::nearest(const Point& q) const {
   if (points_.empty()) return 0;
   // Expanding ring search; falls back to linear scan when the ring exceeds

@@ -27,14 +27,6 @@ class GridIndex {
   void query_radius(const Point& q, double radius,
                     std::vector<std::uint32_t>& out) const;
 
-  /// Indices of all points with r_inner < distance(p, q) <= r_outer, in
-  /// index order (`out` is cleared first). Interior buckets that lie
-  /// entirely inside the inner disc are skipped without testing their
-  /// points, so a thin annulus costs O(annulus cells) instead of O(disc
-  /// cells) — the far-field edge ring depends on this.
-  void query_annulus(const Point& q, double r_inner, double r_outer,
-                     std::vector<std::uint32_t>& out) const;
-
   /// Nearest point index to q, or size() when the index is empty.
   std::uint32_t nearest(const Point& q) const;
 

@@ -121,8 +121,6 @@ std::string encode_payload(const JournalRecord& rec) {
       p.append(o.placement_payload);
       put_pod(p, o.spacing);
       put_pod(p, o.margin);
-      put_pod(p, static_cast<std::uint8_t>(o.lookup ? 1 : 0));
-      put_pod(p, o.quant_step);
       put_pod(p, static_cast<std::uint8_t>(o.surrogate ? 1 : 0));
       break;
     }
@@ -159,8 +157,6 @@ JournalRecord decode_payload(JournalRecord::Kind kind, const char* data,
       rec.open.placement_payload = c.bytes(static_cast<std::size_t>(len));
       rec.open.spacing = c.f64();
       rec.open.margin = c.f64();
-      rec.open.lookup = c.u8() != 0;
-      rec.open.quant_step = c.f64();
       rec.open.surrogate = c.u8() != 0;
       break;
     }

@@ -57,7 +57,9 @@
 
 namespace tsv::io {
 
-inline constexpr std::uint32_t kJournalVersion = 1;
+// Version 2 dropped the Stage II lookup-table knobs from the open record.
+// Journals of any other version are refused at read time.
+inline constexpr std::uint32_t kJournalVersion = 2;
 
 /// Header flag bit 0: this journal's appends skip fsync. Persisted so a
 /// reload keeps the session's durability mode without needing the spec.
@@ -68,8 +70,6 @@ struct JournalOpen {
   std::string placement_payload;  ///< io::encode_placement bytes
   double spacing = 0.5;
   double margin = 25.0;
-  bool lookup = false;
-  double quant_step = 0.25;
   bool surrogate = false;
 };
 

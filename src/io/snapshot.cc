@@ -56,12 +56,6 @@ class Writer {
     size(v.size());
     for (const double x : v) f64(x);
   }
-  void f32_vec(const std::vector<float>& v) {
-    // Bulk append (native little-endian IEEE floats) — the float32 storage
-    // tier for bulk table tensors.
-    size(v.size());
-    raw(v.data(), v.size() * sizeof(float));
-  }
   void point(const geo::Point& p) {
     f64(p.x);
     f64(p.y);
@@ -90,8 +84,7 @@ class Writer {
   /// `durable=false` skips the fsync (see atomic_write_file). Returns the
   /// payload checksum — the identity the eco journal anchors replay to.
   std::uint64_t commit(const std::string& path, SnapshotKind kind,
-                       bool durable = true,
-                       std::uint32_t version = kSnapshotVersion) const {
+                       bool durable = true) const {
     std::string bytes;
     bytes.reserve(sizeof(kMagic) + 2 * sizeof(std::uint32_t) +
                   2 * sizeof(std::uint64_t) + buffer_.size());
@@ -102,7 +95,7 @@ class Writer {
     const auto append_pod = [&](const auto& v) {
       bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
     };
-    append_pod(version);
+    append_pod(kSnapshotVersion);
     append_pod(kind_u);
     append_pod(payload);
     bytes.append(buffer_);
@@ -125,20 +118,13 @@ class Writer {
 /// outlive the Reader.
 class Reader {
  public:
-  Reader(const char* payload, std::size_t payload_size, std::string path,
-         std::uint32_t version = kSnapshotVersion)
+  Reader(const char* payload, std::size_t payload_size, std::string path)
       : payload_(payload),
         payload_size_(payload_size),
-        path_(std::move(path)),
-        version_(version) {}
+        path_(std::move(path)) {}
 
-  Reader(const std::string& payload, std::string path,
-         std::uint32_t version = kSnapshotVersion)
-      : Reader(payload.data(), payload.size(), std::move(path), version) {}
-
-  /// Format version of the file this payload came from; decoders branch on
-  /// it for sections added after version 1.
-  std::uint32_t version() const { return version_; }
+  Reader(const std::string& payload, std::string path)
+      : Reader(payload.data(), payload.size(), std::move(path)) {}
 
   std::uint8_t u8() { return get<std::uint8_t>(); }
   std::uint32_t u32() { return get<std::uint32_t>(); }
@@ -165,16 +151,6 @@ class Reader {
     const std::size_t n = size();
     std::vector<double> v(n);
     for (std::size_t i = 0; i < n; ++i) v[i] = f64();
-    return v;
-  }
-  std::vector<float> f32_vec() {
-    // Bulk read, mirroring Writer::f32_vec.
-    const std::size_t n = size();
-    std::vector<float> v(n);
-    const std::size_t bytes = n * sizeof(float);
-    need(bytes);
-    if (bytes != 0) std::memcpy(v.data(), payload_ + cursor_, bytes);
-    cursor_ += bytes;
     return v;
   }
   geo::Point point() {
@@ -225,7 +201,6 @@ class Reader {
   const char* payload_ = nullptr;
   std::size_t payload_size_ = 0;
   std::string path_;
-  std::uint32_t version_ = kSnapshotVersion;
   std::size_t cursor_ = 0;
 };
 
@@ -263,12 +238,10 @@ OpenedSnapshot read_file(const std::string& path) {
   read_pod(info.payload_bytes);
   info.kind = static_cast<SnapshotKind>(kind_u);
 
-  if (info.version < kMinSnapshotVersion ||
-      info.version > kSnapshotVersion) {
+  if (info.version != kSnapshotVersion) {
     std::ostringstream os;
     os << "format version mismatch: file has version " << info.version
-       << ", this build reads versions " << kMinSnapshotVersion << ".."
-       << kSnapshotVersion;
+       << ", this build reads version " << kSnapshotVersion;
     snapshot_error(path, os.str());
   }
   if (total != off + info.payload_bytes + sizeof(std::uint64_t))
@@ -287,7 +260,7 @@ OpenedSnapshot read_file(const std::string& path) {
        << ", computed " << computed;
     snapshot_error(path, os.str());
   }
-  Reader reader(payload, payload_bytes, path, info.version);
+  Reader reader(payload, payload_bytes, path);
   return OpenedSnapshot{std::move(file), info, std::move(reader)};
 }
 
@@ -354,74 +327,6 @@ core::RadialStressTable get_radial_table(Reader& r) {
   return core::RadialStressTable(std::move(srr), std::move(stt), max_radius);
 }
 
-void put_pair_tables(Writer& w,
-                     const std::vector<ana::PairStressTable::Data>& tables,
-                     std::uint32_t version = kSnapshotVersion) {
-  // Format v3: the float32 SoA samples are written verbatim (they ARE the
-  // table's storage), so save -> load -> save round-trips bitwise and the
-  // section is ~6x smaller than the v2 f64 tensor layout. The compat
-  // writers (version < 3) widen the floats back into the old f64 tensor
-  // layout; re-narrowing on load restores the identical bits.
-  w.size(tables.size());
-  for (const ana::PairStressTable::Data& t : tables) {
-    w.f64(t.pitch);
-    w.f64(t.r_max);
-    w.size(t.n_theta);
-    for (const auto& seg : t.segments) {
-      w.f64(seg.r0);
-      w.f64(seg.r1);
-      w.size(seg.nr);
-      if (version >= 3) {
-        w.f32_vec(seg.s11);
-        w.f32_vec(seg.s22);
-        w.f32_vec(seg.s12);
-      } else {
-        std::vector<num::SymTensor2> values(seg.s11.size());
-        for (std::size_t k = 0; k < values.size(); ++k) {
-          values[k] = num::SymTensor2{static_cast<double>(seg.s11[k]),
-                                      static_cast<double>(seg.s22[k]),
-                                      static_cast<double>(seg.s12[k])};
-        }
-        w.tensor_vec(values);
-      }
-    }
-  }
-}
-
-std::vector<ana::PairStressTable::Data> get_pair_tables(Reader& r) {
-  const std::size_t count = r.size();
-  std::vector<ana::PairStressTable::Data> tables(count);
-  for (ana::PairStressTable::Data& t : tables) {
-    t.pitch = r.f64();
-    t.r_max = r.f64();
-    t.n_theta = r.size();
-    for (auto& seg : t.segments) {
-      seg.r0 = r.f64();
-      seg.r1 = r.f64();
-      seg.nr = r.size();
-      if (r.version() >= 3) {
-        seg.s11 = r.f32_vec();
-        seg.s22 = r.f32_vec();
-        seg.s12 = r.f32_vec();
-      } else {
-        // v1/v2 payloads stored f64 AoS tensors; narrow them into the
-        // float tier exactly like a fresh table build would (the same
-        // static_cast, so upgraded and cold tables stay bitwise equal).
-        const std::vector<num::SymTensor2> values = r.tensor_vec();
-        seg.s11.reserve(values.size());
-        seg.s22.reserve(values.size());
-        seg.s12.reserve(values.size());
-        for (const num::SymTensor2& v : values) {
-          seg.s11.push_back(static_cast<float>(v.s11));
-          seg.s22.push_back(static_cast<float>(v.s22));
-          seg.s12.push_back(static_cast<float>(v.s12));
-        }
-      }
-    }
-  }
-  return tables;
-}
-
 void put_surrogate(Writer& w, const ana::PairSurrogate& surrogate) {
   const ana::PairSurrogate::Data d = surrogate.to_data();
   w.f64(d.pitch_min);
@@ -481,8 +386,6 @@ const char* to_string(SnapshotKind kind) {
   switch (kind) {
     case SnapshotKind::kRadialTable:
       return "radial-table";
-    case SnapshotKind::kPairTableCache:
-      return "pair-table-cache";
     case SnapshotKind::kPlacement:
       return "placement";
     case SnapshotKind::kEngineState:
@@ -512,25 +415,6 @@ core::RadialStressTable load_radial_table(const std::string& path) {
   core::RadialStressTable table = get_radial_table(r);
   r.expect_end();
   return table;
-}
-
-std::size_t save_pair_table_cache(const std::string& path,
-                                  const ana::InteractiveStressModel& model) {
-  Writer w;
-  const std::vector<ana::PairStressTable::Data> tables =
-      model.export_table_cache();
-  put_pair_tables(w, tables);
-  w.commit(path, SnapshotKind::kPairTableCache);
-  return tables.size();
-}
-
-std::size_t load_pair_table_cache(const std::string& path,
-                                  const ana::InteractiveStressModel& model) {
-  OpenedSnapshot opened = open_kind(path, SnapshotKind::kPairTableCache);
-  Reader& r = opened.reader;
-  std::vector<ana::PairStressTable::Data> tables = get_pair_tables(r);
-  r.expect_end();
-  return model.import_table_cache(std::move(tables));
 }
 
 void save_surrogate(const std::string& path,
@@ -610,11 +494,8 @@ tsvlib::Placement decode_placement(const std::string& bytes) {
   return tsvlib::Placement(structure, std::move(centers));
 }
 
-namespace {
-
-std::uint64_t save_engine_state_as(const std::string& path,
-                                   const core::IncrementalEngine& engine,
-                                   std::uint32_t version) {
+std::uint64_t save_engine_state(const std::string& path,
+                                const core::IncrementalEngine& engine) {
   const auto* radial =
       dynamic_cast<const core::RadialStressTable*>(&engine.table());
   TSV_REQUIRE(radial != nullptr,
@@ -632,25 +513,7 @@ std::uint64_t save_engine_state_as(const std::string& path,
   w.size(opt.stage1.num_threads);
   w.f64(opt.stage2.pair_pitch_cutoff);
   w.f64(opt.stage2.influence_radius);
-  w.u8(opt.stage2.use_lookup_table ? 1 : 0);
-  w.f64(opt.stage2.pitch_quant_step);
-  w.u8(opt.stage2.allow_surrogate ? 1 : 0);
-  w.f64(opt.stage2.surrogate_tolerance);
   w.size(opt.stage2.num_threads);
-  if (version >= 3) {
-    // Far-field routing (format version 3; absent and defaulted in older
-    // payloads).
-    w.u8(opt.stage2.use_far_field ? 1 : 0);
-    w.f64(opt.stage2.far_field_tolerance);
-    w.f64(opt.stage2.far_field.cell_size);
-    w.f64(opt.stage2.far_field.tile_spacing);
-    w.f64(opt.stage2.far_field.blend_r0);
-    w.f64(opt.stage2.far_field.blend_r1);
-    w.f64(opt.stage2.far_field.edge_width);
-    w.size(opt.stage2.far_field.cert_max_clusters);
-    w.size(opt.stage2.far_field.cert_samples_per_cluster);
-    w.f64(opt.stage2.far_field.cert_margin);
-  }
   w.u8(opt.enable_interactive ? 1 : 0);
   w.size(opt.num_threads);
 
@@ -673,37 +536,15 @@ std::uint64_t save_engine_state_as(const std::string& path,
   w.tensor_vec(state.stage2);
 
   put_radial_table(w, *radial);
-  put_pair_tables(w,
-                  model != nullptr
-                      ? model->export_table_cache()
-                      : std::vector<ana::PairStressTable::Data>{},
-                  version);
 
-  // Optional embedded surrogate (format version 2): ECO warm starts reuse
-  // the fitted-and-certified coefficients instead of refitting per process.
-  if (version >= 2) {
-    const std::shared_ptr<const ana::PairSurrogate> surrogate =
-        model != nullptr ? model->surrogate() : nullptr;
-    w.u8(surrogate != nullptr ? 1 : 0);
-    if (surrogate != nullptr) put_surrogate(w, *surrogate);
-  }
+  // Optional embedded surrogate: ECO warm starts reuse the
+  // fitted-and-certified coefficients instead of refitting per process.
+  const std::shared_ptr<const ana::PairSurrogate> surrogate =
+      model != nullptr ? model->surrogate() : nullptr;
+  w.u8(surrogate != nullptr ? 1 : 0);
+  if (surrogate != nullptr) put_surrogate(w, *surrogate);
 
-  return w.commit(path, SnapshotKind::kEngineState, /*durable=*/true, version);
-}
-
-}  // namespace
-
-std::uint64_t save_engine_state(const std::string& path,
-                                const core::IncrementalEngine& engine) {
-  return save_engine_state_as(path, engine, kSnapshotVersion);
-}
-
-std::uint64_t save_engine_state_compat(const std::string& path,
-                                       const core::IncrementalEngine& engine,
-                                       std::uint32_t version) {
-  TSV_REQUIRE(version >= kMinSnapshotVersion && version <= kSnapshotVersion,
-              "engine snapshot: unsupported compat version");
-  return save_engine_state_as(path, engine, version);
+  return w.commit(path, SnapshotKind::kEngineState);
 }
 
 core::IncrementalEngine load_engine_state(const std::string& path) {
@@ -721,23 +562,7 @@ core::IncrementalEngine load_engine_state(const std::string& path) {
   opt.stage1.num_threads = r.size();
   opt.stage2.pair_pitch_cutoff = r.f64();
   opt.stage2.influence_radius = r.f64();
-  opt.stage2.use_lookup_table = r.u8() != 0;
-  opt.stage2.pitch_quant_step = r.f64();
-  opt.stage2.allow_surrogate = r.u8() != 0;
-  opt.stage2.surrogate_tolerance = r.f64();
   opt.stage2.num_threads = r.size();
-  if (r.version() >= 3) {
-    opt.stage2.use_far_field = r.u8() != 0;
-    opt.stage2.far_field_tolerance = r.f64();
-    opt.stage2.far_field.cell_size = r.f64();
-    opt.stage2.far_field.tile_spacing = r.f64();
-    opt.stage2.far_field.blend_r0 = r.f64();
-    opt.stage2.far_field.blend_r1 = r.f64();
-    opt.stage2.far_field.edge_width = r.f64();
-    opt.stage2.far_field.cert_max_clusters = r.size();
-    opt.stage2.far_field.cert_samples_per_cluster = r.size();
-    opt.stage2.far_field.cert_margin = r.f64();
-  }
   opt.enable_interactive = r.u8() != 0;
   opt.num_threads = r.size();
 
@@ -757,22 +582,18 @@ core::IncrementalEngine load_engine_state(const std::string& path) {
 
   auto table =
       std::make_shared<const core::RadialStressTable>(get_radial_table(r));
-  std::vector<ana::PairStressTable::Data> pair_tables = get_pair_tables(r);
-  // Version-1 payloads end at the pair tables (no surrogate section): the
-  // model comes back surrogate-free and callers re-fit on demand.
   std::shared_ptr<const ana::PairSurrogate> surrogate;
-  if (r.version() >= 2 && r.u8() != 0)
+  if (r.u8() != 0)
     surrogate = std::make_shared<const ana::PairSurrogate>(get_surrogate(r));
   r.expect_end();
 
   std::shared_ptr<const ana::InteractiveStressModel> model;
   if (opt.enable_interactive) {
-    // Re-characterize the inclusion response (cheap relative to the table
-    // builds the warmed cache now skips) and restore the cache.
+    // Re-characterize the inclusion response (cheap next to re-evaluating
+    // the fields, which the restored state skips).
     model = std::make_shared<const ana::InteractiveStressModel>(
         std::make_shared<const ana::InclusionResponse>(state.structure, ropt),
         k_hat);
-    model->import_table_cache(std::move(pair_tables));
     // Reattach the embedded surrogate; its persisted certificate still
     // gates use per evaluation (surrogate_for checks the bound and domain).
     if (surrogate != nullptr) model->attach_surrogate(std::move(surrogate));

@@ -2,11 +2,11 @@
 // Versioned, checksummed binary snapshots for the framework's expensive
 // state: characterized tables, placements, and the incremental engine.
 //
-// Cold starts pay for every radial-table characterization and every
-// Stage-II pair-table build; in an ECO loop (bench_eco) or a long-lived
-// service those are pure re-derivations of state that never changes. A
-// snapshot lets a warm start skip them entirely: save once, load in
-// milliseconds.
+// Cold starts pay for every radial-table characterization, the surrogate
+// fit, and the full field evaluation; in an ECO loop (bench_eco) or a
+// long-lived service those are pure re-derivations of state that never
+// changes. A snapshot lets a warm start skip them entirely: save once, load
+// in milliseconds.
 //
 // File layout (all integers and IEEE doubles in native little-endian byte
 // order, written raw):
@@ -20,8 +20,9 @@
 //
 // Readers reject wrong magic, wrong version, wrong kind, truncation, and
 // checksum mismatches with distinct std::runtime_error messages. Doubles
-// are stored bitwise, so save -> load -> save round-trips byte-identically
-// (std::map iteration makes the pair-cache export order deterministic).
+// are stored bitwise, so save -> load -> save round-trips byte-identically.
+// Reads go through a memory-mapped view (io/mapped_file.h) instead of
+// double-buffering the file in the heap.
 
 #include <cstdint>
 #include <optional>
@@ -37,31 +38,15 @@
 
 namespace tsv::io {
 
-// Version 2: engine-state snapshots gained an optional embedded surrogate
-// section (has_surrogate byte + coefficients/certificate), so warm starts
-// skip the ~40 ms fit as well as the table builds. Version-1 files still
-// load — their engine-state payload simply ends at the pair tables, so the
-// restored model has no surrogate and callers re-fit on demand — and the
-// next save writes the current version (the upgrade path). Versions
-// outside [kMinSnapshotVersion, kSnapshotVersion] are rejected with a
-// clear mismatch error.
-//
-// Version 3: (a) pair-table samples are stored as float32 SoA — the
-// table's native storage tier — shrinking pair-table-cache and
-// engine-state payloads ~6x for that section (v1/v2 payloads still load;
-// their f64 tensors are narrowed into the float tier on read, and the
-// next save writes v3); (b) engine-state options gained the Stage II
-// far-field fields (use_far_field, tolerance, FarFieldOptions), absent
-// and defaulted in older payloads. Reads go through a memory-mapped view
-// (io/mapped_file.h) instead of double-buffering the file in the heap.
-// Fields that remain f64 (engine stage fields, radial table, surrogate
-// coefficients) still round-trip bitwise.
-inline constexpr std::uint32_t kSnapshotVersion = 3;
-inline constexpr std::uint32_t kMinSnapshotVersion = 1;
+// Version 4 is the only format this build reads or writes: an engine-state
+// payload holds the placement slots, the Stage I/II cutoff and thread
+// options, both accumulated f64 fields, the radial table, and an optional
+// embedded surrogate. Files of any other version are refused with a
+// version-mismatch error; re-create them from the placement.
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 enum class SnapshotKind : std::uint32_t {
   kRadialTable = 1,
-  kPairTableCache = 2,
   kPlacement = 3,
   kEngineState = 4,
   kTiledCheckpoint = 5,
@@ -87,18 +72,6 @@ SnapshotInfo read_snapshot_info(const std::string& path);
 void save_radial_table(const std::string& path,
                        const core::RadialStressTable& table);
 core::RadialStressTable load_radial_table(const std::string& path);
-
-// --- Stage-II pair-table cache -------------------------------------------
-
-/// Saves every PairStressTable cached on `model` (the pitch-quantized
-/// Stage-II cache). Returns the number of tables written.
-std::size_t save_pair_table_cache(const std::string& path,
-                                  const ana::InteractiveStressModel& model);
-
-/// Pre-warms `model`'s table cache from a snapshot; returns the number of
-/// tables inserted (existing entries win on collision).
-std::size_t load_pair_table_cache(const std::string& path,
-                                  const ana::InteractiveStressModel& model);
 
 // --- Stage-II certified surrogate ----------------------------------------
 
@@ -133,30 +106,19 @@ tsvlib::Placement decode_placement(const std::string& bytes);
 
 /// Saves the full warm state of an engine: placement slots, options, both
 /// accumulated fields, the Stage-I radial table, the Stage-II model
-/// characterization settings (k_hat + response options), every cached
-/// pair table, and — when one is attached to the model — the fitted
-/// certified surrogate (bitwise, certificate included). Requires the
-/// engine's single-TSV field to be a RadialStressTable (throws
-/// std::invalid_argument otherwise). Returns the payload checksum, which
+/// characterization settings (k_hat + response options), and — when one
+/// is attached to the model — the fitted certified surrogate (bitwise,
+/// certificate included). Requires the engine's single-TSV field to be a
+/// RadialStressTable (throws std::invalid_argument otherwise). Returns the payload checksum, which
 /// the eco journal records in its anchor so replay can tell whether a
 /// journal suffix is already folded into the on-disk snapshot.
 std::uint64_t save_engine_state(const std::string& path,
                                 const core::IncrementalEngine& engine);
 
-/// Writes an engine snapshot in an OLDER format version's exact layout
-/// (f64 pair tables and no surrogate section for v1, no far-field option
-/// fields below v3), stamped with that version. Exists so downgrade
-/// interop and the version-upgrade tests exercise the real old layouts
-/// instead of re-stamped current payloads. Throws std::invalid_argument
-/// outside [kMinSnapshotVersion, kSnapshotVersion].
-std::uint64_t save_engine_state_compat(const std::string& path,
-                                       const core::IncrementalEngine& engine,
-                                       std::uint32_t version);
-
 /// Rebuilds an engine from a snapshot without re-evaluating anything: the
 /// radial table is decoded, the interactive model is re-characterized from
-/// the stored structure/options and its pair-table cache warmed from the
-/// stored tables, and the accumulated fields are restored verbatim.
+/// the stored structure/options (with the embedded surrogate reattached),
+/// and the accumulated fields are restored verbatim.
 core::IncrementalEngine load_engine_state(const std::string& path);
 
 // --- Tiled-run checkpoints -----------------------------------------------

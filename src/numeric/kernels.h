@@ -25,68 +25,6 @@
 
 namespace tsv::num {
 
-namespace detail {
-
-/// Odd-polynomial atan on the folded range |t| <= tan(pi/8): atan(t) =
-/// t * q(t^2) with q a degree-11 Chebyshev-fitted polynomial in t^2.
-/// Regenerate with tools/gen_atan_poly.py; the comment records the fit's
-/// measured truncation error.
-// max |poly - atan| over [-tan(pi/8), tan(pi/8)]: 3.886e-16 rad
-inline constexpr double kAtanCoeffs[] = {
-    0.9999999999999991,
-    -0.3333333333331765,
-    0.200000000010762,
-    -0.14285714655446272,
-    0.111111374401368,
-    -0.09091799063950162,
-    0.07709404389346143,
-    -0.06867007089345288,
-    0.07341770445111352,
-    -0.11703401630802347,
-    0.2038582642659698,
-    -0.19440506095997984,
-};
-
-inline double atan_core(double t) {
-  const double s = t * t;
-  double q = kAtanCoeffs[11];
-  q = q * s + kAtanCoeffs[10];
-  q = q * s + kAtanCoeffs[9];
-  q = q * s + kAtanCoeffs[8];
-  q = q * s + kAtanCoeffs[7];
-  q = q * s + kAtanCoeffs[6];
-  q = q * s + kAtanCoeffs[5];
-  q = q * s + kAtanCoeffs[4];
-  q = q * s + kAtanCoeffs[3];
-  q = q * s + kAtanCoeffs[2];
-  q = q * s + kAtanCoeffs[1];
-  q = q * s + kAtanCoeffs[0];
-  return t * q;
-}
-
-}  // namespace detail
-
-/// atan2(y, x) for y >= 0 — the Stage II table-lookup angle in [0, pi] —
-/// via an octant fold onto detail::atan_core (one division, no libm).
-/// Matches std::atan2 to < 1e-15 rad absolute over the full half-plane
-/// (test_kernels sweeps this); (0, 0) maps to 0 like std::atan2.
-inline double atan2_upper(double y, double x) {
-  constexpr double kTanPi8 = 0.41421356237309503;  // tan(pi/8)
-  constexpr double kPi = 3.14159265358979323846;
-  const double ax = x < 0.0 ? -x : x;
-  double base;
-  if (y <= kTanPi8 * ax) {
-    base = ax > 0.0 ? detail::atan_core(y / ax) : 0.0;
-  } else if (ax <= kTanPi8 * y) {
-    base = 0.5 * kPi - detail::atan_core(ax / y);
-  } else {
-    // Octant midzone: atan(t) = pi/4 + atan((t-1)/(t+1)) with
-    // t = y/ax folds to one division on (y-ax)/(y+ax).
-    base = 0.25 * kPi + detail::atan_core((y - ax) / (y + ax));
-  }
-  return x < 0.0 ? kPi - base : base;
-}
-
 /// Cartesian tensor of an axisymmetric cylindrical tensor (srr, stt, srt=0)
 /// whose r-axis points along the double angle (cos2t, sin2t). Equals
 /// cylindrical_to_cartesian({srr, stt, 0}, theta) with cos2t = cos 2theta,
@@ -98,30 +36,16 @@ inline SymTensor2 rotate_axisymmetric(double srr, double stt, double cos2t,
   return {mean + dev * cos2t, mean - dev * cos2t, dev * sin2t};
 }
 
-/// Full double-angle form of cylindrical_to_cartesian(t, theta) with
-/// cos2t = cos 2theta, sin2t = sin 2theta. Used where the rotation angle is
-/// hoisted out of a point loop (Stage II's per-pair beta).
-inline SymTensor2 rotate_double_angle(const SymTensor2& t, double cos2t,
-                                      double sin2t) {
-  const double mean = 0.5 * (t.s11 + t.s22);
-  const double dev = 0.5 * (t.s11 - t.s22);
-  return {mean + dev * cos2t - t.s12 * sin2t,
-          mean - dev * cos2t + t.s12 * sin2t,
-          dev * sin2t + t.s12 * cos2t};
-}
-
 /// Reusable buffers for the batch kernels. Members are assigned to fixed
 /// roles so nested users never alias:
 ///   * idx / idx2 — spatial-query results (caller-side gather lists);
 ///   * ax / ay    — displacement / coordinate SoA gathers inside the
-///                  RadialStressTable kernel;
-///   * acc        — per-point tensor contributions (scatter-add staging).
+///                  RadialStressTable kernel.
 struct KernelScratch {
   std::vector<std::uint32_t> idx;
   std::vector<std::uint32_t> idx2;
   std::vector<double> ax;
   std::vector<double> ay;
-  std::vector<SymTensor2> acc;
 };
 
 /// The calling thread's scratch instance. Pool workers are persistent, so

@@ -299,8 +299,14 @@ JsonValue StressServer::handle(const JsonValue& request) {
       SessionSpec spec;
       spec.spacing = request.number_or("spacing", spec.spacing);
       spec.margin = request.number_or("margin", spec.margin);
-      spec.lookup = request.bool_or("lookup", spec.lookup);
-      spec.quant_step = request.number_or("quant", spec.quant_step);
+      // The lookup-table Stage II path is gone; refuse its knobs instead
+      // of serving the session on another path without saying so.
+      for (const char* removed : {"lookup", "quant"})
+        if (request.find(removed) != nullptr)
+          throw InvalidInputError(std::string("open: '") + removed +
+                                  "' is no longer supported (Stage II uses "
+                                  "the certified surrogate or the exact "
+                                  "series)");
       spec.surrogate = request.bool_or("surrogate", spec.surrogate);
       spec.journal_fsync =
           request.bool_or("journal_fsync", spec.journal_fsync);
@@ -344,7 +350,6 @@ JsonValue StressServer::handle(const JsonValue& request) {
         row.set("tsvs", JsonValue(s.tsvs));
         row.set("grid_points", JsonValue(s.grid_points));
         row.set("estimated_bytes", JsonValue(s.estimated_bytes));
-        row.set("cache_hit_rate", JsonValue(s.cache_hit_rate));
         row.set("has_surrogate", JsonValue(s.has_surrogate));
         row.set("counters", counters_json(s.counters));
         sessions.items().push_back(std::move(row));

@@ -20,11 +20,6 @@
 namespace tsv::server {
 namespace {
 
-/// A cached PairStressTable is ~2 MB at the default polar resolution (the
-/// 10k-TSV snapshot is 114 MB across 61 tables + fields); exact sizing
-/// would require exporting the cache, so admission uses this estimate.
-constexpr std::uint64_t kPairTableBytesEstimate = 2ull << 20;
-
 void validate_session_name(const std::string& name) {
   const bool chars_ok =
       !name.empty() && name.size() <= 100 && name[0] != '.' &&
@@ -55,8 +50,6 @@ std::unique_ptr<core::IncrementalEngine> build_engine(
         ana::PairSurrogate::fit(*model)));
 
   core::IncrementalOptions opt;
-  opt.stage2.use_lookup_table = spec.lookup;
-  opt.stage2.pitch_quant_step = spec.quant_step;
   opt.num_threads = 1;
   opt.stage1.num_threads = 1;
   opt.stage2.num_threads = 1;
@@ -72,8 +65,6 @@ io::JournalOpen journal_open_record(const tsvlib::Placement& placement,
   open.placement_payload = io::encode_placement(placement);
   open.spacing = spec.spacing;
   open.margin = spec.margin;
-  open.lookup = spec.lookup;
-  open.quant_step = spec.quant_step;
   open.surrogate = spec.surrogate;
   return open;
 }
@@ -82,8 +73,6 @@ SessionSpec spec_from_open_record(const io::JournalOpen& open) {
   SessionSpec spec;
   spec.spacing = open.spacing;
   spec.margin = open.margin;
-  spec.lookup = open.lookup;
-  spec.quant_step = open.quant_step;
   spec.surrogate = open.surrogate;
   return spec;
 }
@@ -117,12 +106,9 @@ std::uint64_t estimate_engine_bytes(const core::IncrementalEngine& engine) {
     bytes += static_cast<std::uint64_t>(radial->srr().size() +
                                         radial->stt().size()) *
              sizeof(double);
-  if (const auto model = engine.model()) {
-    bytes += static_cast<std::uint64_t>(model->table_cache_size()) *
-             kPairTableBytesEstimate;
+  if (const auto model = engine.model())
     if (const auto surrogate = model->surrogate())
       bytes += surrogate->certificate().coefficient_count * sizeof(double);
-  }
   return bytes;
 }
 
@@ -157,7 +143,6 @@ class SessionManager::Session {
   SessionCounters counters;
   std::size_t tsvs = 0;
   std::size_t grid_points = 0;
-  double cache_hit_rate = 0.0;
   bool has_surrogate = false;
 
   /// Refreshes the cached summary from the resident engine (caller holds
@@ -167,10 +152,8 @@ class SessionManager::Session {
     std::lock_guard<std::mutex> lk(meta);
     tsvs = engine->active_count();
     grid_points = engine->grid().size();
-    if (const auto model = engine->model()) {
-      cache_hit_rate = model->table_cache_stats().hit_rate();
+    if (const auto model = engine->model())
       has_surrogate = model->surrogate() != nullptr;
-    }
   }
 };
 
@@ -347,7 +330,7 @@ SessionManager::SessionManager(std::string snapshot_dir, SessionLimits limits)
       const io::SnapshotInfo info = io::read_snapshot_info(path.string());
       if (info.kind != io::SnapshotKind::kEngineState) continue;
       auto session = std::make_shared<Session>(name);
-      // The payload is the serialized fields + tables — the same state
+      // The payload is the serialized fields + table — the same state
       // that will be resident — so it doubles as the admission hint.
       session->estimated_bytes = info.payload_bytes;
       sessions_.push_back(std::move(session));
@@ -381,7 +364,9 @@ SessionManager::SessionManager(std::string snapshot_dir, SessionLimits limits)
         }
       if (open == nullptr)
         throw IoCorruptionError(
-            "journal has no open record and no snapshot exists");
+            replay.torn_tail && replay.valid_bytes == 0
+                ? "unreadable journal: " + replay.torn_reason
+                : "journal has no open record and no snapshot exists");
       // Admission hint without building anything: the dominant field term
       // from the recorded placement + grid spec (same formula as open()).
       const tsvlib::Placement placement =
@@ -806,7 +791,6 @@ ManagerStats SessionManager::stats() const {
       st.counters = s->counters;
       st.tsvs = s->tsvs;
       st.grid_points = s->grid_points;
-      st.cache_hit_rate = s->cache_hit_rate;
       st.has_surrogate = s->has_surrogate;
     }
     if (st.resident)

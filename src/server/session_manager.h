@@ -13,7 +13,7 @@
 //     evicting least-recently-used idle sessions first — only when nothing
 //     evictable remains is the request refused.
 //   * Snapshot-backed eviction. Evicting writes the full engine state
-//     through io::save_engine_state (fields, tables, embedded surrogate)
+//     through io::save_engine_state (fields, table, embedded surrogate)
 //     to <snapshot_dir>/<name>.snap and releases the engine; the next
 //     request on that session transparently reloads it, bitwise identical
 //     (snapshots round-trip byte-exactly).
@@ -74,8 +74,6 @@ struct SessionLimits {
 struct SessionSpec {
   double spacing = 0.5;  ///< grid spacing, um
   double margin = 25.0;  ///< halo around the placement bounding box, um
-  bool lookup = false;   ///< Stage II via quantized polar tables
-  double quant_step = 0.25;
   bool surrogate = false;  ///< fit + attach the certified surrogate
   /// fsync the eco journal on every acked batch (full durability). false
   /// trades power-loss durability for eco latency: process death still
@@ -107,7 +105,6 @@ struct SessionStats {
   std::size_t grid_points = 0;  ///< 0 when evicted
   std::uint64_t estimated_bytes = 0;
   SessionCounters counters;
-  double cache_hit_rate = 0.0;  ///< Stage II pair-table cache
   bool has_surrogate = false;
 };
 
@@ -129,8 +126,8 @@ struct ManagerStats {
 
 /// Conservative estimate of an engine's resident footprint: the two
 /// per-point tensor fields (which dominate at full-chip grids), placement
-/// slots, the radial table, and the pair-table cache. Used for admission
-/// and for the stats endpoint's RSS estimate.
+/// slots, the radial table, and the surrogate coefficients. Used for
+/// admission and for the stats endpoint's RSS estimate.
 std::uint64_t estimate_engine_bytes(const core::IncrementalEngine& engine);
 
 class SessionManager {

@@ -60,6 +60,9 @@ EOF
 expect_code 2 "NaN coordinate" evaluate "$WORK/nan.tsv"
 expect_code 2 "missing placement file" evaluate "$WORK/does_not_exist.tsv"
 expect_code 2 "unknown flag" evaluate "$WORK/ok.tsv" --no-such-flag
+# The lookup-table Stage II knobs were removed; they are unknown flags now.
+expect_code 2 "removed --lookup" evaluate "$WORK/ok.tsv" --lookup
+expect_code 2 "removed --quant" eco "$WORK/ok.tsv" --quant=0.25
 expect_code 2 "missing snapshot" eco --snapshot="$WORK/missing.snap"
 
 # --- exit 4: io corruption ------------------------------------------------

@@ -66,8 +66,6 @@ core::IncrementalEngine reference_engine() {
       std::make_shared<const ana::InclusionResponse>(placement.structure()),
       single.k_hat());
   core::IncrementalOptions opt;
-  opt.stage2.use_lookup_table = spec.lookup;
-  opt.stage2.pitch_quant_step = spec.quant_step;
   opt.num_threads = 1;
   opt.stage1.num_threads = 1;
   opt.stage2.num_threads = 1;

@@ -1,18 +1,14 @@
 // Cross-path differential harness: the same seeded random placements
-// evaluated through all five Stage II paths —
+// evaluated through all four Stage II paths —
 //   1. exact potential series      (the reference)
-//   2. quantized PairStressTable   (use_lookup_table + pitch_quant_step)
-//   3. certified Chebyshev surrogate
-//   4. tiled evaluator             (streaming tiles over the exact path)
-//   5. hierarchical far field      (near pairs exact + certified tiles)
+//   2. certified Chebyshev surrogate
+//   3. tiled evaluator             (streaming tiles over the exact path)
+//   4. incremental engine          (seeded random edit scripts)
 // asserting pairwise agreement within each path's documented bound:
-// 1e-12 of the field scale for tiling (pure regrouping), 0.61% for the
-// quantized table (interpolation + quantization budget), the surrogate's
-// machine-checked certificate (<= 4.2e-7 relative per pair), and the
-// far-field aggregate's FarFieldCertificate (gated at <= 1e-2 relative).
-// Plus: seeded random edit scripts through the incremental engine — on the
-// exact, quantized, and far-field paths (the latter exercising cluster
-// invalidation) — checked against a from-scratch build after every batch.
+// 1e-12 of the field scale for tiling (pure regrouping) and the incremental
+// engine (checked against a from-scratch build after every batch, on both
+// the series and the surrogate), and the surrogate's machine-checked
+// certificate (<= 4.2e-7 relative per pair).
 // Runs under the ASan tier via the `differential` ctest label.
 
 #include <gtest/gtest.h>
@@ -24,7 +20,6 @@
 
 #include "analytic/interaction.h"
 #include "analytic/surrogate.h"
-#include "core/far_field.h"
 #include "core/framework.h"
 #include "core/incremental_engine.h"
 #include "core/tiled_evaluator.h"
@@ -84,16 +79,7 @@ std::vector<num::SymTensor2> evaluate_path(const Design& d,
   return fw.evaluate(d.grid).stress;
 }
 
-/// Far-field knobs sized for the 120 um test designs: several clusters,
-/// tiles fine enough to certify comfortably inside the 1e-2 gate.
-FarFieldOptions small_far_options() {
-  FarFieldOptions o;
-  o.cell_size = 30.0;
-  o.tile_spacing = 1.0;
-  return o;
-}
-
-TEST(Differential, FiveStageTwoPathsAgreeWithinDocumentedBounds) {
+TEST(Differential, StageTwoPathsAgreeWithinDocumentedBounds) {
   for (const std::uint64_t seed : {31u, 57u, 98u}) {
     SCOPED_TRACE(seed);
     const Design d(seed);
@@ -102,16 +88,7 @@ TEST(Differential, FiveStageTwoPathsAgreeWithinDocumentedBounds) {
     const std::vector<num::SymTensor2> exact =
         evaluate_path(d, FrameworkOptions{}, fresh_model());
 
-    // Path 2: quantized lookup-table cache, documented <= 0.61% of the
-    // field (ROADMAP / test_quantized_cache budget at 0.25 um steps).
-    FrameworkOptions table_opt;
-    table_opt.stage2.use_lookup_table = true;
-    table_opt.stage2.pitch_quant_step = 0.25;
-    const std::vector<num::SymTensor2> table =
-        evaluate_path(d, table_opt, fresh_model());
-    EXPECT_LE(max_rel_err(table, exact), 0.0061);
-
-    // Path 3: certified surrogate. Its certificate is the bound — every
+    // Path 2: certified surrogate. Its certificate is the bound — every
     // pair it takes contributes at most certified_rel_bound * field_scale
     // absolute error, and the fit is documented to certify at <= 4.2e-7.
     const auto sur_model = fresh_model();
@@ -123,8 +100,7 @@ TEST(Differential, FiveStageTwoPathsAgreeWithinDocumentedBounds) {
     const std::vector<num::SymTensor2> fast =
         evaluate_path(d, FrameworkOptions{}, sur_model);
     // Conservative per-point budget: every ordered pair in range of a point
-    // adds one certified error. N^2 over-counts the <= 25 um-cutoff pairs,
-    // and still sits orders of magnitude below the table budget.
+    // adds one certified error. N^2 over-counts the <= 25 um-cutoff pairs.
     const double budget = static_cast<double>(d.placement.size()) *
                           static_cast<double>(d.placement.size()) *
                           cert.certified_rel_bound * cert.field_scale;
@@ -134,7 +110,7 @@ TEST(Differential, FiveStageTwoPathsAgreeWithinDocumentedBounds) {
       ASSERT_NEAR(fast[i].s12, exact[i].s12, budget) << i;
     }
 
-    // Path 4: tiled streaming over the exact path — pure regrouping of the
+    // Path 3: tiled streaming over the exact path — pure regrouping of the
     // same sums, so <= 1e-12 of the field scale.
     const StressFramework fw(d.placement, shared_table(), fresh_model(),
                              FrameworkOptions{});
@@ -151,31 +127,6 @@ TEST(Differential, FiveStageTwoPathsAgreeWithinDocumentedBounds) {
     EXPECT_GT(st.tiles, 1u);
     EXPECT_EQ(st.points, d.grid.size());
     EXPECT_LE(max_rel_err(assembled, exact), 1e-12);
-
-    // Path 5: hierarchical far field — near pairs exact, far remainder
-    // from certified cluster tiles. The framework only routes through the
-    // aggregate when its certificate passes the 1e-2 gate, so the whole
-    // field is held to that bound against the exact reference.
-    FrameworkOptions far_opt;
-    far_opt.stage2.use_far_field = true;
-    far_opt.stage2.far_field = small_far_options();
-    const auto far_model = fresh_model();
-    const StressFramework far_fw(d.placement, shared_table(), far_model,
-                                 far_opt);
-    ASSERT_NE(far_fw.stage2(), nullptr);
-    const FarFieldAggregate* far = far_fw.stage2()->active_far_field();
-    ASSERT_NE(far, nullptr);  // built, fingerprint-matched, certified
-    EXPECT_TRUE(far->certificate().certified_within(
-        far_opt.stage2.far_field_tolerance));
-    const std::vector<num::SymTensor2> hier =
-        far_fw.evaluate(d.grid).stress;
-    EXPECT_LE(max_rel_err(hier, exact), far_opt.stage2.far_field_tolerance);
-
-    // Transitivity sanity: the approximate paths also agree with each
-    // other within the sum of their budgets.
-    EXPECT_LE(max_rel_err(fast, table), 0.0061 + 1e-4);
-    EXPECT_LE(max_rel_err(hier, table),
-              0.0061 + far_opt.stage2.far_field_tolerance);
   }
 }
 
@@ -214,57 +165,37 @@ Delta random_batch(const IncrementalEngine& engine, std::mt19937_64& rng) {
   return delta;
 }
 
-enum class EditPath { kExact, kQuantized, kFarField };
-
 TEST(Differential, RandomEditScriptTracksFullRecompute) {
-  for (const EditPath path :
-       {EditPath::kExact, EditPath::kQuantized, EditPath::kFarField}) {
-    SCOPED_TRACE(path == EditPath::kExact      ? "exact-series path"
-                 : path == EditPath::kQuantized ? "quantized-table path"
-                                                : "far-field path");
+  for (const bool surrogate : {false, true}) {
+    SCOPED_TRACE(surrogate ? "surrogate path" : "exact-series path");
     const Design d(7);
-    IncrementalOptions opt;
-    if (path == EditPath::kQuantized) {
-      opt.stage2.use_lookup_table = true;
-      opt.stage2.pitch_quant_step = 0.25;
-    }
-    if (path == EditPath::kFarField) {
-      opt.stage2.use_far_field = true;
-      opt.stage2.far_field = small_far_options();
-    }
-    IncrementalEngine engine(d.placement, d.grid, shared_table(),
-                             fresh_model(), opt);
+    const auto model = fresh_model();
+    if (surrogate)
+      model->attach_surrogate(std::make_shared<const ana::PairSurrogate>(
+          ana::PairSurrogate::fit(*model)));
+    IncrementalEngine engine(d.placement, d.grid, shared_table(), model);
 
     std::mt19937_64 rng(0xd1ffu);
     std::size_t applied = 0;
-    std::size_t clusters_rebuilt = 0;
     for (int batch = 0; batch < 6; ++batch) {
       Delta delta = random_batch(engine, rng);
       // Mix structural edits into two of the batches.
       if (batch == 2) delta.push_back(EcoOp::add({-18.0, -18.0}));
       if (batch == 4) delta.push_back(EcoOp::remove(engine.active_ids()[0]));
       if (delta.empty()) continue;
-      const ApplyStats st = engine.apply(delta);
+      engine.apply(delta);
       applied += delta.size();
-      clusters_rebuilt += st.clusters_rebuilt;
 
       const IncrementalEngine fresh(engine.placement(), engine.grid(),
                                     engine.shared_table(), engine.model(),
                                     engine.options());
-      // The far-field path re-folds touched clusters bitwise, so the only
-      // extra drift over the direct paths is the f64 subtract/add of tile
-      // reads at the touched grid points.
       EXPECT_LE(max_rel_err(engine.total_field(), fresh.total_field()),
-                path == EditPath::kFarField ? 1e-10 : 1e-12)
+                1e-12)
           << "after batch " << batch;
     }
     EXPECT_GE(applied, 12u);
-    if (path == EditPath::kFarField) {
-      // The script must actually have exercised cluster invalidation.
-      EXPECT_GT(clusters_rebuilt, 0u);
-      ASSERT_NE(engine.far_field(), nullptr);
-      EXPECT_TRUE(engine.far_field()->certificate().certified_within(
-          opt.stage2.far_field_tolerance));
+    if (surrogate) {
+      EXPECT_GT(model->surrogate()->use_stats().surrogate_pairs, 0u);
     }
   }
 }

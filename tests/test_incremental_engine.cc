@@ -1,5 +1,5 @@
 // IncrementalEngine: delta evaluation must agree with a full recompute to
-// <= 1e-12 of the field scale on every grid point (both Stage II paths),
+// <= 1e-12 of the field scale on every grid point (series and surrogate),
 // stay bitwise deterministic across repeats, and reject illegal edits
 // without touching any state.
 
@@ -11,6 +11,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "analytic/surrogate.h"
 #include "core/framework.h"
 #include "tsv/generators.h"
 
@@ -22,6 +23,19 @@ const tsvlib::TsvStructure kS = tsvlib::TsvStructure::baseline_bcb();
 std::shared_ptr<const ana::InteractiveStressModel> shared_model() {
   static auto model = std::make_shared<const ana::InteractiveStressModel>(
       kS, mat::ThermalLoad{});
+  return model;
+}
+
+/// A second model with a certified surrogate attached (the fast Stage II
+/// path); shared_model() stays surrogate-free, i.e. the exact series.
+std::shared_ptr<const ana::InteractiveStressModel> surrogate_model() {
+  static auto model = [] {
+    auto m = std::make_shared<const ana::InteractiveStressModel>(
+        kS, mat::ThermalLoad{});
+    m->attach_surrogate(std::make_shared<const ana::PairSurrogate>(
+        ana::PairSurrogate::fit(*m)));
+    return m;
+  }();
   return model;
 }
 
@@ -44,8 +58,11 @@ struct Fixture {
         grid(geo::SampleGrid::with_spacing(
             placement.bounding_box().expanded(25.0), spacing)) {}
 
-  IncrementalEngine engine(const IncrementalOptions& opt = {}) const {
-    return IncrementalEngine(placement, grid, shared_table(), shared_model(),
+  IncrementalEngine engine(
+      const IncrementalOptions& opt = {},
+      std::shared_ptr<const ana::InteractiveStressModel> model =
+          shared_model()) const {
+    return IncrementalEngine(placement, grid, shared_table(), std::move(model),
                              opt);
   }
 };
@@ -104,23 +121,21 @@ TEST(IncrementalEngine, SingleMoveMatchesFullRecompute) {
 
 TEST(IncrementalEngine, SeriesPathMatchesFullRecompute) {
   const Fixture f;
-  IncrementalOptions opt;
-  opt.stage2.use_lookup_table = false;  // exact potential series per pair
-  IncrementalEngine engine = f.engine(opt);
+  IncrementalEngine engine = f.engine();  // exact potential series per pair
   const geo::Point c = engine.center(5);
   engine.apply({EcoOp::move(5, {c.x - 1.5, c.y + 1.0})});
   EXPECT_LE(max_rel_err(engine.total_field(), full_reference(engine)),
             1e-12);
 }
 
-TEST(IncrementalEngine, QuantizedLookupPathMatchesFullRecompute) {
+TEST(IncrementalEngine, SurrogatePathMatchesFullRecompute) {
   const Fixture f;
-  IncrementalOptions opt;
-  opt.stage2.use_lookup_table = true;
-  opt.stage2.pitch_quant_step = 0.25;
-  IncrementalEngine engine = f.engine(opt);
+  IncrementalEngine engine = f.engine({}, surrogate_model());
+  const ana::PairSurrogate& sur = *surrogate_model()->surrogate();
+  sur.reset_use_stats();
   const geo::Point c = engine.center(5);
   engine.apply({EcoOp::move(5, {c.x - 1.5, c.y + 1.0})});
+  EXPECT_GT(sur.use_stats().surrogate_pairs, 0u);
   EXPECT_LE(max_rel_err(engine.total_field(), full_reference(engine)),
             1e-12);
 }

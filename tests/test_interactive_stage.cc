@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "analytic/surrogate.h"
 #include "tsv/generators.h"
 
 namespace tsv::core {
@@ -137,15 +138,20 @@ TEST(InteractiveStage, ParallelEvaluateIsReproducibleAtFixedThreadCount) {
   }
 }
 
-TEST(InteractiveStage, LookupTableParallelMatchesSerialWithinTolerance) {
+TEST(InteractiveStage, SurrogateParallelMatchesSerialWithinTolerance) {
   const tsvlib::Placement arr = tsvlib::make_array(kS, 3, 3, 10.0);
+  // A private model: attaching to the shared one would leak into the
+  // other tests of this binary.
+  const auto model = std::make_shared<const ana::InteractiveStressModel>(
+      kS, mat::ThermalLoad{});
+  model->attach_surrogate(std::make_shared<const ana::PairSurrogate>(
+      ana::PairSurrogate::fit(*model)));
   InteractiveOptions serial_opt;
-  serial_opt.use_lookup_table = true;
   serial_opt.num_threads = 1;
-  const InteractiveStage serial(arr, make_model(), serial_opt);
+  const InteractiveStage serial(arr, model, serial_opt);
   InteractiveOptions par_opt = serial_opt;
   par_opt.num_threads = 3;
-  const InteractiveStage parallel(arr, make_model(), par_opt);
+  const InteractiveStage parallel(arr, model, par_opt);
   std::vector<geo::Point> pts;
   for (double x = -3; x <= 23; x += 2.3)
     for (double y = -3; y <= 23; y += 2.7) pts.push_back({x, y});

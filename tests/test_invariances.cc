@@ -118,42 +118,11 @@ TEST(Invariances, QuarterTurnEquivariance) {
   }
 }
 
-TEST(Invariances, EquivarianceHoldsThroughTheLookupPath) {
-  // The polar table interpolates in the pair-local frame, so the lookup
-  // path must inherit the rotation symmetry up to its own grid resolution
-  // (the table is theta-sampled; rotated queries land between samples).
-  const tsvlib::Placement p = seeded_placement(41);
-  const tsvlib::Placement q = transformed(
-      p, +[](const geo::Point& v) { return geo::Point{-v.y, v.x}; });
-  FrameworkOptions opt;
-  opt.stage2.use_lookup_table = true;
-  opt.stage2.pitch_quant_step = 0.25;
-  const StressFramework fa(p, shared_model(), opt);
-  const StressFramework fb(q, shared_model(), opt);
-  const std::vector<geo::Point> pts = probe_points(p);
-  const StressResult ra = fa.evaluate(pts);
-  std::vector<geo::Point> rotated;
-  for (const geo::Point& v : pts) rotated.push_back({-v.y, v.x});
-  const StressResult rb = fb.evaluate(rotated);
-  double scale = 0.0;
-  double worst = 0.0;
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    scale = std::max({scale, std::abs(ra.stress[i].s11),
-                      std::abs(ra.stress[i].s22)});
-    worst = std::max({worst, std::abs(rb.stress[i].s11 - ra.stress[i].s22),
-                      std::abs(rb.stress[i].s22 - ra.stress[i].s11),
-                      std::abs(rb.stress[i].s12 + ra.stress[i].s12)});
-  }
-  ASSERT_GT(scale, 0.0);
-  EXPECT_LT(worst, 0.01 * scale);
-}
-
 TEST(Invariances, EquivarianceHoldsThroughTheSurrogatePath) {
-  // Unlike the theta-sampled lookup table (1% budget above), the surrogate
-  // is a smooth polynomial in the pair-local coordinates, so rotating the
-  // whole scene perturbs its inputs only at rounding level: the surrogate
-  // path must keep the exact path's tight equivariance tolerance, not just
-  // an interpolation-budget version of it.
+  // The surrogate is a smooth polynomial in the pair-local coordinates, so
+  // rotating the whole scene perturbs its inputs only at rounding level:
+  // the surrogate path must keep the exact path's tight equivariance
+  // tolerance, not just an approximation-budget version of it.
   const auto model = shared_model();
   model->attach_surrogate(std::make_shared<const ana::PairSurrogate>(
       ana::PairSurrogate::fit(*model)));

@@ -48,8 +48,6 @@ io::JournalOpen sample_open() {
   open.placement_payload = std::string("\x01\x02\x00\xff raw bytes", 14);
   open.spacing = 1.25;
   open.margin = 7.5;
-  open.lookup = true;
-  open.quant_step = 0.125;
   open.surrogate = true;
   return open;
 }
@@ -102,8 +100,6 @@ TEST(EcoJournal, AllRecordKindsRoundTripBitwise) {
   EXPECT_EQ(open.open.placement_payload, sample_open().placement_payload);
   EXPECT_EQ(open.open.spacing, 1.25);
   EXPECT_EQ(open.open.margin, 7.5);
-  EXPECT_TRUE(open.open.lookup);
-  EXPECT_EQ(open.open.quant_step, 0.125);
   EXPECT_TRUE(open.open.surrogate);
 
   ASSERT_EQ(replay.records[1].kind, io::JournalRecord::Kind::kEco);

@@ -1,11 +1,12 @@
 // Trig-free batch kernels vs the retained scalar reference paths.
 //
-// The batch APIs (RadialStressTable::accumulate/sum_at,
-// PairStressTable::accumulate) replace atan2/sin/cos with the double-angle
-// identities and SoA table walks; these tests pin down that they agree with
-// the scalar trig paths to <= 1e-12 of the field scale over randomized
-// centers, pitches, and points, including the theta-fold mirror branch
-// (s12 sign) and the r >= r_max / r == 0 edge cases.
+// The Stage I batch APIs (RadialStressTable::accumulate/sum_at) replace
+// atan2/sin/cos with the double-angle identities and SoA table walks; these
+// tests pin down that they agree with the scalar trig paths to <= 1e-12 of
+// the field scale over randomized centers and points, including the
+// r >= r_max / r == 0 edge cases. The Stage II per-pair entry point
+// (InteractiveStressModel::accumulate_pair) is checked against the scalar
+// series the same way.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "analytic/interaction.h"
-#include "analytic/pair_table.h"
 #include "analytic/single_tsv.h"
 #include "core/stress_table.h"
 #include "core/superposition.h"
@@ -48,28 +48,6 @@ const ana::InteractiveStressModel& pair_model() {
   return m;
 }
 
-TEST(Kernels, AtanTwoUpperMatchesLibmOverHalfPlane) {
-  // Dense deterministic sweep of the upper half-plane (the table-lookup
-  // domain): angles across [0, pi] including the octant seams, radii from
-  // subnormal-ish to huge. The fold is documented at < 1e-15 rad absolute.
-  double worst = 0.0;
-  for (int ia = 0; ia <= 20000; ++ia) {
-    const double th = std::numbers::pi * static_cast<double>(ia) / 20000.0;
-    const double x = std::cos(th);
-    const double y = std::abs(std::sin(th));
-    for (const double r : {1e-12, 0.37, 1.0, 5.0, 2.5e7}) {
-      const double got = num::atan2_upper(r * y, r * x);
-      worst = std::max(worst, std::abs(got - std::atan2(r * y, r * x)));
-    }
-  }
-  EXPECT_LT(worst, 1e-15);
-  // Axis and degenerate cases pin the exact contract.
-  EXPECT_EQ(num::atan2_upper(0.0, 0.0), 0.0);
-  EXPECT_EQ(num::atan2_upper(0.0, 3.0), 0.0);
-  EXPECT_NEAR(num::atan2_upper(2.0, 0.0), 0.5 * std::numbers::pi, 1e-16);
-  EXPECT_NEAR(num::atan2_upper(0.0, -1.0), std::numbers::pi, 1e-16);
-}
-
 TEST(Kernels, RotateAxisymmetricMatchesTrigTransform) {
   std::mt19937 rng(11);
   std::uniform_real_distribution<double> angle(-7.0, 7.0);
@@ -80,20 +58,6 @@ TEST(Kernels, RotateAxisymmetricMatchesTrigTransform) {
     const num::SymTensor2 ref = num::cylindrical_to_cartesian(cyl, th);
     const num::SymTensor2 got = num::rotate_axisymmetric(
         cyl.s11, cyl.s22, std::cos(2.0 * th), std::sin(2.0 * th));
-    EXPECT_LE(max_diff(got, ref), kRelTol * std::max(max_abs(ref), 1.0));
-  }
-}
-
-TEST(Kernels, RotateDoubleAngleMatchesTrigTransform) {
-  std::mt19937 rng(12);
-  std::uniform_real_distribution<double> angle(-7.0, 7.0);
-  std::uniform_real_distribution<double> comp(-300.0, 300.0);
-  for (int i = 0; i < 200; ++i) {
-    const double th = angle(rng);
-    const num::SymTensor2 t{comp(rng), comp(rng), comp(rng)};
-    const num::SymTensor2 ref = num::cylindrical_to_cartesian(t, th);
-    const num::SymTensor2 got = num::rotate_double_angle(
-        t, std::cos(2.0 * th), std::sin(2.0 * th));
     EXPECT_LE(max_diff(got, ref), kRelTol * std::max(max_abs(ref), 1.0));
   }
 }
@@ -192,7 +156,9 @@ TEST(Kernels, SuperpositionRoutesThroughBatchKernel) {
   }
 }
 
-TEST(Kernels, PairAccumulateMatchesScalarReference) {
+TEST(Kernels, SeriesPairAccumulateMatchesScalarStressAt) {
+  // Without a surrogate, accumulate_pair is the exact series: it must add
+  // exactly model.stress_at per point into the output, for any pair frame.
   std::mt19937 rng(51);
   std::uniform_real_distribution<double> pitch_dist(6.0, 20.0);
   std::uniform_real_distribution<double> beta_dist(-std::numbers::pi,
@@ -204,60 +170,21 @@ TEST(Kernels, PairAccumulateMatchesScalarReference) {
     const geo::Point victim{coord(rng) * 0.1, coord(rng) * 0.1};
     const geo::Point aggressor{victim.x + pitch * std::cos(beta),
                                victim.y + pitch * std::sin(beta)};
-    const ana::PairStressTable& table =
-        pair_model().table_for_pitch(pitch, 25.0);
-
-    std::vector<geo::Point> points(181);
+    std::vector<geo::Point> points(64);
     for (geo::Point& p : points)
       p = {victim.x + coord(rng), victim.y + coord(rng)};
-    // Edge cases in-band: the victim center (r == 0), a point a whisker
-    // inside coverage (exactly r == r_max is a knife edge: the scalar hypot
-    // and the kernel sqrt may land on opposite sides of the zero branch),
-    // one far outside, and mirrored twins straddling the pair axis
-    // (exercises the s12 sign fold).
-    points[0] = victim;
-    points[1] = {victim.x + (table.r_max() - 1e-6) * std::cos(beta),
-                 victim.y + (table.r_max() - 1e-6) * std::sin(beta)};
-    points[2] = {victim.x + 3.0 * table.r_max(), victim.y};
-    const double side = 4.0;
-    points[3] = {victim.x + side * std::cos(beta + 0.7),
-                 victim.y + side * std::sin(beta + 0.7)};
-    points[4] = {victim.x + side * std::cos(beta - 0.7),
-                 victim.y + side * std::sin(beta - 0.7)};
-
-    std::vector<num::SymTensor2> batch(points.size());
-    table.accumulate(victim, aggressor, points.data(), points.size(),
-                     batch.data());
-
-    double scale = 0.0;
-    for (const geo::Point& p : points)
-      scale = std::max(scale, max_abs(table.stress_at(victim, aggressor, p)));
-    ASSERT_GT(scale, 0.1);
+    points[0] = victim;  // r == 0 lands in the core region
+    std::vector<num::SymTensor2> out(points.size(), {1.0, 2.0, 3.0});
+    pair_model().accumulate_pair(nullptr, victim, aggressor, points.data(),
+                                 points.size(), out.data());
     for (std::size_t i = 0; i < points.size(); ++i) {
-      const num::SymTensor2 ref = table.stress_at(victim, aggressor,
-                                                  points[i]);
-      EXPECT_LE(max_diff(batch[i], ref), kRelTol * scale)
-          << "point " << i << " trial " << trial;
+      const num::SymTensor2 ref =
+          pair_model().stress_at(victim, aggressor, points[i]);
+      EXPECT_EQ(out[i].s11, 1.0 + ref.s11) << "point " << i;
+      EXPECT_EQ(out[i].s22, 2.0 + ref.s22) << "point " << i;
+      EXPECT_EQ(out[i].s12, 3.0 + ref.s12) << "point " << i;
     }
-    EXPECT_EQ(max_abs(batch[2]), 0.0);  // beyond r_max: exactly zero
   }
-}
-
-TEST(Kernels, PairAccumulateMirrorFoldFlipsShearOnly) {
-  // A pair along +x: points mirrored across the axis must give identical
-  // s11/s22 and opposite s12 through the batch path, like stress_local.
-  const double pitch = 10.0;
-  const ana::PairStressTable& table = pair_model().table_for_pitch(pitch, 25.0);
-  const geo::Point victim{0.0, 0.0};
-  const geo::Point aggressor{pitch, 0.0};
-  const std::vector<geo::Point> points{{4.0, 3.0}, {4.0, -3.0}};
-  std::vector<num::SymTensor2> out(points.size());
-  table.accumulate(victim, aggressor, points.data(), points.size(),
-                   out.data());
-  EXPECT_DOUBLE_EQ(out[0].s11, out[1].s11);
-  EXPECT_DOUBLE_EQ(out[0].s22, out[1].s22);
-  EXPECT_DOUBLE_EQ(out[0].s12, -out[1].s12);
-  EXPECT_NE(out[0].s12, 0.0);
 }
 
 }  // namespace

@@ -71,7 +71,7 @@ TEST(LayeredCylinder, CopperIsCompressiveAfterCooling) {
   EXPECT_LT(std::abs(core), 1000.0);
 }
 
-TEST(LayeredCylinder, FarFieldDisplacementDecays) {
+TEST(LayeredCylinder, DisplacementDecaysFarFromTheTsv) {
   const LayeredCylinder sol = baseline();
   EXPECT_LT(std::abs(sol.radial_displacement(1000.0)), 1e-3);
 }

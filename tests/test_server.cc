@@ -68,8 +68,6 @@ core::IncrementalEngine reference_engine(const tsvlib::Placement& placement,
       std::make_shared<const ana::InclusionResponse>(placement.structure()),
       single.k_hat());
   core::IncrementalOptions opt;
-  opt.stage2.use_lookup_table = spec.lookup;
-  opt.stage2.pitch_quant_step = spec.quant_step;
   opt.num_threads = 1;
   opt.stage1.num_threads = 1;
   opt.stage2.num_threads = 1;
@@ -293,6 +291,58 @@ TEST(SessionManager, CorruptSnapshotSurfacesIoCorruptionOnReload) {
   EXPECT_TRUE(reborn.recovered().empty());
 }
 
+/// Overwrites the u32 format version that follows an 8-byte magic.
+void stamp_version(const std::string& path, std::uint32_t version) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(8);
+  f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+}
+
+TEST(SessionManager, DaemonSkipsOldFormatFilesLoudlyAndServesTheRest) {
+  // A snapshot directory left behind by an older build: a v3 engine
+  // snapshot and a v1 journal (no snapshot) next to a current session.
+  const std::string dir = fresh_dir("old_formats");
+  {
+    server::SessionManager manager(dir, {});
+    manager.open("current", test_placement(), test_spec());
+    manager.open("old", test_placement(), test_spec());
+    manager.open("legacy", test_placement(), test_spec());
+    manager.evict("current");
+    manager.evict("old");
+  }  // "legacy" never reached a snapshot: only its journal is on disk
+  ASSERT_FALSE(std::filesystem::exists(dir + "/legacy.snap"));
+  stamp_version(dir + "/old.snap", 3);
+  stamp_version(dir + "/legacy.jrnl", 1);
+  EXPECT_THROW(io::read_snapshot_info(dir + "/old.snap"), IoCorruptionError);
+
+  server::ServerOptions options;
+  options.unix_path = dir + "/daemon.sock";
+  options.snapshot_dir = dir;
+  ::testing::internal::CaptureStderr();
+  server::StressServer daemon(options);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find("skipping " + dir + "/old.snap"), std::string::npos)
+      << log;
+  EXPECT_NE(log.find("skipping " + dir + "/legacy.jrnl (unreadable journal: "
+                     "unsupported journal version 1)"),
+            std::string::npos)
+      << log;
+  ASSERT_EQ(daemon.sessions().recovered().size(), 1u);
+  EXPECT_EQ(daemon.sessions().recovered().at(0), "current");
+
+  server::JsonValue q = server::Client::request("query", "current");
+  q.set("points", server::JsonValue::parse("[[5,4]]"));
+  EXPECT_EQ(server::expect_ok(daemon.handle(q)).at("value").as_array().size(),
+            1u);
+  for (const char* name : {"old", "legacy"}) {
+    server::JsonValue gone = server::Client::request("query", name);
+    gone.set("points", server::JsonValue::parse("[[5,4]]"));
+    const server::JsonValue raw = daemon.handle(gone);
+    EXPECT_FALSE(raw.at("ok").as_bool()) << name;
+    EXPECT_EQ(raw.at("error").at("code").as_number(), 2.0) << name;
+  }
+}
+
 TEST(SessionManager, CloseDiscardRemovesSessionAndSnapshot) {
   const std::string dir = fresh_dir("close");
   server::SessionManager manager(dir, {});
@@ -308,7 +358,11 @@ TEST(SessionManager, CloseDiscardRemovesSessionAndSnapshot) {
 class ServerEndToEnd : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fresh_dir("daemon");
+    // One directory per test: ctest runs the fixture's tests in parallel.
+    dir_ = fresh_dir(std::string("daemon_") +
+                     ::testing::UnitTest::GetInstance()
+                         ->current_test_info()
+                         ->name());
     server::ServerOptions options;
     options.unix_path = dir_ + "/daemon.sock";
     options.snapshot_dir = dir_ + "/snaps";
@@ -478,6 +532,36 @@ TEST_F(ServerEndToEnd, ShutdownPersistsSessionsForRecovery) {
   EXPECT_EQ(resp.at("value").as_array().size(), 1u);
 }
 
+TEST_F(ServerEndToEnd, OpenWithRemovedLookupKnobsIsInvalidInput) {
+  // The lookup-table Stage II path is gone: an open that still asks for it
+  // must fail with a typed invalid-input error, not be served silently on
+  // another path.
+  server::Client client = connect();
+  for (const char* knob : {"lookup", "quant"}) {
+    server::JsonValue open = server::Client::request("open", "legacy");
+    open.set("placement", server::JsonValue(kPlacementText));
+    open.set("spacing", server::JsonValue(1.0));
+    if (std::string(knob) == "lookup")
+      open.set("lookup", server::JsonValue(true));
+    else
+      open.set("quant", server::JsonValue(0.25));
+    const server::JsonValue raw = client.call_raw(open);
+    EXPECT_FALSE(raw.at("ok").as_bool()) << knob;
+    EXPECT_EQ(raw.at("error").at("code").as_number(), 2.0) << knob;
+    EXPECT_EQ(raw.at("error").at("category").as_string(), "invalid-input")
+        << knob;
+  }
+  // Nothing was opened, and a plain open of the same name still works.
+  server::JsonValue q = server::Client::request("query", "legacy");
+  q.set("points", server::JsonValue::parse("[[0,0]]"));
+  EXPECT_THROW(client.call(q), InvalidInputError);
+  server::JsonValue open = server::Client::request("open", "legacy");
+  open.set("placement", server::JsonValue(kPlacementText));
+  open.set("spacing", server::JsonValue(1.0));
+  client.call(open);
+  EXPECT_EQ(client.call(q).at("value").as_array().size(), 1u);
+}
+
 TEST_F(ServerEndToEnd, EcoSequenceNumbersDedupeOverTheWire) {
   server::Client client = connect();
   server::JsonValue open = server::Client::request("open", "chip");
@@ -633,7 +717,11 @@ TEST_F(ServerEndToEnd, FinishedConnectionThreadsAreReaped) {
 class DeadlineServer : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fresh_dir("deadline_daemon");
+    // One directory per test: ctest runs the fixture's tests in parallel.
+    dir_ = fresh_dir(std::string("deadline_daemon_") +
+                     ::testing::UnitTest::GetInstance()
+                         ->current_test_info()
+                         ->name());
     server::ServerOptions options;
     options.unix_path = dir_ + "/daemon.sock";
     options.snapshot_dir = dir_ + "/snaps";

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "analytic/surrogate.h"
 #include "core/error.h"
 #include "core/incremental_engine.h"
 #include "numeric/fault_injection.h"
@@ -81,31 +82,6 @@ TEST(Snapshot, RadialTableRoundTripsBitwise) {
   EXPECT_EQ(read_bytes(path), read_bytes(path2));
 }
 
-TEST(Snapshot, PairTableCacheRoundTrip) {
-  const std::string path = temp_path("pairs.snap");
-  const auto model = make_model();
-  const ana::PairStressTable& t12 = model->table_for_pitch(12.0, 25.0, 0.25);
-  model->table_for_pitch(17.3, 25.0, 0.25);
-  ASSERT_EQ(model->table_cache_size(), 2u);
-  EXPECT_EQ(save_pair_table_cache(path, *model), 2u);
-
-  const auto warmed = make_model();
-  EXPECT_EQ(load_pair_table_cache(path, *warmed), 2u);
-  EXPECT_EQ(warmed->table_cache_size(), 2u);
-  warmed->reset_table_cache_stats();
-  const ana::PairStressTable& w12 = warmed->table_for_pitch(12.0, 25.0, 0.25);
-  // Pre-warmed: the lookup hits instead of building…
-  EXPECT_EQ(warmed->table_cache_stats().misses, 0u);
-  EXPECT_EQ(warmed->table_cache_stats().hits, 1u);
-  // …and the restored table evaluates bitwise like the original.
-  const geo::Point victim{0.0, 0.0}, aggressor{12.0, 0.0}, p{4.0, 2.0};
-  const num::SymTensor2 a = t12.stress_at(victim, aggressor, p);
-  const num::SymTensor2 b = w12.stress_at(victim, aggressor, p);
-  EXPECT_EQ(a.s11, b.s11);
-  EXPECT_EQ(a.s22, b.s22);
-  EXPECT_EQ(a.s12, b.s12);
-}
-
 TEST(Snapshot, PlacementRoundTripsBitwise) {
   const std::string path = temp_path("placement.snap");
   tsvlib::TsvStructure s = tsvlib::TsvStructure::baseline_sio2();
@@ -132,10 +108,13 @@ TEST(Snapshot, EngineStateRoundTripsBitwiseAndStaysEditable) {
                                     4.0);
   const auto table =
       std::make_shared<const core::RadialStressTable>(make_table());
+  const auto model = make_model();
+  model->attach_surrogate(std::make_shared<const ana::PairSurrogate>(
+      ana::PairSurrogate::fit(*model)));
   core::IncrementalOptions opt;
-  opt.stage2.use_lookup_table = true;
-  opt.stage2.pitch_quant_step = 0.25;
-  core::IncrementalEngine engine(placement, grid, table, make_model(), opt);
+  opt.stage2.pair_pitch_cutoff = 20.0;
+  opt.stage1.influence_radius = 22.0;
+  core::IncrementalEngine engine(placement, grid, table, model, opt);
   engine.apply({core::EcoOp::move(0, {2.0, 1.0})});
   save_engine_state(path, engine);
 
@@ -151,10 +130,15 @@ TEST(Snapshot, EngineStateRoundTripsBitwiseAndStaysEditable) {
                         engine.stage2_field().data(),
                         engine.stage2_field().size() *
                             sizeof(num::SymTensor2)), 0);
-  // The warm cache came back too: no table builds on the next lookup.
+  // The options came back, and so did the surrogate (the edits below ride
+  // it on both engines).
+  EXPECT_EQ(warmed.options().stage2.pair_pitch_cutoff, 20.0);
+  EXPECT_EQ(warmed.options().stage2.influence_radius,
+            opt.stage2.influence_radius);
+  EXPECT_EQ(warmed.options().stage1.influence_radius, 22.0);
   ASSERT_NE(warmed.model(), nullptr);
-  EXPECT_EQ(warmed.model()->table_cache_size(),
-            engine.model()->table_cache_size());
+  ASSERT_NE(warmed.model()->surrogate_for(opt.stage2.influence_radius),
+            nullptr);
 
   // save -> load -> save is byte-identical.
   const std::string path2 = temp_path("engine2.snap");
@@ -217,10 +201,8 @@ TEST(Snapshot, EngineStateEmbedsTheFittedSurrogate) {
   }
 
   // The reloaded certificate still gates use exactly like the fitted one.
-  EXPECT_EQ(warmed.model()->surrogate_for(1e-6, 25.0), reloaded);
-  EXPECT_EQ(warmed.model()->surrogate_for(0.5 * cb.certified_rel_bound, 25.0),
-            nullptr);
-  EXPECT_EQ(warmed.model()->surrogate_for(1e-6, 25.5), nullptr);
+  EXPECT_EQ(warmed.model()->surrogate_for(25.0), reloaded);
+  EXPECT_EQ(warmed.model()->surrogate_for(25.5), nullptr);
 
   // save -> load -> save stays byte-identical with the embedded surrogate.
   const std::string path2 = temp_path("engine_sur2.snap");
@@ -236,59 +218,30 @@ TEST(Snapshot, EngineStateEmbedsTheFittedSurrogate) {
   EXPECT_EQ(warmed_plain.model()->surrogate(), nullptr);
 }
 
-TEST(Snapshot, VersionOneEngineSnapshotLoadsAndRefitsOnDemand) {
+TEST(Snapshot, EngineStateOfAnotherVersionIsRefused) {
+  // Only the current format loads: files written by older builds (v1-v3,
+  // with their pair-table sections) or by a newer one are refused with a
+  // typed version-mismatch error, never decoded.
   const tsvlib::Placement placement = tsvlib::make_five_cross(kS, 12.0);
   const geo::SampleGrid grid =
       geo::SampleGrid::with_spacing(placement.bounding_box().expanded(25.0),
                                     4.0);
   const auto table =
       std::make_shared<const core::RadialStressTable>(make_table());
-  core::IncrementalEngine engine(placement, grid, table, make_model(), {});
-  engine.apply({core::EcoOp::move(0, {2.0, 1.0})});
-
-  // A genuine version-1 layout: f64 pair tables, no far-field option
-  // fields, no surrogate section (the compat writer emits the real old
-  // format, not a re-stamped current payload).
-  const std::string v1_path = temp_path("engine_v1.snap");
-  save_engine_state_compat(v1_path, engine, 1);
-  EXPECT_EQ(read_snapshot_info(v1_path).version, 1u);
-
-  // It loads: same slots, bitwise-identical fields, no surrogate attached.
-  core::IncrementalEngine warmed = load_engine_state(v1_path);
-  EXPECT_EQ(warmed.active_count(), engine.active_count());
-  ASSERT_NE(warmed.model(), nullptr);
-  EXPECT_EQ(warmed.model()->surrogate(), nullptr);
-  ASSERT_EQ(warmed.stage2_field().size(), engine.stage2_field().size());
-  EXPECT_EQ(std::memcmp(warmed.stage1_field().data(),
-                        engine.stage1_field().data(),
-                        engine.stage1_field().size() *
-                            sizeof(num::SymTensor2)), 0);
-  EXPECT_EQ(std::memcmp(warmed.stage2_field().data(),
-                        engine.stage2_field().data(),
-                        engine.stage2_field().size() *
-                            sizeof(num::SymTensor2)), 0);
-
-  // The loaded engine stays fully editable in bitwise lock-step…
-  const core::Delta delta = {core::EcoOp::move(1, {13.0, 3.0})};
-  engine.apply(delta);
-  warmed.apply(delta);
-  EXPECT_EQ(std::memcmp(warmed.stage2_field().data(),
-                        engine.stage2_field().data(),
-                        engine.stage2_field().size() *
-                            sizeof(num::SymTensor2)), 0);
-
-  // …and a fresh fit attaches on demand, exactly as on a cold build.
-  warmed.model()->attach_surrogate(std::make_shared<const ana::PairSurrogate>(
-      ana::PairSurrogate::fit(*warmed.model())));
-  ASSERT_NE(warmed.model()->surrogate(), nullptr);
-  EXPECT_NE(warmed.model()->surrogate_for(1e-6, 25.0), nullptr);
-
-  // Re-saving is the upgrade path: the next snapshot is current-format and
-  // embeds the freshly fitted surrogate.
-  const std::string upgraded = temp_path("engine_v1_upgraded.snap");
-  save_engine_state(upgraded, warmed);
-  EXPECT_EQ(read_snapshot_info(upgraded).version, kSnapshotVersion);
-  EXPECT_NE(load_engine_state(upgraded).model()->surrogate(), nullptr);
+  const core::IncrementalEngine engine(placement, grid, table, make_model(),
+                                       {});
+  const std::string path = temp_path("engine_version.snap");
+  save_engine_state(path, engine);
+  EXPECT_EQ(read_snapshot_info(path).version, kSnapshotVersion);
+  const std::string current = read_bytes(path);
+  for (const std::uint32_t version : {1u, 2u, 3u, kSnapshotVersion + 1}) {
+    SCOPED_TRACE(version);
+    std::string bytes = current;
+    std::memcpy(&bytes[8], &version, sizeof(version));  // u32 version field
+    write_bytes(path, bytes);
+    expect_rejection([&] { load_engine_state(path); }, "version mismatch");
+    EXPECT_THROW(load_engine_state(path), IoCorruptionError);
+  }
 }
 
 TEST(Snapshot, CorruptEmbeddedSurrogateSectionIsRejectedNotEvaluated) {

@@ -1,7 +1,7 @@
 // Certification property suite for the Stage II Chebyshev surrogate
-// (analytic/surrogate.h). The surrogate's contract is stronger than the
-// lookup table's: a machine-checked relative error bound (the
-// SurrogateCertificate) that consumers gate on, exact-series fallback for
+// (analytic/surrogate.h). The surrogate's contract: a machine-checked
+// relative error bound (the SurrogateCertificate) that Stage II gates on
+// (kSurrogateTolerance), exact-series fallback for
 // out-of-domain pitches, and bitwise-deterministic evaluation regardless of
 // thread count. Each claim is pinned here:
 //
@@ -16,9 +16,9 @@
 //     the kernel represents s12 as sin(theta) * even-polynomial;
 //   - snapshot round-trips (io/snapshot, SnapshotKind::kSurrogate) are
 //     bitwise for coefficients and certificate alike;
-//   - InteractiveStage, the quantized-cache composition, and the
-//     incremental engine all dispatch through the surrogate when its
-//     certificate passes and fall back when it does not.
+//   - InteractiveStage and the incremental engine both dispatch through
+//     the surrogate when its certificate passes, and fall back to the
+//     exact series per pair when it does not cover the pitch.
 
 #include "analytic/surrogate.h"
 
@@ -83,10 +83,10 @@ void expect_bitwise_equal(const std::vector<num::SymTensor2>& got,
 TEST(Surrogate, FitCertifiesWithinTheDefaultTolerance) {
   const SurrogateCertificate& c = fitted().certificate();
   // The defaults are calibrated to certify at <= 1e-6 relative field error
-  // (the InteractiveOptions::surrogate_tolerance gate).
+  // (the kSurrogateTolerance gate Stage II applies).
   EXPECT_GT(c.certified_rel_bound, 0.0);
   EXPECT_LE(c.certified_rel_bound, 1e-6);
-  EXPECT_TRUE(c.certified_within(1e-6));
+  EXPECT_TRUE(c.certified_within(kSurrogateTolerance));
   // A tolerance below the attested bound must NOT pass the gate.
   EXPECT_FALSE(c.certified_within(0.5 * c.certified_rel_bound));
   // An empty certificate attests nothing.
@@ -241,7 +241,7 @@ TEST(Surrogate, OutOfDomainPitchFallsBackAndIsCounted) {
   EXPECT_EQ(sur.use_stats().fallback_pairs, 0u);
 
   // Points at or beyond the fitted radius contribute exactly zero (the
-  // PairStressTable convention the consumers rely on).
+  // convention the consumers rely on).
   std::vector<geo::Point> far = {{sur.r_max(), 0.0}, {0.0, 30.0}};
   std::vector<num::SymTensor2> fout(far.size());
   sur.accumulate(v, in_a, far.data(), far.size(), fout.data());
@@ -349,18 +349,23 @@ TEST(Surrogate, SnapshotRoundTripIsBitwise) {
 }
 
 TEST(Surrogate, ModelGateChecksToleranceAndRadius) {
-  ScopedAttach attach(fitted_shared());
   const auto model = shared_model();
-  const double bound = fitted_shared()->certificate().certified_rel_bound;
-  EXPECT_EQ(model->surrogate_for(1e-6, 25.0), fitted_shared());
-  // Demanding better than the attested bound refuses the surrogate.
-  EXPECT_EQ(model->surrogate_for(0.5 * bound, 25.0), nullptr);
-  // A needed radius beyond the fitted r_max refuses it too (points past
-  // r_max would silently evaluate to zero).
-  EXPECT_EQ(model->surrogate_for(1e-6, 25.5), nullptr);
-  model->attach_surrogate(nullptr);
-  EXPECT_EQ(model->surrogate_for(1e-6, 25.0), nullptr);
+  {
+    ScopedAttach attach(fitted_shared());
+    EXPECT_EQ(model->surrogate_for(25.0), fitted_shared());
+    // A needed radius beyond the fitted r_max refuses it (points past r_max
+    // would silently evaluate to zero).
+    EXPECT_EQ(model->surrogate_for(25.5), nullptr);
+  }
+  EXPECT_EQ(model->surrogate_for(25.0), nullptr);
   EXPECT_EQ(model->surrogate(), nullptr);
+
+  // A certificate attesting worse than kSurrogateTolerance is refused.
+  PairSurrogate::Data loose = fitted().to_data();
+  loose.certificate.certified_rel_bound = 2.0 * kSurrogateTolerance;
+  ScopedAttach attach(std::make_shared<const PairSurrogate>(std::move(loose)));
+  ASSERT_NE(model->surrogate(), nullptr);
+  EXPECT_EQ(model->surrogate_for(25.0), nullptr);
 }
 
 TEST(Surrogate, InteractiveStageDispatchesThroughTheSurrogate) {
@@ -394,21 +399,38 @@ TEST(Surrogate, InteractiveStageDispatchesThroughTheSurrogate) {
     EXPECT_NEAR(got[i].s12, want[i].s12, budget) << i;
   }
 
-  // Opting out per stage forces the exact path bitwise, attached or not.
-  core::InteractiveOptions off;
-  off.allow_surrogate = false;
+  // The exact path is a model with no surrogate attached: bitwise the
+  // series, and the attached surrogate is never consulted.
   fitted_shared()->reset_use_stats();
-  const core::InteractiveStage forced(arr, shared_model(), off);
-  expect_bitwise_equal(forced.evaluate(pts), want);
+  const core::InteractiveStage exact(
+      arr, std::make_shared<const InteractiveStressModel>(kS,
+                                                          mat::ThermalLoad{}));
+  expect_bitwise_equal(exact.evaluate(pts), want);
   EXPECT_EQ(fitted_shared()->use_stats().surrogate_pairs, 0u);
   EXPECT_EQ(fitted_shared()->use_stats().fallback_pairs, 0u);
 }
 
-TEST(Surrogate, ComposesWithTheQuantizedLookupCache) {
-  // A 6.5 um array mixes pitches below the fitted pitch_min (6.5) with
+/// Largest per-component |a - b| over the field scale of `b`.
+double max_rel_err(const std::vector<num::SymTensor2>& a,
+                   const std::vector<num::SymTensor2>& b) {
+  EXPECT_EQ(a.size(), b.size());
+  double scale = 0.0;
+  double worst = 0.0;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    scale = std::max({scale, std::abs(b[i].s11), std::abs(b[i].s22),
+                      std::abs(b[i].s12)});
+    worst = std::max({worst, std::abs(a[i].s11 - b[i].s11),
+                      std::abs(a[i].s22 - b[i].s22),
+                      std::abs(a[i].s12 - b[i].s12)});
+  }
+  EXPECT_GT(scale, 0.0);
+  return scale > 0.0 ? worst / scale : worst;
+}
+
+TEST(Surrogate, OutOfDomainPitchesFallBackToTheExactSeries) {
+  // A 6.5 um array mixes pitches below the fitted pitch_min of 8 um with
   // covered ones (9.19, 13, ...): in-domain pairs ride the surrogate and
-  // out-of-domain pairs fall back to the quantized lookup cache — both
-  // accelerators active in one evaluate, each within its own budget.
+  // out-of-domain pairs fall back to the exact series, counted either way.
   const tsvlib::Placement arr = tsvlib::make_array(kS, 3, 3, 6.5);
   std::vector<geo::Point> pts;
   for (double x = -5; x <= 18; x += 1.9)
@@ -416,50 +438,48 @@ TEST(Surrogate, ComposesWithTheQuantizedLookupCache) {
 
   const auto series_model = std::make_shared<const InteractiveStressModel>(
       kS, mat::ThermalLoad{});
-  const core::InteractiveStage series(arr, series_model);
-  const auto want = series.evaluate(pts);
-
   const auto fast_model = std::make_shared<const InteractiveStressModel>(
       kS, mat::ThermalLoad{});
   fast_model->attach_surrogate(fitted_shared());
+  const core::InteractiveStage series(arr, series_model);
+  const core::InteractiveStage fast(arr, fast_model);
+
   fitted_shared()->reset_use_stats();
-  core::InteractiveOptions qopt;
-  qopt.use_lookup_table = true;
-  qopt.pitch_quant_step = 0.25;
-  const core::InteractiveStage fast(arr, fast_model, qopt);
-  const auto got = fast.evaluate(pts);
-
-  // Both dispatch tiers were exercised, and together they cover every pair.
-  std::size_t covered = 0;
+  fast.evaluate(pts);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> fallback;
   const auto& centers = arr.centers();
-  for (const auto& [vi, ai] : fast.ordered_pairs())
-    covered += fitted_shared()->covers(geo::distance(centers[vi],
-                                                     centers[ai]))
-                   ? 1u
-                   : 0u;
+  for (const auto& pair : fast.ordered_pairs())
+    if (!fitted().covers(geo::distance(centers[pair.first],
+                                       centers[pair.second])))
+      fallback.push_back(pair);
   const SurrogateUseStats stats = fitted_shared()->use_stats();
-  EXPECT_EQ(stats.surrogate_pairs, covered);
-  EXPECT_EQ(stats.fallback_pairs, fast.ordered_pairs().size() - covered);
-  EXPECT_GT(stats.surrogate_pairs, 0u);
   EXPECT_GT(stats.fallback_pairs, 0u);
-  // The fallbacks really went through the lookup cache (tables got built),
-  // and only the fallbacks did.
-  EXPECT_EQ(series_model->table_cache_stats().lookups(), 0u);
-  EXPECT_EQ(fast_model->table_cache_stats().lookups(), stats.fallback_pairs);
-  EXPECT_GT(fast_model->table_cache_size(), 0u);
+  EXPECT_GT(stats.surrogate_pairs, 0u);
+  EXPECT_EQ(stats.fallback_pairs, fallback.size());
+  EXPECT_EQ(stats.surrogate_pairs,
+            fast.ordered_pairs().size() - fallback.size());
+  // On the fallback pairs the stage is the exact series.
+  EXPECT_LE(max_rel_err(fast.evaluate_with_pairs(pts, fallback),
+                        series.evaluate_with_pairs(pts, fallback)),
+            1e-12);
 
-  // Combined accuracy is dominated by the lookup budget (the same bound
-  // test_quantized_cache locks); the surrogate contributes ~1e-6 relative.
-  double scale = 0.0;
-  double worst = 0.0;
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    scale = std::max({scale, std::abs(want[i].s11), std::abs(want[i].s22)});
-    worst = std::max({worst, std::abs(got[i].s11 - want[i].s11),
-                      std::abs(got[i].s22 - want[i].s22),
-                      std::abs(got[i].s12 - want[i].s12)});
-  }
-  ASSERT_GT(scale, 0.0);
-  EXPECT_LT(worst, 0.03 * scale + 0.02);
+  // IncrementalEngine::apply takes the same fallback. Every pitch of this
+  // pair stays below the domain, before and after the move.
+  const tsvlib::Placement pair = tsvlib::make_pair(kS, 7.0);
+  const geo::SampleGrid grid =
+      geo::SampleGrid::with_spacing(pair.bounding_box().expanded(8.0), 1.5);
+  const auto table = std::make_shared<const core::RadialStressTable>(
+      core::RadialStressTable::from_analytic(
+          ana::SingleTsvModel(kS, mat::ThermalLoad{}), 30.0, 4096));
+  core::IncrementalEngine engine(pair, grid, table, fast_model);
+  fitted_shared()->reset_use_stats();
+  engine.move(1, {3.9, 0.3});  // pitch 7.41 um
+  EXPECT_GT(fitted_shared()->use_stats().fallback_pairs, 0u);
+  EXPECT_EQ(fitted_shared()->use_stats().surrogate_pairs, 0u);
+  const core::IncrementalEngine reference(engine.placement(), grid, table,
+                                          series_model);
+  EXPECT_LE(max_rel_err(engine.stage2_field(), reference.stage2_field()),
+            1e-12);
   fitted_shared()->reset_use_stats();
 }
 

@@ -23,6 +23,7 @@
 
 #include "analytic/interaction.h"
 #include "analytic/single_tsv.h"
+#include "analytic/surrogate.h"
 #include "core/metrics.h"
 #include "core/stress_table.h"
 #include "stats/sampler.h"
@@ -55,10 +56,11 @@ VariationSpec small_spec(std::uint64_t seed, std::size_t samples) {
   return spec;
 }
 
+/// Stage II through the certified surrogate (fitted per corner), the
+/// sweep's cheap path.
 VariationOptions fast_options() {
   VariationOptions opt;
-  opt.engine.stage2.use_lookup_table = true;
-  opt.engine.stage2.pitch_quant_step = 0.25;
+  opt.fit_surrogate = true;
   return opt;
 }
 
@@ -88,6 +90,9 @@ TEST(Variation, MomentsMatchBruteForceReference) {
       core::RadialStressTable::from_analytic(single, 30.0, 4096));
   const auto model = std::make_shared<const ana::InteractiveStressModel>(
       std::make_shared<const ana::InclusionResponse>(kS), single.k_hat());
+  // The fit is deterministic, so this is bitwise the engine's surrogate.
+  model->attach_surrogate(std::make_shared<const ana::PairSurrogate>(
+      ana::PairSurrogate::fit(*model)));
   core::IncrementalOptions eopt = opt.engine;
   eopt.num_threads = 1;
   eopt.stage1.num_threads = 1;

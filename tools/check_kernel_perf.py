@@ -9,9 +9,9 @@ committed baseline (tools/kernel_baseline.json) and fails when
     over its baseline value, or
   * a kernel's batch-row speedup — measured within the same run, so it is
     host-speed independent — drops below the baseline's `min_speedup`
-    floor. For stage1_point/stage2_point the speedup is batch-vs-scalar;
-    for stage2_surrogate it is surrogate-batch vs Stage II *table* batch
-    (the certified fast path's advertised >= 2.5x advantage).
+    floor. For stage1_point the speedup is batch-vs-scalar; for
+    stage2_surrogate it is surrogate-batch vs the Stage II exact series
+    (the stage2_series row, which has no batch row and no floor).
 
 With --variation, the guard additionally checks bench_variation's
 results/variation.jsonl against the baseline's "variation" section: at the
@@ -24,14 +24,8 @@ the batch-speedup floors.
 With --fullchip, the guard also compares bench_fullchip's peak_rss_mb
 against the committed per-design peaks in the baseline's "rss" section
 (a list of {tsvs, spacing_um, peak_rss_mb, max_growth} entries). This
-check FAILS the job on growth beyond `max_growth`: the float32 table
-tier cut the fast-mode peak from 3.3 GB to under 1 GB, and the gate keeps
-it there (the earlier warn-only variant let a 2x regression linger).
-The baseline's "farfield" section additionally locks the hierarchical
-far-field row at its design point: the aggregate must be ACTIVE (its
-machine-checked certificate passed the tolerance), the certificate bound
-must stay under `max_cert_bound`, and the far-field Stage II time must
-beat the quantized row by at least `min_speedup_vs_quant`.
+check FAILS the job on growth beyond `max_growth` (an earlier warn-only
+variant let a 2x regression linger).
 
 Usage:
   tools/check_kernel_perf.py <kernels.jsonl> <baseline.json>
@@ -52,8 +46,7 @@ MODES = ("scalar", "batch")
 # Floors used for kernels absent from the baseline when writing a fresh one.
 DEFAULT_MIN_SPEEDUP = {
     "stage1_point": 2.0,
-    "stage2_point": 1.2,
-    "stage2_surrogate": 2.5,
+    "stage2_surrogate": 6.0,
 }
 
 
@@ -79,15 +72,14 @@ def write_baseline(rows, baseline_path, old, max_regression):
         spec[f"{mode}_ns_per_eval"] = row["ns_per_eval"]
     for kernel, spec in kernels.items():
         old_spec = old.get("kernels", {}).get(kernel, {})
-        spec["min_speedup"] = old_spec.get(
-            "min_speedup", DEFAULT_MIN_SPEEDUP.get(kernel, 1.0))
+        floor = old_spec.get("min_speedup", DEFAULT_MIN_SPEEDUP.get(kernel))
+        if floor is not None and "batch_ns_per_eval" in spec:
+            spec["min_speedup"] = floor
     data = {"max_regression": max_regression, "kernels": kernels}
     if "variation" in old:
         data["variation"] = old["variation"]
     if "rss" in old:
         data["rss"] = old["rss"]
-    if "farfield" in old:
-        data["farfield"] = old["farfield"]
     with open(baseline_path, "w", encoding="utf-8") as f:
         json.dump(data, f, indent=2)
         f.write("\n")
@@ -187,44 +179,6 @@ def check_rss(path, baseline):
     return failures
 
 
-def check_farfield(path, baseline):
-    """Far-field floor: the hierarchical row must be active (certificate
-    passed), its bound under max_cert_bound, and its Stage II time at
-    least min_speedup_vs_quant times faster than the quantized row.
-    """
-    spec = baseline.get("farfield")
-    if spec is None:
-        print("farfield: baseline has no 'farfield' section; skipping")
-        return []
-    tsvs = spec.get("tsvs", 1000)
-    spacing = spec.get("spacing_um")
-    row = latest_fullchip_row(path, tsvs, spacing)
-    if row is None:
-        return [f"farfield: no fullchip row with tsvs == {tsvs} in {path}"]
-    failures = []
-    active = row.get("farfield_active", 0) == 1
-    bound = row.get("farfield_cert_bound", -1.0)
-    max_bound = spec.get("max_cert_bound", 0.01)
-    quant_s = row.get("stage2_quant_s", 0.0)
-    far_s = row.get("stage2_farfield_s", 0.0)
-    floor = spec.get("min_speedup_vs_quant", 1.5)
-    speedup = quant_s / far_s if far_s > 0.0 else 0.0
-    print(f"fullchip farfield @ {tsvs} TSVs: "
-          f"{'ACTIVE' if active else 'INERT'}, cert bound {bound:.5f} "
-          f"(max {max_bound}), stage II {far_s:.3f} s vs quant "
-          f"{quant_s:.3f} s -> {speedup:.2f}x (floor {floor}x)")
-    if not active:
-        failures.append(f"farfield: aggregate INERT at {tsvs} TSVs (the "
-                        f"certificate gate rejected it)")
-    if bound < 0.0 or bound > max_bound:
-        failures.append(f"farfield: certificate bound {bound:.5f} exceeds "
-                        f"{max_bound}")
-    if speedup < floor:
-        failures.append(f"farfield: stage II speedup {speedup:.2f}x vs the "
-                        f"quantized row is below the floor {floor}x")
-    return failures
-
-
 def check(rows, baseline):
     failures = []
     max_regression = baseline.get("max_regression", 0.25)
@@ -273,8 +227,7 @@ def main():
                              "against the baseline's per-sample floor")
     parser.add_argument("--fullchip", metavar="PATH", default=None,
                         help="also gate bench_fullchip's per-design peak "
-                             "RSS ('rss' section) and the hierarchical "
-                             "far-field floor ('farfield' section)")
+                             "RSS ('rss' section)")
     parser.add_argument("--max-regression", type=float, default=None,
                         help="override the baseline's allowed fraction")
     args = parser.parse_args()
@@ -307,7 +260,6 @@ def main():
         failures += check_variation(args.variation, baseline)
     if args.fullchip is not None:
         failures += check_rss(args.fullchip, baseline)
-        failures += check_farfield(args.fullchip, baseline)
     if failures:
         print("\nkernel perf guard FAILED:", file=sys.stderr)
         for f in failures:

@@ -18,7 +18,6 @@
 //   --spacing=X       grid spacing, um (default 0.5)
 //   --margin=X        halo around the placement bounding box, um (default 25)
 //   --ls-only         linear superposition only (no interactive stage)
-//   --lookup          Stage II via polar look-up tables (faster, ~1% accuracy)
 //   --measure=M       sigma_xx | sigma_yy | sigma_xy | von_mises | max_tensile
 //                     (default von_mises)
 //   --out=FILE        output CSV (default stress.csv)
@@ -40,7 +39,7 @@
 // failure (all solver backends failed), 4 on-disk corruption, 5 resource
 // limit, 1 anything uncategorized.
 //
-// eco options (besides --spacing/--margin/--measure/--out/--lookup):
+// eco options (besides --spacing/--margin/--measure/--out/--surrogate):
 //   --snapshot=FILE       warm-start from an engine snapshot instead of
 //                         building from the placement (placement arg optional)
 //   --moves=K             apply K random legal single-TSV moves
@@ -52,12 +51,10 @@
 //   --verify              full recompute afterwards; report the drift of the
 //                         incremental fields
 //   --save-snapshot=FILE  save the engine state after the edits
-//   --quant=X             Stage II pitch quantization step, um (default 0.25,
-//                         only with --lookup)
 //   --threads=N           threads for the cold build / --verify recompute
 //
-// variation options (besides --spacing/--margin/--lookup/--quant/
-// --surrogate/--threads/--out):
+// variation options (besides --spacing/--margin/--surrogate/--threads/
+// --out):
 //   --samples=N       Monte Carlo samples per corner (default 128)
 //   --seed=S          sampler seed (default 1)
 //   --jitter-tsvs=K   TSVs jittered per sample (default 8)
@@ -124,8 +121,6 @@ struct CommonOptions {
   double spacing = 0.5;
   double margin = 25.0;
   bool ls_only = false;
-  bool lookup = false;
-  double quant_step = 0.25;
   std::size_t threads = 1;
   core::StressMeasure measure = core::StressMeasure::kVonMises;
   std::string checkpoint_path;        ///< --checkpoint= (empty: disabled)
@@ -162,8 +157,6 @@ bool parse_flag(const std::string& arg, CommonOptions& c, EcoOptions& e) {
   };
   if (arg == "--ls-only") {
     c.ls_only = true;
-  } else if (arg == "--lookup") {
-    c.lookup = true;
   } else if (arg == "--verify") {
     e.verify = true;
   } else if (arg.rfind("--spacing=", 0) == 0) {
@@ -174,8 +167,6 @@ bool parse_flag(const std::string& arg, CommonOptions& c, EcoOptions& e) {
     c.measure = parse_measure(value("--measure="));
   } else if (arg.rfind("--out=", 0) == 0) {
     c.out_path = value("--out=");
-  } else if (arg.rfind("--quant=", 0) == 0) {
-    c.quant_step = std::stod(value("--quant="));
   } else if (arg.rfind("--checkpoint=", 0) == 0) {
     c.checkpoint_path = value("--checkpoint=");
   } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
@@ -265,7 +256,7 @@ void write_field_csv(const std::string& out_path,
 int run_evaluate(const std::vector<std::string>& args) {
   constexpr const char* kUsage =
       "usage: tsvstress_cli evaluate <placement.tsv> [--spacing=X] "
-      "[--margin=X] [--ls-only] [--lookup] [--measure=M] [--out=FILE] "
+      "[--margin=X] [--ls-only] [--measure=M] [--out=FILE] "
       "[--checkpoint=FILE] [--checkpoint-every=N]";
   CommonOptions c;
   EcoOptions e;
@@ -283,7 +274,6 @@ int run_evaluate(const std::vector<std::string>& args) {
 
   core::FrameworkOptions options;
   options.enable_interactive = !c.ls_only;
-  options.stage2.use_lookup_table = c.lookup;
   options.num_threads = c.threads;
 
   // With a surrogate request the model is built here so the surrogate can
@@ -397,8 +387,6 @@ core::IncrementalEngine build_engine(const CommonOptions& c) {
 
   core::IncrementalOptions opt;
   opt.enable_interactive = !c.ls_only;
-  opt.stage2.use_lookup_table = c.lookup;
-  opt.stage2.pitch_quant_step = c.quant_step;
   opt.num_threads = c.threads;
 
   const geo::Box roi = placement.bounding_box().expanded(c.margin);
@@ -552,8 +540,7 @@ int run_variation(const std::vector<std::string>& args) {
       "usage: tsvstress_cli variation <placement.tsv> [--samples=N] "
       "[--seed=S] [--jitter-tsvs=K] [--jitter-sigma=X] [--cte-sigma=X] "
       "[--corners=none|materials|geometry] [--parallel-corners] "
-      "[--surrogate] [--lookup] "
-      "[--quant=X] [--threads=N] [--spacing=X] [--margin=X] [--out=FILE]";
+      "[--surrogate] [--threads=N] [--spacing=X] [--margin=X] [--out=FILE]";
   CommonOptions c;
   EcoOptions e;
   e.seed = 1;  // the sampler's documented default, not eco's move seed
@@ -595,8 +582,6 @@ int run_variation(const std::vector<std::string>& args) {
   }
 
   stats::VariationOptions options;
-  options.engine.stage2.use_lookup_table = c.lookup;
-  options.engine.stage2.pitch_quant_step = c.quant_step;
   options.engine.enable_interactive = !c.ls_only;
   options.num_threads = c.threads;
   options.parallel_corners = v.parallel_corners;
@@ -751,7 +736,7 @@ int run_client(const std::vector<std::string>& args) {
       "  ops: ping | open | query | region | koz | eco | stats | evict | "
       "close | shutdown\n"
       "  open:   --session=S --placement=FILE [--spacing=X] [--margin=X]\n"
-      "          [--lookup] [--quant=X] [--surrogate]\n"
+      "          [--surrogate]\n"
       "  query:  --session=S --at=X,Y [--at=X,Y ...] [--measure=M]\n"
       "  region: --session=S [--box=x0,y0,x1,y1] [--measure=M] [--out=CSV]\n"
       "  koz:    --session=S [--limit=MPa] [--rays=N] [--radial-step=X]\n"
@@ -770,9 +755,9 @@ int run_client(const std::vector<std::string>& args) {
   std::string measure;
   std::string box;
   std::vector<geo::Point> at;
-  double spacing = 0.0, margin = -1.0, quant = 0.0;
+  double spacing = 0.0, margin = -1.0;
   double limit = 0.0, radial_step = 0.0, max_radius = 0.0, rays = 0.0;
-  bool lookup = false, surrogate = false, discard = false;
+  bool surrogate = false, discard = false;
   std::uint64_t seq = 0;
   int retries = 0;
   for (const std::string& arg : args) {
@@ -796,7 +781,6 @@ int run_client(const std::vector<std::string>& args) {
       spacing = std::stod(value("--spacing="));
     else if (arg.rfind("--margin=", 0) == 0)
       margin = std::stod(value("--margin="));
-    else if (arg.rfind("--quant=", 0) == 0) quant = std::stod(value("--quant="));
     else if (arg.rfind("--limit=", 0) == 0) limit = std::stod(value("--limit="));
     else if (arg.rfind("--rays=", 0) == 0) rays = std::stod(value("--rays="));
     else if (arg.rfind("--radial-step=", 0) == 0)
@@ -807,7 +791,6 @@ int run_client(const std::vector<std::string>& args) {
       seq = std::stoull(value("--seq="));
     else if (arg.rfind("--retries=", 0) == 0)
       retries = std::stoi(value("--retries="));
-    else if (arg == "--lookup") lookup = true;
     else if (arg == "--surrogate") surrogate = true;
     else if (arg == "--discard") discard = true;
     else if (arg.rfind("--", 0) == 0)
@@ -831,8 +814,6 @@ int run_client(const std::vector<std::string>& args) {
     req.set("placement", server::JsonValue(text.str()));
     if (spacing > 0.0) req.set("spacing", server::JsonValue(spacing));
     if (margin >= 0.0) req.set("margin", server::JsonValue(margin));
-    if (lookup) req.set("lookup", server::JsonValue(true));
-    if (quant > 0.0) req.set("quant", server::JsonValue(quant));
     if (surrogate) req.set("surrogate", server::JsonValue(true));
   } else if (op == "query") {
     if (at.empty()) throw std::invalid_argument("query needs --at=X,Y");
