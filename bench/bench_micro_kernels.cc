@@ -4,11 +4,12 @@
 //
 // Besides the google-benchmark rows, the binary always appends point-kernel
 // timings to <out-dir>/kernels.jsonl (--out-dir=PATH, default "."): Stage I
-// scalar vs batch, the Stage II exact series, and the certified surrogate.
-// tools/check_kernel_perf.py guards those rows against
-// tools/kernel_baseline.json in CI. The stage2_surrogate batch row's
-// "speedup" is measured against the Stage II exact series timed in the same
-// run, not against the surrogate's own scalar path.
+// scalar vs batch, the Stage II exact series, and the certified surrogate
+// (per point at one pitch, and per pair with a fresh pitch each pair, which
+// includes the pitch contraction). tools/check_kernel_perf.py guards those
+// rows against tools/kernel_baseline.json in CI. The stage2_surrogate batch
+// row's "speedup" is measured against the Stage II exact series timed in the
+// same run, not against the surrogate's own scalar path.
 //
 // A fit-order sweep for the surrogate (orders vs certified bound vs
 // ns/eval) additionally lands in <out-dir>/surrogate.jsonl; EXPERIMENTS.md
@@ -17,6 +18,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <random>
 #include <string>
@@ -481,6 +483,44 @@ void emit_kernel_rows(const std::string& out_dir) {
                       0.0);
     append_kernel_row(path, "stage2_surrogate", "batch", evals, batch_ns,
                       stage2_series_ns / batch_ns);
+
+    // Pair rows: what one Stage II pair costs on an irregular placement.
+    // One victim's reach (a 25 um disc) on a 2 um point grid, 493 points,
+    // against a fresh pitch per pair drawn from [8.5, 24.5] um, so the
+    // per-thread contraction memo never hits. "pair" is ns per pair-point
+    // with the pitch contraction included; "contraction" is ns per pair,
+    // timed as the same pairs over an empty point set.
+    std::vector<geo::Point> disc;
+    for (int i = -13; i <= 13; ++i)
+      for (int j = -13; j <= 13; ++j) {
+        const geo::Point p{2.0 * i + 0.25, 2.0 * j + 0.25};
+        if (p.x * p.x + p.y * p.y <= 25.0 * 25.0) disc.push_back(p);
+      }
+    constexpr std::size_t kPairs = 256;
+    std::mt19937 rng(23);
+    std::uniform_real_distribution<double> pitch(8.5, 24.5);
+    std::uniform_real_distribution<double> angle(0.0, 6.283185307179586);
+    std::vector<geo::Point> aggressors(kPairs);
+    for (geo::Point& agg : aggressors) {
+      const double d = pitch(rng), phi = angle(rng);
+      agg = {d * std::cos(phi), d * std::sin(phi)};
+    }
+    std::vector<num::SymTensor2> disc_out(disc.size());
+    const double pair_ns =
+        best_ns_per_eval(kPairs * disc.size(), [&] {
+          for (const geo::Point& agg : aggressors)
+            sur.accumulate(v, agg, disc.data(), disc.size(), disc_out.data());
+          benchmark::DoNotOptimize(disc_out.data());
+        });
+    const double contraction_ns = best_ns_per_eval(kPairs, [&] {
+      for (const geo::Point& agg : aggressors)
+        sur.accumulate(v, agg, disc.data(), 0, disc_out.data());
+      benchmark::DoNotOptimize(disc_out.data());
+    });
+    append_kernel_row(path, "stage2_surrogate", "pair",
+                      kPairs * disc.size(), pair_ns, 0.0);
+    append_kernel_row(path, "stage2_surrogate", "contraction", kPairs,
+                      contraction_ns, 0.0);
   }
 
   // Fit-order sweep (surrogate.jsonl): the calibrated defaults, a trimmed

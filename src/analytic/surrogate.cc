@@ -65,9 +65,14 @@ void cheb_transform_line(double* base, std::size_t stride, std::size_t n,
   for (std::size_t k = 0; k < n; ++k) base[k * stride] = tmp[k];
 }
 
-/// Per-thread memo of the pitch-contracted coefficient matrices. Keyed on
-/// (surrogate id, pitch bits): full-chip sweeps evaluate long runs of pairs
-/// at repeated pitches, so the contraction amortizes to ~zero.
+/// Per-thread memo of the pitch-contracted coefficient matrices, keyed on
+/// (surrogate id, pitch bits). It hits only when consecutive pairs share a
+/// bitwise-equal pitch: the reverse round (v, a) -> (a, v) of an edit in
+/// IncrementalEngine, or a regular array. On irregular full-chip placements
+/// nearly every pair misses and pays one contraction: ~5 us for the default
+/// fit on a 4-core AVX-512 Xeon (bench_micro_kernels' stage2_surrogate
+/// contraction row), against ~10 us of point kernel for a victim's
+/// 493-point reach at 2 um sampling.
 struct ContractionMemo {
   std::uint64_t id = 0;
   std::uint64_t pitch_bits = 0;
@@ -433,6 +438,52 @@ __attribute__((always_inline)) inline void kernel_body(
   }
 }
 
+/// The pitch-axis contraction in one pass: the outer loop walks the
+/// coefficient block in register tiles, the inner loop runs over the pitch
+/// order with the tile's running sums held in registers, so each
+/// coefficient is read once and each result stored once (a plane-outer loop
+/// re-reads and re-stores the whole destination once per pitch term). Every
+/// element still sums src[q] + t[1] * plane_1[q] + ... in plane order, so
+/// the generic variant is bitwise the plane-order scalar loop; the FMA
+/// variants differ from it by fused rounding only. Forced inline into the
+/// ISA wrappers below, like kernel_body.
+template <class V>
+__attribute__((always_inline)) inline void contract_body(
+    const double* src, std::size_t block, const double* t, std::size_t order,
+    double* dst) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
+  // Eight accumulators per tile: 64 doubles on AVX-512, 32 on AVX2, with
+  // room left in the register file for the broadcast weight and the loads.
+  constexpr std::size_t kTile = 8;
+  const auto tile = [&](auto width, std::size_t q) {
+    constexpr std::size_t kW = width();
+    V acc[kW];
+    for (std::size_t i = 0; i < kW; ++i)
+      std::memcpy(&acc[i], src + q + i * kLanes, sizeof(V));
+    for (std::size_t a = 1; a < order; ++a) {
+      const double ta = t[a];
+      const double* plane = src + a * block + q;
+      for (std::size_t i = 0; i < kW; ++i) {
+        V p;
+        std::memcpy(&p, plane + i * kLanes, sizeof(V));
+        acc[i] += ta * p;
+      }
+    }
+    for (std::size_t i = 0; i < kW; ++i)
+      std::memcpy(dst + q + i * kLanes, &acc[i], sizeof(V));
+  };
+  std::size_t q = 0;
+  for (; q + kTile * kLanes <= block; q += kTile * kLanes)
+    tile(std::integral_constant<std::size_t, kTile>{}, q);
+  for (; q + kLanes <= block; q += kLanes)
+    tile(std::integral_constant<std::size_t, 1>{}, q);
+  for (; q < block; ++q) {
+    double acc = src[q];
+    for (std::size_t a = 1; a < order; ++a) acc += t[a] * src[a * block + q];
+    dst[q] = acc;
+  }
+}
+
 using KernelFn = void (*)(const KernelArgs&, const geo::Point*, std::size_t,
                           num::SymTensor2*);
 
@@ -445,11 +496,11 @@ void kernel_generic(const KernelArgs& k, const geo::Point* points,
 // The build intentionally carries no global -march flags (baseline x86-64
 // codegen keeps every committed kernel baseline bit-stable), so the FMA
 // throughput this kernel's budget assumes is opted into locally: the same
-// body is compiled again for AVX2+FMA (4 lanes) and AVX-512 (8 lanes) and
-// selected once at runtime. Results differ from the generic path only by
-// fused-rounding regrouping; the certificate is computed through this very
-// dispatch, so the certified bound always covers the kernel actually
-// running on the host.
+// bodies (point kernel and pitch contraction) are compiled again for
+// AVX2+FMA (4 lanes) and AVX-512 (8 lanes) and selected once at runtime.
+// Results differ from the generic path only by fused-rounding regrouping;
+// the certificate is computed through this very dispatch, so the certified
+// bound always covers the code actually running on the host.
 __attribute__((target("avx2,fma"))) void kernel_avx2(const KernelArgs& k,
                                                      const geo::Point* points,
                                                      std::size_t n,
@@ -463,24 +514,56 @@ kernel_avx512(const KernelArgs& k, const geo::Point* points, std::size_t n,
   kernel_body<v8d>(k, points, n, out);
 }
 
-KernelFn select_kernel() {
-  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
-      __builtin_cpu_supports("avx512vl"))
-    return kernel_avx512;
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-    return kernel_avx2;
-  return kernel_generic;
+__attribute__((target("avx2,fma"))) void contract_avx2(
+    const double* src, std::size_t block, const double* t, std::size_t order,
+    double* dst) {
+  contract_body<v4d>(src, block, t, order, dst);
 }
-#else
-KernelFn select_kernel() { return kernel_generic; }
+
+__attribute__((target("avx512f,avx512dq,avx512vl,avx2,fma,popcnt"))) void
+contract_avx512(const double* src, std::size_t block, const double* t,
+                std::size_t order, double* dst) {
+  contract_body<v8d>(src, block, t, order, dst);
+}
 #endif
 
-KernelFn active_kernel() {
-  static const KernelFn kernel = select_kernel();
-  return kernel;
+/// The point kernel and the pitch contraction are selected together, so
+/// both always run at the same ISA level.
+struct Dispatch {
+  KernelFn kernel;
+  detail::PitchContractionFn contract;
+};
+
+Dispatch select_dispatch() {
+#if defined(__x86_64__) && defined(__GNUC__)
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
+      __builtin_cpu_supports("avx512vl"))
+    return {kernel_avx512, contract_avx512};
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+    return {kernel_avx2, contract_avx2};
+#endif
+  return {kernel_generic, detail::contract_pitch_generic};
+}
+
+const Dispatch& active_dispatch() {
+  static const Dispatch dispatch = select_dispatch();
+  return dispatch;
 }
 
 }  // namespace
+
+namespace detail {
+
+void contract_pitch_generic(const double* src, std::size_t block,
+                            const double* t, std::size_t order, double* dst) {
+  contract_body<v4d>(src, block, t, order, dst);
+}
+
+PitchContractionFn active_pitch_contraction() {
+  return active_dispatch().contract;
+}
+
+}  // namespace detail
 
 PairSurrogate::PairSurrogate(Data data) {
   pitch_min_ = data.pitch_min;
@@ -596,17 +679,11 @@ const double* PairSurrogate::contracted_for_pitch(double pitch) const {
   t[1] = ph;
   for (std::size_t a = 2; a < pitch_order_; ++a)
     t[a] = 2.0 * ph * t[a - 1] - t[a - 2];
+  const detail::PitchContractionFn contract = active_dispatch().contract;
   for (std::size_t s = 0; s < segments_.size(); ++s) {
     const Segment& seg = segments_[s];
-    const std::size_t block = 3 * seg.nr * seg.nx;
-    double* dst = memo.m.data() + segment_offsets_[s];
-    const double* src = seg.coeffs.data();
-    for (std::size_t q = 0; q < block; ++q) dst[q] = src[q];
-    for (std::size_t a = 1; a < pitch_order_; ++a) {
-      const double ta = t[a];
-      const double* plane = src + a * block;
-      for (std::size_t q = 0; q < block; ++q) dst[q] += ta * plane[q];
-    }
+    contract(seg.coeffs.data(), 3 * seg.nr * seg.nx, t, pitch_order_,
+             memo.m.data() + segment_offsets_[s]);
   }
   memo.id = id_;
   memo.pitch_bits = bits;
@@ -651,7 +728,7 @@ void PairSurrogate::accumulate(const geo::Point& victim,
   views[nseg - 1].r1 = std::numeric_limits<double>::infinity();
   k.segs = views;
   k.nseg = nseg;
-  active_kernel()(k, points, n, out);
+  active_dispatch().kernel(k, points, n, out);
 }
 
 bool PairSurrogate::try_accumulate(const geo::Point& victim,

@@ -26,6 +26,13 @@
 //     multiply-adds, evaluated in lane-parallel SoA blocks bucketed by
 //     radial segment (numeric/kernels style).
 //
+// Cost of the default fit on a 4-core AVX-512 Xeon (bench_micro_kernels'
+// stage2_surrogate rows): ~20 ns per point, plus one pitch contraction of
+// ~5 us per pair (38k coefficients, 305 KB, each read once) whenever the
+// pair's pitch differs from the calling thread's previous pair. A victim's
+// 25 um reach holds ~500 points at 2 um sampling, so a pair costs ~15 us,
+// about a third of it the contraction.
+//
 // Certification is first-class: fitting ends with a dense adversarial
 // comparison against the exact series (Chebyshev-offset nodes, random
 // points, segment/interface boundaries, random pair frames) whose observed
@@ -254,5 +261,25 @@ class PairSurrogate {
   std::uint64_t id_ = 0;  ///< process-unique memo key (survives moves)
   std::unique_ptr<Counters> counters_;
 };
+
+namespace detail {
+
+/// The pitch-axis contraction behind PairSurrogate::accumulate, over one
+/// segment's [pitch][block] coefficients: dst[q] = src[q] + t[1] *
+/// src[block + q] + ... + t[order - 1] * src[(order - 1) * block + q],
+/// summed in that plane order for every q.
+using PitchContractionFn = void (*)(const double* src, std::size_t block,
+                                    const double* t, std::size_t order,
+                                    double* dst);
+
+/// Baseline-ISA variant: bitwise the plane-order scalar loop.
+void contract_pitch_generic(const double* src, std::size_t block,
+                            const double* t, std::size_t order, double* dst);
+
+/// The variant selected for this host, together with the point kernel (the
+/// one accumulate and the certificate run).
+PitchContractionFn active_pitch_contraction();
+
+}  // namespace detail
 
 }  // namespace tsv::ana

@@ -183,7 +183,9 @@ void IncrementalEngine::apply_pair(const ana::PairSurrogate* surrogate,
                                    ApplyStats& stats) {
   // The very same per-pair call InteractiveStage::evaluate_pairs makes, so
   // the incremental sum is built from the contributions a full evaluation
-  // would accumulate.
+  // would accumulate. Pairs come in (u, v), (v, u) rounds here rather than
+  // victim runs, so each pair gathers its own disc; the reverse round has
+  // the same pitch and reuses the surrogate's contraction memo.
   gather_disc(victim, options_.stage2.influence_radius);
   model_->accumulate_pair(surrogate, victim, aggressor, disc_pts_.data(),
                           disc_pts_.size(), disc_contrib_.data());

@@ -179,12 +179,15 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_pairs(
       [&](std::vector<num::SymTensor2>& out, std::size_t begin,
           std::size_t end) {
         // Chunk-local gather/scatter buffers keep their steady-state
-        // capacity across pairs.
+        // capacity across victims.
         std::vector<std::uint32_t> affected;
         std::vector<geo::Point> gathered;
         std::vector<num::SymTensor2> contrib;
-        for (std::size_t k = begin; k < end; ++k) {
-          const auto [v, a] = pairs[k];
+        // Every aggressor of a victim reads the same disc, so a run of
+        // consecutive pairs with one victim shares a single query, gather
+        // and scatter; each pair adds into the run's contrib buffer.
+        for (std::size_t k = begin; k < end;) {
+          const std::uint32_t v = pairs[k].first;
           const geo::Point& victim = centers[v];
           point_index.query_radius(victim, options_.influence_radius,
                                    affected);
@@ -193,8 +196,10 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_pairs(
           for (std::size_t j = 0; j < m; ++j)
             gathered[j] = points[affected[j]];
           contrib.assign(m, num::SymTensor2{});
-          model_->accumulate_pair(surrogate.get(), victim, centers[a],
-                                  gathered.data(), m, contrib.data());
+          for (; k < end && pairs[k].first == v; ++k)
+            model_->accumulate_pair(surrogate.get(), victim,
+                                    centers[pairs[k].second], gathered.data(),
+                                    m, contrib.data());
           for (std::size_t j = 0; j < m; ++j) out[affected[j]] += contrib[j];
         }
       },

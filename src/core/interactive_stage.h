@@ -10,8 +10,10 @@
 // The batched evaluate takes each pair through
 // InteractiveStressModel::accumulate_pair: the model's certified surrogate
 // when one is attached, the exact series otherwise (and for every pitch
-// outside the surrogate's domain). stress_at always uses the exact series,
-// so it can differ from evaluate() by up to the surrogate's certified bound.
+// outside the surrogate's domain). Pairs sharing a victim read the same
+// disc of points, so it gathers that disc once per run of same-victim pairs.
+// stress_at always uses the exact series, so it can differ from evaluate()
+// by up to the surrogate's certified bound.
 
 #include <cstdint>
 #include <memory>
@@ -48,11 +50,11 @@ class InteractiveStage {
   /// Interactive stress at one point (enumerates nearby ordered pairs).
   num::SymTensor2 stress_at(const geo::Point& p) const;
 
-  /// Interactive stress at many points. Organized pair-outer so that the
-  /// combined response per pair is built once and reused for all affected
-  /// points (a point GridIndex accelerates the lookup; it is cached keyed
-  /// on the point set, so repeated sweeps over the same points — pitch
-  /// sweeps, LS-vs-PF comparisons — build it once). Pair-parallel over
+  /// Interactive stress at many points. Organized victim-outer so that each
+  /// victim's affected points are found and gathered once and reused by all
+  /// of its pairs (a point GridIndex accelerates the lookup; it is cached
+  /// keyed on the point set, so repeated sweeps over the same points —
+  /// pitch sweeps, LS-vs-PF comparisons — build it once). Pair-parallel over
   /// options().num_threads workers: `out[n] +=` across pairs would race,
   /// so each worker owns a private buffer (see InteractiveOptions).
   std::vector<num::SymTensor2> evaluate(
@@ -76,15 +78,25 @@ class InteractiveStage {
       const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs)
       const;
 
-  /// Ordered victim/aggressor pairs within the pitch cutoff.
+  /// Ordered victim/aggressor pairs within the pitch cutoff. All pairs of
+  /// one victim are contiguous (victim-major order), the order
+  /// evaluate_pairs batches on.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> ordered_pairs() const;
 
   /// Ordered pairs whose victim lies within influence_radius of `region`
-  /// (the pairs that can contribute to any point inside it).
+  /// (the pairs that can contribute to any point inside it). Victim-major,
+  /// like ordered_pairs.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> ordered_pairs_near(
       const geo::Box& region) const;
 
  private:
+  /// The batched pair loop behind every evaluate. Each run of consecutive
+  /// pairs with the same victim queries the victim's influence disc once,
+  /// gathers its points once, adds every aggressor's accumulate_pair into
+  /// one zeroed buffer and scatters that buffer into the output once. Any
+  /// pair order is correct: a list that is not victim-major just forms
+  /// shorter runs, and differs from the sorted one by summation regrouping
+  /// only. Runs never cross a thread chunk (see InteractiveOptions).
   std::vector<num::SymTensor2> evaluate_pairs(
       const std::vector<geo::Point>& points,
       const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs,

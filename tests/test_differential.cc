@@ -8,11 +8,14 @@
 // 1e-12 of the field scale for tiling (pure regrouping) and the incremental
 // engine (checked against a from-scratch build after every batch, on both
 // the series and the surrogate), and the surrogate's machine-checked
-// certificate (<= 4.2e-7 relative per pair).
+// certificate (<= 4.2e-7 relative per pair). The batched stage is also
+// held to the same bounds on a shuffled pair list, since it shares work
+// between consecutive pairs of one victim.
 // Runs under the ASan tier via the `differential` ctest label.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <random>
@@ -22,6 +25,7 @@
 #include "analytic/surrogate.h"
 #include "core/framework.h"
 #include "core/incremental_engine.h"
+#include "core/interactive_stage.h"
 #include "core/tiled_evaluator.h"
 #include "tsv/generators.h"
 
@@ -127,6 +131,44 @@ TEST(Differential, StageTwoPathsAgreeWithinDocumentedBounds) {
     EXPECT_GT(st.tiles, 1u);
     EXPECT_EQ(st.points, d.grid.size());
     EXPECT_LE(max_rel_err(assembled, exact), 1e-12);
+  }
+}
+
+// The batched Stage II shares one gather per run of same-victim pairs, so
+// its result must not depend on the pair order it is handed beyond
+// regrouping (<= 1e-12 of the field scale) on either path; the shuffled
+// surrogate run must still sit within the certificate of the exact series.
+TEST(Differential, StageTwoIsIndependentOfPairOrder) {
+  const auto sur_model = fresh_model();
+  const auto surrogate = std::make_shared<const ana::PairSurrogate>(
+      ana::PairSurrogate::fit(*sur_model));
+  sur_model->attach_surrogate(surrogate);
+  const ana::SurrogateCertificate& cert = surrogate->certificate();
+  for (const std::uint64_t seed : {31u, 57u}) {
+    SCOPED_TRACE(seed);
+    const Design d(seed);
+    const std::vector<geo::Point> pts = d.grid.points();
+    const InteractiveStage exact_stage(d.placement, fresh_model());
+    const InteractiveStage fast_stage(d.placement, sur_model);
+    const auto sorted = exact_stage.ordered_pairs();
+    auto shuffled = sorted;
+    std::mt19937_64 rng(seed);
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+
+    const auto exact = exact_stage.evaluate_with_pairs(pts, sorted);
+    EXPECT_LE(max_rel_err(exact_stage.evaluate_with_pairs(pts, shuffled),
+                          exact),
+              1e-12);
+    const auto fast = fast_stage.evaluate_with_pairs(pts, sorted);
+    const auto fast_shuffled = fast_stage.evaluate_with_pairs(pts, shuffled);
+    EXPECT_LE(max_rel_err(fast_shuffled, fast), 1e-12);
+    const double budget = static_cast<double>(sorted.size()) *
+                          cert.certified_rel_bound * cert.field_scale;
+    for (std::size_t i = 0; i < exact.size(); ++i) {
+      ASSERT_NEAR(fast_shuffled[i].s11, exact[i].s11, budget) << i;
+      ASSERT_NEAR(fast_shuffled[i].s22, exact[i].s22, budget) << i;
+      ASSERT_NEAR(fast_shuffled[i].s12, exact[i].s12, budget) << i;
+    }
   }
 }
 

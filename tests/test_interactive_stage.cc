@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
 
 #include "analytic/surrogate.h"
 #include "tsv/generators.h"
@@ -228,6 +230,77 @@ TEST(InteractiveStage, MutatedPointBufferOfEqualLengthRebuildsTheIndex) {
   const auto back = stage.evaluate(pts);
   for (std::size_t i = 0; i < pts.size(); ++i)
     EXPECT_EQ(back[i].s11, first[i].s11) << i;
+}
+
+// The batched evaluate shares one gather and scatter among consecutive
+// pairs with the same victim. A caller's pair list in any order must give
+// the victim-sorted result up to summation regrouping; a shuffled list only
+// forms shorter runs. The design mixes pitches below the surrogate's 8 um
+// domain into the rows, so runs interleave surrogate and series pairs.
+TEST(InteractiveStage, VictimBatchingIsOrderIndependent) {
+  // 14 um grid plus a TSV midway along each row: 7 um pitch to both row
+  // neighbours, the rest of the pairs at 14-25 um.
+  std::vector<geo::Point> centers;
+  for (int i = 0; i < 4; ++i)
+    for (int j = 0; j < 3; ++j) {
+      centers.push_back({14.0 * i, 14.0 * j});
+      if (i < 3 && j != 1) centers.push_back({14.0 * i + 7.0, 14.0 * j});
+    }
+  const tsvlib::Placement design(kS, centers);
+  const auto model = std::make_shared<const ana::InteractiveStressModel>(
+      kS, mat::ThermalLoad{});
+  const auto surrogate = std::make_shared<const ana::PairSurrogate>(
+      ana::PairSurrogate::fit(*model));
+  model->attach_surrogate(surrogate);
+  std::vector<geo::Point> pts;
+  for (double x = -6; x <= 48; x += 1.9)
+    for (double y = -6; y <= 34; y += 2.3) pts.push_back({x, y});
+
+  const InteractiveStage serial(design, model);
+  const auto sorted = serial.ordered_pairs();
+  auto shuffled = sorted;
+  std::mt19937 rng(20261017);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  ASSERT_NE(shuffled, sorted);
+  std::uint64_t sub_domain = 0;
+  for (const auto& [v, a] : sorted)
+    if (!surrogate->covers(geo::distance(centers[v], centers[a])))
+      ++sub_domain;
+  ASSERT_GT(sub_domain, 0u);
+
+  const auto want = serial.evaluate_with_pairs(pts, sorted);
+  surrogate->reset_use_stats();
+  const auto got = serial.evaluate_with_pairs(pts, shuffled);
+  EXPECT_EQ(surrogate->use_stats().fallback_pairs, sub_domain);
+  EXPECT_EQ(surrogate->use_stats().surrogate_pairs,
+            sorted.size() - sub_domain);
+
+  double scale = 0.0;
+  for (const num::SymTensor2& t : want)
+    scale = std::max({scale, std::abs(t.s11), std::abs(t.s22),
+                      std::abs(t.s12)});
+  ASSERT_GT(scale, 0.0);
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    EXPECT_NEAR(got[i].s11, want[i].s11, 1e-12 * scale) << i;
+    EXPECT_NEAR(got[i].s22, want[i].s22, 1e-12 * scale) << i;
+    EXPECT_NEAR(got[i].s12, want[i].s12, 1e-12 * scale) << i;
+  }
+
+  // Bitwise repeatable for a fixed thread count, serial and pooled.
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    InteractiveOptions opt;
+    opt.num_threads = threads;
+    const InteractiveStage stage(design, model, opt);
+    const auto first = stage.evaluate_with_pairs(pts, shuffled);
+    const auto second = stage.evaluate_with_pairs(pts, shuffled);
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      EXPECT_EQ(first[i].s11, second[i].s11) << i;
+      EXPECT_EQ(first[i].s22, second[i].s22) << i;
+      EXPECT_EQ(first[i].s12, second[i].s12) << i;
+      EXPECT_NEAR(first[i].s11, want[i].s11, 1e-12 * scale) << i;
+    }
+  }
 }
 
 TEST(InteractiveStage, FiveCrossSymmetry) {

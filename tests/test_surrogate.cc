@@ -9,6 +9,9 @@
 //     fitted or certified against;
 //   - the scalar path is bitwise the batch kernel, and concurrent batch
 //     evaluations from many threads are bitwise the serial ones;
+//   - the pitch contraction's generic variant is bitwise the plane-order
+//     loop, and whether the per-thread memo is cold or warm never changes
+//     a result;
 //   - out-of-domain pitches provably fall back to the exact series
 //     (counter-tracked), and points beyond the fitted radius contribute
 //     exactly zero;
@@ -162,6 +165,23 @@ TEST(Surrogate, StaysWithinTheCertifiedBoundOnFreshAdversarialSamples) {
                            << budget << " MPa";
 }
 
+/// `count` pitches spanning the fitted domain, both inclusive ends included.
+std::vector<double> domain_pitches(const PairSurrogate& sur,
+                                   std::size_t count) {
+  std::vector<double> pitches(count);
+  for (std::size_t i = 0; i < count; ++i)
+    pitches[i] = sur.pitch_min() + (sur.pitch_max() - sur.pitch_min()) *
+                                       static_cast<double>(i) /
+                                       static_cast<double>(count - 1);
+  return pitches;
+}
+
+/// Aggressor at `pitch` from `v` in a direction that turns with `i`.
+geo::Point aggressor_at(const geo::Point& v, double pitch, std::size_t i) {
+  const double phi = 0.37 * static_cast<double>(i);
+  return {v.x + pitch * std::cos(phi), v.y + pitch * std::sin(phi)};
+}
+
 TEST(Surrogate, ScalarPathIsBitwiseTheBatchKernel) {
   const PairSurrogate& sur = fitted();
   std::mt19937_64 rng(31);
@@ -177,6 +197,109 @@ TEST(Surrogate, ScalarPathIsBitwiseTheBatchKernel) {
     EXPECT_EQ(batch[i].s11, one.s11) << i;
     EXPECT_EQ(batch[i].s22, one.s22) << i;
     EXPECT_EQ(batch[i].s12, one.s12) << i;
+  }
+
+  // Across the pitch domain, with the contraction memo cold on every
+  // scalar call (the pitches alternate point by point).
+  const std::vector<double> pitches = domain_pitches(sur, 64);
+  const std::size_t np = 13;
+  std::vector<std::vector<num::SymTensor2>> by_pitch(pitches.size());
+  for (std::size_t k = 0; k < pitches.size(); ++k) {
+    by_pitch[k].resize(np);
+    sur.accumulate(v, aggressor_at(v, pitches[k], k), pts.data(), np,
+                   by_pitch[k].data());
+  }
+  for (std::size_t i = 0; i < np; ++i) {
+    for (std::size_t k = 0; k < pitches.size(); ++k) {
+      const num::SymTensor2 one =
+          sur.stress_at(v, aggressor_at(v, pitches[k], k), pts[i]);
+      EXPECT_EQ(by_pitch[k][i].s11, one.s11) << k << " " << i;
+      EXPECT_EQ(by_pitch[k][i].s22, one.s22) << k << " " << i;
+      EXPECT_EQ(by_pitch[k][i].s12, one.s12) << k << " " << i;
+    }
+  }
+}
+
+TEST(Surrogate, ContractionMemoStateNeverChangesTheResult) {
+  // The per-thread memo holds the last pitch's contraction. A pair
+  // evaluated right after a different pitch (cold) and right after itself
+  // (warm, memo hit) must produce the same bits at every pitch as a fresh
+  // copy of the surrogate, whose first call always contracts.
+  const PairSurrogate& sur = fitted();
+  const PairSurrogate::Data data = sur.to_data();
+  std::mt19937_64 rng(83);
+  std::uniform_real_distribution<double> coord(-24.0, 24.0);
+  std::vector<geo::Point> pts(203);
+  for (geo::Point& p : pts) p = {coord(rng), coord(rng)};
+  const geo::Point v{0.5, -1.5};
+  const std::vector<double> pitches = domain_pitches(sur, 64);
+  std::vector<num::SymTensor2> scratch(pts.size());
+  for (std::size_t i = 0; i < pitches.size(); ++i) {
+    SCOPED_TRACE(pitches[i]);
+    const geo::Point a = aggressor_at(v, pitches[i], i);
+    const std::size_t other = (i + 1) % pitches.size();
+    sur.accumulate(v, aggressor_at(v, pitches[other], other), pts.data(),
+                   pts.size(), scratch.data());
+    std::vector<num::SymTensor2> cold(pts.size());
+    sur.accumulate(v, a, pts.data(), pts.size(), cold.data());
+    std::vector<num::SymTensor2> warm(pts.size());
+    sur.accumulate(v, a, pts.data(), pts.size(), warm.data());
+    const PairSurrogate fresh(data);
+    std::vector<num::SymTensor2> want(pts.size());
+    fresh.accumulate(v, a, pts.data(), pts.size(), want.data());
+    expect_bitwise_equal(cold, want);
+    expect_bitwise_equal(warm, want);
+  }
+}
+
+TEST(Surrogate, GenericContractionIsBitwiseThePlaneOrderLoop) {
+  // The register-blocked contraction keeps each element's order of
+  // additions, so on the baseline ISA it must reproduce the plane-outer
+  // reference loop bit for bit — on the fitted coefficients and on odd
+  // block sizes that exercise every tile tail. The host-selected variant
+  // may fuse roundings and is held to a tight relative bound instead.
+  const PairSurrogate::Data data = fitted().to_data();
+  std::mt19937_64 rng(89);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::vector<std::vector<double>> blocks;
+  std::vector<std::size_t> widths;
+  for (const PairSurrogate::Data::Segment& s : data.segments) {
+    blocks.push_back(s.coeffs);
+    widths.push_back(3 * s.nr * s.nx);
+  }
+  for (const std::size_t width : {1u, 3u, 7u, 9u, 33u, 65u, 101u}) {
+    std::vector<double> coeffs(data.pitch_order * width);
+    for (double& c : coeffs) c = unit(rng);
+    blocks.push_back(std::move(coeffs));
+    widths.push_back(width);
+  }
+  const std::size_t order = data.pitch_order;
+  const detail::PitchContractionFn host = detail::active_pitch_contraction();
+  for (const double ph : {-1.0, -0.61, 0.0, 0.23, 0.97, 1.0}) {
+    double t[64];
+    t[0] = 1.0;
+    t[1] = ph;
+    for (std::size_t a = 2; a < order; ++a)
+      t[a] = 2.0 * ph * t[a - 1] - t[a - 2];
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      const std::size_t width = widths[b];
+      const double* src = blocks[b].data();
+      std::vector<double> want(src, src + width);
+      for (std::size_t a = 1; a < order; ++a)
+        for (std::size_t q = 0; q < width; ++q)
+          want[q] += t[a] * src[a * width + q];
+      std::vector<double> got(width), fused(width);
+      detail::contract_pitch_generic(src, width, t, order, got.data());
+      host(src, width, t, order, fused.data());
+      for (std::size_t q = 0; q < width; ++q) {
+        EXPECT_EQ(got[q], want[q]) << "block " << b << " q " << q;
+        double mag = 0.0;
+        for (std::size_t a = 0; a < order; ++a)
+          mag += std::abs(t[a] * src[a * width + q]);
+        EXPECT_LE(std::abs(fused[q] - want[q]), 1e-14 * mag)
+            << "block " << b << " q " << q;
+      }
+    }
   }
 }
 

@@ -13,6 +13,12 @@ committed baseline (tools/kernel_baseline.json) and fails when
     stage2_surrogate it is surrogate-batch vs the Stage II exact series
     (the stage2_series row, which has no batch row and no floor).
 
+stage2_surrogate also has two pair rows, guarded by the same regression
+bound: "pair" (ns per pair-point on one victim's 493-point disc, a fresh
+pitch every pair, so the pitch contraction is included) and "contraction"
+(ns per pair for the contraction alone). The batch row times one fixed
+pitch, where the contraction memo always hits.
+
 With --variation, the guard additionally checks bench_variation's
 results/variation.jsonl against the baseline's "variation" section: at the
 baseline TSV count, a Monte Carlo variation sample streamed through the
@@ -42,7 +48,7 @@ import argparse
 import json
 import sys
 
-MODES = ("scalar", "batch")
+MODES = ("scalar", "batch", "pair", "contraction")
 # Floors used for kernels absent from the baseline when writing a fresh one.
 DEFAULT_MIN_SPEEDUP = {
     "stage1_point": 2.0,
