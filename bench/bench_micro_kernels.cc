@@ -6,7 +6,8 @@
 // timings to <out-dir>/kernels.jsonl (--out-dir=PATH, default "."): Stage I
 // scalar vs batch, the Stage II exact series, and the certified surrogate
 // (per point at one pitch, and per pair with a fresh pitch each pair, which
-// includes the pitch contraction). tools/check_kernel_perf.py guards those
+// includes the pitch contraction, and per pair-point over 9-aggressor runs
+// through the run kernel). tools/check_kernel_perf.py guards those
 // rows against tools/kernel_baseline.json in CI. The stage2_surrogate batch
 // row's "speedup" is measured against the Stage II exact series timed in the
 // same run, not against the surrogate's own scalar path.
@@ -521,6 +522,31 @@ void emit_kernel_rows(const std::string& out_dir) {
                       kPairs * disc.size(), pair_ns, 0.0);
     append_kernel_row(path, "stage2_surrogate", "contraction", kPairs,
                       contraction_ns, 0.0);
+
+    // Run row: what Stage II pays per pair-point when a victim's pairs go
+    // through the run kernel together, as InteractiveStage evaluates them.
+    // Same disc and pitch range as the pair rows, 9 aggressors per run
+    // (about the mean run length of a full-chip design), fresh pitches
+    // throughout, contraction included. Its "speedup" is pair / run from
+    // this same run, the ratio the min_run_speedup floor guards.
+    constexpr std::size_t kRunLen = 9;
+    constexpr std::size_t kRuns = 28;
+    std::vector<geo::Point> run_aggressors(kRunLen * kRuns);
+    for (geo::Point& agg : run_aggressors) {
+      const double d = pitch(rng), phi = angle(rng);
+      agg = {d * std::cos(phi), d * std::sin(phi)};
+    }
+    const double run_ns =
+        best_ns_per_eval(run_aggressors.size() * disc.size(), [&] {
+          for (std::size_t r = 0; r < kRuns; ++r)
+            sur.accumulate_run(v, run_aggressors.data() + r * kRunLen,
+                               kRunLen, disc.data(), disc.size(),
+                               disc_out.data());
+          benchmark::DoNotOptimize(disc_out.data());
+        });
+    append_kernel_row(path, "stage2_surrogate", "run",
+                      run_aggressors.size() * disc.size(), run_ns,
+                      pair_ns / run_ns);
   }
 
   // Fit-order sweep (surrogate.jsonl): the calibrated defaults, a trimmed

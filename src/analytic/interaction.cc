@@ -84,6 +84,36 @@ std::shared_ptr<const PairSurrogate> InteractiveStressModel::surrogate_for(
   return s;
 }
 
+void InteractiveStressModel::accumulate_run(
+    const PairSurrogate* surrogate, const geo::Point& victim,
+    const geo::Point* aggressors, std::size_t count, const geo::Point* points,
+    std::size_t n, num::SymTensor2* out) const {
+  if (surrogate == nullptr) {
+    for (std::size_t k = 0; k < count; ++k)
+      accumulate_series(victim, aggressors[k], points, n, out);
+    return;
+  }
+  // Maximal covered stretches run on the surrogate, each followed by the
+  // out-of-domain pair that ended it on the series, so `out` sees the
+  // pairs in aggressor order.
+  std::uint64_t fallbacks = 0;
+  for (std::size_t k = 0; k < count;) {
+    std::size_t end = k;
+    while (end < count &&
+           surrogate->covers(geo::distance(victim, aggressors[end])))
+      ++end;
+    surrogate->accumulate_run(victim, aggressors + k, end - k, points, n,
+                              out);
+    if (end < count) {
+      accumulate_series(victim, aggressors[end], points, n, out);
+      ++fallbacks;
+      ++end;
+    }
+    k = end;
+  }
+  surrogate->record_use(count - fallbacks, fallbacks);
+}
+
 void InteractiveStressModel::accumulate_series(const geo::Point& victim,
                                                const geo::Point& aggressor,
                                                const geo::Point* points,

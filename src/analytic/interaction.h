@@ -13,7 +13,7 @@
 // beta_n = -khat / dhat^(n+1); responses are combined once per pitch and
 // cached, so evaluating many points against the same pair is cheap.
 //
-// Stage II has exactly two evaluation paths, and accumulate_pair is the one
+// Stage II has exactly two evaluation paths, and accumulate_run is the one
 // place that chooses between them: the attached certified surrogate
 // (analytic/surrogate.h) for pitches inside its fitted domain, the exact
 // series for everything else.
@@ -85,27 +85,33 @@ class InteractiveStressModel {
   /// bound <= kSurrogateTolerance AND its fitted radius covers `r_needed`
   /// (points beyond the fitted r_max would silently evaluate to zero);
   /// nullptr otherwise. Stage II callers resolve this once per evaluation
-  /// (or edit) and hand it to accumulate_pair.
+  /// (or edit) and hand it to accumulate_run / accumulate_pair.
   std::shared_ptr<const PairSurrogate> surrogate_for(double r_needed) const;
 
-  /// Stage II per-pair evaluation, the only place a path is chosen: adds
-  /// the ordered pair's interactive stress at points[0..n) into out[i]
-  /// through `surrogate` when it is non-null and covers the pair pitch
-  /// (counted on its use stats either way), and through the exact series
-  /// otherwise. `surrogate` must come from surrogate_for (or be nullptr for
-  /// the series only). Defined inline so the callers' pair loops call the
-  /// surrogate kernel directly.
+  /// Stage II evaluation of one victim's run of ordered pairs (victim,
+  /// aggressors[k]), k < count, and the only place a path is chosen: adds
+  /// their interactive stress at points[0..n) into out[i]. Each pair goes
+  /// through `surrogate` when it is non-null and covers the pair pitch, and
+  /// through the exact series otherwise; consecutive covered pairs share
+  /// one surrogate run (PairSurrogate::accumulate_run). The result is
+  /// bitwise the per-pair sequence in aggressor order, and the run is
+  /// counted on the surrogate's use stats once. `surrogate` must come from
+  /// surrogate_for (or be nullptr for the series only).
+  void accumulate_run(const PairSurrogate* surrogate, const geo::Point& victim,
+                      const geo::Point* aggressors, std::size_t count,
+                      const geo::Point* points, std::size_t n,
+                      num::SymTensor2* out) const;
+
+  /// The run of one pair (single-pair callers: IncrementalEngine edits).
   void accumulate_pair(const PairSurrogate* surrogate,
                        const geo::Point& victim, const geo::Point& aggressor,
                        const geo::Point* points, std::size_t n,
                        num::SymTensor2* out) const {
-    if (surrogate == nullptr ||
-        !surrogate->try_accumulate(victim, aggressor, points, n, out))
-      accumulate_series(victim, aggressor, points, n, out);
+    accumulate_run(surrogate, victim, &aggressor, 1, points, n, out);
   }
 
  private:
-  /// The exact series leg of accumulate_pair.
+  /// The exact series leg of accumulate_run.
   void accumulate_series(const geo::Point& victim,
                          const geo::Point& aggressor,
                          const geo::Point* points, std::size_t n,

@@ -66,13 +66,12 @@ void cheb_transform_line(double* base, std::size_t stride, std::size_t n,
 }
 
 /// Per-thread memo of the pitch-contracted coefficient matrices, keyed on
-/// (surrogate id, pitch bits). It hits only when consecutive pairs share a
-/// bitwise-equal pitch: the reverse round (v, a) -> (a, v) of an edit in
-/// IncrementalEngine, or a regular array. On irregular full-chip placements
-/// nearly every pair misses and pays one contraction: ~5 us for the default
-/// fit on a 4-core AVX-512 Xeon (bench_micro_kernels' stage2_surrogate
-/// contraction row), against ~10 us of point kernel for a victim's
-/// 493-point reach at 2 um sampling.
+/// (surrogate id, pitch bits), for single-pair callers (accumulate_run with
+/// count == 1: IncrementalEngine::apply_pair, stress_at, one-aggressor
+/// victims). Runs of two or more contract their pitches together instead
+/// (see accumulate_run). The memo hits when consecutive single pairs share
+/// a bitwise-equal pitch: the reverse round (v, a) -> (a, v) of an edit in
+/// IncrementalEngine, or a regular array.
 struct ContractionMemo {
   std::uint64_t id = 0;
   std::uint64_t pitch_bits = 0;
@@ -96,15 +95,28 @@ struct SegView {
   std::uint64_t offset = 0;
 };
 
+/// The victim side of a run: everything the staging pass needs.
 struct KernelArgs {
   const SegView* segs = nullptr;
-  const double* contracted = nullptr;
   std::size_t nseg = 0;
   double r_max2 = 0.0;
   double vx = 0.0, vy = 0.0;
+};
+
+/// One pair of a run: its pair-frame rotation and contracted matrices.
+struct PairArgs {
+  const double* contracted = nullptr;
   double cb = 0.0, sb = 0.0;    ///< cos/sin of the pair angle beta
   double c2b = 0.0, s2b = 0.0;  ///< cos/sin of 2 beta
 };
+
+/// Most aggressors one evaluation pass carries: bounds the run's contracted
+/// scratch at kRunBlock * 19 KB per thread for the default fit, whatever
+/// the run length.
+constexpr std::size_t kRunBlock = 8;
+
+/// Pitches one contraction group reads each coefficient vector for.
+constexpr std::size_t kContractGroup = 4;
 
 /// Widest SIMD block any dispatch variant uses: 8 doubles = one AVX-512
 /// register (the AVX2 variant runs 4-wide, the generic one legalizes the
@@ -138,15 +150,25 @@ void permute_angular_rows(std::vector<double>& coeffs, std::size_t nx,
   }
 }
 
-/// Thread-local per-segment SoA buckets (radial map value, cos/sin(theta),
-/// scatter index), padded to whole lane blocks. Reused across calls, so
-/// steady-state allocation cost is zero.
-struct SoaScratch {
+/// Thread-local run scratch: the victim's disc staged into per-segment SoA
+/// buckets (radial map value, victim-relative x/y, 1/r, point index),
+/// padded to whole lane blocks, plus the contracted matrices of one
+/// aggressor block. Reused across calls, so steady-state allocation cost is
+/// zero.
+struct RunScratch {
   std::vector<double> th[kMaxSegments];
-  std::vector<double> cx[kMaxSegments];
-  std::vector<double> sx[kMaxSegments];
+  std::vector<double> px[kMaxSegments];
+  std::vector<double> py[kMaxSegments];
+  std::vector<double> ir[kMaxSegments];
   std::vector<std::uint32_t> idx[kMaxSegments];
+  std::size_t fill[kMaxSegments] = {};
+  std::vector<double> contracted;
 };
+
+RunScratch& tls_run_scratch() {
+  static thread_local RunScratch scratch;
+  return scratch;
+}
 
 typedef double v4d __attribute__((vector_size(4 * sizeof(double))));
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -167,20 +189,15 @@ struct LaneInt<v8d> {
 };
 #endif
 
-SoaScratch& tls_soa_scratch() {
-  static thread_local SoaScratch scratch;
-  return scratch;
-}
-
 #if defined(__x86_64__) && defined(__GNUC__)
 /// AVX-512 drain of one staged chunk: per segment, compress-store the lanes
 /// that selected it (vcompresspd preserves lane order, so bucket contents
 /// are bitwise the scalar append's) and advance the fill count once — the
 /// scalar drain's per-point fill[] load-increment-store chain disappears.
 __attribute__((target("avx512f,avx512dq,avx512vl,avx2,fma,popcnt"))) inline void
-drain_chunk_avx512(const KernelArgs& k, SoaScratch& sc, std::size_t* fill,
-                   typename LaneInt<v8d>::type seg, v8d r, v8d inv_r, v8d x,
-                   v8d st, std::size_t i, unsigned live_mask) {
+drain_chunk_avx512(const KernelArgs& k, RunScratch& sc,
+                   typename LaneInt<v8d>::type seg, v8d r, v8d inv_r, v8d px,
+                   v8d py, std::size_t i, unsigned live_mask) {
   const __m512i segv = (__m512i)seg;
   const __m256i idxv = _mm256_add_epi32(
       _mm256_set1_epi32(static_cast<int>(i)),
@@ -196,47 +213,45 @@ drain_chunk_avx512(const KernelArgs& k, SoaScratch& sc, std::size_t* fill,
     v8d th = (v - sv.t_mid) * sv.t_half_inv;
     th = th > one ? one : th;
     th = th < -one ? -one : th;
-    const std::size_t pos = fill[s];
+    const std::size_t pos = sc.fill[s];
     _mm512_mask_compressstoreu_pd(sc.th[s].data() + pos, msk, (__m512d)th);
-    _mm512_mask_compressstoreu_pd(sc.cx[s].data() + pos, msk, (__m512d)x);
-    _mm512_mask_compressstoreu_pd(sc.sx[s].data() + pos, msk, (__m512d)st);
+    _mm512_mask_compressstoreu_pd(sc.px[s].data() + pos, msk, (__m512d)px);
+    _mm512_mask_compressstoreu_pd(sc.py[s].data() + pos, msk, (__m512d)py);
+    _mm512_mask_compressstoreu_pd(sc.ir[s].data() + pos, msk,
+                                  (__m512d)inv_r);
     _mm256_mask_compressstoreu_epi32(sc.idx[s].data() + pos, msk, idxv);
-    fill[s] =
+    sc.fill[s] =
         pos + static_cast<std::size_t>(__builtin_popcount(unsigned{msk}));
   }
 }
 #endif
 
-/// The batch kernel: one sqrt, one divide, a Chebyshev radial combine and
-/// three halved-degree angular Clenshaw sums per point — no trig. Two
-/// passes: stage every in-range point's (t_hat, cos theta, sin theta) and
-/// bucket by radial segment, then evaluate each bucket in lane-wide SoA
-/// blocks (all lanes share the segment's orders and coefficient rows, so
-/// the radial combine is broadcast-FMA and the serial Clenshaw chains run
-/// lane-parallel). Templated on the lane vector type and forced inline into
-/// the ISA dispatch wrappers below so each wrapper compiles the same lane
-/// math at its own register width.
+/// Staging pass, once per victim: every in-range point's victim-relative
+/// (x, y), 1/r and radial map value t_hat, bucketed by radial segment. All
+/// of it depends on the victim and the point only, so a run's aggressors
+/// share it. Lane-chunked so the sqrt, divide and segment select execute
+/// packed; only the data-dependent bucket append drains each chunk lane by
+/// lane. A partial final chunk pads by replicating lane 0 (every op is
+/// elementwise, so a point's staged values never depend on its lane),
+/// keeping stress_at (n = 1) bitwise the batch. Templated on the lane
+/// vector type and forced inline into the ISA dispatch wrappers below so
+/// each wrapper compiles the same lane math at its own register width.
 template <class V>
-__attribute__((always_inline)) inline void kernel_body(
+__attribute__((always_inline)) inline void stage_body(
     const KernelArgs& k, const geo::Point* points, std::size_t n,
-    num::SymTensor2* out) {
+    RunScratch& sc) {
   constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
   static_assert(kLanes <= kMaxLanes);
-  SoaScratch& sc = tls_soa_scratch();
   for (std::size_t s = 0; s < k.nseg; ++s) {
     if (sc.th[s].size() < n + kMaxLanes) {
       sc.th[s].resize(n + kMaxLanes);
-      sc.cx[s].resize(n + kMaxLanes);
-      sc.sx[s].resize(n + kMaxLanes);
+      sc.px[s].resize(n + kMaxLanes);
+      sc.py[s].resize(n + kMaxLanes);
+      sc.ir[s].resize(n + kMaxLanes);
       sc.idx[s].resize(n + kMaxLanes);
     }
+    sc.fill[s] = 0;
   }
-  std::size_t fill[kMaxSegments] = {};
-  // Pass 1 runs lane-chunked so the sqrt, divide, pair-frame rotation and
-  // segment select all execute packed; only the data-dependent bucket
-  // append drains each chunk lane by lane. A partial final chunk pads by
-  // replicating lane 0 (every op is elementwise, so a point's staged values
-  // never depend on its lane), keeping stress_at (n = 1) bitwise the batch.
   typedef typename LaneInt<V>::type VI;
   const V vz = V{} * 0.0;
   for (std::size_t i = 0; i < n; i += kLanes) {
@@ -252,17 +267,10 @@ __attribute__((always_inline)) inline void kernel_body(
     const V r2 = px * px + py * py;
     V r;
     for (std::size_t l = 0; l < kLanes; ++l) r[l] = __builtin_sqrt(r2[l]);
-    // Pair-frame angle without atan2: x = cos(theta) = (rotated x)/r and
-    // the *signed* sin(theta) = (rotated y)/r, which carries the theta
-    // mirror antisymmetry of s12 with no branch at all. Lanes at the victim
-    // center (r2 = 0) blend to the benign (x, st, inv_r) = (1, 0, 0).
+    // Lanes at the victim center (r2 = 0) stage inv_r = 0, which the
+    // evaluation pass reads as "no angle" (see eval_pass).
     const VI live = r2 > vz;
     const V inv_r = live ? 1.0 / r : vz;
-    V x = (k.cb * px + k.sb * py) * inv_r;
-    x = live ? x : vz + 1.0;
-    x = x > 1.0 ? vz + 1.0 : x;
-    x = x < -1.0 ? vz - 1.0 : x;
-    const V st = (k.cb * py - k.sb * px) * inv_r;
     // Branchless segment select: count the inner boundaries below r, and
     // push out-of-range lanes (r2 >= r_max^2) past every real segment. The
     // last view's r1 is +inf, so in-range lanes stay below nseg.
@@ -271,7 +279,7 @@ __attribute__((always_inline)) inline void kernel_body(
     seg -= (r2 >= (vz + k.r_max2)) * static_cast<long long>(kMaxSegments);
 #if defined(__x86_64__) && defined(__GNUC__)
     if constexpr (kLanes == 8) {
-      drain_chunk_avx512(k, sc, fill, seg, r, inv_r, x, st, i,
+      drain_chunk_avx512(k, sc, seg, r, inv_r, px, py, i,
                          cnt == kLanes ? 0xffu : (1u << cnt) - 1u);
       continue;
     }
@@ -284,253 +292,382 @@ __attribute__((always_inline)) inline void kernel_body(
       double th = (v - sv.t_mid) * sv.t_half_inv;
       if (th > 1.0) th = 1.0;
       if (th < -1.0) th = -1.0;
-      const std::size_t pos = fill[s]++;
+      const std::size_t pos = sc.fill[s]++;
       sc.th[s][pos] = th;
-      sc.cx[s][pos] = x[l];
-      sc.sx[s][pos] = st[l];
+      sc.px[s][pos] = px[l];
+      sc.py[s][pos] = py[l];
+      sc.ir[s][pos] = inv_r[l];
       sc.idx[s][pos] = static_cast<std::uint32_t>(i + l);
     }
   }
   // Pad the last block of each bucket with benign lane values (finite
   // everywhere below; never scattered).
   for (std::size_t s = 0; s < k.nseg; ++s) {
-    const std::size_t pad_end = (fill[s] + kLanes - 1) / kLanes * kLanes;
-    for (std::size_t pos = fill[s]; pos < pad_end; ++pos) {
+    const std::size_t pad_end = (sc.fill[s] + kLanes - 1) / kLanes * kLanes;
+    for (std::size_t pos = sc.fill[s]; pos < pad_end; ++pos) {
       sc.th[s][pos] = 0.0;
-      sc.cx[s][pos] = 0.0;
-      sc.sx[s][pos] = 0.0;
+      sc.px[s][pos] = 0.0;
+      sc.py[s][pos] = 0.0;
+      sc.ir[s][pos] = 0.0;
     }
   }
+}
 
+/// Evaluation pass over the staged disc for pairs[0..count): per lane block,
+/// a Chebyshev radial basis shared by all pairs, then per pair one angle
+/// from the staged (x, y, 1/r), a radial combine and three halved-degree
+/// angular Clenshaw sums — no trig. With several pairs (kDirect false), the
+/// block's running sums stay in registers across them, added in pair order
+/// so each point's sum is bitwise the per-pair sequence, and meet `out`
+/// once: one gather before the first pair, one scatter after the last. A
+/// single pair (kDirect) adds straight into `out`. All lanes of a block
+/// share the segment's orders and coefficient rows, so the radial combine
+/// is broadcast-FMA and the serial Clenshaw chains run lane-parallel.
+/// Forced inline into the ISA wrappers, like stage_body.
+template <class V, bool kDirect>
+__attribute__((always_inline)) inline void eval_pass(
+    const KernelArgs& k, const RunScratch& sc, const PairArgs* pairs,
+    std::size_t count, num::SymTensor2* out) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
+  typedef typename LaneInt<V>::type VI;
   // One lane block = one GCC generic vector: the target-attributed wrappers
   // emit packed ops at their native width, the generic wrapper legalizes the
   // same code to SSE2 pairs — either way the lane math is guaranteed packed
   // instead of depending on the auto-vectorizer.
   for (std::size_t s = 0; s < k.nseg; ++s) {
-    const std::size_t m = fill[s];
+    const std::size_t m = sc.fill[s];
     if (m == 0) continue;
     const SegView& sv = k.segs[s];
     const std::size_t nr = sv.nr;
     const std::size_t nx = sv.nx;
     const std::size_t ne = (nx + 1) / 2;  // even angular orders
     const std::size_t no = nx / 2;        // odd angular orders
-    const double* c11 = k.contracted + sv.offset;
-    const double* c22 = c11 + nr * nx;
-    const double* c12 = c22 + nr * nx;
-    const double* th_b = sc.th[s].data();
-    const double* cx_b = sc.cx[s].data();
-    const double* sx_b = sc.sx[s].data();
     const std::uint32_t* idx_b = sc.idx[s].data();
     for (std::size_t b = 0; b < m; b += kLanes) {
-      V th, x;
-      std::memcpy(&th, th_b + b, sizeof(th));
-      std::memcpy(&x, cx_b + b, sizeof(x));
+      const std::size_t lanes = m - b < kLanes ? m - b : kLanes;
+      V th, px, py, inv_r;
+      std::memcpy(&th, sc.th[s].data() + b, sizeof(th));
+      std::memcpy(&px, sc.px[s].data() + b, sizeof(px));
+      std::memcpy(&py, sc.py[s].data() + b, sizeof(py));
+      std::memcpy(&inv_r, sc.ir[s].data() + b, sizeof(inv_r));
       const V vzero = th - th;
       // Radial Chebyshev basis, computed once per block and reused by every
-      // (component, angular) coefficient column.
+      // pair and every (component, angular) coefficient column.
       V tarr[kMaxOrder];
       tarr[0] = vzero + 1.0;
       tarr[1] = th;
       const V two_th = th + th;
       for (std::size_t a = 2; a < nr; ++a)
         tarr[a] = two_th * tarr[a - 1] - tarr[a - 2];
-      // Radial combine d[j] = sum_a T_a(th) c[a][j] in register-tiled
-      // column groups: the tile accumulators live in registers across the
-      // whole a loop and only the 3 * nx finished sums are stored (a
-      // j-major update loop would store 3 * nr * nx partial sums and
-      // saturate the store port long before the FMA ports).
-      V d11[kMaxOrder], d22[kMaxOrder], d12[kMaxOrder];
-      const auto combine = [&](auto tw, std::size_t j0) {
-        constexpr std::size_t kTw = tw();
-        V s11[kTw], s22[kTw], s12[kTw];
-        for (std::size_t t = 0; t < kTw; ++t) {
-          s11[t] = vzero + c11[j0 + t];
-          s22[t] = vzero + c22[j0 + t];
-          s12[t] = vzero + c12[j0 + t];
+      const VI live = inv_r > vzero;
+      V acc11 = vzero, acc22 = vzero, acc12 = vzero;
+      if constexpr (!kDirect) {
+        for (std::size_t w = 0; w < lanes; ++w) {
+          const num::SymTensor2& o = out[idx_b[b + w]];
+          acc11[w] = o.s11;
+          acc22[w] = o.s22;
+          acc12[w] = o.s12;
         }
-        for (std::size_t a = 1; a < nr; ++a) {
-          const V ta = tarr[a];
-          const double* r11 = c11 + a * nx + j0;
-          const double* r22 = c22 + a * nx + j0;
-          const double* r12 = c12 + a * nx + j0;
+      }
+      for (std::size_t p = 0; p < count; ++p) {
+        const PairArgs& pa = pairs[p];
+        // Pair-frame angle without atan2: x = cos(theta) = (rotated x)/r and
+        // the *signed* sin(theta) = (rotated y)/r, which carries the theta
+        // mirror antisymmetry of s12 with no branch at all. Lanes at the
+        // victim center blend to the benign (x, st) = (1, 0).
+        V x = (pa.cb * px + pa.sb * py) * inv_r;
+        x = live ? x : vzero + 1.0;
+        x = x > 1.0 ? vzero + 1.0 : x;
+        x = x < -1.0 ? vzero - 1.0 : x;
+        const V stv = (pa.cb * py - pa.sb * px) * inv_r;
+        const double* c11 = pa.contracted + sv.offset;
+        const double* c22 = c11 + nr * nx;
+        const double* c12 = c22 + nr * nx;
+        // Radial combine d[j] = sum_a T_a(th) c[a][j] in register-tiled
+        // column groups: the tile accumulators live in registers across the
+        // whole a loop and only the 3 * nx finished sums are stored (a
+        // j-major update loop would store 3 * nr * nx partial sums and
+        // saturate the store port long before the FMA ports).
+        V d11[kMaxOrder], d22[kMaxOrder], d12[kMaxOrder];
+        const auto combine = [&](auto tw, std::size_t j0) {
+          constexpr std::size_t kTw = tw();
+          V s11[kTw], s22[kTw], s12[kTw];
           for (std::size_t t = 0; t < kTw; ++t) {
-            s11[t] += ta * r11[t];
-            s22[t] += ta * r22[t];
-            s12[t] += ta * r12[t];
+            s11[t] = vzero + c11[j0 + t];
+            s22[t] = vzero + c22[j0 + t];
+            s12[t] = vzero + c12[j0 + t];
           }
+          for (std::size_t a = 1; a < nr; ++a) {
+            const V ta = tarr[a];
+            const double* r11 = c11 + a * nx + j0;
+            const double* r22 = c22 + a * nx + j0;
+            const double* r12 = c12 + a * nx + j0;
+            for (std::size_t t = 0; t < kTw; ++t) {
+              s11[t] += ta * r11[t];
+              s22[t] += ta * r22[t];
+              s12[t] += ta * r12[t];
+            }
+          }
+          for (std::size_t t = 0; t < kTw; ++t) {
+            d11[j0 + t] = s11[t];
+            d22[j0 + t] = s22[t];
+            d12[j0 + t] = s12[t];
+          }
+        };
+        std::size_t j = 0;
+        for (; j + 4 <= nx; j += 4)
+          combine(std::integral_constant<std::size_t, 4>{}, j);
+        for (; j + 2 <= nx; j += 2)
+          combine(std::integral_constant<std::size_t, 2>{}, j);
+        if (j < nx) combine(std::integral_constant<std::size_t, 1>{}, j);
+        // Angular sums in x = cos(theta): T_j(cos th) = cos(j th), so these
+        // *are* the Fourier sums of the pair field, trig-free. The columns
+        // arrive split by parity (see finalize): cos(2k th) = T_k(y) and
+        // cos((2k+1) th) = cos(th) P_k(y) with y = cos(2 th) = 2 x^2 - 1 and
+        // P_0 = 1, P_1 = 2y - 1 sharing the T recurrence (Clenshaw sum
+        // b_0 - b_1). Splitting halves the serial chain each block waits on,
+        // and the six chains (3 components x even/odd) overlap in flight.
+        const V y = 2.0 * x * x - 1.0;
+        const V two_y = y + y;
+        V a1 = vzero, a2 = vzero;
+        V e1 = vzero, e2 = vzero;
+        V g1 = vzero, g2 = vzero;
+        for (std::size_t q = ne; q-- > 1;) {
+          const V ba = d11[q] + two_y * a1 - a2;
+          const V be = d22[q] + two_y * e1 - e2;
+          const V bg = d12[q] + two_y * g1 - g2;
+          a2 = a1;
+          a1 = ba;
+          e2 = e1;
+          e1 = be;
+          g2 = g1;
+          g1 = bg;
         }
-        for (std::size_t t = 0; t < kTw; ++t) {
-          d11[j0 + t] = s11[t];
-          d22[j0 + t] = s22[t];
-          d12[j0 + t] = s12[t];
+        V oa1 = vzero, oa2 = vzero;
+        V oe1 = vzero, oe2 = vzero;
+        V og1 = vzero, og2 = vzero;
+        for (std::size_t q = no; q-- > 1;) {
+          const V ba = d11[ne + q] + two_y * oa1 - oa2;
+          const V be = d22[ne + q] + two_y * oe1 - oe2;
+          const V bg = d12[ne + q] + two_y * og1 - og2;
+          oa2 = oa1;
+          oa1 = ba;
+          oe2 = oe1;
+          oe1 = be;
+          og2 = og1;
+          og1 = bg;
         }
-      };
-      std::size_t j = 0;
-      for (; j + 4 <= nx; j += 4)
-        combine(std::integral_constant<std::size_t, 4>{}, j);
-      for (; j + 2 <= nx; j += 2)
-        combine(std::integral_constant<std::size_t, 2>{}, j);
-      if (j < nx) combine(std::integral_constant<std::size_t, 1>{}, j);
-      // Angular sums in x = cos(theta): T_j(cos th) = cos(j th), so these
-      // *are* the Fourier sums of the pair field, trig-free. The columns
-      // arrive split by parity (see finalize): cos(2k th) = T_k(y) and
-      // cos((2k+1) th) = cos(th) P_k(y) with y = cos(2 th) = 2 x^2 - 1 and
-      // P_0 = 1, P_1 = 2y - 1 sharing the T recurrence (Clenshaw sum
-      // b_0 - b_1). Splitting halves the serial chain each block waits on,
-      // and the six chains (3 components x even/odd) overlap in flight.
-      const V y = 2.0 * x * x - 1.0;
-      const V two_y = y + y;
-      V a1 = vzero, a2 = vzero;
-      V e1 = vzero, e2 = vzero;
-      V g1 = vzero, g2 = vzero;
-      for (std::size_t q = ne; q-- > 1;) {
-        const V ba = d11[q] + two_y * a1 - a2;
-        const V be = d22[q] + two_y * e1 - e2;
-        const V bg = d12[q] + two_y * g1 - g2;
-        a2 = a1;
-        a1 = ba;
-        e2 = e1;
-        e1 = be;
-        g2 = g1;
-        g1 = bg;
+        V f11 = d11[0] + y * a1 - a2;
+        V f22 = d22[0] + y * e1 - e2;
+        V g12 = d12[0] + y * g1 - g2;
+        if (no > 0) {
+          f11 += x * ((d11[ne] + two_y * oa1 - oa2) - oa1);
+          f22 += x * ((d22[ne] + two_y * oe1 - oe2) - oe1);
+          g12 += x * ((d12[ne] + two_y * og1 - og2) - og1);
+        }
+        // Back-rotation into chip frame at full lane width (the double-angle
+        // form of cylindrical_to_cartesian, lane-wise).
+        const V s12 = stv * g12;
+        const V mean = 0.5 * (f11 + f22);
+        const V dev = 0.5 * (f11 - f22);
+        const V rot = dev * pa.c2b - s12 * pa.s2b;
+        const V o11 = mean + rot;
+        const V o22 = mean - rot;
+        const V o12 = dev * pa.s2b + s12 * pa.c2b;
+        if constexpr (kDirect) {
+          for (std::size_t w = 0; w < lanes; ++w) {
+            num::SymTensor2& o = out[idx_b[b + w]];
+            o.s11 += o11[w];
+            o.s22 += o22[w];
+            o.s12 += o12[w];
+          }
+        } else {
+          acc11 += o11;
+          acc22 += o22;
+          acc12 += o12;
+        }
       }
-      V oa1 = vzero, oa2 = vzero;
-      V oe1 = vzero, oe2 = vzero;
-      V og1 = vzero, og2 = vzero;
-      for (std::size_t q = no; q-- > 1;) {
-        const V ba = d11[ne + q] + two_y * oa1 - oa2;
-        const V be = d22[ne + q] + two_y * oe1 - oe2;
-        const V bg = d12[ne + q] + two_y * og1 - og2;
-        oa2 = oa1;
-        oa1 = ba;
-        oe2 = oe1;
-        oe1 = be;
-        og2 = og1;
-        og1 = bg;
-      }
-      V f11 = d11[0] + y * a1 - a2;
-      V f22 = d22[0] + y * e1 - e2;
-      V g12 = d12[0] + y * g1 - g2;
-      if (no > 0) {
-        f11 += x * ((d11[ne] + two_y * oa1 - oa2) - oa1);
-        f22 += x * ((d22[ne] + two_y * oe1 - oe2) - oe1);
-        g12 += x * ((d12[ne] + two_y * og1 - og2) - og1);
-      }
-      // Back-rotation into chip frame at full lane width (the double-angle
-      // form of cylindrical_to_cartesian, lane-wise), leaving only the
-      // indexed read-modify-write of `out` per lane.
-      V stv;
-      std::memcpy(&stv, sx_b + b, sizeof(stv));
-      const V s12 = stv * g12;
-      const V mean = 0.5 * (f11 + f22);
-      const V dev = 0.5 * (f11 - f22);
-      const V rot = dev * k.c2b - s12 * k.s2b;
-      const V o11 = mean + rot;
-      const V o22 = mean - rot;
-      const V o12 = dev * k.s2b + s12 * k.c2b;
-      for (std::size_t w = 0; w < kLanes && b + w < m; ++w) {
-        num::SymTensor2& o = out[idx_b[b + w]];
-        o.s11 += o11[w];
-        o.s22 += o22[w];
-        o.s12 += o12[w];
+      if constexpr (!kDirect) {
+        for (std::size_t w = 0; w < lanes; ++w) {
+          num::SymTensor2& o = out[idx_b[b + w]];
+          o.s11 = acc11[w];
+          o.s22 = acc22[w];
+          o.s12 = acc12[w];
+        }
       }
     }
   }
 }
 
-/// The pitch-axis contraction in one pass: the outer loop walks the
-/// coefficient block in register tiles, the inner loop runs over the pitch
-/// order with the tile's running sums held in registers, so each
-/// coefficient is read once and each result stored once (a plane-outer loop
-/// re-reads and re-stores the whole destination once per pitch term). Every
-/// element still sums src[q] + t[1] * plane_1[q] + ... in plane order, so
-/// the generic variant is bitwise the plane-order scalar loop; the FMA
-/// variants differ from it by fused rounding only. Forced inline into the
-/// ISA wrappers below, like kernel_body.
+template <class V>
+__attribute__((always_inline)) inline void eval_body(
+    const KernelArgs& k, const RunScratch& sc, const PairArgs* pairs,
+    std::size_t count, num::SymTensor2* out) {
+  if (count == 1)
+    eval_pass<V, true>(k, sc, pairs, 1, out);
+  else
+    eval_pass<V, false>(k, sc, pairs, count, out);
+}
+
+/// The pitch-axis contraction of `npitch` pitches in one pass: the outer
+/// loop walks the coefficient block in register tiles, the inner loop runs
+/// over the pitch order with every tile's running sums held in registers,
+/// and each loaded coefficient vector feeds up to kContractGroup pitches. So
+/// each coefficient is read once per group of pitches and each result
+/// stored once (a plane-outer loop re-reads and re-stores the whole
+/// destination once per pitch term). Every element still sums src[q] +
+/// t[1] * plane_1[q] + ... in plane order, so the result for one pitch is
+/// bitwise the same whatever group it is contracted in, and the generic
+/// variant is bitwise the plane-order scalar loop; the FMA variants differ
+/// from it by fused rounding only. Forced inline into the ISA wrappers
+/// below, like stage_body.
 template <class V>
 __attribute__((always_inline)) inline void contract_body(
-    const double* src, std::size_t block, const double* t, std::size_t order,
-    double* dst) {
+    const double* src, std::size_t block, const double* t,
+    std::size_t t_stride, std::size_t order, std::size_t npitch, double* dst,
+    std::size_t dst_stride) {
   constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
   // Eight accumulators per tile: 64 doubles on AVX-512, 32 on AVX2, with
-  // room left in the register file for the broadcast weight and the loads.
-  constexpr std::size_t kTile = 8;
-  const auto tile = [&](auto width, std::size_t q) {
-    constexpr std::size_t kW = width();
-    V acc[kW];
-    for (std::size_t i = 0; i < kW; ++i)
-      std::memcpy(&acc[i], src + q + i * kLanes, sizeof(V));
-    for (std::size_t a = 1; a < order; ++a) {
-      const double ta = t[a];
-      const double* plane = src + a * block + q;
+  // room left in the register file for the broadcast weights and the loads.
+  constexpr std::size_t kAcc = 8;
+  const auto group = [&](auto pitches, std::size_t p0) {
+    constexpr std::size_t kP = pitches();
+    const double* tp[kP];
+    double* dp[kP];
+    for (std::size_t p = 0; p < kP; ++p) {
+      tp[p] = t + (p0 + p) * t_stride;
+      dp[p] = dst + (p0 + p) * dst_stride;
+    }
+    const auto tile = [&](auto width, std::size_t q) {
+      constexpr std::size_t kW = width();
+      V acc[kP][kW];
       for (std::size_t i = 0; i < kW; ++i) {
-        V p;
-        std::memcpy(&p, plane + i * kLanes, sizeof(V));
-        acc[i] += ta * p;
+        V s;
+        std::memcpy(&s, src + q + i * kLanes, sizeof(V));
+        for (std::size_t p = 0; p < kP; ++p) acc[p][i] = s;
+      }
+      for (std::size_t a = 1; a < order; ++a) {
+        const double* plane = src + a * block + q;
+        V pv[kW];
+        for (std::size_t i = 0; i < kW; ++i)
+          std::memcpy(&pv[i], plane + i * kLanes, sizeof(V));
+        for (std::size_t p = 0; p < kP; ++p) {
+          const double ta = tp[p][a];
+          for (std::size_t i = 0; i < kW; ++i) acc[p][i] += ta * pv[i];
+        }
+      }
+      for (std::size_t p = 0; p < kP; ++p)
+        for (std::size_t i = 0; i < kW; ++i)
+          std::memcpy(dp[p] + q + i * kLanes, &acc[p][i], sizeof(V));
+    };
+    constexpr std::size_t kW = kAcc / kP;
+    std::size_t q = 0;
+    for (; q + kW * kLanes <= block; q += kW * kLanes)
+      tile(std::integral_constant<std::size_t, kW>{}, q);
+    for (; q + kLanes <= block; q += kLanes)
+      tile(std::integral_constant<std::size_t, 1>{}, q);
+    for (; q < block; ++q) {
+      for (std::size_t p = 0; p < kP; ++p) {
+        double acc = src[q];
+        for (std::size_t a = 1; a < order; ++a)
+          acc += tp[p][a] * src[a * block + q];
+        dp[p][q] = acc;
       }
     }
-    for (std::size_t i = 0; i < kW; ++i)
-      std::memcpy(dst + q + i * kLanes, &acc[i], sizeof(V));
   };
-  std::size_t q = 0;
-  for (; q + kTile * kLanes <= block; q += kTile * kLanes)
-    tile(std::integral_constant<std::size_t, kTile>{}, q);
-  for (; q + kLanes <= block; q += kLanes)
-    tile(std::integral_constant<std::size_t, 1>{}, q);
-  for (; q < block; ++q) {
-    double acc = src[q];
-    for (std::size_t a = 1; a < order; ++a) acc += t[a] * src[a * block + q];
-    dst[q] = acc;
+  static_assert(kContractGroup == 4, "the remainder switch below");
+  std::size_t p = 0;
+  for (; p + kContractGroup <= npitch; p += kContractGroup)
+    group(std::integral_constant<std::size_t, kContractGroup>{}, p);
+  switch (npitch - p) {
+    case 3:
+      group(std::integral_constant<std::size_t, 3>{}, p);
+      break;
+    case 2:
+      group(std::integral_constant<std::size_t, 2>{}, p);
+      break;
+    case 1:
+      group(std::integral_constant<std::size_t, 1>{}, p);
+      break;
+    default:
+      break;
   }
 }
 
-using KernelFn = void (*)(const KernelArgs&, const geo::Point*, std::size_t,
-                          num::SymTensor2*);
+using StageFn = void (*)(const KernelArgs&, const geo::Point*, std::size_t,
+                         RunScratch&);
+using EvalFn = void (*)(const KernelArgs&, const RunScratch&, const PairArgs*,
+                        std::size_t, num::SymTensor2*);
 
-void kernel_generic(const KernelArgs& k, const geo::Point* points,
-                    std::size_t n, num::SymTensor2* out) {
-  kernel_body<v4d>(k, points, n, out);
+void stage_generic(const KernelArgs& k, const geo::Point* points,
+                   std::size_t n, RunScratch& sc) {
+  stage_body<v4d>(k, points, n, sc);
+}
+
+void eval_generic(const KernelArgs& k, const RunScratch& sc,
+                  const PairArgs* pairs, std::size_t count,
+                  num::SymTensor2* out) {
+  eval_body<v4d>(k, sc, pairs, count, out);
 }
 
 #if defined(__x86_64__) && defined(__GNUC__)
 // The build intentionally carries no global -march flags (baseline x86-64
 // codegen keeps every committed kernel baseline bit-stable), so the FMA
 // throughput this kernel's budget assumes is opted into locally: the same
-// bodies (point kernel and pitch contraction) are compiled again for
+// bodies (staging, evaluation and pitch contraction) are compiled again for
 // AVX2+FMA (4 lanes) and AVX-512 (8 lanes) and selected once at runtime.
 // Results differ from the generic path only by fused-rounding regrouping;
 // the certificate is computed through this very dispatch, so the certified
 // bound always covers the code actually running on the host.
-__attribute__((target("avx2,fma"))) void kernel_avx2(const KernelArgs& k,
-                                                     const geo::Point* points,
-                                                     std::size_t n,
-                                                     num::SymTensor2* out) {
-  kernel_body<v4d>(k, points, n, out);
+#define TSV_AVX2 __attribute__((target("avx2,fma")))
+#define TSV_AVX512 \
+  __attribute__((target("avx512f,avx512dq,avx512vl,avx2,fma,popcnt")))
+
+TSV_AVX2 void stage_avx2(const KernelArgs& k, const geo::Point* points,
+                         std::size_t n, RunScratch& sc) {
+  stage_body<v4d>(k, points, n, sc);
 }
 
-__attribute__((target("avx512f,avx512dq,avx512vl,avx2,fma,popcnt"))) void
-kernel_avx512(const KernelArgs& k, const geo::Point* points, std::size_t n,
-              num::SymTensor2* out) {
-  kernel_body<v8d>(k, points, n, out);
+TSV_AVX2 void eval_avx2(const KernelArgs& k, const RunScratch& sc,
+                        const PairArgs* pairs, std::size_t count,
+                        num::SymTensor2* out) {
+  eval_body<v4d>(k, sc, pairs, count, out);
 }
 
-__attribute__((target("avx2,fma"))) void contract_avx2(
-    const double* src, std::size_t block, const double* t, std::size_t order,
-    double* dst) {
-  contract_body<v4d>(src, block, t, order, dst);
+TSV_AVX2 void contract_avx2(const double* src, std::size_t block,
+                            const double* t, std::size_t t_stride,
+                            std::size_t order, std::size_t npitch,
+                            double* dst, std::size_t dst_stride) {
+  contract_body<v4d>(src, block, t, t_stride, order, npitch, dst, dst_stride);
 }
 
-__attribute__((target("avx512f,avx512dq,avx512vl,avx2,fma,popcnt"))) void
-contract_avx512(const double* src, std::size_t block, const double* t,
-                std::size_t order, double* dst) {
-  contract_body<v8d>(src, block, t, order, dst);
+TSV_AVX512 void stage_avx512(const KernelArgs& k, const geo::Point* points,
+                             std::size_t n, RunScratch& sc) {
+  stage_body<v8d>(k, points, n, sc);
 }
+
+TSV_AVX512 void eval_avx512(const KernelArgs& k, const RunScratch& sc,
+                            const PairArgs* pairs, std::size_t count,
+                            num::SymTensor2* out) {
+  eval_body<v8d>(k, sc, pairs, count, out);
+}
+
+TSV_AVX512 void contract_avx512(const double* src, std::size_t block,
+                                const double* t, std::size_t t_stride,
+                                std::size_t order, std::size_t npitch,
+                                double* dst, std::size_t dst_stride) {
+  contract_body<v8d>(src, block, t, t_stride, order, npitch, dst, dst_stride);
+}
+
+#undef TSV_AVX2
+#undef TSV_AVX512
 #endif
 
-/// The point kernel and the pitch contraction are selected together, so
-/// both always run at the same ISA level.
+/// The staging, evaluation and contraction passes are selected together,
+/// so all of them always run at the same ISA level.
 struct Dispatch {
-  KernelFn kernel;
+  StageFn stage;
+  EvalFn eval;
   detail::PitchContractionFn contract;
 };
 
@@ -538,11 +675,11 @@ Dispatch select_dispatch() {
 #if defined(__x86_64__) && defined(__GNUC__)
   if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
       __builtin_cpu_supports("avx512vl"))
-    return {kernel_avx512, contract_avx512};
+    return {stage_avx512, eval_avx512, contract_avx512};
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-    return {kernel_avx2, contract_avx2};
+    return {stage_avx2, eval_avx2, contract_avx2};
 #endif
-  return {kernel_generic, detail::contract_pitch_generic};
+  return {stage_generic, eval_generic, detail::contract_pitches_generic};
 }
 
 const Dispatch& active_dispatch() {
@@ -550,13 +687,37 @@ const Dispatch& active_dispatch() {
   return dispatch;
 }
 
+/// Pair-frame rotation coefficients of (victim, aggressor), hoisted once
+/// per pair: no trig of beta anywhere.
+PairArgs pair_frame(const geo::Point& victim, const geo::Point& aggressor) {
+  const double ax = aggressor.x - victim.x;
+  const double ay = aggressor.y - victim.y;
+  const double d2 = ax * ax + ay * ay;
+  TSV_REQUIRE(d2 > 0.0, "coincident pair");
+  const double inv_d = 1.0 / std::sqrt(d2);
+  const double inv_d2 = 1.0 / d2;
+  PairArgs p;
+  p.cb = ax * inv_d;
+  p.sb = ay * inv_d;
+  p.c2b = (ax * ax - ay * ay) * inv_d2;
+  p.s2b = 2.0 * ax * ay * inv_d2;
+  return p;
+}
+
 }  // namespace
 
 namespace detail {
 
+void contract_pitches_generic(const double* src, std::size_t block,
+                              const double* t, std::size_t t_stride,
+                              std::size_t order, std::size_t npitch,
+                              double* dst, std::size_t dst_stride) {
+  contract_body<v4d>(src, block, t, t_stride, order, npitch, dst, dst_stride);
+}
+
 void contract_pitch_generic(const double* src, std::size_t block,
                             const double* t, std::size_t order, double* dst) {
-  contract_body<v4d>(src, block, t, order, dst);
+  contract_pitches_generic(src, block, t, 0, order, 1, dst, 0);
 }
 
 PitchContractionFn active_pitch_contraction() {
@@ -663,6 +824,16 @@ std::vector<double> PairSurrogate::radial_boundaries() const {
   return b;
 }
 
+void PairSurrogate::pitch_weights(double pitch, double* t) const {
+  double ph = (1.0 / pitch - pitch_q_mid_) * pitch_q_half_inv_;
+  if (ph > 1.0) ph = 1.0;
+  if (ph < -1.0) ph = -1.0;
+  t[0] = 1.0;
+  t[1] = ph;
+  for (std::size_t a = 2; a < pitch_order_; ++a)
+    t[a] = 2.0 * ph * t[a - 1] - t[a - 2];
+}
+
 const double* PairSurrogate::contracted_for_pitch(double pitch) const {
   ContractionMemo& memo = tls_contraction_memo();
   std::uint64_t bits = 0;
@@ -671,46 +842,24 @@ const double* PairSurrogate::contracted_for_pitch(double pitch) const {
   if (memo.id == id_ && memo.pitch_bits == bits && !memo.m.empty())
     return memo.m.data();
   memo.m.resize(segment_offsets_.back());
-  double ph = (1.0 / pitch - pitch_q_mid_) * pitch_q_half_inv_;
-  if (ph > 1.0) ph = 1.0;
-  if (ph < -1.0) ph = -1.0;
   double t[kMaxOrder];
-  t[0] = 1.0;
-  t[1] = ph;
-  for (std::size_t a = 2; a < pitch_order_; ++a)
-    t[a] = 2.0 * ph * t[a - 1] - t[a - 2];
+  pitch_weights(pitch, t);
   const detail::PitchContractionFn contract = active_dispatch().contract;
   for (std::size_t s = 0; s < segments_.size(); ++s) {
     const Segment& seg = segments_[s];
-    contract(seg.coeffs.data(), 3 * seg.nr * seg.nx, t, pitch_order_,
-             memo.m.data() + segment_offsets_[s]);
+    contract(seg.coeffs.data(), 3 * seg.nr * seg.nx, t, 0, pitch_order_, 1,
+             memo.m.data() + segment_offsets_[s], 0);
   }
   memo.id = id_;
   memo.pitch_bits = bits;
   return memo.m.data();
 }
 
-void PairSurrogate::accumulate(const geo::Point& victim,
-                               const geo::Point& aggressor,
-                               const geo::Point* points, std::size_t n,
-                               num::SymTensor2* out) const {
-  const double ax = aggressor.x - victim.x;
-  const double ay = aggressor.y - victim.y;
-  const double d2 = ax * ax + ay * ay;
-  TSV_REQUIRE(d2 > 0.0, "coincident pair");
-  // Pair-frame rotation coefficients hoisted once per pair: no trig of
-  // beta anywhere.
-  const double inv_d = 1.0 / std::sqrt(d2);
-  const double inv_d2 = 1.0 / d2;
-  KernelArgs k;
-  k.cb = ax * inv_d;
-  k.sb = ay * inv_d;
-  k.c2b = (ax * ax - ay * ay) * inv_d2;
-  k.s2b = 2.0 * ax * ay * inv_d2;
-  k.vx = victim.x;
-  k.vy = victim.y;
-  k.r_max2 = r_max_ * r_max_;
-  k.contracted = contracted_for_pitch(geo::distance(victim, aggressor));
+void PairSurrogate::accumulate_run(const geo::Point& victim,
+                                   const geo::Point* aggressors,
+                                   std::size_t count, const geo::Point* points,
+                                   std::size_t n, num::SymTensor2* out) const {
+  if (count == 0) return;
   SegView views[kMaxSegments];
   const std::size_t nseg = segments_.size();
   for (std::size_t i = 0; i < nseg; ++i) {
@@ -726,23 +875,54 @@ void PairSurrogate::accumulate(const geo::Point& victim,
   // Sentinel: sqrt rounding can land r exactly on r_max even when
   // r2 < r_max^2; the open-ended last view keeps the select walk in range.
   views[nseg - 1].r1 = std::numeric_limits<double>::infinity();
+  KernelArgs k;
   k.segs = views;
   k.nseg = nseg;
-  active_dispatch().kernel(k, points, n, out);
+  k.r_max2 = r_max_ * r_max_;
+  k.vx = victim.x;
+  k.vy = victim.y;
+  const Dispatch& d = active_dispatch();
+  RunScratch& sc = tls_run_scratch();
+  d.stage(k, points, n, sc);
+
+  PairArgs pairs[kRunBlock];
+  if (count == 1) {
+    // A single pair keeps the per-thread memo, so a reverse round or a
+    // regular array still skips its contraction.
+    pairs[0] = pair_frame(victim, aggressors[0]);
+    pairs[0].contracted =
+        contracted_for_pitch(geo::distance(victim, aggressors[0]));
+    d.eval(k, sc, pairs, 1, out);
+    return;
+  }
+  // Longer runs go in blocks of at most kRunBlock aggressors: contract the
+  // block's pitches together, then evaluate the block over the staged disc.
+  const std::size_t stride = segment_offsets_.back();
+  sc.contracted.resize(kRunBlock * stride);
+  double t[kRunBlock * kMaxOrder];
+  for (std::size_t b = 0; b < count; b += kRunBlock) {
+    const std::size_t m = std::min(kRunBlock, count - b);
+    for (std::size_t j = 0; j < m; ++j) {
+      pairs[j] = pair_frame(victim, aggressors[b + j]);
+      pairs[j].contracted = sc.contracted.data() + j * stride;
+      pitch_weights(geo::distance(victim, aggressors[b + j]),
+                    t + j * kMaxOrder);
+    }
+    for (std::size_t s = 0; s < nseg; ++s) {
+      const Segment& seg = segments_[s];
+      d.contract(seg.coeffs.data(), 3 * seg.nr * seg.nx, t, kMaxOrder,
+                 pitch_order_, m, sc.contracted.data() + segment_offsets_[s],
+                 stride);
+    }
+    d.eval(k, sc, pairs, m, out);
+  }
 }
 
-bool PairSurrogate::try_accumulate(const geo::Point& victim,
-                                   const geo::Point& aggressor,
-                                   const geo::Point* points, std::size_t n,
-                                   num::SymTensor2* out) const {
-  const double pitch = geo::distance(victim, aggressor);
-  if (!covers(pitch)) {
-    counters_->fallback_pairs.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  counters_->surrogate_pairs.fetch_add(1, std::memory_order_relaxed);
-  accumulate(victim, aggressor, points, n, out);
-  return true;
+void PairSurrogate::accumulate(const geo::Point& victim,
+                               const geo::Point& aggressor,
+                               const geo::Point* points, std::size_t n,
+                               num::SymTensor2* out) const {
+  accumulate_run(victim, &aggressor, 1, points, n, out);
 }
 
 num::SymTensor2 PairSurrogate::stress_at(const geo::Point& victim,
@@ -751,6 +931,16 @@ num::SymTensor2 PairSurrogate::stress_at(const geo::Point& victim,
   num::SymTensor2 t;
   accumulate(victim, aggressor, &p, 1, &t);
   return t;
+}
+
+void PairSurrogate::record_use(std::uint64_t surrogate_pairs,
+                               std::uint64_t fallback_pairs) const {
+  if (surrogate_pairs != 0)
+    counters_->surrogate_pairs.fetch_add(surrogate_pairs,
+                                         std::memory_order_relaxed);
+  if (fallback_pairs != 0)
+    counters_->fallback_pairs.fetch_add(fallback_pairs,
+                                        std::memory_order_relaxed);
 }
 
 SurrogateUseStats PairSurrogate::use_stats() const {

@@ -19,19 +19,23 @@
 //   * pitch is a third Chebyshev axis, expanded in q = 1/pitch (the
 //     interaction strength is Laurent in the pair distance, so convergence
 //     at the small-pitch end — where the field is steepest — improves by
-//     orders of magnitude over expanding in pitch directly); a per-pair
-//     contraction over it turns the 3-D coefficient tensor into small
-//     per-segment matrices once per pair (memoized per thread), leaving the
-//     per-point cost at one sqrt, one divide, and a few dozen fused
+//     orders of magnitude over expanding in pitch directly); contracting
+//     it turns the 3-D coefficient tensor into small per-segment matrices
+//     per pair, leaving the per-point cost at a few dozen fused
 //     multiply-adds, evaluated in lane-parallel SoA blocks bucketed by
 //     radial segment (numeric/kernels style).
 //
-// Cost of the default fit on a 4-core AVX-512 Xeon (bench_micro_kernels'
-// stage2_surrogate rows): ~20 ns per point, plus one pitch contraction of
-// ~5 us per pair (38k coefficients, 305 KB, each read once) whenever the
-// pair's pitch differs from the calling thread's previous pair. A victim's
-// 25 um reach holds ~500 points at 2 um sampling, so a pair costs ~15 us,
-// about a third of it the contraction.
+// Stage II evaluates a victim's pairs as one run (accumulate_run): the
+// victim's disc is staged once (one sqrt, one divide and the segment
+// bucket per point), the run's pitches are contracted together, up to four
+// per pass over the 305 KB coefficient tensor, and each point's sum over
+// the run meets the output once per block of up to 8 aggressors. A
+// single-pair call (accumulate, stress_at, IncrementalEngine's edits) is
+// the run of one; only it uses the per-thread contraction memo, which
+// serves a reverse round or a regular array from the previous pair's
+// pitch. bench_micro_kernels' stage2_surrogate rows time the batch kernel,
+// a single pair and a 9-aggressor run, all with fresh pitches where it
+// matters; EXPERIMENTS.md records the numbers.
 //
 // Certification is first-class: fitting ends with a dense adversarial
 // comparison against the exact series (Chebyshev-offset nodes, random
@@ -121,7 +125,7 @@ struct SurrogateCertificate {
 /// surrogate (InteractiveStressModel::surrogate_for gates on it).
 inline constexpr double kSurrogateTolerance = 1e-6;
 
-/// Counters of the pitch-domain gate (see try_accumulate).
+/// Counters of the pitch-domain gate (InteractiveStressModel::accumulate_run).
 struct SurrogateUseStats {
   std::uint64_t surrogate_pairs = 0;  ///< pairs evaluated by the surrogate
   std::uint64_t fallback_pairs = 0;   ///< pairs declined (pitch out of domain)
@@ -183,23 +187,23 @@ class PairSurrogate {
   std::vector<double> radial_boundaries() const;
 
   /// True when `pitch` lies in the fitted (inclusive) pitch domain — the
-  /// gate try_accumulate applies.
+  /// gate InteractiveStressModel::accumulate_run applies per pair.
   bool covers(double pitch) const {
     return pitch >= pitch_min_ && pitch <= pitch_max_;
   }
 
-  /// Batch fast path: if the pair's pitch is covered, adds the pair's
-  /// interactive stress at each of points[0..n) into out[i] and returns
-  /// true; otherwise leaves `out` untouched and returns false so the caller
-  /// falls back to the exact series. Either way the matching use counter is
-  /// bumped. Points at r >= r_max() contribute zero. Thread-safe; bitwise
-  /// deterministic for a fixed (pair, points) regardless of thread count or
-  /// call order.
-  bool try_accumulate(const geo::Point& victim, const geo::Point& aggressor,
-                      const geo::Point* points, std::size_t n,
-                      num::SymTensor2* out) const;
+  /// The run kernel: adds the interactive stress of every ordered pair
+  /// (victim, aggressors[k]), k < count, at each of points[0..n) into
+  /// out[i], bitwise the same as calling accumulate for each aggressor in
+  /// order. Requires covers(distance(victim, aggressors[k])) for every k;
+  /// counts nothing (the caller records its run with record_use). Points at
+  /// r >= r_max() contribute zero. Thread-safe; bitwise deterministic for a
+  /// fixed (run, points) regardless of thread count or call order.
+  void accumulate_run(const geo::Point& victim, const geo::Point* aggressors,
+                      std::size_t count, const geo::Point* points,
+                      std::size_t n, num::SymTensor2* out) const;
 
-  /// Unconditional batch kernel; requires covers(distance(victim,
+  /// The run of one aggressor; requires covers(distance(victim,
   /// aggressor)). The pair-frame rotation is hoisted per pair; per point
   /// the kernel is trig-free.
   void accumulate(const geo::Point& victim, const geo::Point& aggressor,
@@ -212,7 +216,12 @@ class PairSurrogate {
                             const geo::Point& aggressor,
                             const geo::Point& p) const;
 
-  /// Cumulative try_accumulate outcome counters (thread-safe, relaxed).
+  /// Adds one run's gate outcome to the use counters (thread-safe,
+  /// relaxed): pairs evaluated here and pairs sent to the exact series.
+  void record_use(std::uint64_t surrogate_pairs,
+                  std::uint64_t fallback_pairs) const;
+
+  /// Cumulative use counters (thread-safe, relaxed).
   SurrogateUseStats use_stats() const;
   void reset_use_stats() const;
 
@@ -241,10 +250,14 @@ class PairSurrogate {
   /// maps. Throws via TSV_REQUIRE on inconsistency.
   void finalize();
 
+  /// Chebyshev weights T_a(q_hat) of the pitch axis, a < pitch_order_.
+  void pitch_weights(double pitch, double* t) const;
+
   /// Contracts the pitch axis for `pitch` into the calling thread's memo
   /// (per-segment [component][radial][angular] matrices) and returns the
-  /// flat matrix storage. Pure function of (surrogate identity, pitch), so
-  /// per-thread recomputation is bitwise identical across thread counts.
+  /// flat matrix storage; the single-pair path of accumulate_run. Pure
+  /// function of (surrogate identity, pitch), so per-thread recomputation
+  /// is bitwise identical across thread counts.
   const double* contracted_for_pitch(double pitch) const;
 
   double pitch_min_ = 0.0;
@@ -264,20 +277,30 @@ class PairSurrogate {
 
 namespace detail {
 
-/// The pitch-axis contraction behind PairSurrogate::accumulate, over one
-/// segment's [pitch][block] coefficients: dst[q] = src[q] + t[1] *
-/// src[block + q] + ... + t[order - 1] * src[(order - 1) * block + q],
-/// summed in that plane order for every q.
+/// The pitch-axis contraction behind PairSurrogate::accumulate_run, over
+/// one segment's [pitch][block] coefficients, for `npitch` pitches at once:
+/// with weights w = t + p * t_stride and d = dst + p * dst_stride for pitch
+/// p, d[q] = src[q] + w[1] * src[block + q] + ... + w[order - 1] *
+/// src[(order - 1) * block + q], summed in that plane order for every q.
+/// Each pitch's result is bitwise independent of npitch and of the other
+/// pitches.
 using PitchContractionFn = void (*)(const double* src, std::size_t block,
-                                    const double* t, std::size_t order,
-                                    double* dst);
+                                    const double* t, std::size_t t_stride,
+                                    std::size_t order, std::size_t npitch,
+                                    double* dst, std::size_t dst_stride);
 
-/// Baseline-ISA variant: bitwise the plane-order scalar loop.
+/// Baseline-ISA variant: per pitch, bitwise the plane-order scalar loop.
+void contract_pitches_generic(const double* src, std::size_t block,
+                              const double* t, std::size_t t_stride,
+                              std::size_t order, std::size_t npitch,
+                              double* dst, std::size_t dst_stride);
+
+/// contract_pitches_generic for one pitch.
 void contract_pitch_generic(const double* src, std::size_t block,
                             const double* t, std::size_t order, double* dst);
 
 /// The variant selected for this host, together with the point kernel (the
-/// one accumulate and the certificate run).
+/// one accumulate_run and the certificate run).
 PitchContractionFn active_pitch_contraction();
 
 }  // namespace detail

@@ -181,11 +181,12 @@ void IncrementalEngine::apply_pair(const ana::PairSurrogate* surrogate,
                                    const geo::Point& victim,
                                    const geo::Point& aggressor, double sign,
                                    ApplyStats& stats) {
-  // The very same per-pair call InteractiveStage::evaluate_pairs makes, so
-  // the incremental sum is built from the contributions a full evaluation
-  // would accumulate. Pairs come in (u, v), (v, u) rounds here rather than
-  // victim runs, so each pair gathers its own disc; the reverse round has
-  // the same pitch and reuses the surrogate's contraction memo.
+  // A run of one: its contributions are bitwise the ones the run kernel
+  // adds in a full evaluation (InteractiveStage::evaluate_pairs), so the
+  // incremental sum is built from the same values. Pairs come in (u, v),
+  // (v, u) rounds here rather than victim runs, so each pair gathers its
+  // own disc; the reverse round has the same pitch and reuses the
+  // surrogate's contraction memo.
   gather_disc(victim, options_.stage2.influence_radius);
   model_->accumulate_pair(surrogate, victim, aggressor, disc_pts_.data(),
                           disc_pts_.size(), disc_contrib_.data());

@@ -180,10 +180,10 @@ class IncrementalEngine {
   void apply_stage1(const geo::Point& c, double sign, ApplyStats& stats);
 
   /// Adds or subtracts one ordered pair's Stage-II contribution over the
-  /// victim's influence disc through the same
-  /// InteractiveStressModel::accumulate_pair call as
-  /// InteractiveStage::evaluate_pairs. `surrogate` is the model's
-  /// surrogate_for gate, resolved once per apply().
+  /// victim's influence disc through InteractiveStressModel::accumulate_pair
+  /// (the run of one), whose contributions are bitwise those of the run
+  /// kernel InteractiveStage::evaluate_pairs uses. `surrogate` is the
+  /// model's surrogate_for gate, resolved once per apply().
   void apply_pair(const ana::PairSurrogate* surrogate,
                   const geo::Point& victim, const geo::Point& aggressor,
                   double sign, ApplyStats& stats);

@@ -166,26 +166,31 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_pairs(
     const geo::GridIndex& point_index) const {
   const auto& centers = placement_.centers();
   // The certificate/coverage gate is resolved once per evaluate; the
-  // per-pair pitch gate lives in accumulate_pair.
+  // per-pair pitch gate lives in accumulate_run.
   const std::shared_ptr<const ana::PairSurrogate> surrogate =
       model_->surrogate_for(options_.influence_radius);
   // Pair-parallel: every chunk of pairs accumulates into its own private
-  // buffer (writing `out[n] +=` across chunks would race), and the partial
-  // fields merge in chunk index order afterwards. With num_threads == 1
-  // this degenerates to the exact serial pair loop.
-  return num::parallel_reduce<std::vector<num::SymTensor2>>(
+  // buffer (writing `out[n] +=` across chunks would race). With one chunk
+  // (num_threads == 1, or a call from inside a pool worker) this is the
+  // exact serial pair loop.
+  const std::size_t max_chunks = std::max<std::size_t>(
+      1, std::min(num::resolve_thread_count(options_.num_threads),
+                  pairs.size()));
+  std::vector<std::vector<num::SymTensor2>> parts(max_chunks);
+  num::parallel_for_chunks(
       pairs.size(), options_.num_threads,
-      [&] { return std::vector<num::SymTensor2>(points.size()); },
-      [&](std::vector<num::SymTensor2>& out, std::size_t begin,
-          std::size_t end) {
+      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
+        std::vector<num::SymTensor2>& out = parts[chunk];
+        out.assign(points.size(), num::SymTensor2{});
         // Chunk-local gather/scatter buffers keep their steady-state
         // capacity across victims.
         std::vector<std::uint32_t> affected;
         std::vector<geo::Point> gathered;
+        std::vector<geo::Point> aggressors;
         std::vector<num::SymTensor2> contrib;
         // Every aggressor of a victim reads the same disc, so a run of
-        // consecutive pairs with one victim shares a single query, gather
-        // and scatter; each pair adds into the run's contrib buffer.
+        // consecutive pairs with one victim shares a single query, gather,
+        // accumulate_run and scatter.
         for (std::size_t k = begin; k < end;) {
           const std::uint32_t v = pairs[k].first;
           const geo::Point& victim = centers[v];
@@ -195,18 +200,34 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_pairs(
           gathered.resize(m);
           for (std::size_t j = 0; j < m; ++j)
             gathered[j] = points[affected[j]];
-          contrib.assign(m, num::SymTensor2{});
+          aggressors.clear();
           for (; k < end && pairs[k].first == v; ++k)
-            model_->accumulate_pair(surrogate.get(), victim,
-                                    centers[pairs[k].second], gathered.data(),
-                                    m, contrib.data());
+            aggressors.push_back(centers[pairs[k].second]);
+          contrib.assign(m, num::SymTensor2{});
+          model_->accumulate_run(surrogate.get(), victim, aggressors.data(),
+                                 aggressors.size(), gathered.data(), m,
+                                 contrib.data());
           for (std::size_t j = 0; j < m; ++j) out[affected[j]] += contrib[j];
         }
-      },
-      [](std::vector<num::SymTensor2>& total,
-         const std::vector<num::SymTensor2>& part) {
-        for (std::size_t n = 0; n < total.size(); ++n) total[n] += part[n];
       });
+  // Merge the chunk partials point-parallel. Each point still sums its
+  // partials in chunk index order, so the result does not depend on how the
+  // points are split.
+  std::size_t used = 0;
+  while (used < parts.size() && !parts[used].empty()) ++used;
+  if (used == 0) return std::vector<num::SymTensor2>(points.size());
+  std::vector<num::SymTensor2> total = std::move(parts[0]);
+  if (used > 1) {
+    num::parallel_for_chunks(
+        total.size(), options_.num_threads,
+        [&](std::size_t begin, std::size_t end, std::size_t) {
+          for (std::size_t c = 1; c < used; ++c) {
+            const std::vector<num::SymTensor2>& part = parts[c];
+            for (std::size_t n = begin; n < end; ++n) total[n] += part[n];
+          }
+        });
+  }
+  return total;
 }
 
 }  // namespace tsv::core

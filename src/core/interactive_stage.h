@@ -7,11 +7,12 @@
 // (both 25 um in the paper). Each unordered pair is processed in two rounds
 // with the roles exchanged, exactly as in Sec. 4.
 //
-// The batched evaluate takes each pair through
-// InteractiveStressModel::accumulate_pair: the model's certified surrogate
+// The batched evaluate hands each run of same-victim pairs to
+// InteractiveStressModel::accumulate_run: the model's certified surrogate
 // when one is attached, the exact series otherwise (and for every pitch
-// outside the surrogate's domain). Pairs sharing a victim read the same
-// disc of points, so it gathers that disc once per run of same-victim pairs.
+// outside the surrogate's domain). The pairs of a run read the same disc of
+// points, so the disc is gathered once per run and the surrogate stages it
+// once per run.
 // stress_at always uses the exact series, so it can differ from evaluate()
 // by up to the surrogate's certified bound.
 
@@ -34,7 +35,8 @@ struct InteractiveOptions {
   /// accumulates into a private output buffer and the partials merge in
   /// chunk index order, so results are deterministic for a fixed thread
   /// count but can differ from the serial sum by floating-point regrouping
-  /// (<= ~1e-12 relative; the determinism tests pin this down).
+  /// (<= ~1e-12 relative; the determinism tests pin this down). The merge
+  /// itself runs point-parallel on the same workers.
   std::size_t num_threads = 1;
 };
 
@@ -92,11 +94,14 @@ class InteractiveStage {
  private:
   /// The batched pair loop behind every evaluate. Each run of consecutive
   /// pairs with the same victim queries the victim's influence disc once,
-  /// gathers its points once, adds every aggressor's accumulate_pair into
-  /// one zeroed buffer and scatters that buffer into the output once. Any
-  /// pair order is correct: a list that is not victim-major just forms
-  /// shorter runs, and differs from the sorted one by summation regrouping
-  /// only. Runs never cross a thread chunk (see InteractiveOptions).
+  /// gathers its points once, evaluates all its aggressors with one
+  /// InteractiveStressModel::accumulate_run into a zeroed buffer (bitwise
+  /// the per-pair accumulate_pair sequence) and scatters that buffer into
+  /// the chunk's output once. Any pair order is correct: a list that is not
+  /// victim-major just forms shorter runs, and differs from the sorted one
+  /// by summation regrouping only. Runs never cross a thread chunk; the
+  /// chunk partials merge point-parallel, each point in chunk index order
+  /// (see InteractiveOptions).
   std::vector<num::SymTensor2> evaluate_pairs(
       const std::vector<geo::Point>& points,
       const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs,

@@ -7,6 +7,7 @@
 #include <random>
 
 #include "analytic/surrogate.h"
+#include "numeric/parallel.h"
 #include "tsv/generators.h"
 
 namespace tsv::core {
@@ -232,20 +233,26 @@ TEST(InteractiveStage, MutatedPointBufferOfEqualLengthRebuildsTheIndex) {
     EXPECT_EQ(back[i].s11, first[i].s11) << i;
 }
 
-// The batched evaluate shares one gather and scatter among consecutive
-// pairs with the same victim. A caller's pair list in any order must give
-// the victim-sorted result up to summation regrouping; a shuffled list only
-// forms shorter runs. The design mixes pitches below the surrogate's 8 um
-// domain into the rows, so runs interleave surrogate and series pairs.
-TEST(InteractiveStage, VictimBatchingIsOrderIndependent) {
-  // 14 um grid plus a TSV midway along each row: 7 um pitch to both row
-  // neighbours, the rest of the pairs at 14-25 um.
+/// 14 um grid plus a TSV midway along the outer rows: 7 um pitch (below the
+/// surrogate's 8 um domain) to both row neighbours, the rest of the pairs
+/// at 14-25 um.
+std::vector<geo::Point> mixed_pitch_centers() {
   std::vector<geo::Point> centers;
   for (int i = 0; i < 4; ++i)
     for (int j = 0; j < 3; ++j) {
       centers.push_back({14.0 * i, 14.0 * j});
       if (i < 3 && j != 1) centers.push_back({14.0 * i + 7.0, 14.0 * j});
     }
+  return centers;
+}
+
+// The batched evaluate shares one gather and scatter among consecutive
+// pairs with the same victim. A caller's pair list in any order must give
+// the victim-sorted result up to summation regrouping; a shuffled list only
+// forms shorter runs. The design mixes pitches below the surrogate's 8 um
+// domain into the rows, so runs interleave surrogate and series pairs.
+TEST(InteractiveStage, VictimBatchingIsOrderIndependent) {
+  const std::vector<geo::Point> centers = mixed_pitch_centers();
   const tsvlib::Placement design(kS, centers);
   const auto model = std::make_shared<const ana::InteractiveStressModel>(
       kS, mat::ThermalLoad{});
@@ -299,6 +306,118 @@ TEST(InteractiveStage, VictimBatchingIsOrderIndependent) {
       EXPECT_EQ(first[i].s22, second[i].s22) << i;
       EXPECT_EQ(first[i].s12, second[i].s12) << i;
       EXPECT_NEAR(first[i].s11, want[i].s11, 1e-12 * scale) << i;
+    }
+  }
+}
+
+// InteractiveStressModel::accumulate_run sends each covered stretch of a
+// victim's aggressors to the surrogate run kernel and each out-of-domain
+// aggressor to the exact series, in aggressor order. The result must be
+// the bits of the accumulate_pair sequence into a zeroed buffer, and the
+// run must be counted exactly once per pair.
+TEST(InteractiveStage, MixedRunIsBitwiseThePairSequence) {
+  const auto model = std::make_shared<const ana::InteractiveStressModel>(
+      kS, mat::ThermalLoad{});
+  const auto surrogate = std::make_shared<const ana::PairSurrogate>(
+      ana::PairSurrogate::fit(*model));
+  const geo::Point v{1.5, -2.0};
+  // Sub-domain (7 um) aggressors at the start, in the middle (two in a
+  // row), and at the end, around a covered stretch longer than one
+  // 8-aggressor block.
+  std::vector<double> pitches = {7.0, 9.5, 12.25, 7.0, 7.0, 8.0, 25.0};
+  for (int i = 0; i < 10; ++i) pitches.push_back(10.0 + 1.4 * i);
+  pitches.push_back(7.0);
+  std::vector<geo::Point> aggressors;
+  for (std::size_t i = 0; i < pitches.size(); ++i) {
+    const double phi = 0.61 * static_cast<double>(i);
+    aggressors.push_back(
+        {v.x + pitches[i] * std::cos(phi), v.y + pitches[i] * std::sin(phi)});
+  }
+  std::uint64_t sub_domain = 0;
+  for (const geo::Point& a : aggressors)
+    if (!surrogate->covers(geo::distance(v, a))) ++sub_domain;
+  ASSERT_EQ(sub_domain, 4u);
+  std::vector<geo::Point> pts = {v};
+  for (double x = -26; x <= 26; x += 1.7)
+    for (double y = -26; y <= 26; y += 2.1)
+      pts.push_back({v.x + x, v.y + y});
+
+  std::vector<num::SymTensor2> want(pts.size());
+  for (const geo::Point& a : aggressors)
+    model->accumulate_pair(surrogate.get(), v, a, pts.data(), pts.size(),
+                           want.data());
+  surrogate->reset_use_stats();
+  std::vector<num::SymTensor2> got(pts.size());
+  model->accumulate_run(surrogate.get(), v, aggressors.data(),
+                        aggressors.size(), pts.data(), pts.size(), got.data());
+  EXPECT_EQ(surrogate->use_stats().fallback_pairs, sub_domain);
+  EXPECT_EQ(surrogate->use_stats().surrogate_pairs,
+            aggressors.size() - sub_domain);
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    EXPECT_EQ(got[i].s11, want[i].s11) << i;
+    EXPECT_EQ(got[i].s22, want[i].s22) << i;
+    EXPECT_EQ(got[i].s12, want[i].s12) << i;
+  }
+}
+
+// The batched evaluate against a reference loop that spells out its
+// contract one pair at a time: the pairs split into the same static chunks,
+// every victim run of a chunk sums its pairs' accumulate_pair contributions
+// per point (in pair order, from zero) and adds the sum to the chunk's
+// partial field, and the partials add up in chunk order. The run kernel,
+// the gathers and the point-parallel merge must reproduce those bits at 1
+// and 4 threads, surrogate and series pairs alike.
+TEST(InteractiveStage, EvaluateIsBitwiseAPerPairReferenceLoop) {
+  const std::vector<geo::Point> centers = mixed_pitch_centers();
+  const tsvlib::Placement design(kS, centers);
+  const auto model = std::make_shared<const ana::InteractiveStressModel>(
+      kS, mat::ThermalLoad{});
+  const auto surrogate = std::make_shared<const ana::PairSurrogate>(
+      ana::PairSurrogate::fit(*model));
+  model->attach_surrogate(surrogate);
+  std::vector<geo::Point> pts;
+  for (double x = -6; x <= 48; x += 1.9)
+    for (double y = -6; y <= 34; y += 2.3) pts.push_back({x, y});
+
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    InteractiveOptions opt;
+    opt.num_threads = threads;
+    const InteractiveStage stage(design, model, opt);
+    const auto got = stage.evaluate(pts);
+
+    const auto pairs = stage.ordered_pairs();
+    const double r2 = opt.influence_radius * opt.influence_radius;
+    const std::size_t chunks = std::min<std::size_t>(threads, pairs.size());
+    std::vector<num::SymTensor2> want(pts.size());
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const auto [begin, end] = num::chunk_bounds(pairs.size(), chunks, c);
+      std::vector<num::SymTensor2> part(pts.size());
+      for (std::size_t k = begin; k < end;) {
+        const geo::Point& victim = centers[pairs[k].first];
+        std::vector<num::SymTensor2> run(pts.size());
+        std::size_t e = k;
+        for (; e < end && pairs[e].first == pairs[k].first; ++e)
+          for (std::size_t i = 0; i < pts.size(); ++i)
+            if (geo::distance_squared(pts[i], victim) <= r2)
+              model->accumulate_pair(surrogate.get(), victim,
+                                     centers[pairs[e].second], &pts[i], 1,
+                                     &run[i]);
+        for (std::size_t i = 0; i < pts.size(); ++i)
+          if (geo::distance_squared(pts[i], victim) <= r2) part[i] += run[i];
+        k = e;
+      }
+      if (c == 0) {
+        want = part;
+      } else {
+        for (std::size_t i = 0; i < pts.size(); ++i) want[i] += part[i];
+      }
+    }
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      EXPECT_EQ(got[i].s11, want[i].s11) << i;
+      EXPECT_EQ(got[i].s22, want[i].s22) << i;
+      EXPECT_EQ(got[i].s12, want[i].s12) << i;
     }
   }
 }

@@ -10,8 +10,11 @@
 //   - the scalar path is bitwise the batch kernel, and concurrent batch
 //     evaluations from many threads are bitwise the serial ones;
 //   - the pitch contraction's generic variant is bitwise the plane-order
-//     loop, and whether the per-thread memo is cold or warm never changes
-//     a result;
+//     loop, contracting several pitches at once is bitwise contracting
+//     each alone, and whether the per-thread memo is cold or warm never
+//     changes a result;
+//   - the run kernel (accumulate_run) is bitwise the per-pair sequence for
+//     every run length;
 //   - out-of-domain pitches provably fall back to the exact series
 //     (counter-tracked), and points beyond the fitted radius contribute
 //     exactly zero;
@@ -290,7 +293,7 @@ TEST(Surrogate, GenericContractionIsBitwiseThePlaneOrderLoop) {
           want[q] += t[a] * src[a * width + q];
       std::vector<double> got(width), fused(width);
       detail::contract_pitch_generic(src, width, t, order, got.data());
-      host(src, width, t, order, fused.data());
+      host(src, width, t, 0, order, 1, fused.data(), 0);
       for (std::size_t q = 0; q < width; ++q) {
         EXPECT_EQ(got[q], want[q]) << "block " << b << " q " << q;
         double mag = 0.0;
@@ -300,6 +303,119 @@ TEST(Surrogate, GenericContractionIsBitwiseThePlaneOrderLoop) {
             << "block " << b << " q " << q;
       }
     }
+  }
+}
+
+TEST(Surrogate, MultiPitchContractionIsBitwiseThePerPitchContraction) {
+  // The run kernel contracts a block's pitches together, four to each
+  // loaded coefficient vector. Every pitch must get the bits of its own
+  // one-pitch contraction, for 1-9 pitches (every group remainder, and
+  // more than one block's worth), on the generic variant and on the host's
+  // FMA variant alike.
+  const PairSurrogate::Data data = fitted().to_data();
+  std::mt19937_64 rng(97);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::vector<std::vector<double>> blocks;
+  std::vector<std::size_t> widths;
+  for (const PairSurrogate::Data::Segment& s : data.segments) {
+    blocks.push_back(s.coeffs);
+    widths.push_back(3 * s.nr * s.nx);
+  }
+  for (const std::size_t width : {1u, 5u, 13u, 67u}) {
+    std::vector<double> coeffs(data.pitch_order * width);
+    for (double& c : coeffs) c = unit(rng);
+    blocks.push_back(std::move(coeffs));
+    widths.push_back(width);
+  }
+  const std::size_t order = data.pitch_order;
+  constexpr std::size_t kStride = 64;
+  const detail::PitchContractionFn host = detail::active_pitch_contraction();
+  for (std::size_t npitch = 1; npitch <= 9; ++npitch) {
+    SCOPED_TRACE(npitch);
+    std::vector<double> t(npitch * kStride);
+    for (std::size_t p = 0; p < npitch; ++p) {
+      double* w = t.data() + p * kStride;
+      const double ph = p == 0 ? 1.0 : unit(rng);
+      w[0] = 1.0;
+      w[1] = ph;
+      for (std::size_t a = 2; a < order; ++a)
+        w[a] = 2.0 * ph * w[a - 1] - w[a - 2];
+    }
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      const std::size_t width = widths[b];
+      const double* src = blocks[b].data();
+      std::vector<double> got(npitch * width), fused(npitch * width);
+      detail::contract_pitches_generic(src, width, t.data(), kStride, order,
+                                       npitch, got.data(), width);
+      host(src, width, t.data(), kStride, order, npitch, fused.data(), width);
+      for (std::size_t p = 0; p < npitch; ++p) {
+        std::vector<double> want(width), want_fused(width);
+        detail::contract_pitch_generic(src, width, t.data() + p * kStride,
+                                       order, want.data());
+        host(src, width, t.data() + p * kStride, 0, order, 1,
+             want_fused.data(), 0);
+        for (std::size_t q = 0; q < width; ++q) {
+          EXPECT_EQ(got[p * width + q], want[q])
+              << "block " << b << " pitch " << p << " q " << q;
+          EXPECT_EQ(fused[p * width + q], want_fused[q])
+              << "block " << b << " pitch " << p << " q " << q;
+        }
+      }
+    }
+  }
+}
+
+TEST(Surrogate, RunKernelIsBitwiseTheSequentialPairs) {
+  // accumulate_run stages the victim's disc once and contracts the run's
+  // pitches together, in blocks of at most 8 aggressors. For every run
+  // length 1-17 (every remainder of the four-pitch grouping and of the
+  // eight-aggressor block) it must add exactly the bits of calling
+  // accumulate once per aggressor in order, into a zeroed buffer and into
+  // one that already holds a field. The points include the victim center,
+  // one exactly at r_max and one beyond it.
+  const PairSurrogate& sur = fitted();
+  const geo::Point v{-2.25, 3.5};
+  std::mt19937_64 rng(101);
+  std::uniform_real_distribution<double> coord(-27.0, 27.0);
+  std::uniform_real_distribution<double> pitch(sur.pitch_min(),
+                                               sur.pitch_max());
+  std::uniform_real_distribution<double> angle(0.0, 2.0 * std::numbers::pi);
+  std::vector<geo::Point> pts = {
+      v, {v.x + sur.r_max(), v.y}, {v.x, v.y - 30.0}};
+  for (int i = 0; i < 250; ++i)
+    pts.push_back({v.x + coord(rng), v.y + coord(rng)});
+  std::vector<num::SymTensor2> prefilled(pts.size());
+  for (num::SymTensor2& t : prefilled) t = {coord(rng), coord(rng), coord(rng)};
+  const std::vector<num::SymTensor2> zeroed(pts.size());
+  for (std::size_t count = 1; count <= 17; ++count) {
+    SCOPED_TRACE(count);
+    std::vector<geo::Point> aggressors(count);
+    for (geo::Point& a : aggressors) {
+      const double d = pitch(rng), phi = angle(rng);
+      a = {v.x + d * std::cos(phi), v.y + d * std::sin(phi)};
+    }
+    const std::vector<num::SymTensor2>* starts[] = {&zeroed, &prefilled};
+    for (const std::vector<num::SymTensor2>* start : starts) {
+      std::vector<num::SymTensor2> want = *start;
+      for (const geo::Point& a : aggressors)
+        sur.accumulate(v, a, pts.data(), pts.size(), want.data());
+      std::vector<num::SymTensor2> got = *start;
+      sur.accumulate_run(v, aggressors.data(), count, pts.data(), pts.size(),
+                         got.data());
+      expect_bitwise_equal(got, want);
+      if (start == &zeroed) {
+        EXPECT_TRUE(std::isfinite(got[0].s11) && got[0].s11 != 0.0);
+        for (const std::size_t i : {1u, 2u}) {
+          EXPECT_EQ(got[i].s11, 0.0) << i;
+          EXPECT_EQ(got[i].s22, 0.0) << i;
+          EXPECT_EQ(got[i].s12, 0.0) << i;
+        }
+      }
+    }
+    // An empty point set touches nothing.
+    std::vector<num::SymTensor2> none;
+    sur.accumulate_run(v, aggressors.data(), count, pts.data(), 0,
+                       none.data());
   }
 }
 
@@ -347,15 +463,19 @@ TEST(Surrogate, OutOfDomainPitchFallsBackAndIsCounted) {
   const geo::Point near_a{7.0, 0.0};  // valid placement (diameter 6), below
                                       // the fitted pitch_min of 8
   std::vector<geo::Point> pts = {{1.0, 2.0}, {-3.0, 0.5}};
+  // A declined pair goes to the exact series: the same bits as a call with
+  // no surrogate at all.
   std::vector<num::SymTensor2> out = {{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
-  const std::vector<num::SymTensor2> sentinel = out;
-  EXPECT_FALSE(sur.try_accumulate(v, near_a, pts.data(), pts.size(),
-                                  out.data()));
-  expect_bitwise_equal(out, sentinel);  // untouched on decline
+  std::vector<num::SymTensor2> want = out;
+  shared_model()->accumulate_pair(&sur, v, near_a, pts.data(), pts.size(),
+                                  out.data());
+  shared_model()->accumulate_pair(nullptr, v, near_a, pts.data(), pts.size(),
+                                  want.data());
+  expect_bitwise_equal(out, want);
 
   const geo::Point in_a{10.0, 0.0};
-  EXPECT_TRUE(sur.try_accumulate(v, in_a, pts.data(), pts.size(),
-                                 out.data()));
+  shared_model()->accumulate_pair(&sur, v, in_a, pts.data(), pts.size(),
+                                  out.data());
   const SurrogateUseStats stats = sur.use_stats();
   EXPECT_EQ(stats.fallback_pairs, 1u);
   EXPECT_EQ(stats.surrogate_pairs, 1u);

@@ -13,11 +13,15 @@ committed baseline (tools/kernel_baseline.json) and fails when
     stage2_surrogate it is surrogate-batch vs the Stage II exact series
     (the stage2_series row, which has no batch row and no floor).
 
-stage2_surrogate also has two pair rows, guarded by the same regression
+stage2_surrogate also has three pair rows, guarded by the same regression
 bound: "pair" (ns per pair-point on one victim's 493-point disc, a fresh
-pitch every pair, so the pitch contraction is included) and "contraction"
-(ns per pair for the contraction alone). The batch row times one fixed
-pitch, where the contraction memo always hits.
+pitch every pair, so the pitch contraction is included), "contraction"
+(ns per pair for the contraction alone) and "run" (ns per pair-point when
+the same disc takes 9 fresh-pitch aggressors per call through the run
+kernel, contraction included). The batch row times one fixed pitch, where
+the contraction memo always hits. The run row carries a second
+host-independent floor: its "speedup" (pair / run, same run) must stay at
+or above the baseline's `min_run_speedup`.
 
 With --variation, the guard additionally checks bench_variation's
 results/variation.jsonl against the baseline's "variation" section: at the
@@ -48,7 +52,9 @@ import argparse
 import json
 import sys
 
-MODES = ("scalar", "batch", "pair", "contraction")
+MODES = ("scalar", "batch", "pair", "contraction", "run")
+# Same-run ratio floors: (baseline key, row mode whose "speedup" it bounds).
+FLOORS = (("min_speedup", "batch"), ("min_run_speedup", "run"))
 # Floors used for kernels absent from the baseline when writing a fresh one.
 DEFAULT_MIN_SPEEDUP = {
     "stage1_point": 2.0,
@@ -81,6 +87,8 @@ def write_baseline(rows, baseline_path, old, max_regression):
         floor = old_spec.get("min_speedup", DEFAULT_MIN_SPEEDUP.get(kernel))
         if floor is not None and "batch_ns_per_eval" in spec:
             spec["min_speedup"] = floor
+        if "min_run_speedup" in old_spec and "run_ns_per_eval" in spec:
+            spec["min_run_speedup"] = old_spec["min_run_speedup"]
     data = {"max_regression": max_regression, "kernels": kernels}
     if "variation" in old:
         data["variation"] = old["variation"]
@@ -208,16 +216,22 @@ def check(rows, baseline):
                     f"{kernel}/{mode}: {measured:.3f} ns/eval exceeds "
                     f"baseline {spec[key]:.3f} by more than "
                     f"{100 * max_regression:.0f}%")
-        floor = spec.get("min_speedup")
-        batch = rows.get((kernel, "batch"))
-        if floor is not None and batch is not None:
-            speedup = batch.get("speedup", 0.0)
+        for key, mode in FLOORS:
+            floor = spec.get(key)
+            row = rows.get((kernel, mode))
+            if floor is None:
+                continue
+            if row is None:
+                failures.append(f"{kernel}/{mode}: no row for the {key} "
+                                f"floor in kernels.jsonl")
+                continue
+            speedup = row.get("speedup", 0.0)
             verdict = "ok" if speedup >= floor else "BELOW FLOOR"
-            print(f"{kernel}: batch speedup {speedup:.3f}x "
+            print(f"{kernel}: {mode} speedup {speedup:.3f}x "
                   f"(floor {floor:.3f}x) {verdict}")
             if speedup < floor:
                 failures.append(
-                    f"{kernel}: batch speedup {speedup:.3f}x is below the "
+                    f"{kernel}: {mode} speedup {speedup:.3f}x is below the "
                     f"floor {floor:.3f}x")
     return failures
 
