@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -152,6 +153,88 @@ TEST(IncrementalEngine, MixedBatchMatchesFullRecompute) {
   EXPECT_EQ(st.ops, 3u);
   EXPECT_EQ(engine.active_count(), 11u);  // +1 -1
   EXPECT_FALSE(engine.is_active(7));
+  EXPECT_LE(max_rel_err(engine.total_field(), full_reference(engine)),
+            1e-12);
+}
+
+/// Brute-force work of one side of an edit: every ordered pair of active
+/// TSVs within the pitch cutoff that involves a `touched` id, the grid
+/// points within the Stage II radius of each such pair's victim, the Stage I
+/// disc points of the touched TSVs, and how the surrogate's pitch gate
+/// splits the pairs.
+struct EditCount {
+  std::size_t pairs = 0;
+  std::size_t stage2_points = 0;
+  std::size_t stage1_points = 0;
+  std::size_t covered = 0;
+  std::size_t declined = 0;
+};
+
+EditCount count_edit_side(const IncrementalEngine& e,
+                          const std::vector<std::uint32_t>& touched,
+                          const ana::PairSurrogate& sur) {
+  const auto is_touched = [&](std::uint32_t id) {
+    return std::find(touched.begin(), touched.end(), id) != touched.end();
+  };
+  const auto disc_points = [&](const geo::Point& c, double radius) {
+    std::size_t n = 0;
+    for (const geo::Point& p : e.grid().points())
+      if (geo::distance_squared(p, c) <= radius * radius) ++n;
+    return n;
+  };
+  const double cutoff = e.options().stage2.pair_pitch_cutoff;
+  EditCount count;
+  const std::vector<std::uint32_t> ids = e.active_ids();
+  for (const std::uint32_t v : ids) {
+    if (is_touched(v))
+      count.stage1_points +=
+          disc_points(e.center(v), e.options().stage1.influence_radius);
+    for (const std::uint32_t a : ids) {
+      if (a == v || !(is_touched(v) || is_touched(a))) continue;
+      if (geo::distance_squared(e.center(v), e.center(a)) > cutoff * cutoff)
+        continue;
+      ++count.pairs;
+      count.stage2_points +=
+          disc_points(e.center(v), e.options().stage2.influence_radius);
+      if (sur.covers(geo::distance(e.center(v), e.center(a))))
+        ++count.covered;
+      else
+        ++count.declined;
+    }
+  }
+  return count;
+}
+
+TEST(IncrementalEngine, EditAccountingMatchesBruteForceCount) {
+  const Fixture f;
+  IncrementalEngine engine = f.engine({}, surrogate_model());
+  const ana::PairSurrogate& sur = *surrogate_model()->surrogate();
+  // Departing: the moved TSV 1 and the removed TSV 7, against the old
+  // placement. Arriving: TSV 1 at its new center and the two added TSVs
+  // (ids 11 and 12, 7 um apart, below the surrogate's pitch domain so that
+  // pair takes the exact series), against the new placement.
+  const EditCount gone = count_edit_side(engine, {1, 7}, sur);
+  const geo::Point c = engine.center(1);
+  const ana::SurrogateUseStats before = sur.use_stats();
+  const ApplyStats st = engine.apply({
+      EcoOp::add({-15.0, 95.0}),
+      EcoOp::move(1, {c.x + 1.0, c.y + 1.0}),
+      EcoOp::add({-8.0, 95.0}),
+      EcoOp::remove(7),
+  });
+  const ana::SurrogateUseStats after = sur.use_stats();
+  const EditCount fresh = count_edit_side(engine, {1, 11, 12}, sur);
+
+  EXPECT_GT(gone.pairs, 0u);
+  EXPECT_GT(fresh.declined, 0u);
+  EXPECT_EQ(st.removed_pairs, gone.pairs);
+  EXPECT_EQ(st.added_pairs, fresh.pairs);
+  EXPECT_EQ(st.stage2_point_updates, gone.stage2_points + fresh.stage2_points);
+  EXPECT_EQ(st.stage1_point_updates, gone.stage1_points + fresh.stage1_points);
+  EXPECT_EQ(after.surrogate_pairs - before.surrogate_pairs,
+            gone.covered + fresh.covered);
+  EXPECT_EQ(after.fallback_pairs - before.fallback_pairs,
+            gone.declined + fresh.declined);
   EXPECT_LE(max_rel_err(engine.total_field(), full_reference(engine)),
             1e-12);
 }
