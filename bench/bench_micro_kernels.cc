@@ -197,7 +197,7 @@ void BM_Stage2SurrogateBatch(benchmark::State& state) {
   const geo::Point v{0, 0}, a{10, 0};
   std::vector<num::SymTensor2> out(pts.size());
   for (auto _ : state) {
-    surrogate.accumulate(v, a, pts.data(), pts.size(), out.data());
+    surrogate.accumulate_run(v, &a, 1, pts.data(), pts.size(), out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -392,7 +392,7 @@ void emit_surrogate_sweep_row(const std::string& path, const char* config,
   const std::size_t evals = kReps * pts.size();
   const double batch_ns = best_ns_per_eval(evals, [&] {
     for (std::size_t rep = 0; rep < kReps; ++rep)
-      sur.accumulate(v, a, pts.data(), pts.size(), out.data());
+      sur.accumulate_run(v, &a, 1, pts.data(), pts.size(), out.data());
     benchmark::DoNotOptimize(out.data());
   });
 
@@ -439,8 +439,8 @@ void emit_kernel_rows(const std::string& out_dir) {
                       scalar_ns / batch_ns);
   }
 
-  // The exact series through the production per-pair entry point with no
-  // surrogate (InteractiveStressModel::accumulate_pair).
+  // The exact series through the production entry point with no surrogate
+  // (InteractiveStressModel::accumulate_run, a run of one).
   double stage2_series_ns = 0.0;
   {
     const auto model = interactive_model();
@@ -451,8 +451,8 @@ void emit_kernel_rows(const std::string& out_dir) {
     const std::size_t evals = kSeriesReps * pts.size();
     stage2_series_ns = best_ns_per_eval(evals, [&] {
       for (std::size_t rep = 0; rep < kSeriesReps; ++rep)
-        model->accumulate_pair(nullptr, v, a, pts.data(), pts.size(),
-                               out.data());
+        model->accumulate_run(nullptr, v, &a, 1, pts.data(), pts.size(),
+                              out.data());
       benchmark::DoNotOptimize(out.data());
     });
     append_kernel_row(path, "stage2_series", "scalar", evals,
@@ -477,7 +477,7 @@ void emit_kernel_rows(const std::string& out_dir) {
     });
     const double batch_ns = best_ns_per_eval(evals, [&] {
       for (std::size_t rep = 0; rep < kReps; ++rep)
-        sur.accumulate(v, a, pts.data(), pts.size(), out.data());
+        sur.accumulate_run(v, &a, 1, pts.data(), pts.size(), out.data());
       benchmark::DoNotOptimize(out.data());
     });
     append_kernel_row(path, "stage2_surrogate", "scalar", evals, scalar_ns,
@@ -510,12 +510,13 @@ void emit_kernel_rows(const std::string& out_dir) {
     const double pair_ns =
         best_ns_per_eval(kPairs * disc.size(), [&] {
           for (const geo::Point& agg : aggressors)
-            sur.accumulate(v, agg, disc.data(), disc.size(), disc_out.data());
+            sur.accumulate_run(v, &agg, 1, disc.data(), disc.size(),
+                               disc_out.data());
           benchmark::DoNotOptimize(disc_out.data());
         });
     const double contraction_ns = best_ns_per_eval(kPairs, [&] {
       for (const geo::Point& agg : aggressors)
-        sur.accumulate(v, agg, disc.data(), 0, disc_out.data());
+        sur.accumulate_run(v, &agg, 1, disc.data(), 0, disc_out.data());
       benchmark::DoNotOptimize(disc_out.data());
     });
     append_kernel_row(path, "stage2_surrogate", "pair",

@@ -85,12 +85,14 @@ class InteractiveStressModel {
   /// bound <= kSurrogateTolerance AND its fitted radius covers `r_needed`
   /// (points beyond the fitted r_max would silently evaluate to zero);
   /// nullptr otherwise. Stage II callers resolve this once per evaluation
-  /// (or edit) and hand it to accumulate_run / accumulate_pair.
+  /// (or edit) and hand it to accumulate_run.
   std::shared_ptr<const PairSurrogate> surrogate_for(double r_needed) const;
 
   /// Stage II evaluation of one victim's run of ordered pairs (victim,
-  /// aggressors[k]), k < count, and the only place a path is chosen: adds
-  /// their interactive stress at points[0..n) into out[i]. Each pair goes
+  /// aggressors[k]), k < count: the one entry into Stage II, which
+  /// InteractiveStage and IncrementalEngine both call (a single pair is a
+  /// run of one), and the only place a path is chosen. Adds their
+  /// interactive stress at points[0..n) into out[i]. Each pair goes
   /// through `surrogate` when it is non-null and covers the pair pitch, and
   /// through the exact series otherwise; consecutive covered pairs share
   /// one surrogate run (PairSurrogate::accumulate_run). The result is
@@ -101,14 +103,6 @@ class InteractiveStressModel {
                       const geo::Point* aggressors, std::size_t count,
                       const geo::Point* points, std::size_t n,
                       num::SymTensor2* out) const;
-
-  /// The run of one pair (single-pair callers: IncrementalEngine edits).
-  void accumulate_pair(const PairSurrogate* surrogate,
-                       const geo::Point& victim, const geo::Point& aggressor,
-                       const geo::Point* points, std::size_t n,
-                       num::SymTensor2* out) const {
-    accumulate_run(surrogate, victim, &aggressor, 1, points, n, out);
-  }
 
  private:
   /// The exact series leg of accumulate_run.

@@ -66,12 +66,12 @@ void cheb_transform_line(double* base, std::size_t stride, std::size_t n,
 }
 
 /// Per-thread memo of the pitch-contracted coefficient matrices, keyed on
-/// (surrogate id, pitch bits), for single-pair callers (accumulate_run with
-/// count == 1: IncrementalEngine::apply_pair, stress_at, one-aggressor
-/// victims). Runs of two or more contract their pitches together instead
-/// (see accumulate_run). The memo hits when consecutive single pairs share
-/// a bitwise-equal pitch: the reverse round (v, a) -> (a, v) of an edit in
-/// IncrementalEngine, or a regular array.
+/// (surrogate id, pitch bits), for runs of one (accumulate_run with
+/// count == 1: certification, stress_at, victims with a single aggressor).
+/// Runs of two or more contract their pitches together instead (see
+/// accumulate_run). The memo hits when consecutive runs of one share a
+/// bitwise-equal pitch: certification evaluates each sampled pitch at many
+/// points, one call per point, and a regular array repeats pitches.
 struct ContractionMemo {
   std::uint64_t id = 0;
   std::uint64_t pitch_bits = 0;
@@ -715,11 +715,6 @@ void contract_pitches_generic(const double* src, std::size_t block,
   contract_body<v4d>(src, block, t, t_stride, order, npitch, dst, dst_stride);
 }
 
-void contract_pitch_generic(const double* src, std::size_t block,
-                            const double* t, std::size_t order, double* dst) {
-  contract_pitches_generic(src, block, t, 0, order, 1, dst, 0);
-}
-
 PitchContractionFn active_pitch_contraction() {
   return active_dispatch().contract;
 }
@@ -887,8 +882,8 @@ void PairSurrogate::accumulate_run(const geo::Point& victim,
 
   PairArgs pairs[kRunBlock];
   if (count == 1) {
-    // A single pair keeps the per-thread memo, so a reverse round or a
-    // regular array still skips its contraction.
+    // A single pair keeps the per-thread memo, so certification's
+    // per-point calls and a regular array skip the contraction.
     pairs[0] = pair_frame(victim, aggressors[0]);
     pairs[0].contracted =
         contracted_for_pitch(geo::distance(victim, aggressors[0]));
@@ -918,18 +913,11 @@ void PairSurrogate::accumulate_run(const geo::Point& victim,
   }
 }
 
-void PairSurrogate::accumulate(const geo::Point& victim,
-                               const geo::Point& aggressor,
-                               const geo::Point* points, std::size_t n,
-                               num::SymTensor2* out) const {
-  accumulate_run(victim, &aggressor, 1, points, n, out);
-}
-
 num::SymTensor2 PairSurrogate::stress_at(const geo::Point& victim,
                                          const geo::Point& aggressor,
                                          const geo::Point& p) const {
   num::SymTensor2 t;
-  accumulate(victim, aggressor, &p, 1, &t);
+  accumulate_run(victim, &aggressor, 1, &p, 1, &t);
   return t;
 }
 
@@ -1047,7 +1035,7 @@ SurrogateCertificate certify(const PairSurrogate& sur,
       const num::SymTensor2 exact =
           model.stress_with_combined(combined, victim, aggressor, pitch, p);
       num::SymTensor2 approx;
-      sur.accumulate(victim, aggressor, &p, 1, &approx);
+      sur.accumulate_run(victim, &aggressor, 1, &p, 1, &approx);
       field_scale = std::max({field_scale, std::abs(exact.s11),
                               std::abs(exact.s22), std::abs(exact.s12)});
       max_err = std::max({max_err, std::abs(approx.s11 - exact.s11),

@@ -29,13 +29,15 @@
 // victim's disc is staged once (one sqrt, one divide and the segment
 // bucket per point), the run's pitches are contracted together, up to four
 // per pass over the 305 KB coefficient tensor, and each point's sum over
-// the run meets the output once per block of up to 8 aggressors. A
-// single-pair call (accumulate, stress_at, IncrementalEngine's edits) is
-// the run of one; only it uses the per-thread contraction memo, which
-// serves a reverse round or a regular array from the previous pair's
-// pitch. bench_micro_kernels' stage2_surrogate rows time the batch kernel,
-// a single pair and a 9-aggressor run, all with fresh pitches where it
-// matters; EXPERIMENTS.md records the numbers.
+// the run meets the output once per block of up to 8 aggressors. Every
+// Stage II caller enters through InteractiveStressModel::accumulate_run,
+// IncrementalEngine's edits included (their pairs go victim-major too). A
+// run of one (stress_at, certification, a victim with one aggressor) keeps
+// the per-thread contraction memo, which serves the next run of one with a
+// bitwise-equal pitch: certification's per-point calls at each sampled
+// pitch, or a regular array. bench_micro_kernels' stage2_surrogate rows
+// time the batch kernel, a single pair and a 9-aggressor run, all with
+// fresh pitches where it matters; EXPERIMENTS.md records the numbers.
 //
 // Certification is first-class: fitting ends with a dense adversarial
 // comparison against the exact series (Chebyshev-offset nodes, random
@@ -194,8 +196,9 @@ class PairSurrogate {
 
   /// The run kernel: adds the interactive stress of every ordered pair
   /// (victim, aggressors[k]), k < count, at each of points[0..n) into
-  /// out[i], bitwise the same as calling accumulate for each aggressor in
-  /// order. Requires covers(distance(victim, aggressors[k])) for every k;
+  /// out[i], bitwise the same as a run of one for each aggressor in order.
+  /// The pair-frame rotation is hoisted per pair; per point the kernel is
+  /// trig-free. Requires covers(distance(victim, aggressors[k])) for every k;
   /// counts nothing (the caller records its run with record_use). Points at
   /// r >= r_max() contribute zero. Thread-safe; bitwise deterministic for a
   /// fixed (run, points) regardless of thread count or call order.
@@ -203,15 +206,8 @@ class PairSurrogate {
                       std::size_t count, const geo::Point* points,
                       std::size_t n, num::SymTensor2* out) const;
 
-  /// The run of one aggressor; requires covers(distance(victim,
-  /// aggressor)). The pair-frame rotation is hoisted per pair; per point
-  /// the kernel is trig-free.
-  void accumulate(const geo::Point& victim, const geo::Point& aggressor,
-                  const geo::Point* points, std::size_t n,
-                  num::SymTensor2* out) const;
-
-  /// Scalar reference path: accumulate with n = 1, so it is bitwise the
-  /// batch kernel by construction. Requires covers(pitch).
+  /// Scalar reference path: accumulate_run with one aggressor and n = 1, so
+  /// it is bitwise the batch kernel by construction. Requires covers(pitch).
   num::SymTensor2 stress_at(const geo::Point& victim,
                             const geo::Point& aggressor,
                             const geo::Point& p) const;
@@ -255,7 +251,7 @@ class PairSurrogate {
 
   /// Contracts the pitch axis for `pitch` into the calling thread's memo
   /// (per-segment [component][radial][angular] matrices) and returns the
-  /// flat matrix storage; the single-pair path of accumulate_run. Pure
+  /// flat matrix storage; the run-of-one path of accumulate_run. Pure
   /// function of (surrogate identity, pitch), so per-thread recomputation
   /// is bitwise identical across thread counts.
   const double* contracted_for_pitch(double pitch) const;
@@ -294,10 +290,6 @@ void contract_pitches_generic(const double* src, std::size_t block,
                               const double* t, std::size_t t_stride,
                               std::size_t order, std::size_t npitch,
                               double* dst, std::size_t dst_stride);
-
-/// contract_pitches_generic for one pitch.
-void contract_pitch_generic(const double* src, std::size_t block,
-                            const double* t, std::size_t order, double* dst);
 
 /// The variant selected for this host, together with the point kernel (the
 /// one accumulate_run and the certificate run).

@@ -18,6 +18,53 @@ geo::Box index_bounds(const std::vector<geo::Point>& points) {
                         : geo::Box::bounding(points);
 }
 
+/// The active slots of a placement and a GridIndex over their centers:
+/// index entry k is slot ids[k].
+struct ActiveIndex {
+  std::vector<std::uint32_t> ids;
+  geo::GridIndex index;
+};
+
+ActiveIndex index_active(const std::vector<geo::Point>& centers,
+                         const std::vector<std::uint8_t>& active,
+                         double pitch_cutoff) {
+  std::vector<geo::Point> pts;
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t id = 0; id < centers.size(); ++id) {
+    if (active[id]) {
+      pts.push_back(centers[id]);
+      ids.push_back(id);
+    }
+  }
+  geo::GridIndex index(pts, index_bounds(pts),
+                       std::max(pitch_cutoff / 2.0, 1.0));
+  return {std::move(ids), std::move(index)};
+}
+
+/// The ordered pairs (victim, aggressor) of the indexed placement within
+/// the pitch cutoff that involve one of `ids` (both rounds of Algorithm 1),
+/// each once, sorted victim-major: the Stage II terms an edit of `ids`
+/// changes.
+std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs_touching(
+    const std::vector<std::uint32_t>& ids,
+    const std::vector<geo::Point>& centers, const ActiveIndex& placed,
+    double pitch_cutoff) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  std::vector<std::uint32_t> nearby;
+  for (const std::uint32_t id : ids) {
+    placed.index.query_radius(centers[id], pitch_cutoff, nearby);
+    for (const std::uint32_t k : nearby) {
+      const std::uint32_t partner = placed.ids[k];
+      if (partner == id) continue;
+      pairs.emplace_back(id, partner);
+      pairs.emplace_back(partner, id);
+    }
+  }
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  return pairs;
+}
+
 /// FrameworkOptions-style convenience override: a non-default engine thread
 /// knob wins over the per-stage settings for the full evaluations.
 template <typename Opt>
@@ -162,6 +209,14 @@ void IncrementalEngine::gather_disc(const geo::Point& c, double radius) {
   disc_contrib_.assign(disc_pts_.size(), num::SymTensor2{});
 }
 
+void IncrementalEngine::scatter_disc(std::vector<num::SymTensor2>& field,
+                                     double sign, ApplyStats& stats) {
+  for (std::size_t j = 0; j < disc_idx_.size(); ++j) {
+    field[disc_idx_[j]] += sign * disc_contrib_[j];
+    touch(disc_idx_[j], stats);
+  }
+}
+
 void IncrementalEngine::apply_stage1(const geo::Point& c, double sign,
                                      ApplyStats& stats) {
   // Batch path: gather the disc once, run the flat accumulate kernel, then
@@ -170,31 +225,29 @@ void IncrementalEngine::apply_stage1(const geo::Point& c, double sign,
   gather_disc(c, options_.stage1.influence_radius);
   table_->accumulate(c, disc_pts_.data(), disc_pts_.size(),
                      disc_contrib_.data());
-  for (std::size_t j = 0; j < disc_idx_.size(); ++j) {
-    stage1_[disc_idx_[j]] += sign * disc_contrib_[j];
-    touch(disc_idx_[j], stats);
-  }
+  scatter_disc(stage1_, sign, stats);
   stats.stage1_point_updates += disc_idx_.size();
 }
 
-void IncrementalEngine::apply_pair(const ana::PairSurrogate* surrogate,
-                                   const geo::Point& victim,
-                                   const geo::Point& aggressor, double sign,
-                                   ApplyStats& stats) {
-  // A run of one: its contributions are bitwise the ones the run kernel
-  // adds in a full evaluation (InteractiveStage::evaluate_pairs), so the
-  // incremental sum is built from the same values. Pairs come in (u, v),
-  // (v, u) rounds here rather than victim runs, so each pair gathers its
-  // own disc; the reverse round has the same pitch and reuses the
-  // surrogate's contraction memo.
-  gather_disc(victim, options_.stage2.influence_radius);
-  model_->accumulate_pair(surrogate, victim, aggressor, disc_pts_.data(),
-                          disc_pts_.size(), disc_contrib_.data());
-  for (std::size_t j = 0; j < disc_idx_.size(); ++j) {
-    stage2_[disc_idx_[j]] += sign * disc_contrib_[j];
-    touch(disc_idx_[j], stats);
+void IncrementalEngine::apply_stage2(const ana::PairSurrogate* surrogate,
+                                     const std::vector<IdPair>& pairs,
+                                     double sign, ApplyStats& stats) {
+  // Victim runs, as in InteractiveStage::evaluate_pairs: each victim's disc
+  // is gathered once, all of its aggressors go through one accumulate_run
+  // into the zeroed disc buffer, and the run's sum is scattered with the
+  // edit's sign.
+  for (std::size_t k = 0; k < pairs.size();) {
+    const std::uint32_t v = pairs[k].first;
+    run_aggressors_.clear();
+    for (; k < pairs.size() && pairs[k].first == v; ++k)
+      run_aggressors_.push_back(centers_[pairs[k].second]);
+    gather_disc(centers_[v], options_.stage2.influence_radius);
+    model_->accumulate_run(surrogate, centers_[v], run_aggressors_.data(),
+                           run_aggressors_.size(), disc_pts_.data(),
+                           disc_pts_.size(), disc_contrib_.data());
+    scatter_disc(stage2_, sign, stats);
+    stats.stage2_point_updates += disc_idx_.size() * run_aggressors_.size();
   }
-  stats.stage2_point_updates += disc_idx_.size();
 }
 
 ApplyStats IncrementalEngine::apply(const Delta& delta) {
@@ -247,25 +300,15 @@ ApplyStats IncrementalEngine::apply(const Delta& delta) {
 
   // --- Validate the final placement around every arriving TSV before any
   // field is touched, so a rejected delta leaves the engine unchanged.
-  std::vector<geo::Point> final_pts;
-  std::vector<std::uint32_t> final_ids;
-  final_pts.reserve(new_centers.size());
-  for (std::uint32_t id = 0; id < new_centers.size(); ++id) {
-    if (new_active[id]) {
-      final_pts.push_back(new_centers[id]);
-      final_ids.push_back(id);
-    }
-  }
+  const double cutoff = options_.stage2.pair_pitch_cutoff;
+  const ActiveIndex final_index = index_active(new_centers, new_active, cutoff);
   const double diameter = 2.0 * structure_.outer_radius();
-  const geo::GridIndex final_index(
-      final_pts, index_bounds(final_pts),
-      std::max(options_.stage2.pair_pitch_cutoff / 2.0, 1.0));
   {
     std::vector<std::uint32_t> close;
     for (const std::uint32_t id : arriving) {
-      final_index.query_radius(new_centers[id], diameter, close);
+      final_index.index.query_radius(new_centers[id], diameter, close);
       for (const std::uint32_t k : close) {
-        const std::uint32_t other = final_ids[k];
+        const std::uint32_t other = final_index.ids[k];
         TSV_REQUIRE(other == id ||
                         geo::distance(new_centers[id], new_centers[other]) >=
                             diameter,
@@ -288,77 +331,28 @@ ApplyStats IncrementalEngine::apply(const Delta& delta) {
                   : nullptr;
 
   // --- Subtract the departing contributions against the OLD placement.
-  if (!departing.empty()) {
-    std::vector<geo::Point> old_pts;
-    std::vector<std::uint32_t> old_ids;
-    old_pts.reserve(active_count_);
-    for (std::uint32_t id = 0; id < centers_.size(); ++id) {
-      if (active_[id]) {
-        old_pts.push_back(centers_[id]);
-        old_ids.push_back(id);
-      }
-    }
-    const geo::GridIndex old_index(
-        old_pts, index_bounds(old_pts),
-        std::max(options_.stage2.pair_pitch_cutoff / 2.0, 1.0));
-
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> gone_pairs;
-    if (interactive) {
-      std::vector<std::uint32_t> nearby;
-      for (const std::uint32_t id : departing) {
-        old_index.query_radius(centers_[id],
-                               options_.stage2.pair_pitch_cutoff, nearby);
-        for (const std::uint32_t k : nearby) {
-          const std::uint32_t partner = old_ids[k];
-          if (partner == id) continue;
-          gone_pairs.emplace_back(std::min(id, partner),
-                                  std::max(id, partner));
-        }
-      }
-      std::sort(gone_pairs.begin(), gone_pairs.end());
-      gone_pairs.erase(std::unique(gone_pairs.begin(), gone_pairs.end()),
-                       gone_pairs.end());
-    }
-    for (const std::uint32_t id : departing)
-      apply_stage1(centers_[id], -1.0, stats);
-    for (const auto& [u, v] : gone_pairs) {
-      apply_pair(surrogate.get(), centers_[u], centers_[v], -1.0, stats);
-      apply_pair(surrogate.get(), centers_[v], centers_[u], -1.0, stats);
-      stats.removed_pairs += 2;
-    }
+  for (const std::uint32_t id : departing)
+    apply_stage1(centers_[id], -1.0, stats);
+  if (interactive && !departing.empty()) {
+    const std::vector<IdPair> gone = pairs_touching(
+        departing, centers_, index_active(centers_, active_, cutoff), cutoff);
+    apply_stage2(surrogate.get(), gone, -1.0, stats);
+    stats.removed_pairs += gone.size();
   }
 
   // --- Commit the new placement.
   centers_ = std::move(new_centers);
   active_ = std::move(new_active);
-  active_count_ = final_pts.size();
+  active_count_ = final_index.ids.size();
 
   // --- Add the arriving contributions against the NEW placement.
-  if (!arriving.empty()) {
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> fresh_pairs;
-    if (interactive) {
-      std::vector<std::uint32_t> nearby;
-      for (const std::uint32_t id : arriving) {
-        final_index.query_radius(centers_[id],
-                                 options_.stage2.pair_pitch_cutoff, nearby);
-        for (const std::uint32_t k : nearby) {
-          const std::uint32_t partner = final_ids[k];
-          if (partner == id) continue;
-          fresh_pairs.emplace_back(std::min(id, partner),
-                                   std::max(id, partner));
-        }
-      }
-      std::sort(fresh_pairs.begin(), fresh_pairs.end());
-      fresh_pairs.erase(std::unique(fresh_pairs.begin(), fresh_pairs.end()),
-                        fresh_pairs.end());
-    }
-    for (const std::uint32_t id : arriving)
-      apply_stage1(centers_[id], +1.0, stats);
-    for (const auto& [u, v] : fresh_pairs) {
-      apply_pair(surrogate.get(), centers_[u], centers_[v], +1.0, stats);
-      apply_pair(surrogate.get(), centers_[v], centers_[u], +1.0, stats);
-      stats.added_pairs += 2;
-    }
+  for (const std::uint32_t id : arriving)
+    apply_stage1(centers_[id], +1.0, stats);
+  if (interactive && !arriving.empty()) {
+    const std::vector<IdPair> fresh =
+        pairs_touching(arriving, centers_, final_index, cutoff);
+    apply_stage2(surrogate.get(), fresh, +1.0, stats);
+    stats.added_pairs += fresh.size();
   }
 
   stats.seconds = std::chrono::duration<double>(Clock::now() - t0).count();

@@ -16,20 +16,22 @@
 //   Stage I  — per affected TSV, only the grid points within
 //              stage1.influence_radius of its old/new center;
 //   Stage II — only the ordered pairs involving an affected TSV (partners
-//              found through a GridIndex over the TSV centers), each
-//              touching the points within stage2.influence_radius of its
-//              victim.
+//              found through a GridIndex over the TSV centers), sorted
+//              victim-major and evaluated as victim runs over the points
+//              within stage2.influence_radius of the victim.
 //
-// The per-pair and per-TSV contribution kernels are the exact code paths of
-// LinearSuperposition / InteractiveStage, so an incrementally maintained
-// field agrees with a full recompute to floating-point regrouping only
-// (<= ~1e-12 of the field scale; see test_incremental_engine). apply() is
-// serial and therefore bitwise deterministic: the same edit sequence always
-// produces the same bits. rebuild() re-evaluates from scratch to measure and
-// clear the accumulated drift.
+// The per-TSV kernel and the victim-run call (accumulate_run) are the code
+// paths of LinearSuperposition / InteractiveStage, so an incrementally
+// maintained field agrees with a full recompute to floating-point
+// regrouping only (<= ~1e-12 of the field scale; see
+// test_incremental_engine). apply() is serial and therefore bitwise
+// deterministic: the same edit sequence always produces the same bits.
+// rebuild() re-evaluates from scratch to measure and clear the accumulated
+// drift.
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/interactive_stage.h"
@@ -179,14 +181,22 @@ class IncrementalEngine {
   /// at `c` over its influence disc.
   void apply_stage1(const geo::Point& c, double sign, ApplyStats& stats);
 
-  /// Adds or subtracts one ordered pair's Stage-II contribution over the
-  /// victim's influence disc through InteractiveStressModel::accumulate_pair
-  /// (the run of one), whose contributions are bitwise those of the run
-  /// kernel InteractiveStage::evaluate_pairs uses. `surrogate` is the
-  /// model's surrogate_for gate, resolved once per apply().
-  void apply_pair(const ana::PairSurrogate* surrogate,
-                  const geo::Point& victim, const geo::Point& aggressor,
-                  double sign, ApplyStats& stats);
+  /// Adds `sign` x disc_contrib_ into `field` at the gathered disc points
+  /// and marks them dirty.
+  void scatter_disc(std::vector<num::SymTensor2>& field, double sign,
+                    ApplyStats& stats);
+
+  using IdPair = std::pair<std::uint32_t, std::uint32_t>;
+
+  /// Adds or subtracts the Stage-II contribution of `pairs` (ordered
+  /// (victim, aggressor) slot ids at the current centers, victim-major) as
+  /// victim runs: one disc gather and one
+  /// InteractiveStressModel::accumulate_run per victim, the call
+  /// InteractiveStage::evaluate_pairs makes. `surrogate` is the model's
+  /// surrogate_for gate, resolved once per apply().
+  void apply_stage2(const ana::PairSurrogate* surrogate,
+                    const std::vector<IdPair>& pairs, double sign,
+                    ApplyStats& stats);
 
   /// Fresh full evaluation of the current active placement.
   void full_evaluate(std::vector<num::SymTensor2>& stage1,
@@ -217,6 +227,7 @@ class IncrementalEngine {
   std::vector<std::size_t> disc_idx_;
   std::vector<geo::Point> disc_pts_;
   std::vector<num::SymTensor2> disc_contrib_;
+  std::vector<geo::Point> run_aggressors_;
 };
 
 }  // namespace tsv::core

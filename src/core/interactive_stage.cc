@@ -13,28 +13,6 @@ geo::Box index_bounds(const tsvlib::Placement& p) {
   return p.empty() ? geo::Box{{0.0, 0.0}, {1.0, 1.0}} : p.bounding_box();
 }
 
-/// FNV-1a over the raw coordinate bytes. One pass over the points is far
-/// cheaper than rebuilding the GridIndex (counting sort + allocations), and
-/// a 64-bit digest plus the size check makes accidental collisions across
-/// sweep iterations vanishingly unlikely.
-std::uint64_t fingerprint_points(const std::vector<geo::Point>& points) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](double v) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    __builtin_memcpy(&bits, &v, sizeof(bits));
-    for (int i = 0; i < 8; ++i) {
-      h ^= (bits >> (8 * i)) & 0xffull;
-      h *= 1099511628211ull;
-    }
-  };
-  for (const geo::Point& p : points) {
-    mix(p.x);
-    mix(p.y);
-  }
-  return h;
-}
-
 /// Distance from a point to a closed axis-aligned box (0 inside).
 double distance_to_box(const geo::Point& p, const geo::Box& box) {
   const double dx = std::max({box.lo.x - p.x, 0.0, p.x - box.hi.x});
@@ -113,41 +91,9 @@ InteractiveStage::ordered_pairs_near(const geo::Box& region) const {
   return pairs;
 }
 
-std::shared_ptr<const geo::GridIndex> InteractiveStage::point_index_for(
-    const std::vector<geo::Point>& points) const {
-  const std::uint64_t fp = fingerprint_points(points);
-  {
-    const std::lock_guard<std::mutex> lock(point_cache_mutex_);
-    if (point_index_cache_ != nullptr &&
-        point_index_cache_->size() == points.size() &&
-        point_cache_fingerprint_ == fp) {
-      return point_index_cache_;
-    }
-  }
-  // The hull is inclusive on every edge, so points exactly on the boundary
-  // stay indexed.
-  auto index = std::make_shared<const geo::GridIndex>(
-      points, geo::Box::bounding(points),
-      std::max(options_.influence_radius / 2.0, 1.0));
-  const std::lock_guard<std::mutex> lock(point_cache_mutex_);
-  point_cache_fingerprint_ = fp;
-  point_index_cache_ = index;
-  return index;
-}
-
 std::vector<num::SymTensor2> InteractiveStage::evaluate(
     const std::vector<geo::Point>& points) const {
-  if (placement_.size() < 2 || points.empty())
-    return std::vector<num::SymTensor2>(points.size());
-  const std::shared_ptr<const geo::GridIndex> index = point_index_for(points);
-  return evaluate_pairs(points, ordered_pairs(), *index);
-}
-
-std::vector<num::SymTensor2> InteractiveStage::evaluate(
-    const std::vector<geo::Point>& points, const geo::Box& bounds) const {
-  if (placement_.size() < 2 || points.empty())
-    return std::vector<num::SymTensor2>(points.size());
-  return evaluate_with_pairs(points, ordered_pairs_near(bounds));
+  return evaluate_with_pairs(points, ordered_pairs());
 }
 
 std::vector<num::SymTensor2> InteractiveStage::evaluate_with_pairs(
@@ -155,6 +101,8 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_with_pairs(
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs) const {
   if (placement_.size() < 2 || points.empty())
     return std::vector<num::SymTensor2>(points.size());
+  // The hull is inclusive on every edge, so points exactly on the boundary
+  // stay indexed.
   const geo::GridIndex index(points, geo::Box::bounding(points),
                              std::max(options_.influence_radius / 2.0, 1.0));
   return evaluate_pairs(points, pairs, index);

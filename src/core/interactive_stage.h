@@ -12,13 +12,16 @@
 // when one is attached, the exact series otherwise (and for every pitch
 // outside the surrogate's domain). The pairs of a run read the same disc of
 // points, so the disc is gathered once per run and the surrogate stages it
-// once per run.
+// once per run. A stage holds no per-call state: each evaluate builds its
+// point index, and every batched evaluation, whole-placement or per tile,
+// goes through the one pair loop evaluate_pairs. IncrementalEngine makes
+// the same accumulate_run call per victim run of an edit.
 // stress_at always uses the exact series, so it can differ from evaluate()
 // by up to the surrogate's certified bound.
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "analytic/interaction.h"
@@ -52,29 +55,19 @@ class InteractiveStage {
   /// Interactive stress at one point (enumerates nearby ordered pairs).
   num::SymTensor2 stress_at(const geo::Point& p) const;
 
-  /// Interactive stress at many points. Organized victim-outer so that each
-  /// victim's affected points are found and gathered once and reused by all
-  /// of its pairs (a point GridIndex accelerates the lookup; it is cached
-  /// keyed on the point set, so repeated sweeps over the same points —
-  /// pitch sweeps, LS-vs-PF comparisons — build it once). Pair-parallel over
+  /// Interactive stress at many points: evaluate_with_pairs over
+  /// ordered_pairs(). Organized victim-outer so that each victim's affected
+  /// points are found (through a point GridIndex built per call) and
+  /// gathered once and reused by all of its pairs. Pair-parallel over
   /// options().num_threads workers: `out[n] +=` across pairs would race,
   /// so each worker owns a private buffer (see InteractiveOptions).
   std::vector<num::SymTensor2> evaluate(
       const std::vector<geo::Point>& points) const;
 
-  /// Tile variant for streaming full-chip sweeps: `points` must lie inside
-  /// `bounds`, and only pairs whose victim can reach `bounds` (distance to
-  /// the box <= influence_radius) are enumerated — for a small tile of a
-  /// large chip that culls almost all pairs. Builds a throwaway point index
-  /// (tile-sized, cheap) instead of touching the point-index cache.
-  std::vector<num::SymTensor2> evaluate(const std::vector<geo::Point>& points,
-                                        const geo::Box& bounds) const;
-
-  /// Like the tile variant, but over a caller-supplied pair list (e.g. the
-  /// one the tiled evaluator already enumerated for its statistics) so the
-  /// pairs are not re-derived. Builds the same throwaway point index as the
-  /// tile variant; results are identical to evaluate(points, bounds) when
-  /// `pairs` == ordered_pairs_near(bounds).
+  /// Interactive stress at `points` from a caller-supplied pair list, e.g.
+  /// ordered_pairs_near(tile bounds), which the tiled evaluator enumerates
+  /// once per tile for its statistics and its evaluation. Only pairs whose
+  /// victim lies within influence_radius of a point contribute there.
   std::vector<num::SymTensor2> evaluate_with_pairs(
       const std::vector<geo::Point>& points,
       const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs)
@@ -96,7 +89,7 @@ class InteractiveStage {
   /// pairs with the same victim queries the victim's influence disc once,
   /// gathers its points once, evaluates all its aggressors with one
   /// InteractiveStressModel::accumulate_run into a zeroed buffer (bitwise
-  /// the per-pair accumulate_pair sequence) and scatters that buffer into
+  /// the sequence of its pairs as runs of one) and scatters that buffer into
   /// the chunk's output once. Any pair order is correct: a list that is not
   /// victim-major just forms shorter runs, and differs from the sorted one
   /// by summation regrouping only. Runs never cross a thread chunk; the
@@ -107,26 +100,10 @@ class InteractiveStage {
       const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs,
       const geo::GridIndex& point_index) const;
 
-  /// Cached point index, keyed on a fingerprint of the point set. The
-  /// fingerprint is a content hash (FNV-1a over the raw coordinate bytes)
-  /// plus the point count — NOT the vector's identity — so mutating a point
-  /// buffer in place (even to an equal length) changes the key and rebuilds
-  /// the index; callers never observe a stale index for edited coordinates
-  /// (test_interactive_stage locks this down). The only theoretical
-  /// staleness is a 64-bit hash collision between two different point sets
-  /// of equal size.
-  std::shared_ptr<const geo::GridIndex> point_index_for(
-      const std::vector<geo::Point>& points) const;
-
   tsvlib::Placement placement_;
   std::shared_ptr<const ana::InteractiveStressModel> model_;
   InteractiveOptions options_;
   geo::GridIndex tsv_index_;
-  /// Guards the point-index cache (evaluate is const and may run from
-  /// several threads).
-  mutable std::mutex point_cache_mutex_;
-  mutable std::uint64_t point_cache_fingerprint_ = 0;
-  mutable std::shared_ptr<const geo::GridIndex> point_index_cache_;
 };
 
 }  // namespace tsv::core

@@ -59,7 +59,6 @@ std::uint64_t TiledEvaluator::fingerprint(const geo::SampleGrid& grid) const {
   h.u64(grid.nx());
   h.u64(grid.ny());
   h.u64(options_.max_tile_points);
-  h.u64(options_.keep_interactive ? 1 : 0);
   h.u64(framework_->stage2() != nullptr ? 1 : 0);
   return h.value();
 }
@@ -92,11 +91,7 @@ TiledStats TiledEvaluator::evaluate(const geo::SampleGrid& grid,
   // Accumulated completed-tile state (only when a writer may need it).
   TiledCheckpoint cp;
   cp.fingerprint = fingerprint(grid);
-  if (checkpointing) {
-    cp.stress.reserve(grid.size());
-    if (options_.keep_interactive && stage2 != nullptr)
-      cp.interactive.reserve(grid.size());
-  }
+  if (checkpointing) cp.stress.reserve(grid.size());
   const TiledCheckpoint* resume = checkpoint.resume;
   if (resume != nullptr) {
     if (resume->fingerprint != cp.fingerprint)
@@ -112,8 +107,6 @@ TiledStats TiledEvaluator::evaluate(const geo::SampleGrid& grid,
 
   std::vector<geo::Point> points;
   std::vector<num::SymTensor2> stress;
-  std::vector<num::SymTensor2> interactive;
-  const std::vector<num::SymTensor2> empty;
   for (std::size_t ty = 0; ty < stats.tiles_y; ++ty) {
     const auto [iy0, iy1] = num::chunk_bounds(grid.ny(), stats.tiles_y, ty);
     for (std::size_t tx = 0; tx < stats.tiles_x; ++tx) {
@@ -140,16 +133,6 @@ TiledStats TiledEvaluator::evaluate(const geo::SampleGrid& grid,
                       resume->stress.begin() +
                           static_cast<std::ptrdiff_t>(resume_offset +
                                                       points.size()));
-        if (options_.keep_interactive && stage2 != nullptr) {
-          if (resume_offset + points.size() > resume->interactive.size())
-            throw InvalidInputError(
-                "tiled checkpoint is missing its interactive fields");
-          interactive.assign(
-              resume->interactive.begin() +
-                  static_cast<std::ptrdiff_t>(resume_offset),
-              resume->interactive.begin() +
-                  static_cast<std::ptrdiff_t>(resume_offset + points.size()));
-        }
         resume_offset += points.size();
         ++stats.resumed_tiles;
       } else {
@@ -160,10 +143,11 @@ TiledStats TiledEvaluator::evaluate(const geo::SampleGrid& grid,
         if (stage2 != nullptr) {
           const auto t1 = Clock::now();
           // One pair enumeration per tile, shared between the statistics and
-          // the evaluation (evaluate(points, bounds) would re-derive it).
+          // the evaluation.
           const auto pairs = stage2->ordered_pairs_near(bounds);
           stats.culled_pairs += pairs.size();
-          interactive = stage2->evaluate_with_pairs(points, pairs);
+          const std::vector<num::SymTensor2> interactive =
+              stage2->evaluate_with_pairs(points, pairs);
           num::parallel_for(points.size(),
                             framework_->options().stage2.num_threads,
                             [&](std::size_t i) {
@@ -173,16 +157,7 @@ TiledStats TiledEvaluator::evaluate(const geo::SampleGrid& grid,
         }
       }
 
-      Tile tile{stats.tiles,
-                ix0,
-                iy0,
-                tnx,
-                tny,
-                bounds,
-                points,
-                stress,
-                options_.keep_interactive && stage2 != nullptr ? interactive
-                                                               : empty};
+      const Tile tile{stats.tiles, ix0, iy0, tnx, tny, bounds, points, stress};
       consume(tile);
       ++stats.tiles;
       stats.points += points.size();
@@ -190,9 +165,6 @@ TiledStats TiledEvaluator::evaluate(const geo::SampleGrid& grid,
 
       if (checkpointing) {
         cp.stress.insert(cp.stress.end(), stress.begin(), stress.end());
-        if (options_.keep_interactive && stage2 != nullptr)
-          cp.interactive.insert(cp.interactive.end(), interactive.begin(),
-                                interactive.end());
         cp.tiles_done = stats.tiles;
         if (!replay) ++fresh_tiles;
         // The final tile needs no checkpoint: the run is complete.

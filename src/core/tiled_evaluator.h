@@ -8,7 +8,10 @@
 // via the TSV grid index) and hands each finished tile to a consumer, so
 // peak memory is O(tile) and results stream in deterministic row-major
 // tile order. The per-tile evaluations reuse the framework's thread pool:
-// tiles x threads compose because the outer tile loop is serial.
+// tiles x threads compose because the outer tile loop is serial. Stage II
+// runs per tile as ordered_pairs_near(tile) + evaluate_with_pairs, and a
+// tile (and a checkpoint) carries the total field only; StressFramework's
+// whole-grid evaluate is the way to get the Stage II part on its own.
 
 #include <cstdint>
 #include <functional>
@@ -25,9 +28,6 @@ struct TiledOptions {
   /// level cache for typical thread counts (64k points x 24 B/tensor =
   /// 1.5 MB per buffer).
   std::size_t max_tile_points = 64 * 1024;
-  /// Also expose the Stage II part of each tile (Tile::interactive). Off by
-  /// default: most consumers only need the total field.
-  bool keep_interactive = false;
 };
 
 /// One finished tile, valid only for the duration of the consumer call.
@@ -38,11 +38,10 @@ struct Tile {
   std::size_t nx = 0;     ///< tile extent in columns
   std::size_t ny = 0;     ///< tile extent in rows
   geo::Box bounds;        ///< hull of the tile's points
-  /// Tile points, row-major within the tile (y outer), and the fields at
-  /// them; `interactive` is empty unless TiledOptions::keep_interactive.
+  /// Tile points, row-major within the tile (y outer), and the total
+  /// (Stage I + Stage II) field at them.
   const std::vector<geo::Point>& points;
   const std::vector<num::SymTensor2>& stress;
-  const std::vector<num::SymTensor2>& interactive;
 };
 
 using TileConsumer = std::function<void(const Tile&)>;
@@ -58,8 +57,6 @@ struct TiledCheckpoint {
   /// Fields of the finished tiles, concatenated in row-major tile order
   /// (each tile row-major internally, matching Tile::stress).
   std::vector<num::SymTensor2> stress;
-  /// Stage II parts, only populated when TiledOptions::keep_interactive.
-  std::vector<num::SymTensor2> interactive;
 };
 
 /// Checkpointing policy for one evaluate() run.
@@ -120,7 +117,7 @@ class TiledEvaluator {
 
   /// FNV-1a fingerprint of everything a checkpoint must agree on: the
   /// placement (centers + structure), the grid geometry, the tile budget,
-  /// and keep_interactive.
+  /// and whether Stage II runs.
   std::uint64_t fingerprint(const geo::SampleGrid& grid) const;
 
  private:

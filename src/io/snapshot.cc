@@ -605,13 +605,11 @@ core::IncrementalEngine load_engine_state(const std::string& path) {
 void save_tiled_checkpoint(const std::string& path,
                            const core::TiledCheckpoint& cp) {
   Writer w;
-  w.reserve(4 * sizeof(std::uint64_t) +
-            (cp.stress.size() + cp.interactive.size()) *
-                sizeof(num::SymTensor2));
+  w.reserve(3 * sizeof(std::uint64_t) +
+            cp.stress.size() * sizeof(num::SymTensor2));
   w.u64(cp.fingerprint);
   w.size(cp.tiles_done);
   w.tensor_vec(cp.stress);
-  w.tensor_vec(cp.interactive);
   // Not fsynced: a checkpoint defends against a killed run (the page cache
   // survives that), its reader tolerates a damaged file, and the fsync wait
   // would dominate the checkpoint overhead on full-chip fields.
@@ -638,7 +636,6 @@ core::TiledCheckpoint load_tiled_checkpoint(const std::string& path) {
   cp.fingerprint = r.u64();
   cp.tiles_done = r.size();
   cp.stress = r.tensor_vec();
-  cp.interactive = r.tensor_vec();
   r.expect_end();
   return cp;
 }

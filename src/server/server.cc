@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numbers>
 #include <sstream>
+#include <type_traits>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -36,6 +38,28 @@ geo::Point parse_point(const JsonValue& v) {
   if (xy.size() != 2)
     throw InvalidInputError("a point must be a [x, y] pair");
   return {xy[0].as_number(), xy[1].as_number()};
+}
+
+/// A wire number as an integer of type T. Only a finite integer inside T's
+/// range converts; anything else is an InvalidInputError (wire code 2).
+/// Casting an out-of-range double to an integer is undefined behaviour, and
+/// on common targets it wraps or saturates silently: an eco "id" of
+/// 4294967296 would otherwise remove TSV 0.
+template <typename T>
+T wire_integer(double v, const std::string& what) {
+  static_assert(std::is_integral_v<T>);
+  // Both bounds are exact doubles: lowest() is 0 or -2^k, and max() + 1 is
+  // a power of two, built from max() / 2 + 1 so that it does not overflow T.
+  constexpr double lo = static_cast<double>(std::numeric_limits<T>::lowest());
+  constexpr double hi =
+      2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
+  if (!(v >= lo && v < hi) || v != std::floor(v))
+    throw InvalidInputError(what + " must be an integer in [" +
+                            std::to_string(std::numeric_limits<T>::lowest()) +
+                            ", " +
+                            std::to_string(std::numeric_limits<T>::max()) +
+                            "]");
+  return static_cast<T>(v);
 }
 
 /// The wire error object for a failure outside the taxonomy (code 1, like
@@ -410,18 +434,22 @@ JsonValue StressServer::handle(const JsonValue& request) {
       const core::StressMeasure measure =
           parse_measure(request.string_or("measure", "von_mises"));
       const geo::Box& box = grid.box();
-      // Index window of grid points inside the requested box (default: all).
+      // Index window of grid points inside the requested box (default:
+      // all). An upper edge past the grid clamps to its last column/row
+      // before the conversion; a lower edge past it is an error.
       const auto lo_idx = [](double v, double origin, double d) {
         if (d <= 0.0) return std::size_t{0};
         const double f = std::ceil((v - origin) / d - 1e-9);
-        return f <= 0.0 ? std::size_t{0} : static_cast<std::size_t>(f);
+        return f <= 0.0 ? std::size_t{0}
+                        : wire_integer<std::size_t>(f, "region: window index");
       };
       const auto hi_idx = [](double v, double origin, double d,
                              std::size_t n) {
         if (d <= 0.0) return n - 1;
         const double f = std::floor((v - origin) / d + 1e-9);
         if (f < 0.0) return std::size_t{0};
-        return std::min(static_cast<std::size_t>(f), n - 1);
+        return wire_integer<std::size_t>(
+            std::min(f, static_cast<double>(n - 1)), "region: window index");
       };
       const std::size_t ix0 = lo_idx(request.number_or("x0", box.lo.x),
                                      box.lo.x, grid.dx());
@@ -456,8 +484,8 @@ JsonValue StressServer::handle(const JsonValue& request) {
       const core::StressMeasure measure =
           parse_measure(request.string_or("measure", "von_mises"));
       const double limit = request.number_or("limit", 100.0);
-      const auto rays =
-          static_cast<std::size_t>(request.number_or("rays", 64.0));
+      const auto rays = wire_integer<std::size_t>(
+          request.number_or("rays", 64.0), "koz: \"rays\"");
       const double radial_step = request.number_or("radial_step", 0.1);
       const double max_radius = request.number_or("max_radius", 25.0);
       const double r0 = engine.structure().outer_radius();
@@ -540,11 +568,12 @@ JsonValue StressServer::handle(const JsonValue& request) {
               {ov.at("x").as_number(), ov.at("y").as_number()}));
         } else if (kind == "move") {
           delta.push_back(core::EcoOp::move(
-              static_cast<std::uint32_t>(ov.at("id").as_number()),
+              wire_integer<std::uint32_t>(ov.at("id").as_number(),
+                                          "eco: \"id\""),
               {ov.at("x").as_number(), ov.at("y").as_number()}));
         } else if (kind == "remove") {
-          delta.push_back(core::EcoOp::remove(
-              static_cast<std::uint32_t>(ov.at("id").as_number())));
+          delta.push_back(core::EcoOp::remove(wire_integer<std::uint32_t>(
+              ov.at("id").as_number(), "eco: \"id\"")));
         } else {
           throw InvalidInputError("eco: unknown op kind '" + kind + "'");
         }

@@ -116,7 +116,7 @@ struct TiledFixture {
   core::StressFramework framework{placement};
   geo::SampleGrid grid = geo::SampleGrid::with_spacing(
       placement.bounding_box().expanded(10.0), 3.0);
-  core::TiledEvaluator tiled{framework, core::TiledOptions{200, false}};
+  core::TiledEvaluator tiled{framework, core::TiledOptions{200}};
 
   core::TileConsumer writer_into(std::vector<num::SymTensor2>& out) const {
     out.assign(grid.size(), num::SymTensor2{});

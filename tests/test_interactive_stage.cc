@@ -194,12 +194,11 @@ TEST(InteractiveStage, PointsExactlyOnBoundingBoxEdgeAreEvaluated) {
   EXPECT_NE(batch[5].s11, 0.0);
 }
 
-// Regression for the stale-fingerprint hazard of the point-index cache:
-// the cache key is a CONTENT hash (FNV-1a over the coordinate bytes plus
-// the count), not the vector's identity, so mutating a point buffer in
-// place — to a new set of the SAME length, the case an address-or-size key
-// would miss — must rebuild the index. A stale index would hand pairs the
-// wrong affected-point sets and silently drop or misplace contributions.
+// A stage keeps no point state between evaluations: mutating a point
+// buffer in place — to a new set of the SAME length, the case an
+// address-or-size keyed cache would miss — must give the field of the new
+// points. A stale point index would hand pairs the wrong affected-point
+// sets and silently drop or misplace contributions.
 TEST(InteractiveStage, MutatedPointBufferOfEqualLengthRebuildsTheIndex) {
   const tsvlib::Placement pair = tsvlib::make_pair(kS, 10.0);
   const InteractiveStage stage(pair, make_model());
@@ -207,7 +206,7 @@ TEST(InteractiveStage, MutatedPointBufferOfEqualLengthRebuildsTheIndex) {
   for (double x = -8; x <= 18; x += 1.3)
     for (double y = -8; y <= 8; y += 1.7) pts.push_back({x, y});
 
-  // Prime the cache with the original coordinates.
+  // Evaluate the original coordinates first.
   const auto first = stage.evaluate(pts);
   ASSERT_EQ(first.size(), pts.size());
 
@@ -217,7 +216,7 @@ TEST(InteractiveStage, MutatedPointBufferOfEqualLengthRebuildsTheIndex) {
   for (geo::Point& p : pts) p = {-p.y, p.x};
   const auto got = stage.evaluate(pts);
 
-  // A fresh stage has no cache to go stale; its field is the truth.
+  // A fresh stage has seen no other points; its field is the truth.
   const InteractiveStage fresh(pair, make_model());
   const auto want = fresh.evaluate(pts);
   ASSERT_EQ(got.size(), want.size());
@@ -226,7 +225,7 @@ TEST(InteractiveStage, MutatedPointBufferOfEqualLengthRebuildsTheIndex) {
     EXPECT_EQ(got[i].s22, want[i].s22) << i;
     EXPECT_EQ(got[i].s12, want[i].s12) << i;
   }
-  // And mutating back re-keys again (no one-shot invalidation).
+  // And mutating back gives the first field again.
   for (geo::Point& p : pts) p = {p.y, -p.x};
   const auto back = stage.evaluate(pts);
   for (std::size_t i = 0; i < pts.size(); ++i)
@@ -313,7 +312,7 @@ TEST(InteractiveStage, VictimBatchingIsOrderIndependent) {
 // InteractiveStressModel::accumulate_run sends each covered stretch of a
 // victim's aggressors to the surrogate run kernel and each out-of-domain
 // aggressor to the exact series, in aggressor order. The result must be
-// the bits of the accumulate_pair sequence into a zeroed buffer, and the
+// the bits of the sequence of runs of one into a zeroed buffer, and the
 // run must be counted exactly once per pair.
 TEST(InteractiveStage, MixedRunIsBitwiseThePairSequence) {
   const auto model = std::make_shared<const ana::InteractiveStressModel>(
@@ -344,8 +343,8 @@ TEST(InteractiveStage, MixedRunIsBitwiseThePairSequence) {
 
   std::vector<num::SymTensor2> want(pts.size());
   for (const geo::Point& a : aggressors)
-    model->accumulate_pair(surrogate.get(), v, a, pts.data(), pts.size(),
-                           want.data());
+    model->accumulate_run(surrogate.get(), v, &a, 1, pts.data(), pts.size(),
+                          want.data());
   surrogate->reset_use_stats();
   std::vector<num::SymTensor2> got(pts.size());
   model->accumulate_run(surrogate.get(), v, aggressors.data(),
@@ -362,7 +361,7 @@ TEST(InteractiveStage, MixedRunIsBitwiseThePairSequence) {
 
 // The batched evaluate against a reference loop that spells out its
 // contract one pair at a time: the pairs split into the same static chunks,
-// every victim run of a chunk sums its pairs' accumulate_pair contributions
+// every victim run of a chunk sums its pairs' runs-of-one contributions
 // per point (in pair order, from zero) and adds the sum to the chunk's
 // partial field, and the partials add up in chunk order. The run kernel,
 // the gathers and the point-parallel merge must reproduce those bits at 1
@@ -400,9 +399,9 @@ TEST(InteractiveStage, EvaluateIsBitwiseAPerPairReferenceLoop) {
         for (; e < end && pairs[e].first == pairs[k].first; ++e)
           for (std::size_t i = 0; i < pts.size(); ++i)
             if (geo::distance_squared(pts[i], victim) <= r2)
-              model->accumulate_pair(surrogate.get(), victim,
-                                     centers[pairs[e].second], &pts[i], 1,
-                                     &run[i]);
+              model->accumulate_run(surrogate.get(), victim,
+                                    &centers[pairs[e].second], 1, &pts[i], 1,
+                                    &run[i]);
         for (std::size_t i = 0; i < pts.size(); ++i)
           if (geo::distance_squared(pts[i], victim) <= r2) part[i] += run[i];
         k = e;

@@ -4,9 +4,9 @@
 // atan2/sin/cos with the double-angle identities and SoA table walks; these
 // tests pin down that they agree with the scalar trig paths to <= 1e-12 of
 // the field scale over randomized centers and points, including the
-// r >= r_max / r == 0 edge cases. The Stage II per-pair entry point
-// (InteractiveStressModel::accumulate_pair) is checked against the scalar
-// series the same way.
+// r >= r_max / r == 0 edge cases. The Stage II entry point
+// (InteractiveStressModel::accumulate_run) with a single pair is checked
+// against the scalar series the same way.
 
 #include <gtest/gtest.h>
 
@@ -157,7 +157,7 @@ TEST(Kernels, SuperpositionRoutesThroughBatchKernel) {
 }
 
 TEST(Kernels, SeriesPairAccumulateMatchesScalarStressAt) {
-  // Without a surrogate, accumulate_pair is the exact series: it must add
+  // Without a surrogate, a run of one is the exact series: it must add
   // exactly model.stress_at per point into the output, for any pair frame.
   std::mt19937 rng(51);
   std::uniform_real_distribution<double> pitch_dist(6.0, 20.0);
@@ -175,8 +175,8 @@ TEST(Kernels, SeriesPairAccumulateMatchesScalarStressAt) {
       p = {victim.x + coord(rng), victim.y + coord(rng)};
     points[0] = victim;  // r == 0 lands in the core region
     std::vector<num::SymTensor2> out(points.size(), {1.0, 2.0, 3.0});
-    pair_model().accumulate_pair(nullptr, victim, aggressor, points.data(),
-                                 points.size(), out.data());
+    pair_model().accumulate_run(nullptr, victim, &aggressor, 1, points.data(),
+                                points.size(), out.data());
     for (std::size_t i = 0; i < points.size(); ++i) {
       const num::SymTensor2 ref =
           pair_model().stress_at(victim, aggressor, points[i]);

@@ -635,6 +635,66 @@ TEST_F(ServerEndToEnd, EcoRejectsNegativeOrFractionalSequenceNumbers) {
   EXPECT_EQ(counters.at("edits").as_number(), 0.0);
 }
 
+// Wire numbers that become integers (an eco "id", koz "rays", the region
+// window's grid indices) must be finite integers inside the target type:
+// an out-of-range double-to-integer cast is undefined behaviour, and in
+// practice id 4294967296 wrapped to 0 and removed TSV 0. Each case is a
+// typed invalid-input refusal (wire code 2) that leaves the session as it
+// was.
+TEST_F(ServerEndToEnd, OutOfRangeWireIntegersAreInvalidInput) {
+  server::Client client = connect();
+  server::JsonValue open = server::Client::request("open", "chip");
+  open.set("placement", server::JsonValue(kPlacementText));
+  open.set("spacing", server::JsonValue(1.0));
+  open.set("margin", server::JsonValue(5.0));
+  client.call(open);
+  server::JsonValue q = server::Client::request("query", "chip");
+  q.set("points", server::JsonValue::parse("[[0,0],[1.5,0.5],[10,0]]"));
+  const server::JsonValue before = client.call(q);
+
+  const auto expect_code_2 = [&](const server::JsonValue& request,
+                                 const std::string& label) {
+    const server::JsonValue raw = client.call_raw(request);
+    EXPECT_FALSE(raw.at("ok").as_bool()) << label;
+    EXPECT_EQ(raw.at("error").at("code").as_number(), 2.0) << label;
+  };
+  for (const char* ops : {R"([{"op":"remove","id":4294967296}])",
+                          R"([{"op":"remove","id":1.5}])",
+                          R"([{"op":"move","id":-1,"x":20,"y":20}])"}) {
+    server::JsonValue eco = server::Client::request("eco", "chip");
+    eco.set("ops", server::JsonValue::parse(ops));
+    expect_code_2(eco, ops);
+  }
+  server::JsonValue koz = server::Client::request("koz", "chip");
+  koz.set("rays", server::JsonValue::parse("1e300"));
+  expect_code_2(koz, "koz rays 1e300");
+  server::JsonValue region = server::Client::request("region", "chip");
+  region.set("x0", server::JsonValue::parse("1e300"));
+  expect_code_2(region, "region x0 1e300");
+
+  // TSV 0 survived, nothing was applied or journaled, and the field is
+  // bitwise what it was.
+  const server::JsonValue stats =
+      client.call(server::Client::request("stats"));
+  const auto& counters =
+      stats.at("sessions").as_array().at(0).at("counters");
+  EXPECT_EQ(counters.at("edits").as_number(), 0.0);
+  EXPECT_EQ(counters.at("journaled").as_number(), 0.0);
+  const server::JsonValue after = client.call(q);
+  const auto& want = before.at("value").as_array();
+  const auto& got = after.at("value").as_array();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const double a = got[i].as_number();
+    const double b = want[i].as_number();
+    EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << i;
+  }
+  // A remove of TSV 0 by its real id still works: the session serves.
+  server::JsonValue eco = server::Client::request("eco", "chip");
+  eco.set("ops", server::JsonValue::parse(R"([{"op":"remove","id":0}])"));
+  EXPECT_EQ(client.call(eco).at("ops").as_number(), 1.0);
+}
+
 // --- Protocol robustness (fuzz-ish negative paths) -------------------------
 
 int raw_connect(const std::string& path) {

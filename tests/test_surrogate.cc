@@ -194,7 +194,7 @@ TEST(Surrogate, ScalarPathIsBitwiseTheBatchKernel) {
   for (geo::Point& p : pts) p = {coord(rng), coord(rng)};
   const geo::Point v{1.25, -0.5}, a{1.25 + 6.0, -0.5 + 7.0};  // pitch ~9.22
   std::vector<num::SymTensor2> batch(pts.size());
-  sur.accumulate(v, a, pts.data(), pts.size(), batch.data());
+  sur.accumulate_run(v, &a, 1, pts.data(), pts.size(), batch.data());
   for (std::size_t i = 0; i < pts.size(); ++i) {
     const num::SymTensor2 one = sur.stress_at(v, a, pts[i]);
     EXPECT_EQ(batch[i].s11, one.s11) << i;
@@ -209,8 +209,8 @@ TEST(Surrogate, ScalarPathIsBitwiseTheBatchKernel) {
   std::vector<std::vector<num::SymTensor2>> by_pitch(pitches.size());
   for (std::size_t k = 0; k < pitches.size(); ++k) {
     by_pitch[k].resize(np);
-    sur.accumulate(v, aggressor_at(v, pitches[k], k), pts.data(), np,
-                   by_pitch[k].data());
+    const geo::Point a_k = aggressor_at(v, pitches[k], k);
+    sur.accumulate_run(v, &a_k, 1, pts.data(), np, by_pitch[k].data());
   }
   for (std::size_t i = 0; i < np; ++i) {
     for (std::size_t k = 0; k < pitches.size(); ++k) {
@@ -241,15 +241,15 @@ TEST(Surrogate, ContractionMemoStateNeverChangesTheResult) {
     SCOPED_TRACE(pitches[i]);
     const geo::Point a = aggressor_at(v, pitches[i], i);
     const std::size_t other = (i + 1) % pitches.size();
-    sur.accumulate(v, aggressor_at(v, pitches[other], other), pts.data(),
-                   pts.size(), scratch.data());
+    const geo::Point b = aggressor_at(v, pitches[other], other);
+    sur.accumulate_run(v, &b, 1, pts.data(), pts.size(), scratch.data());
     std::vector<num::SymTensor2> cold(pts.size());
-    sur.accumulate(v, a, pts.data(), pts.size(), cold.data());
+    sur.accumulate_run(v, &a, 1, pts.data(), pts.size(), cold.data());
     std::vector<num::SymTensor2> warm(pts.size());
-    sur.accumulate(v, a, pts.data(), pts.size(), warm.data());
+    sur.accumulate_run(v, &a, 1, pts.data(), pts.size(), warm.data());
     const PairSurrogate fresh(data);
     std::vector<num::SymTensor2> want(pts.size());
-    fresh.accumulate(v, a, pts.data(), pts.size(), want.data());
+    fresh.accumulate_run(v, &a, 1, pts.data(), pts.size(), want.data());
     expect_bitwise_equal(cold, want);
     expect_bitwise_equal(warm, want);
   }
@@ -292,7 +292,8 @@ TEST(Surrogate, GenericContractionIsBitwiseThePlaneOrderLoop) {
         for (std::size_t q = 0; q < width; ++q)
           want[q] += t[a] * src[a * width + q];
       std::vector<double> got(width), fused(width);
-      detail::contract_pitch_generic(src, width, t, order, got.data());
+      detail::contract_pitches_generic(src, width, t, 0, order, 1, got.data(),
+                                       0);
       host(src, width, t, 0, order, 1, fused.data(), 0);
       for (std::size_t q = 0; q < width; ++q) {
         EXPECT_EQ(got[q], want[q]) << "block " << b << " q " << q;
@@ -350,8 +351,8 @@ TEST(Surrogate, MultiPitchContractionIsBitwiseThePerPitchContraction) {
       host(src, width, t.data(), kStride, order, npitch, fused.data(), width);
       for (std::size_t p = 0; p < npitch; ++p) {
         std::vector<double> want(width), want_fused(width);
-        detail::contract_pitch_generic(src, width, t.data() + p * kStride,
-                                       order, want.data());
+        detail::contract_pitches_generic(src, width, t.data() + p * kStride,
+                                         0, order, 1, want.data(), 0);
         host(src, width, t.data() + p * kStride, 0, order, 1,
              want_fused.data(), 0);
         for (std::size_t q = 0; q < width; ++q) {
@@ -369,8 +370,8 @@ TEST(Surrogate, RunKernelIsBitwiseTheSequentialPairs) {
   // accumulate_run stages the victim's disc once and contracts the run's
   // pitches together, in blocks of at most 8 aggressors. For every run
   // length 1-17 (every remainder of the four-pitch grouping and of the
-  // eight-aggressor block) it must add exactly the bits of calling
-  // accumulate once per aggressor in order, into a zeroed buffer and into
+  // eight-aggressor block) it must add exactly the bits of a run of one
+  // per aggressor in order, into a zeroed buffer and into
   // one that already holds a field. The points include the victim center,
   // one exactly at r_max and one beyond it.
   const PairSurrogate& sur = fitted();
@@ -398,7 +399,7 @@ TEST(Surrogate, RunKernelIsBitwiseTheSequentialPairs) {
     for (const std::vector<num::SymTensor2>* start : starts) {
       std::vector<num::SymTensor2> want = *start;
       for (const geo::Point& a : aggressors)
-        sur.accumulate(v, a, pts.data(), pts.size(), want.data());
+        sur.accumulate_run(v, &a, 1, pts.data(), pts.size(), want.data());
       std::vector<num::SymTensor2> got = *start;
       sur.accumulate_run(v, aggressors.data(), count, pts.data(), pts.size(),
                          got.data());
@@ -428,7 +429,7 @@ TEST(Surrogate, BatchEvaluationIsBitwiseDeterministicAcrossThreads) {
   const geo::Point v{0.0, 0.0}, a{11.3, 4.7};
 
   std::vector<num::SymTensor2> want(pts.size());
-  sur.accumulate(v, a, pts.data(), pts.size(), want.data());
+  sur.accumulate_run(v, &a, 1, pts.data(), pts.size(), want.data());
 
   // Eight threads evaluate the same (pair, points) concurrently into
   // private buffers. Each thread builds its own per-thread pitch
@@ -442,7 +443,7 @@ TEST(Surrogate, BatchEvaluationIsBitwiseDeterministicAcrossThreads) {
     workers.emplace_back([&, t] {
       for (int rep = 0; rep < 3; ++rep) {
         results[t].assign(pts.size(), num::SymTensor2{});
-        sur.accumulate(v, a, pts.data(), pts.size(), results[t].data());
+        sur.accumulate_run(v, &a, 1, pts.data(), pts.size(), results[t].data());
       }
     });
   for (std::thread& w : workers) w.join();
@@ -467,15 +468,15 @@ TEST(Surrogate, OutOfDomainPitchFallsBackAndIsCounted) {
   // no surrogate at all.
   std::vector<num::SymTensor2> out = {{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
   std::vector<num::SymTensor2> want = out;
-  shared_model()->accumulate_pair(&sur, v, near_a, pts.data(), pts.size(),
-                                  out.data());
-  shared_model()->accumulate_pair(nullptr, v, near_a, pts.data(), pts.size(),
-                                  want.data());
+  shared_model()->accumulate_run(&sur, v, &near_a, 1, pts.data(),
+                                 pts.size(), out.data());
+  shared_model()->accumulate_run(nullptr, v, &near_a, 1, pts.data(),
+                                 pts.size(), want.data());
   expect_bitwise_equal(out, want);
 
   const geo::Point in_a{10.0, 0.0};
-  shared_model()->accumulate_pair(&sur, v, in_a, pts.data(), pts.size(),
-                                  out.data());
+  shared_model()->accumulate_run(&sur, v, &in_a, 1, pts.data(),
+                                 pts.size(), out.data());
   const SurrogateUseStats stats = sur.use_stats();
   EXPECT_EQ(stats.fallback_pairs, 1u);
   EXPECT_EQ(stats.surrogate_pairs, 1u);
@@ -487,7 +488,7 @@ TEST(Surrogate, OutOfDomainPitchFallsBackAndIsCounted) {
   // convention the consumers rely on).
   std::vector<geo::Point> far = {{sur.r_max(), 0.0}, {0.0, 30.0}};
   std::vector<num::SymTensor2> fout(far.size());
-  sur.accumulate(v, in_a, far.data(), far.size(), fout.data());
+  sur.accumulate_run(v, &in_a, 1, far.data(), far.size(), fout.data());
   for (const num::SymTensor2& s : fout) {
     EXPECT_EQ(s.s11, 0.0);
     EXPECT_EQ(s.s22, 0.0);
@@ -585,8 +586,8 @@ TEST(Surrogate, SnapshotRoundTripIsBitwise) {
   for (geo::Point& p : pts) p = {coord(rng), coord(rng)};
   const geo::Point v{0, 0}, aa{12.7, 3.1};
   std::vector<num::SymTensor2> want(pts.size()), got(pts.size());
-  sur.accumulate(v, aa, pts.data(), pts.size(), want.data());
-  loaded.accumulate(v, aa, pts.data(), pts.size(), got.data());
+  sur.accumulate_run(v, &aa, 1, pts.data(), pts.size(), want.data());
+  loaded.accumulate_run(v, &aa, 1, pts.data(), pts.size(), got.data());
   expect_bitwise_equal(got, want);
   std::remove(path.c_str());
 }

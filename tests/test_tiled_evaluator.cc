@@ -129,32 +129,6 @@ TEST(TiledEvaluator, SingleTileWhenBudgetCoversTheGrid) {
   EXPECT_EQ(stats.peak_tile_points, grid.size());
 }
 
-TEST(TiledEvaluator, KeepInteractiveExposesStageTwoPart) {
-  const tsvlib::Placement p = cluster_placement();
-  const StressFramework fw(p);
-  const geo::SampleGrid grid = test_grid(p);
-  const StressResult want = fw.evaluate(grid);
-
-  TiledOptions topt;
-  topt.max_tile_points = 300;
-  topt.keep_interactive = true;
-  const TiledEvaluator tiled(fw, topt);
-  bool any_nonzero = false;
-  tiled.evaluate(grid, [&](const Tile& tile) {
-    ASSERT_EQ(tile.interactive.size(), tile.stress.size());
-    for (std::size_t ty = 0; ty < tile.ny; ++ty) {
-      for (std::size_t tx = 0; tx < tile.nx; ++tx) {
-        const std::size_t gi = (tile.iy0 + ty) * grid.nx() + (tile.ix0 + tx);
-        const num::SymTensor2& got = tile.interactive[ty * tile.nx + tx];
-        EXPECT_NEAR(got.s11, want.interactive[gi].s11,
-                    1e-12 * std::max(1.0, std::abs(want.interactive[gi].s11)));
-        any_nonzero |= got.s11 != 0.0;
-      }
-    }
-  });
-  EXPECT_TRUE(any_nonzero);
-}
-
 // The tile driver composes with the Stage II thread pool: a parallel run
 // must agree with the serial one within the documented regrouping tolerance
 // and stay deterministic (this test carries the `tsan` label).
@@ -282,57 +256,11 @@ TEST(TiledEvaluator, ResumeReplaysInterruptedRunBitwise) {
   }
 }
 
-TEST(TiledEvaluator, ResumeKeepsInteractiveFields) {
-  const tsvlib::Placement p = cluster_placement();
-  const StressFramework fw(p);
-  const geo::SampleGrid grid = test_grid(p);
-  TiledOptions topt;
-  topt.max_tile_points = 200;
-  topt.keep_interactive = true;
-  const TiledEvaluator tiled(fw, topt);
-
-  std::vector<num::SymTensor2> want(grid.size());
-  tiled.evaluate(grid, [&](const Tile& tile) {
-    for (std::size_t ty = 0; ty < tile.ny; ++ty)
-      for (std::size_t tx = 0; tx < tile.nx; ++tx)
-        want[(tile.iy0 + ty) * grid.nx() + (tile.ix0 + tx)] =
-            tile.interactive[ty * tile.nx + tx];
-  });
-
-  TiledCheckpoint last;
-  CheckpointConfig config;
-  config.every_tiles = 1;
-  config.writer = [&](const TiledCheckpoint& cp) { last = cp; };
-  std::ptrdiff_t seen = 0;
-  EXPECT_THROW(tiled.evaluate(grid,
-                              [&](const Tile&) {
-                                if (seen++ == 3) throw InterruptedRun{};
-                              },
-                              config),
-               InterruptedRun);
-  ASSERT_GT(last.tiles_done, 0u);
-  ASSERT_EQ(last.interactive.size(), last.stress.size());
-
-  CheckpointConfig resume_config;
-  resume_config.resume = &last;
-  std::vector<num::SymTensor2> got(grid.size());
-  tiled.evaluate(grid, [&](const Tile& tile) {
-    for (std::size_t ty = 0; ty < tile.ny; ++ty)
-      for (std::size_t tx = 0; tx < tile.nx; ++tx)
-        got[(tile.iy0 + ty) * grid.nx() + (tile.ix0 + tx)] =
-            tile.interactive[ty * tile.nx + tx];
-  }, resume_config);
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].s11, want[i].s11) << i;
-    EXPECT_EQ(got[i].s12, want[i].s12) << i;
-  }
-}
-
 TEST(TiledEvaluator, MismatchedCheckpointRejected) {
   const tsvlib::Placement p = cluster_placement();
   const StressFramework fw(p);
   const geo::SampleGrid grid = test_grid(p);
-  const TiledEvaluator tiled(fw, TiledOptions{200, false});
+  const TiledEvaluator tiled(fw, TiledOptions{200});
 
   TiledCheckpoint stale;
   stale.fingerprint = tiled.fingerprint(grid) ^ 1;  // wrong configuration
@@ -355,8 +283,8 @@ TEST(TiledEvaluator, FingerprintSeparatesConfigurations) {
   const tsvlib::Placement p = cluster_placement();
   const geo::SampleGrid grid = test_grid(p);
   const StressFramework fw(p);
-  const TiledEvaluator a(fw, TiledOptions{200, false});
-  const TiledEvaluator b(fw, TiledOptions{300, false});  // different tiling
+  const TiledEvaluator a(fw, TiledOptions{200});
+  const TiledEvaluator b(fw, TiledOptions{300});  // different tiling
   EXPECT_NE(a.fingerprint(grid), b.fingerprint(grid));
   EXPECT_EQ(a.fingerprint(grid), a.fingerprint(grid));
 
@@ -364,7 +292,7 @@ TEST(TiledEvaluator, FingerprintSeparatesConfigurations) {
   const tsvlib::Placement q =
       tsvlib::make_random(kS, 40, geo::Box{{0, 0}, {150, 150}}, 10.0, 100);
   const StressFramework fwq(q);
-  const TiledEvaluator c(fwq, TiledOptions{200, false});
+  const TiledEvaluator c(fwq, TiledOptions{200});
   EXPECT_NE(a.fingerprint(grid), c.fingerprint(grid));
 }
 
