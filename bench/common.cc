@@ -142,10 +142,6 @@ JsonRow& JsonRow::uint(const std::string& key, std::uint64_t value) {
   return raw(key, std::to_string(value));
 }
 
-JsonRow& JsonRow::boolean(const std::string& key, bool value) {
-  return raw(key, value ? "true" : "false");
-}
-
 std::string JsonRow::json() const { return "{" + body_ + "}"; }
 
 void append_jsonl(const std::string& path, const JsonRow& row) {

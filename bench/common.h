@@ -86,9 +86,9 @@ std::vector<PairSweepResult> run_pair_sweep(
 /// insertion order. Replaces the ad-hoc snprintf JSON in the benches so
 /// every bench appends trajectory rows (<out-dir>/*.jsonl) the same way.
 ///
-///   JsonRow row("fullchip");
-///   row.uint("tsvs", n).num("stage1_s", s1, "%.4f").str("mode", "series");
-///   append_jsonl(out_dir + "/fullchip.jsonl", row);
+///   JsonRow row("kernels");
+///   row.str("kernel", name).uint("evals", n).num("ns_per_eval", ns, "%.3f");
+///   append_jsonl(out_dir + "/kernels.jsonl", row);
 ///
 /// num() takes a printf format so rows keep their established field
 /// precision (trajectory diffs stay byte-stable across refactors).
@@ -100,7 +100,6 @@ class JsonRow {
   JsonRow& str(const std::string& key, const std::string& value);
   JsonRow& num(const std::string& key, double value, const char* fmt = "%.6g");
   JsonRow& uint(const std::string& key, std::uint64_t value);
-  JsonRow& boolean(const std::string& key, bool value);
 
   /// The row as a one-line JSON object (no trailing newline).
   std::string json() const;

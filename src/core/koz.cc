@@ -15,50 +15,39 @@ std::vector<KozContour> compute_koz(const StressFramework& framework,
               "max radius must reach beyond the TSV");
   const double r0 = placement.structure().outer_radius();
 
+  // Outward scan: the KOZ boundary is the last radius above the limit. The
+  // metric can re-exceed the limit further out near another TSV; such
+  // regions belong to the TSV that owns them, so the scan stops at half the
+  // cap, which keeps distinct TSVs' zones from swallowing each other.
+  // Another TSV's body is never keep-out for this one.
+  const auto exceeds = [&](const geo::Point& p) {
+    return !placement.inside_any_tsv(p) &&
+           std::abs(extract(options.measure, framework.stress_at(p))) >
+               options.limit;
+  };
   std::vector<KozContour> contours;
   contours.reserve(placement.size());
-  for (std::size_t t = 0; t < placement.size(); ++t) {
-    const geo::Point& c = placement.centers()[t];
-    KozContour contour;
-    contour.tsv_index = t;
-    contour.radius.resize(options.rays, r0);
-    for (std::size_t k = 0; k < options.rays; ++k) {
-      const double th = 2.0 * std::numbers::pi * static_cast<double>(k) /
-                        static_cast<double>(options.rays);
-      const geo::Point dir{std::cos(th), std::sin(th)};
-      // Outward scan: the KOZ boundary is the last radius above the limit
-      // (the metric can re-exceed the limit further out near another TSV;
-      // we attribute such regions to the TSV that owns them, so scan from
-      // r0 and remember the largest violating radius within max_radius/2 —
-      // half the scan cap keeps distinct TSVs' zones from swallowing each
-      // other).
-      const double attribution_cap = options.max_radius / 2.0;
-      double last_violation = r0;
-      for (double r = r0; r <= attribution_cap; r += options.radial_step) {
-        const geo::Point p = c + r * dir;
-        if (placement.inside_any_tsv(p)) continue;  // another TSV's body
-        const double v =
-            std::abs(extract(options.measure, framework.stress_at(p)));
-        if (v > options.limit) last_violation = r;
-      }
-      contour.radius[k] = last_violation;
-    }
-    contour.max_radius = *std::max_element(contour.radius.begin(),
-                                           contour.radius.end());
-    contour.min_radius = *std::min_element(contour.radius.begin(),
-                                           contour.radius.end());
-    // Polygonal area of the star-shaped contour.
-    double area = 0.0;
-    for (std::size_t k = 0; k < options.rays; ++k) {
-      const double r1 = contour.radius[k];
-      const double r2 = contour.radius[(k + 1) % options.rays];
-      area += 0.5 * r1 * r2 *
-              std::sin(2.0 * std::numbers::pi / static_cast<double>(options.rays));
-    }
-    contour.area = area;
-    contours.push_back(std::move(contour));
-  }
+  for (std::size_t t = 0; t < placement.size(); ++t)
+    contours.push_back(march_koz(t, placement.centers()[t], r0,
+                                 options.max_radius / 2.0,
+                                 options.radial_step, options.rays, exceeds));
   return contours;
+}
+
+void finish_contour(KozContour& contour) {
+  const std::size_t rays = contour.radius.size();
+  contour.max_radius =
+      *std::max_element(contour.radius.begin(), contour.radius.end());
+  contour.min_radius =
+      *std::min_element(contour.radius.begin(), contour.radius.end());
+  // Polygonal area of the star-shaped contour.
+  const double sin_dtheta =
+      std::sin(2.0 * std::numbers::pi / static_cast<double>(rays));
+  double area = 0.0;
+  for (std::size_t k = 0; k < rays; ++k)
+    area += 0.5 * contour.radius[k] * contour.radius[(k + 1) % rays] *
+            sin_dtheta;
+  contour.area = area;
 }
 
 KozReport summarize_koz(const std::vector<KozContour>& contours) {

@@ -10,7 +10,8 @@
 // non-circular and placement-dependent; this module measures them from the
 // evaluated field rather than assuming the isolated-TSV radius.
 
-#include <functional>
+#include <cmath>
+#include <cstddef>
 #include <vector>
 
 #include "core/framework.h"
@@ -37,6 +38,43 @@ struct KozContour {
   double min_radius = 0.0;
   double area = 0.0;  ///< um^2, polygonal area of the contour
 };
+
+/// Fills `max_radius`, `min_radius` and `area` from `radius` (at least one
+/// ray).
+void finish_contour(KozContour& contour);
+
+/// The one KOZ ray march, shared by compute_koz, the daemon's koz op and the
+/// variation engine's statistical KOZ. Casts `rays` rays uniform in
+/// [0, 2 pi) from `center` and samples each at r = r0 + i * step while
+/// r <= cap. A ray's radius is the largest sample at which `exceeds(point)`
+/// holds, r0 when none does. Each ray takes floor((cap - r0) / step) + 1
+/// samples, so a caller taking `step` from untrusted input bounds that count
+/// first.
+template <class Exceeds>
+KozContour march_koz(std::size_t tsv_index, const geo::Point& center,
+                     double r0, double cap, double step, std::size_t rays,
+                     const Exceeds& exceeds) {
+  // Not std::numbers::pi: this header also builds as C++17, in the
+  // end-to-end benchmark's own project.
+  constexpr double kPi = 3.14159265358979323846;
+  KozContour contour;
+  contour.tsv_index = tsv_index;
+  contour.radius.resize(rays, r0);
+  for (std::size_t k = 0; k < rays; ++k) {
+    const double th =
+        2.0 * kPi * static_cast<double>(k) / static_cast<double>(rays);
+    const geo::Point dir{std::cos(th), std::sin(th)};
+    double last = r0;
+    for (std::size_t i = 0;; ++i) {
+      const double r = r0 + static_cast<double>(i) * step;
+      if (!(r <= cap)) break;
+      if (exceeds(center + r * dir)) last = r;
+    }
+    contour.radius[k] = last;
+  }
+  finish_contour(contour);
+  return contour;
+}
 
 /// Computes the KOZ contour of every TSV under the given framework.
 std::vector<KozContour> compute_koz(const StressFramework& framework,

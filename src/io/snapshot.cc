@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -642,11 +643,15 @@ core::TiledCheckpoint load_tiled_checkpoint(const std::string& path) {
 
 std::optional<core::TiledCheckpoint> try_load_tiled_checkpoint(
     const std::string& path) {
+  // No file is the normal fresh start, not a fallback worth reporting.
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec)) return std::nullopt;
   try {
     return load_tiled_checkpoint(path);
-  } catch (const std::exception&) {
-    // Missing, truncated, corrupt, or wrong kind: resume is impossible,
-    // restarting from scratch is always correct.
+  } catch (const std::exception& e) {
+    // Truncated, corrupt, or wrong kind: resume is impossible, restarting
+    // from scratch is always correct.
+    std::fprintf(stderr, "warning: checkpoint ignored: %s\n", e.what());
     return std::nullopt;
   }
 }
@@ -660,8 +665,13 @@ core::TiledStats evaluate_with_checkpoint(const core::TiledEvaluator& evaluator,
       try_load_tiled_checkpoint(checkpoint_path);
   // A checkpoint from a different placement/grid/tiling must not be
   // resumed; treat it like a corrupt one and start clean.
-  if (resume && resume->fingerprint != evaluator.fingerprint(grid))
+  if (resume && resume->fingerprint != evaluator.fingerprint(grid)) {
+    std::fprintf(stderr,
+                 "warning: checkpoint ignored: '%s' is from another "
+                 "placement, grid or tiling\n",
+                 checkpoint_path.c_str());
     resume.reset();
+  }
 
   core::CheckpointConfig config;
   config.every_tiles = every_tiles;

@@ -3,10 +3,10 @@
 // state: characterized tables, placements, and the incremental engine.
 //
 // Cold starts pay for every radial-table characterization, the surrogate
-// fit, and the full field evaluation; in an ECO loop (bench_eco) or a
-// long-lived service those are pure re-derivations of state that never
-// changes. A snapshot lets a warm start skip them entirely: save once, load
-// in milliseconds.
+// fit, and the full field evaluation; in an ECO loop or a long-lived
+// service those are pure re-derivations of state that never changes. A
+// snapshot lets a warm start skip them entirely: save once, load in
+// milliseconds.
 //
 // File layout (all integers and IEEE doubles in native little-endian byte
 // order, written raw):
@@ -129,7 +129,9 @@ core::TiledCheckpoint load_tiled_checkpoint(const std::string& path);
 
 /// Best-effort load for resume: returns nullopt (instead of throwing) when
 /// the file is missing, truncated, corrupt, or not a checkpoint — all cases
-/// where the right recovery is to start the run from scratch.
+/// where the right recovery is to start the run from scratch. Every case but
+/// the missing file prints one `warning: checkpoint ignored: ...` line to
+/// stderr.
 std::optional<core::TiledCheckpoint> try_load_tiled_checkpoint(
     const std::string& path);
 

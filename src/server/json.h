@@ -9,7 +9,7 @@
 // Numbers are IEEE doubles serialized with "%.17g", which round-trips every
 // finite double exactly through strtod. The protocol relies on this: stress
 // values crossing the wire compare *bitwise* against an in-process
-// evaluation (see test_server / bench_server), so the service can advertise
+// evaluation (see test_server), so the service can advertise
 // the same determinism contract as the batch CLI. NaN/Inf are rejected on
 // serialization (JSON has no spelling for them; a field with NaN stress is
 // a bug upstream, not a transport problem).

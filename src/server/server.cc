@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <numbers>
 #include <sstream>
 #include <type_traits>
 
@@ -23,6 +22,11 @@
 
 namespace tsv::server {
 namespace {
+
+// Cap on a koz request's work, rays x samples per ray x active TSVs, each
+// sample one bilinear lookup. The default 64 rays of about 100 samples each
+// fit sessions of some 20k TSVs.
+constexpr double kMaxKozSamples = 1 << 27;
 
 core::StressMeasure parse_measure(const std::string& name) {
   if (name == "sigma_xx") return core::StressMeasure::kSigmaXX;
@@ -489,48 +493,37 @@ JsonValue StressServer::handle(const JsonValue& request) {
       const double radial_step = request.number_or("radial_step", 0.1);
       const double max_radius = request.number_or("max_radius", 25.0);
       const double r0 = engine.structure().outer_radius();
+      const double cap = max_radius / 2.0;
       if (rays < 8 || radial_step <= 0.0 || max_radius <= r0)
         throw InvalidInputError(
             "koz: need rays >= 8, radial_step > 0, max_radius beyond the "
             "TSV outer radius");
+      // The march runs inside the request and costs rays x samples per ray
+      // x TSVs, all client-controlled, so their product is capped. An empty
+      // session counts as one TSV so that no ray count is refused or
+      // admitted by session contents alone.
+      const std::vector<std::uint32_t> ids = engine.active_ids();
+      const double samples =
+          static_cast<double>(rays) * ((cap - r0) / radial_step + 1.0) *
+          static_cast<double>(std::max<std::size_t>(ids.size(), 1));
+      if (!(samples <= kMaxKozSamples))
+        throw InvalidInputError(
+            "koz: rays x ((max_radius/2 - r0)/radial_step + 1) x TSVs must "
+            "be <= " + std::to_string(static_cast<long long>(kMaxKozSamples)));
 
-      // One pass over the resident field, then ray marching on the scalar
-      // metric through the shared bilinear interpolant (the variation
-      // engine's KOZ path uses the same scheme on exceedance maps).
+      // One pass over the resident field, then the shared ray march on the
+      // scalar metric through the bilinear interpolant.
       std::vector<double> metric(grid.size());
       for (std::size_t i = 0; i < grid.size(); ++i)
         metric[i] = std::abs(core::extract(measure, s1[i] + s2[i]));
+      const auto exceeds = [&](const geo::Point& p) {
+        return geo::bilinear(grid, metric, p) > limit;
+      };
 
       std::vector<core::KozContour> contours;
-      const double dtheta = 2.0 * std::numbers::pi /
-                            static_cast<double>(rays);
-      for (const std::uint32_t id : engine.active_ids()) {
-        const geo::Point& c = engine.center(id);
-        core::KozContour contour;
-        contour.tsv_index = id;
-        contour.radius.resize(rays, r0);
-        const double attribution_cap = max_radius / 2.0;
-        for (std::size_t k = 0; k < rays; ++k) {
-          const double th = dtheta * static_cast<double>(k);
-          const geo::Point dir{std::cos(th), std::sin(th)};
-          double last_violation = r0;
-          for (double r = r0; r <= attribution_cap; r += radial_step) {
-            const geo::Point p = c + r * dir;
-            if (geo::bilinear(grid, metric, p) > limit) last_violation = r;
-          }
-          contour.radius[k] = last_violation;
-        }
-        contour.max_radius = *std::max_element(contour.radius.begin(),
-                                               contour.radius.end());
-        contour.min_radius = *std::min_element(contour.radius.begin(),
-                                               contour.radius.end());
-        double area = 0.0;
-        for (std::size_t k = 0; k < rays; ++k)
-          area += 0.5 * contour.radius[k] * contour.radius[(k + 1) % rays] *
-                  std::sin(dtheta);
-        contour.area = area;
-        contours.push_back(std::move(contour));
-      }
+      for (const std::uint32_t id : ids)
+        contours.push_back(core::march_koz(id, engine.center(id), r0, cap,
+                                           radial_step, rays, exceeds));
       const core::KozReport report = core::summarize_koz(contours);
       guard.count_koz();
 

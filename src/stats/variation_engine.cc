@@ -276,44 +276,18 @@ CornerResult VariationEngine::run_corner(std::size_t corner_index) {
 
   // Statistical KOZ: per nominal TSV, per ray, the largest radius where the
   // interpolated exceedance probability still reaches koz_alpha (floored at
-  // the corner's outer radius, like core::compute_koz).
+  // the corner's outer radius), through the ray march core::compute_koz
+  // uses.
   const std::vector<double> p_exceed = exceed.probabilities(koz_threshold);
   const double r_outer = corners_[corner_index].structure.outer_radius();
+  const auto exceeds = [&](const geo::Point& p) {
+    return geo::bilinear(grid_, p_exceed, p) >= options_.koz_alpha;
+  };
   res.koz_contours.reserve(nominal.size());
-  for (std::size_t t = 0; t < nominal.size(); ++t) {
-    core::KozContour contour;
-    contour.tsv_index = t;
-    contour.radius.resize(options_.koz_rays, r_outer);
-    for (std::size_t ray = 0; ray < options_.koz_rays; ++ray) {
-      const double theta = 2.0 * 3.14159265358979323846 *
-                           static_cast<double>(ray) /
-                           static_cast<double>(options_.koz_rays);
-      const double cs = std::cos(theta);
-      const double sn = std::sin(theta);
-      double keep_out = r_outer;
-      for (double rad = r_outer; rad <= options_.koz_max_radius;
-           rad += options_.koz_radial_step) {
-        const geo::Point p{nominal[t].x + rad * cs, nominal[t].y + rad * sn};
-        if (geo::bilinear(grid_, p_exceed, p) >= options_.koz_alpha) keep_out = rad;
-      }
-      contour.radius[ray] = keep_out;
-    }
-    contour.max_radius =
-        *std::max_element(contour.radius.begin(), contour.radius.end());
-    contour.min_radius =
-        *std::min_element(contour.radius.begin(), contour.radius.end());
-    // Polygonal area of the star-shaped contour (as in core/koz.cc).
-    double area = 0.0;
-    const double dtheta =
-        2.0 * 3.14159265358979323846 / static_cast<double>(options_.koz_rays);
-    for (std::size_t ray = 0; ray < options_.koz_rays; ++ray) {
-      const double r1 = contour.radius[ray];
-      const double r2 = contour.radius[(ray + 1) % options_.koz_rays];
-      area += 0.5 * r1 * r2 * std::sin(dtheta);
-    }
-    contour.area = area;
-    res.koz_contours.push_back(std::move(contour));
-  }
+  for (std::size_t t = 0; t < nominal.size(); ++t)
+    res.koz_contours.push_back(core::march_koz(
+        t, nominal[t], r_outer, options_.koz_max_radius,
+        options_.koz_radial_step, options_.koz_rays, exceeds));
   res.koz = core::summarize_koz(res.koz_contours);
   return res;
 }

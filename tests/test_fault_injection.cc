@@ -5,7 +5,8 @@
 //     recovered FEM field is bitwise the clean direct-Cholesky solve;
 //   - an injected snapshot-write failure neither kills a checkpointed tiled
 //     run nor corrupts the previous checkpoint;
-//   - a truncated checkpoint is discarded and the run restarts clean;
+//   - a truncated checkpoint is discarded and the run restarts clean, with
+//     one warning line on stderr (a missing checkpoint stays silent);
 //   - a run killed mid-flight (real SIGKILL-style death via fork + _exit)
 //     resumes from its checkpoint and streams a bitwise-identical field;
 //   - a bit-flipped surrogate snapshot is rejected by the payload checksum
@@ -22,7 +23,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -182,6 +185,43 @@ TEST(FaultInjection, TruncatedCheckpointRestartsCleanAndStillMatches) {
   // computed, and the field is the clean one.
   EXPECT_EQ(stats.resumed_tiles, 0u);
   expect_bitwise_equal(got, want);
+}
+
+// Resume falls back to a clean start whenever the checkpoint is unusable.
+// That fallback is logged: one warning line for a damaged file, none for a
+// missing one, which is the normal fresh start.
+TEST(FaultInjection, IgnoredCheckpointIsLoggedAndAMissingOneIsNot) {
+  const std::string path = temp_path("ckpt_logged.snap");
+  std::remove(path.c_str());
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(io::try_load_tiled_checkpoint(path).has_value());
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "TSVSNAP but not a checkpoint";
+  }
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(io::try_load_tiled_checkpoint(path).has_value());
+  const std::string corrupt = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(corrupt.rfind("warning: checkpoint ignored: ", 0), 0u) << corrupt;
+  EXPECT_EQ(std::count(corrupt.begin(), corrupt.end(), '\n'), 1) << corrupt;
+
+  // A well-formed checkpoint of another run is ignored the same way.
+  TiledFixture f;
+  core::TiledCheckpoint cp;
+  cp.fingerprint = f.tiled.fingerprint(f.grid) + 1;
+  cp.tiles_done = 2;
+  io::save_tiled_checkpoint(path, cp);
+  std::vector<num::SymTensor2> got;
+  ::testing::internal::CaptureStderr();
+  const core::TiledStats stats = io::evaluate_with_checkpoint(
+      f.tiled, f.grid, f.writer_into(got), path, 4);
+  const std::string stale = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(stats.resumed_tiles, 0u);
+  EXPECT_EQ(stale.rfind("warning: checkpoint ignored: ", 0), 0u) << stale;
+  EXPECT_EQ(std::count(stale.begin(), stale.end(), '\n'), 1) << stale;
+  std::remove(path.c_str());
 }
 
 TEST(FaultInjection, KilledRunResumesBitwiseIdentical) {

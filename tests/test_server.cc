@@ -13,7 +13,9 @@
 #include <limits>
 #include <random>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -693,6 +695,55 @@ TEST_F(ServerEndToEnd, OutOfRangeWireIntegersAreInvalidInput) {
   server::JsonValue eco = server::Client::request("eco", "chip");
   eco.set("ops", server::JsonValue::parse(R"([{"op":"remove","id":0}])"));
   EXPECT_EQ(client.call(eco).at("ops").as_number(), 1.0);
+}
+
+// A koz request's work is rays x samples per ray x TSVs, all inside one
+// request. Rays 1e12 used to die in the contour allocation with an unknown
+// error, and radial_step 1e-300 never advanced the march past the TSV edge,
+// so a worker spun forever. Both are now code-2 refusals, as is a ray count
+// and a step that are each fine alone but together exceed the work budget,
+// and the daemon keeps serving.
+TEST_F(ServerEndToEnd, KozRequestsBeyondTheWorkBudgetAreInvalidInput) {
+  server::Client client = connect();
+  server::JsonValue open = server::Client::request("open", "chip");
+  open.set("placement", server::JsonValue(kPlacementText));
+  open.set("spacing", server::JsonValue(1.0));
+  open.set("margin", server::JsonValue(5.0));
+  client.call(open);
+
+  const auto koz_with = [](const std::string& rays, const std::string& step) {
+    server::JsonValue koz = server::Client::request("koz", "chip");
+    if (!rays.empty()) koz.set("rays", server::JsonValue::parse(rays));
+    if (!step.empty())
+      koz.set("radial_step", server::JsonValue::parse(step));
+    return koz;
+  };
+  // {rays, radial_step}; empty keeps the default (64 rays, 0.1 um).
+  for (const auto& [rays, step] :
+       {std::pair<std::string, std::string>{"1e12", ""},
+        {"", "1e-300"},
+        {"8192", "1e-3"}}) {
+    const server::JsonValue raw = client.call_raw(koz_with(rays, step));
+    const std::string label = "rays " + rays + " radial_step " + step;
+    EXPECT_FALSE(raw.at("ok").as_bool()) << label;
+    EXPECT_EQ(raw.at("error").at("code").as_number(), 2.0) << label;
+  }
+  server::JsonValue far = server::Client::request("koz", "chip");
+  far.set("max_radius", server::JsonValue::parse("1e300"));
+  EXPECT_EQ(client.call_raw(far).at("error").at("code").as_number(), 2.0);
+
+  // Each factor of the refused pair is admitted alone, with the defaults.
+  const server::JsonValue wide = client.call(koz_with("8192", ""));
+  ASSERT_EQ(wide.at("contours").as_array().size(), 3u);
+  EXPECT_EQ(
+      wide.at("contours").as_array()[0].at("radius").as_array().size(),
+      8192u);
+  client.call(koz_with("", "1e-3"));
+  const server::JsonValue stats =
+      client.call(server::Client::request("stats"));
+  EXPECT_EQ(stats.at("sessions").as_array().at(0).at("counters")
+                .at("koz_queries").as_number(),
+            2.0);
 }
 
 // --- Protocol robustness (fuzz-ish negative paths) -------------------------

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""CI guard for the Stage I/II point-kernel timings.
+"""CI guard for the Stage I/II point-kernel timings and the e2e quick run.
 
 bench_micro_kernels appends one row per (kernel, mode) to
 results/kernels.jsonl; this script compares the latest rows against the
@@ -23,33 +23,33 @@ the contraction memo always hits. The run row carries a second
 host-independent floor: its "speedup" (pair / run, same run) must stay at
 or above the baseline's `min_run_speedup`.
 
-With --variation, the guard additionally checks bench_variation's
-results/variation.jsonl against the baseline's "variation" section: at the
-baseline TSV count, a Monte Carlo variation sample streamed through the
-resident incremental engine must stay at least `min_sample_speedup` times
-cheaper than a cold full recompute (speedup_cold in the row — fresh
-characterization + engine build per sample). Host-speed independent, like
-the batch-speedup floors.
-
-With --fullchip, the guard also compares bench_fullchip's peak_rss_mb
-against the committed per-design peaks in the baseline's "rss" section
-(a list of {tsvs, spacing_um, peak_rss_mb, max_growth} entries). This
-check FAILS the job on growth beyond `max_growth` (an earlier warn-only
-variant let a 2x regression linger).
+With --e2e DIR, the guard also gates a quick run of the end-to-end
+benchmark (`python3 bench/e2e/run.py --quick --out DIR`) against the
+baseline's "e2e" section: one `max_growth` bound and, per workload, a
+`peak_rss_mb` baseline and an optional `min_setup_op_ratio` floor. It reads
+the result object on the last line of each DIR/<workload>-seed1.txt and
+fails when the file is missing, the run was not --quick, the result is not
+`correct`, any op `failed`, peak_rss_mb grew beyond
+`peak_rss_mb * (1 + max_growth)`, or the same-run ratio
+1e3 * setup_s / op_p50_ms fell below `min_setup_op_ratio`. For
+variation_corners that ratio is cold characterization + build over one
+sample on one corner. Both terms come from the same run, but they do not
+scale alike with host load (the setup builds four corners in parallel), so
+the ratio moves with the host; EXPERIMENTS.md records its spread.
 
 Usage:
   tools/check_kernel_perf.py <kernels.jsonl> <baseline.json>
-  tools/check_kernel_perf.py <kernels.jsonl> <baseline.json> \
-      --variation results/variation.jsonl --fullchip results/fullchip.jsonl
+  tools/check_kernel_perf.py <kernels.jsonl> <baseline.json> --e2e results/e2e
   tools/check_kernel_perf.py <kernels.jsonl> <baseline.json> --write-baseline
 
 --write-baseline refreshes the committed timings from the given run
-(keeping the existing speedup floors and the variation/rss sections)
-instead of checking.
+(keeping the existing speedup floors and the e2e section) instead of
+checking.
 """
 
 import argparse
 import json
+import os
 import sys
 
 MODES = ("scalar", "batch", "pair", "contraction", "run")
@@ -90,106 +90,71 @@ def write_baseline(rows, baseline_path, old, max_regression):
         if "min_run_speedup" in old_spec and "run_ns_per_eval" in spec:
             spec["min_run_speedup"] = old_spec["min_run_speedup"]
     data = {"max_regression": max_regression, "kernels": kernels}
-    if "variation" in old:
-        data["variation"] = old["variation"]
-    if "rss" in old:
-        data["rss"] = old["rss"]
+    if "e2e" in old:
+        data["e2e"] = old["e2e"]
     with open(baseline_path, "w", encoding="utf-8") as f:
         json.dump(data, f, indent=2)
         f.write("\n")
     print(f"wrote {baseline_path}")
 
 
-def latest_variation_row(path, min_tsvs):
-    """Last bench_variation row at >= min_tsvs TSVs, or None."""
-    latest = None
+def e2e_result(path):
+    """(header, result) of one run.py output file: the first line names the
+    run's settings, the last holds the result object."""
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            if row.get("bench") != "variation":
-                continue
-            if row.get("tsvs", 0) >= min_tsvs:
-                latest = row
-    return latest
+        lines = f.read().splitlines()
+    if not lines:
+        raise ValueError("empty file")
+    return lines[0], json.loads(lines[-1])
 
 
-def check_variation(path, baseline):
-    spec = baseline.get("variation")
-    if spec is None:
-        return ["baseline has no 'variation' section (add one or drop "
-                "--variation)"]
-    tsvs = spec.get("tsvs", 1000)
-    floor = spec.get("min_sample_speedup", 50.0)
-    row = latest_variation_row(path, tsvs)
-    if row is None:
-        return [f"variation: no row with tsvs >= {tsvs} in {path}"]
-    speedup = row.get("speedup_cold", 0.0)
-    verdict = "ok" if speedup >= floor else "BELOW FLOOR"
-    print(f"variation @ {row['tsvs']} TSVs: per-sample speedup "
-          f"{speedup:.1f}x vs cold full recompute "
-          f"(floor {floor:.1f}x) {verdict}")
-    if speedup < floor:
-        return [f"variation: per-sample speedup {speedup:.1f}x at "
-                f"{row['tsvs']} TSVs is below the floor {floor:.1f}x"]
-    return []
-
-
-def latest_fullchip_row(path, tsvs, spacing):
-    """Last bench_fullchip row at the baseline design point, or None."""
-    latest = None
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            if row.get("bench") != "fullchip":
-                continue
-            if row.get("tsvs") != tsvs:
-                continue
-            if spacing is not None and row.get("spacing_um") != spacing:
-                continue
-            latest = row
-    return latest
-
-
-def check_rss(path, baseline):
-    """Failing memory guard: each committed per-design peak in the
-    baseline's "rss" list must not grow more than its `max_growth`
-    fraction. Accepts the legacy single-dict form too.
-    """
-    specs = baseline.get("rss")
-    if specs is None:
-        print("rss: baseline has no 'rss' section; skipping")
-        return []
-    if isinstance(specs, dict):
-        specs = [specs]
+def check_e2e(directory, baseline):
+    section = baseline.get("e2e")
+    if not section:
+        return ["baseline has no 'e2e' section (add one or drop --e2e)"]
+    max_growth = section["max_growth"]
     failures = []
-    for spec in specs:
-        tsvs = spec.get("tsvs", 1000)
-        spacing = spec.get("spacing_um")
-        row = latest_fullchip_row(path, tsvs, spacing)
-        if row is None:
-            where = f"tsvs == {tsvs}"
-            if spacing is not None:
-                where += f", spacing_um == {spacing}"
-            failures.append(f"rss: no fullchip row with {where} in {path}")
+    for workload, spec in section["workloads"].items():
+        path = os.path.join(directory, f"{workload}-seed1.txt")
+        try:
+            header, result = e2e_result(path)
+            metrics = {k: v["value"] for k, v in result["metrics"].items()}
+        except (OSError, ValueError, KeyError, TypeError) as e:
+            failures.append(f"{workload}: no result in {path} ({e})")
             continue
-        measured = row.get("peak_rss_mb", 0.0)
-        base = spec["peak_rss_mb"]
-        max_growth = spec.get("max_growth", 0.25)
-        allowed = base * (1.0 + max_growth)
-        verdict = "ok" if measured <= allowed else "GREW"
-        print(f"fullchip rss @ {tsvs} TSVs: peak {measured:.1f} MB "
-              f"(baseline {base:.1f}, allowed <= {allowed:.1f}) {verdict}")
-        if measured > allowed:
+        if "quick=1" not in header.split():
+            failures.append(f"{workload}: {path} is not a --quick run")
+        if result.get("correct") is not True:
+            failures.append(f"{workload}: correct is "
+                            f"{json.dumps(result.get('correct'))}")
+        failed = result.get("failed", 0)
+        if failed > 0:
+            failures.append(f"{workload}: {failed} of "
+                            f"{result.get('attempted')} ops failed")
+
+        rss = metrics.get("peak_rss_mb", float("inf"))
+        allowed = spec["peak_rss_mb"] * (1.0 + max_growth)
+        verdict = "ok" if rss <= allowed else "GREW"
+        print(f"{workload}: peak RSS {rss:.1f} MB (baseline "
+              f"{spec['peak_rss_mb']:.1f}, allowed <= {allowed:.1f}) "
+              f"{verdict}")
+        if rss > allowed:
             failures.append(
-                f"fullchip peak RSS {measured:.1f} MB at {tsvs} TSVs "
-                f"exceeds the baseline {base:.1f} MB by more than "
+                f"{workload}: peak RSS {rss:.1f} MB exceeds the baseline "
+                f"{spec['peak_rss_mb']:.1f} MB by more than "
                 f"{100 * max_growth:.0f}%")
+
+        floor = spec.get("min_setup_op_ratio")
+        if floor is None:
+            continue
+        op_ms = metrics.get("op_p50_ms", 0.0)
+        ratio = 1e3 * metrics.get("setup_s", 0.0) / op_ms if op_ms > 0 else 0
+        verdict = "ok" if ratio >= floor else "BELOW FLOOR"
+        print(f"{workload}: setup / op p50 {ratio:.1f}x "
+              f"(floor {floor:.1f}x) {verdict}")
+        if ratio < floor:
+            failures.append(f"{workload}: setup / op p50 {ratio:.1f}x is "
+                            f"below the floor {floor:.1f}x")
     return failures
 
 
@@ -242,12 +207,9 @@ def main():
     parser.add_argument("baseline", help="committed baseline json")
     parser.add_argument("--write-baseline", action="store_true",
                         help="refresh the baseline from this run's rows")
-    parser.add_argument("--variation", metavar="PATH", default=None,
-                        help="also check bench_variation's variation.jsonl "
-                             "against the baseline's per-sample floor")
-    parser.add_argument("--fullchip", metavar="PATH", default=None,
-                        help="also gate bench_fullchip's per-design peak "
-                             "RSS ('rss' section)")
+    parser.add_argument("--e2e", metavar="DIR", default=None,
+                        help="also gate the run.py --quick results in DIR "
+                             "('e2e' section)")
     parser.add_argument("--max-regression", type=float, default=None,
                         help="override the baseline's allowed fraction")
     args = parser.parse_args()
@@ -276,10 +238,8 @@ def main():
         return 0
 
     failures = check(rows, baseline)
-    if args.variation is not None:
-        failures += check_variation(args.variation, baseline)
-    if args.fullchip is not None:
-        failures += check_rss(args.fullchip, baseline)
+    if args.e2e is not None:
+        failures += check_e2e(args.e2e, baseline)
     if failures:
         print("\nkernel perf guard FAILED:", file=sys.stderr)
         for f in failures:
