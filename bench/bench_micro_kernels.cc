@@ -528,8 +528,9 @@ void emit_kernel_rows(const std::string& out_dir) {
     // through the run kernel together, as InteractiveStage evaluates them.
     // Same disc and pitch range as the pair rows, 9 aggressors per run
     // (about the mean run length of a full-chip design), fresh pitches
-    // throughout, contraction included. Its "speedup" is pair / run from
-    // this same run, the ratio the min_run_speedup floor guards.
+    // throughout, the run's fold into one chip-frame series included. Its
+    // "speedup" is pair / run from this same run, the ratio the
+    // min_run_speedup floor guards.
     constexpr std::size_t kRunLen = 9;
     constexpr std::size_t kRuns = 28;
     std::vector<geo::Point> run_aggressors(kRunLen * kRuns);

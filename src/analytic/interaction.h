@@ -95,10 +95,12 @@ class InteractiveStressModel {
   /// interactive stress at points[0..n) into out[i]. Each pair goes
   /// through `surrogate` when it is non-null and covers the pair pitch, and
   /// through the exact series otherwise; consecutive covered pairs share
-  /// one surrogate run (PairSurrogate::accumulate_run). The result is
-  /// bitwise the per-pair sequence in aggressor order, and the run is
-  /// counted on the surrogate's use stats once. `surrogate` must come from
-  /// surrogate_for (or be nullptr for the series only).
+  /// one surrogate run (PairSurrogate::accumulate_run), which evaluates a
+  /// stretch of two or more as one chip-frame series. The result is the
+  /// per-pair sequence in aggressor order up to rounding (bitwise where
+  /// every stretch is a run of one), and the run is counted on the
+  /// surrogate's use stats once. `surrogate` must come from surrogate_for
+  /// (or be nullptr for the series only).
   void accumulate_run(const PairSurrogate* surrogate, const geo::Point& victim,
                       const geo::Point* aggressors, std::size_t count,
                       const geo::Point* points, std::size_t n,

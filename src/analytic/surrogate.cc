@@ -67,11 +67,11 @@ void cheb_transform_line(double* base, std::size_t stride, std::size_t n,
 
 /// Per-thread memo of the pitch-contracted coefficient matrices, keyed on
 /// (surrogate id, pitch bits), for runs of one (accumulate_run with
-/// count == 1: certification, stress_at, victims with a single aggressor).
-/// Runs of two or more contract their pitches together instead (see
-/// accumulate_run). The memo hits when consecutive runs of one share a
-/// bitwise-equal pitch: certification evaluates each sampled pitch at many
-/// points, one call per point, and a regular array repeats pitches.
+/// count == 1: certification, stress_at, an edit's partner runs, victims
+/// with a single aggressor). Longer runs build one chip-frame series
+/// instead (see accumulate_run). The memo hits when consecutive runs of one
+/// share a bitwise-equal pitch: certification evaluates each sampled pitch
+/// at many points, one call per point, and a regular array repeats pitches.
 struct ContractionMemo {
   std::uint64_t id = 0;
   std::uint64_t pitch_bits = 0;
@@ -84,7 +84,8 @@ ContractionMemo& tls_contraction_memo() {
 }
 
 /// Flat per-segment view for the hot kernel (selection threshold, radial
-/// map, orders, offset into the contracted matrices).
+/// map, orders, offsets into the contracted matrices and a run's victim
+/// series).
 struct SegView {
   double r1 = 0.0;  ///< selection: first segment with r < r1 wins
   double t_mid = 0.0;
@@ -93,6 +94,7 @@ struct SegView {
   std::uint32_t nr = 0;
   std::uint32_t nx = 0;
   std::uint64_t offset = 0;
+  std::uint64_t victim_offset = 0;
 };
 
 /// The victim side of a run: everything the staging pass needs.
@@ -103,20 +105,20 @@ struct KernelArgs {
   double vx = 0.0, vy = 0.0;
 };
 
-/// One pair of a run: its pair-frame rotation and contracted matrices.
+/// A run of one: its pair-frame rotation and contracted matrices.
 struct PairArgs {
   const double* contracted = nullptr;
   double cb = 0.0, sb = 0.0;    ///< cos/sin of the pair angle beta
   double c2b = 0.0, s2b = 0.0;  ///< cos/sin of 2 beta
 };
 
-/// Most aggressors one evaluation pass carries: bounds the run's contracted
-/// scratch at kRunBlock * 19 KB per thread for the default fit, whatever
-/// the run length.
-constexpr std::size_t kRunBlock = 8;
-
-/// Pitches one contraction group reads each coefficient vector for.
-constexpr std::size_t kContractGroup = 4;
+/// A longer run: its chip-frame series and the tensor its victim-center
+/// points take.
+struct VictimArgs {
+  const double* series = nullptr;
+  bool has_center = false;
+  double c11 = 0.0, c22 = 0.0, c12 = 0.0;
+};
 
 /// Widest SIMD block any dispatch variant uses: 8 doubles = one AVX-512
 /// register (the AVX2 variant runs 4-wide, the generic one legalizes the
@@ -150,11 +152,22 @@ void permute_angular_rows(std::vector<double>& coeffs, std::size_t nx,
   }
 }
 
+/// A harmonic row (see harmonic_tensor) holds two blocks, the mean's nx
+/// columns and, from column pad_columns(nx), the deviator's 2 nx + 1, each
+/// padded with zero columns to whole 4-double vectors, so the fold and the
+/// radial combine run without tails.
+constexpr std::size_t kHarmonicLanes = 4;
+constexpr std::size_t pad_columns(std::size_t n) {
+  return (n + kHarmonicLanes - 1) / kHarmonicLanes * kHarmonicLanes;
+}
+constexpr std::size_t harmonic_columns(std::size_t nx) {
+  return pad_columns(nx) + pad_columns(2 * nx + 1);
+}
+
 /// Thread-local run scratch: the victim's disc staged into per-segment SoA
 /// buckets (radial map value, victim-relative x/y, 1/r, point index),
-/// padded to whole lane blocks, plus the contracted matrices of one
-/// aggressor block. Reused across calls, so steady-state allocation cost is
-/// zero.
+/// padded to whole lane blocks, plus a longer run's weights and chip-frame
+/// series. Reused across calls, so steady-state allocation cost is zero.
 struct RunScratch {
   std::vector<double> th[kMaxSegments];
   std::vector<double> px[kMaxSegments];
@@ -162,7 +175,10 @@ struct RunScratch {
   std::vector<double> ir[kMaxSegments];
   std::vector<std::uint32_t> idx[kMaxSegments];
   std::size_t fill[kMaxSegments] = {};
-  std::vector<double> contracted;
+  std::vector<PairArgs> pairs;  ///< a longer run's pair frames
+  std::vector<double> t;         ///< [aggressor][pitch order] weights
+  std::vector<double> wre, wim;  ///< [pitch order][exponent] run weights
+  std::vector<double> series;    ///< [segment][radial][re | im columns]
 };
 
 RunScratch& tls_run_scratch() {
@@ -313,21 +329,18 @@ __attribute__((always_inline)) inline void stage_body(
   }
 }
 
-/// Evaluation pass over the staged disc for pairs[0..count): per lane block,
-/// a Chebyshev radial basis shared by all pairs, then per pair one angle
-/// from the staged (x, y, 1/r), a radial combine and three halved-degree
-/// angular Clenshaw sums — no trig. With several pairs (kDirect false), the
-/// block's running sums stay in registers across them, added in pair order
-/// so each point's sum is bitwise the per-pair sequence, and meet `out`
-/// once: one gather before the first pair, one scatter after the last. A
-/// single pair (kDirect) adds straight into `out`. All lanes of a block
-/// share the segment's orders and coefficient rows, so the radial combine
-/// is broadcast-FMA and the serial Clenshaw chains run lane-parallel.
-/// Forced inline into the ISA wrappers, like stage_body.
-template <class V, bool kDirect>
-__attribute__((always_inline)) inline void eval_pass(
-    const KernelArgs& k, const RunScratch& sc, const PairArgs* pairs,
-    std::size_t count, num::SymTensor2* out) {
+/// Evaluation pass of a run of one over the staged disc: per lane block a
+/// Chebyshev radial basis, the pair-frame angle from the staged (x, y,
+/// 1/r), a radial combine and three halved-degree angular Clenshaw sums —
+/// no trig — added straight into `out`. All lanes of a block share the
+/// segment's orders and coefficient rows, so the radial combine is
+/// broadcast-FMA and the serial Clenshaw chains run lane-parallel. Forced
+/// inline into the ISA wrappers, like stage_body.
+template <class V>
+__attribute__((always_inline)) inline void eval_body(const KernelArgs& k,
+                                                     const RunScratch& sc,
+                                                     const PairArgs& pa,
+                                                     num::SymTensor2* out) {
   constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
   typedef typename LaneInt<V>::type VI;
   // One lane block = one GCC generic vector: the target-attributed wrappers
@@ -343,6 +356,9 @@ __attribute__((always_inline)) inline void eval_pass(
     const std::size_t ne = (nx + 1) / 2;  // even angular orders
     const std::size_t no = nx / 2;        // odd angular orders
     const std::uint32_t* idx_b = sc.idx[s].data();
+    const double* c11 = pa.contracted + sv.offset;
+    const double* c22 = c11 + nr * nx;
+    const double* c12 = c22 + nr * nx;
     for (std::size_t b = 0; b < m; b += kLanes) {
       const std::size_t lanes = m - b < kLanes ? m - b : kLanes;
       V th, px, py, inv_r;
@@ -351,8 +367,8 @@ __attribute__((always_inline)) inline void eval_pass(
       std::memcpy(&py, sc.py[s].data() + b, sizeof(py));
       std::memcpy(&inv_r, sc.ir[s].data() + b, sizeof(inv_r));
       const V vzero = th - th;
-      // Radial Chebyshev basis, computed once per block and reused by every
-      // pair and every (component, angular) coefficient column.
+      // Radial Chebyshev basis, reused by every (component, angular)
+      // coefficient column.
       V tarr[kMaxOrder];
       tarr[0] = vzero + 1.0;
       tarr[1] = th;
@@ -360,326 +376,452 @@ __attribute__((always_inline)) inline void eval_pass(
       for (std::size_t a = 2; a < nr; ++a)
         tarr[a] = two_th * tarr[a - 1] - tarr[a - 2];
       const VI live = inv_r > vzero;
-      V acc11 = vzero, acc22 = vzero, acc12 = vzero;
-      if constexpr (!kDirect) {
-        for (std::size_t w = 0; w < lanes; ++w) {
-          const num::SymTensor2& o = out[idx_b[b + w]];
-          acc11[w] = o.s11;
-          acc22[w] = o.s22;
-          acc12[w] = o.s12;
+      // Pair-frame angle without atan2: x = cos(theta) = (rotated x)/r and
+      // the *signed* sin(theta) = (rotated y)/r, which carries the theta
+      // mirror antisymmetry of s12 with no branch at all. Lanes at the
+      // victim center blend to the benign (x, st) = (1, 0).
+      V x = (pa.cb * px + pa.sb * py) * inv_r;
+      x = live ? x : vzero + 1.0;
+      x = x > 1.0 ? vzero + 1.0 : x;
+      x = x < -1.0 ? vzero - 1.0 : x;
+      const V stv = (pa.cb * py - pa.sb * px) * inv_r;
+      // Radial combine d[j] = sum_a T_a(th) c[a][j] in register-tiled
+      // column groups: the tile accumulators live in registers across the
+      // whole a loop and only the 3 * nx finished sums are stored (a
+      // j-major update loop would store 3 * nr * nx partial sums and
+      // saturate the store port long before the FMA ports).
+      V d11[kMaxOrder], d22[kMaxOrder], d12[kMaxOrder];
+      const auto combine = [&](auto tw, std::size_t j0) {
+        constexpr std::size_t kTw = tw();
+        V s11[kTw], s22[kTw], s12[kTw];
+        for (std::size_t t = 0; t < kTw; ++t) {
+          s11[t] = vzero + c11[j0 + t];
+          s22[t] = vzero + c22[j0 + t];
+          s12[t] = vzero + c12[j0 + t];
         }
-      }
-      for (std::size_t p = 0; p < count; ++p) {
-        const PairArgs& pa = pairs[p];
-        // Pair-frame angle without atan2: x = cos(theta) = (rotated x)/r and
-        // the *signed* sin(theta) = (rotated y)/r, which carries the theta
-        // mirror antisymmetry of s12 with no branch at all. Lanes at the
-        // victim center blend to the benign (x, st) = (1, 0).
-        V x = (pa.cb * px + pa.sb * py) * inv_r;
-        x = live ? x : vzero + 1.0;
-        x = x > 1.0 ? vzero + 1.0 : x;
-        x = x < -1.0 ? vzero - 1.0 : x;
-        const V stv = (pa.cb * py - pa.sb * px) * inv_r;
-        const double* c11 = pa.contracted + sv.offset;
-        const double* c22 = c11 + nr * nx;
-        const double* c12 = c22 + nr * nx;
-        // Radial combine d[j] = sum_a T_a(th) c[a][j] in register-tiled
-        // column groups: the tile accumulators live in registers across the
-        // whole a loop and only the 3 * nx finished sums are stored (a
-        // j-major update loop would store 3 * nr * nx partial sums and
-        // saturate the store port long before the FMA ports).
-        V d11[kMaxOrder], d22[kMaxOrder], d12[kMaxOrder];
-        const auto combine = [&](auto tw, std::size_t j0) {
-          constexpr std::size_t kTw = tw();
-          V s11[kTw], s22[kTw], s12[kTw];
+        for (std::size_t a = 1; a < nr; ++a) {
+          const V ta = tarr[a];
+          const double* r11 = c11 + a * nx + j0;
+          const double* r22 = c22 + a * nx + j0;
+          const double* r12 = c12 + a * nx + j0;
           for (std::size_t t = 0; t < kTw; ++t) {
-            s11[t] = vzero + c11[j0 + t];
-            s22[t] = vzero + c22[j0 + t];
-            s12[t] = vzero + c12[j0 + t];
+            s11[t] += ta * r11[t];
+            s22[t] += ta * r22[t];
+            s12[t] += ta * r12[t];
           }
-          for (std::size_t a = 1; a < nr; ++a) {
-            const V ta = tarr[a];
-            const double* r11 = c11 + a * nx + j0;
-            const double* r22 = c22 + a * nx + j0;
-            const double* r12 = c12 + a * nx + j0;
-            for (std::size_t t = 0; t < kTw; ++t) {
-              s11[t] += ta * r11[t];
-              s22[t] += ta * r22[t];
-              s12[t] += ta * r12[t];
-            }
-          }
-          for (std::size_t t = 0; t < kTw; ++t) {
-            d11[j0 + t] = s11[t];
-            d22[j0 + t] = s22[t];
-            d12[j0 + t] = s12[t];
-          }
-        };
-        std::size_t j = 0;
-        for (; j + 4 <= nx; j += 4)
-          combine(std::integral_constant<std::size_t, 4>{}, j);
-        for (; j + 2 <= nx; j += 2)
-          combine(std::integral_constant<std::size_t, 2>{}, j);
-        if (j < nx) combine(std::integral_constant<std::size_t, 1>{}, j);
-        // Angular sums in x = cos(theta): T_j(cos th) = cos(j th), so these
-        // *are* the Fourier sums of the pair field, trig-free. The columns
-        // arrive split by parity (see finalize): cos(2k th) = T_k(y) and
-        // cos((2k+1) th) = cos(th) P_k(y) with y = cos(2 th) = 2 x^2 - 1 and
-        // P_0 = 1, P_1 = 2y - 1 sharing the T recurrence (Clenshaw sum
-        // b_0 - b_1). Splitting halves the serial chain each block waits on,
-        // and the six chains (3 components x even/odd) overlap in flight.
-        const V y = 2.0 * x * x - 1.0;
-        const V two_y = y + y;
-        V a1 = vzero, a2 = vzero;
-        V e1 = vzero, e2 = vzero;
-        V g1 = vzero, g2 = vzero;
-        for (std::size_t q = ne; q-- > 1;) {
-          const V ba = d11[q] + two_y * a1 - a2;
-          const V be = d22[q] + two_y * e1 - e2;
-          const V bg = d12[q] + two_y * g1 - g2;
-          a2 = a1;
-          a1 = ba;
-          e2 = e1;
-          e1 = be;
-          g2 = g1;
-          g1 = bg;
         }
-        V oa1 = vzero, oa2 = vzero;
-        V oe1 = vzero, oe2 = vzero;
-        V og1 = vzero, og2 = vzero;
-        for (std::size_t q = no; q-- > 1;) {
-          const V ba = d11[ne + q] + two_y * oa1 - oa2;
-          const V be = d22[ne + q] + two_y * oe1 - oe2;
-          const V bg = d12[ne + q] + two_y * og1 - og2;
-          oa2 = oa1;
-          oa1 = ba;
-          oe2 = oe1;
-          oe1 = be;
-          og2 = og1;
-          og1 = bg;
+        for (std::size_t t = 0; t < kTw; ++t) {
+          d11[j0 + t] = s11[t];
+          d22[j0 + t] = s22[t];
+          d12[j0 + t] = s12[t];
         }
-        V f11 = d11[0] + y * a1 - a2;
-        V f22 = d22[0] + y * e1 - e2;
-        V g12 = d12[0] + y * g1 - g2;
-        if (no > 0) {
-          f11 += x * ((d11[ne] + two_y * oa1 - oa2) - oa1);
-          f22 += x * ((d22[ne] + two_y * oe1 - oe2) - oe1);
-          g12 += x * ((d12[ne] + two_y * og1 - og2) - og1);
-        }
-        // Back-rotation into chip frame at full lane width (the double-angle
-        // form of cylindrical_to_cartesian, lane-wise).
-        const V s12 = stv * g12;
-        const V mean = 0.5 * (f11 + f22);
-        const V dev = 0.5 * (f11 - f22);
-        const V rot = dev * pa.c2b - s12 * pa.s2b;
-        const V o11 = mean + rot;
-        const V o22 = mean - rot;
-        const V o12 = dev * pa.s2b + s12 * pa.c2b;
-        if constexpr (kDirect) {
-          for (std::size_t w = 0; w < lanes; ++w) {
-            num::SymTensor2& o = out[idx_b[b + w]];
-            o.s11 += o11[w];
-            o.s22 += o22[w];
-            o.s12 += o12[w];
-          }
-        } else {
-          acc11 += o11;
-          acc22 += o22;
-          acc12 += o12;
-        }
+      };
+      std::size_t j = 0;
+      for (; j + 4 <= nx; j += 4)
+        combine(std::integral_constant<std::size_t, 4>{}, j);
+      for (; j + 2 <= nx; j += 2)
+        combine(std::integral_constant<std::size_t, 2>{}, j);
+      if (j < nx) combine(std::integral_constant<std::size_t, 1>{}, j);
+      // Angular sums in x = cos(theta): T_j(cos th) = cos(j th), so these
+      // *are* the Fourier sums of the pair field, trig-free. The columns
+      // arrive split by parity (see finalize): cos(2k th) = T_k(y) and
+      // cos((2k+1) th) = cos(th) P_k(y) with y = cos(2 th) = 2 x^2 - 1 and
+      // P_0 = 1, P_1 = 2y - 1 sharing the T recurrence (Clenshaw sum
+      // b_0 - b_1). Splitting halves the serial chain each block waits on,
+      // and the six chains (3 components x even/odd) overlap in flight.
+      const V y = 2.0 * x * x - 1.0;
+      const V two_y = y + y;
+      V a1 = vzero, a2 = vzero;
+      V e1 = vzero, e2 = vzero;
+      V g1 = vzero, g2 = vzero;
+      for (std::size_t q = ne; q-- > 1;) {
+        const V ba = d11[q] + two_y * a1 - a2;
+        const V be = d22[q] + two_y * e1 - e2;
+        const V bg = d12[q] + two_y * g1 - g2;
+        a2 = a1;
+        a1 = ba;
+        e2 = e1;
+        e1 = be;
+        g2 = g1;
+        g1 = bg;
       }
-      if constexpr (!kDirect) {
-        for (std::size_t w = 0; w < lanes; ++w) {
-          num::SymTensor2& o = out[idx_b[b + w]];
-          o.s11 = acc11[w];
-          o.s22 = acc22[w];
-          o.s12 = acc12[w];
-        }
+      V oa1 = vzero, oa2 = vzero;
+      V oe1 = vzero, oe2 = vzero;
+      V og1 = vzero, og2 = vzero;
+      for (std::size_t q = no; q-- > 1;) {
+        const V ba = d11[ne + q] + two_y * oa1 - oa2;
+        const V be = d22[ne + q] + two_y * oe1 - oe2;
+        const V bg = d12[ne + q] + two_y * og1 - og2;
+        oa2 = oa1;
+        oa1 = ba;
+        oe2 = oe1;
+        oe1 = be;
+        og2 = og1;
+        og1 = bg;
+      }
+      V f11 = d11[0] + y * a1 - a2;
+      V f22 = d22[0] + y * e1 - e2;
+      V g12 = d12[0] + y * g1 - g2;
+      if (no > 0) {
+        f11 += x * ((d11[ne] + two_y * oa1 - oa2) - oa1);
+        f22 += x * ((d22[ne] + two_y * oe1 - oe2) - oe1);
+        g12 += x * ((d12[ne] + two_y * og1 - og2) - og1);
+      }
+      // Back-rotation into chip frame at full lane width (the double-angle
+      // form of cylindrical_to_cartesian, lane-wise).
+      const V s12 = stv * g12;
+      const V mean = 0.5 * (f11 + f22);
+      const V dev = 0.5 * (f11 - f22);
+      const V rot = dev * pa.c2b - s12 * pa.s2b;
+      const V o11 = mean + rot;
+      const V o22 = mean - rot;
+      const V o12 = dev * pa.s2b + s12 * pa.c2b;
+      for (std::size_t w = 0; w < lanes; ++w) {
+        num::SymTensor2& o = out[idx_b[b + w]];
+        o.s11 += o11[w];
+        o.s22 += o22[w];
+        o.s12 += o12[w];
       }
     }
   }
 }
 
+/// Evaluation pass of a longer run over the staged disc: per lane block the
+/// same radial basis, one radial combine over the victim's series columns
+/// (real and imaginary parts alike), then three complex Horner sums in
+/// z = e^{i phi} = (x + i y) / r, taken from the staged values: the mean
+/// sum_j A_j z^j (its real part is the chip-frame mean), and the deviator's
+/// sum_n P_n z^n and sum_n Q_n conj(z)^n. No trig, no rotation: the series
+/// is already in the chip frame. Victim-center lanes (1/r staged as 0)
+/// take the run's center tensor instead. Forced inline into the ISA
+/// wrappers, like stage_body.
 template <class V>
-__attribute__((always_inline)) inline void eval_body(
-    const KernelArgs& k, const RunScratch& sc, const PairArgs* pairs,
-    std::size_t count, num::SymTensor2* out) {
-  if (count == 1)
-    eval_pass<V, true>(k, sc, pairs, 1, out);
-  else
-    eval_pass<V, false>(k, sc, pairs, count, out);
+__attribute__((always_inline)) inline void eval_victim_body(
+    const KernelArgs& k, const RunScratch& sc, const VictimArgs& va,
+    num::SymTensor2* out) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
+  constexpr std::size_t kTile = 8;  // combine accumulators per tile
+  static_assert(2 * kHarmonicLanes % kTile == 0, "row width is whole tiles");
+  typedef typename LaneInt<V>::type VI;
+  for (std::size_t s = 0; s < k.nseg; ++s) {
+    const std::size_t m = sc.fill[s];
+    if (m == 0) continue;
+    const SegView& sv = k.segs[s];
+    const std::size_t nr = sv.nr;
+    const std::size_t nx = sv.nx;
+    const std::size_t hc = harmonic_columns(nx);
+    const std::size_t db = pad_columns(nx);  // deviator block
+    const std::size_t row = 2 * hc;  // real parts, then imaginary parts
+    const double* c0 = va.series + sv.victim_offset;
+    const std::uint32_t* idx_b = sc.idx[s].data();
+    const bool center = s == 0 && va.has_center;
+    for (std::size_t b = 0; b < m; b += kLanes) {
+      const std::size_t lanes = m - b < kLanes ? m - b : kLanes;
+      V th, px, py, inv_r;
+      std::memcpy(&th, sc.th[s].data() + b, sizeof(th));
+      std::memcpy(&px, sc.px[s].data() + b, sizeof(px));
+      std::memcpy(&py, sc.py[s].data() + b, sizeof(py));
+      std::memcpy(&inv_r, sc.ir[s].data() + b, sizeof(inv_r));
+      const V vzero = th - th;
+      V tarr[kMaxOrder];
+      tarr[0] = vzero + 1.0;
+      tarr[1] = th;
+      const V two_th = th + th;
+      for (std::size_t a = 2; a < nr; ++a)
+        tarr[a] = two_th * tarr[a - 1] - tarr[a - 2];
+      V d[2 * harmonic_columns(kMaxOrder)];
+      for (std::size_t j0 = 0; j0 < row; j0 += kTile) {
+        V acc[kTile];
+        for (std::size_t t = 0; t < kTile; ++t) acc[t] = vzero + c0[j0 + t];
+        for (std::size_t a = 1; a < nr; ++a) {
+          const V ta = tarr[a];
+          const double* r = c0 + a * row + j0;
+          for (std::size_t t = 0; t < kTile; ++t) acc[t] += ta * r[t];
+        }
+        for (std::size_t t = 0; t < kTile; ++t) d[j0 + t] = acc[t];
+      }
+      const V* re = d;
+      const V* im = d + hc;
+      const V zr = px * inv_r;
+      const V zi = py * inv_r;
+      // The three chains run side by side: mean (columns 0..nx-1, j
+      // descending), P (db..db+nx, n descending) and Q (db+2nx down to
+      // db+nx+1, n descending, in conj(z)).
+      V mr = re[0], mi = im[0];
+      V pr = re[db], pi = im[db];
+      V qr = re[db + 2 * nx], qi = im[db + 2 * nx];
+      for (std::size_t c = 1; c < nx; ++c) {
+        const V tmr = mr * zr - mi * zi + re[c];
+        mi = mr * zi + mi * zr + im[c];
+        mr = tmr;
+        const V tpr = pr * zr - pi * zi + re[db + c];
+        pi = pr * zi + pi * zr + im[db + c];
+        pr = tpr;
+        const V tqr = qr * zr + qi * zi + re[db + 2 * nx - c];
+        qi = qi * zr - qr * zi + im[db + 2 * nx - c];
+        qr = tqr;
+      }
+      // P has one term more than the mean (n = 0); Q ends on conj(z)^1.
+      {
+        const V tpr = pr * zr - pi * zi + re[db + nx];
+        pi = pr * zi + pi * zr + im[db + nx];
+        pr = tpr;
+        const V tqr = qr * zr + qi * zi;
+        qi = qi * zr - qr * zi;
+        qr = tqr;
+      }
+      const V dr = pr + qr;
+      V o11 = mr + dr;
+      V o22 = mr - dr;
+      V o12 = pi + qi;
+      if (center) {
+        const VI live = inv_r > vzero;
+        o11 = live ? o11 : vzero + va.c11;
+        o22 = live ? o22 : vzero + va.c22;
+        o12 = live ? o12 : vzero + va.c12;
+      }
+      for (std::size_t w = 0; w < lanes; ++w) {
+        num::SymTensor2& o = out[idx_b[b + w]];
+        o.s11 += o11[w];
+        o.s22 += o22[w];
+        o.s12 += o12[w];
+      }
+    }
+  }
 }
 
-/// The pitch-axis contraction of `npitch` pitches in one pass: the outer
-/// loop walks the coefficient block in register tiles, the inner loop runs
-/// over the pitch order with every tile's running sums held in registers,
-/// and each loaded coefficient vector feeds up to kContractGroup pitches. So
-/// each coefficient is read once per group of pitches and each result
-/// stored once (a plane-outer loop re-reads and re-stores the whole
-/// destination once per pitch term). Every element still sums src[q] +
-/// t[1] * plane_1[q] + ... in plane order, so the result for one pitch is
-/// bitwise the same whatever group it is contracted in, and the generic
-/// variant is bitwise the plane-order scalar loop; the FMA variants differ
-/// from it by fused rounding only. Forced inline into the ISA wrappers
-/// below, like stage_body.
+/// The pitch-axis contraction of a run of one: the outer loop walks the
+/// coefficient block in register tiles and the inner loop runs over the
+/// pitch order with the tile's running sums held in registers, so each
+/// coefficient is read once and each result stored once (a plane-outer loop
+/// re-reads and re-stores the whole destination once per pitch term). Every
+/// element still sums src[q] + t[1] * plane_1[q] + ... in plane order, so
+/// the generic variant is bitwise the plane-order scalar loop; the FMA
+/// variants differ from it by fused rounding only. Forced inline into the
+/// ISA wrappers below, like stage_body.
 template <class V>
 __attribute__((always_inline)) inline void contract_body(
-    const double* src, std::size_t block, const double* t,
-    std::size_t t_stride, std::size_t order, std::size_t npitch, double* dst,
-    std::size_t dst_stride) {
+    const double* src, std::size_t block, const double* t, std::size_t order,
+    double* dst) {
   constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
   // Eight accumulators per tile: 64 doubles on AVX-512, 32 on AVX2, with
-  // room left in the register file for the broadcast weights and the loads.
+  // room left in the register file for the broadcast weight and the loads.
   constexpr std::size_t kAcc = 8;
-  const auto group = [&](auto pitches, std::size_t p0) {
-    constexpr std::size_t kP = pitches();
-    const double* tp[kP];
-    double* dp[kP];
-    for (std::size_t p = 0; p < kP; ++p) {
-      tp[p] = t + (p0 + p) * t_stride;
-      dp[p] = dst + (p0 + p) * dst_stride;
-    }
-    const auto tile = [&](auto width, std::size_t q) {
-      constexpr std::size_t kW = width();
-      V acc[kP][kW];
+  const auto tile = [&](auto width, std::size_t q) {
+    constexpr std::size_t kW = width();
+    V acc[kW];
+    for (std::size_t i = 0; i < kW; ++i)
+      std::memcpy(&acc[i], src + q + i * kLanes, sizeof(V));
+    for (std::size_t a = 1; a < order; ++a) {
+      const double* plane = src + a * block + q;
+      const double ta = t[a];
       for (std::size_t i = 0; i < kW; ++i) {
-        V s;
-        std::memcpy(&s, src + q + i * kLanes, sizeof(V));
-        for (std::size_t p = 0; p < kP; ++p) acc[p][i] = s;
+        V pv;
+        std::memcpy(&pv, plane + i * kLanes, sizeof(V));
+        acc[i] += ta * pv;
       }
-      for (std::size_t a = 1; a < order; ++a) {
-        const double* plane = src + a * block + q;
-        V pv[kW];
-        for (std::size_t i = 0; i < kW; ++i)
-          std::memcpy(&pv[i], plane + i * kLanes, sizeof(V));
-        for (std::size_t p = 0; p < kP; ++p) {
-          const double ta = tp[p][a];
-          for (std::size_t i = 0; i < kW; ++i) acc[p][i] += ta * pv[i];
+    }
+    for (std::size_t i = 0; i < kW; ++i)
+      std::memcpy(dst + q + i * kLanes, &acc[i], sizeof(V));
+  };
+  std::size_t q = 0;
+  for (; q + kAcc * kLanes <= block; q += kAcc * kLanes)
+    tile(std::integral_constant<std::size_t, kAcc>{}, q);
+  for (; q + kLanes <= block; q += kLanes)
+    tile(std::integral_constant<std::size_t, 1>{}, q);
+  for (; q < block; ++q) {
+    double acc = src[q];
+    for (std::size_t a = 1; a < order; ++a) acc += t[a] * src[a * block + q];
+    dst[q] = acc;
+  }
+}
+
+/// The fold's tile order over one segment's harmonic rows: 4-column
+/// chunks, then tiles of 4, 2 and 1 radial rows. harmonic_tensor stores the
+/// coefficients in exactly this order (per tile: pitch, row, column), so
+/// the fold reads them as one stream.
+template <class Fn>
+__attribute__((always_inline)) inline void for_each_fold_tile(std::size_t nr,
+                                                              std::size_t hc,
+                                                              Fn&& fn) {
+  for (std::size_t c = 0; c < hc; c += kHarmonicLanes) {
+    std::size_t a = 0;
+    for (; a + 4 <= nr; a += 4)
+      fn(std::integral_constant<std::size_t, 4>{}, a, c);
+    for (; a + 2 <= nr; a += 2)
+      fn(std::integral_constant<std::size_t, 2>{}, a, c);
+    if (a < nr) fn(std::integral_constant<std::size_t, 1>{}, a, c);
+  }
+}
+
+/// A longer run's fold: its pairs with their pitch weights, the segments'
+/// harmonic tensors, and the exponents -neg .. np - 1 its weights span.
+struct FoldArgs {
+  const KernelArgs* k = nullptr;
+  const RunScratch* sc = nullptr;
+  const double* const* harmonic = nullptr;  ///< per segment
+  const PairArgs* pairs = nullptr;
+  const double* t = nullptr;  ///< [count][kMaxOrder] pitch weights
+  std::size_t count = 0, order = 0, neg = 0, np = 0;
+  double* wre = nullptr;  ///< [order][neg + np] scratch
+  double* wim = nullptr;
+  double* series = nullptr;
+};
+
+/// The fold of a longer run into its chip-frame series. First the run
+/// weights w[p][e] = sum_k T_p(q_k) e^{i e beta_k}, the powers by complex
+/// recurrence from (cos beta, sin beta) and negative exponents by
+/// conjugation. Then, per segment that holds staged points, series[a][c] =
+/// sum_p harmonic[p][a][c] * w[p][e(c)] for every radial row a and
+/// harmonic column c of exponent e(c) (see harmonic_tensor): one pass over
+/// the tensor whatever the run length, each tile's sums in registers across
+/// the pitch order. Always 4 lanes (the columns are padded to that). Forced
+/// inline into the ISA wrappers below, like stage_body.
+__attribute__((always_inline)) inline void fold_body(const FoldArgs& f) {
+  typedef v4d V;
+  const std::size_t ws = f.neg + f.np;
+  std::fill(f.wre, f.wre + f.order * ws, 0.0);
+  std::fill(f.wim, f.wim + f.order * ws, 0.0);
+  double er[kMaxOrder + 2 * kHarmonicLanes], ei[kMaxOrder + 2 * kHarmonicLanes];
+  for (std::size_t k = 0; k < f.count; ++k) {
+    er[0] = 1.0;
+    ei[0] = 0.0;
+    for (std::size_t e = 1; e < f.np; ++e) {
+      er[e] = er[e - 1] * f.pairs[k].cb - ei[e - 1] * f.pairs[k].sb;
+      ei[e] = er[e - 1] * f.pairs[k].sb + ei[e - 1] * f.pairs[k].cb;
+    }
+    for (std::size_t p = 0; p < f.order; ++p) {
+      const double tp = f.t[k * kMaxOrder + p];
+      double* wr = f.wre + p * ws + f.neg;
+      double* wi = f.wim + p * ws + f.neg;
+      for (std::size_t e = 0; e < f.np; e += kHarmonicLanes) {
+        V a, b, x, y;
+        std::memcpy(&a, wr + e, sizeof(V));
+        std::memcpy(&b, wi + e, sizeof(V));
+        std::memcpy(&x, er + e, sizeof(V));
+        std::memcpy(&y, ei + e, sizeof(V));
+        a += tp * x;
+        b += tp * y;
+        std::memcpy(wr + e, &a, sizeof(V));
+        std::memcpy(wi + e, &b, sizeof(V));
+      }
+    }
+  }
+  for (std::size_t p = 0; p < f.order; ++p) {
+    double* wr = f.wre + p * ws + f.neg;
+    double* wi = f.wim + p * ws + f.neg;
+    for (std::size_t e = 1; e <= f.neg; ++e) {
+      *(wr - e) = wr[e];
+      *(wi - e) = -wi[e];
+    }
+  }
+  for (std::size_t s = 0; s < f.k->nseg; ++s) {
+    if (f.sc->fill[s] == 0) continue;  // nothing staged reads this segment
+    const SegView& sv = f.k->segs[s];
+    const std::size_t hc = harmonic_columns(sv.nx);
+    const std::size_t db = pad_columns(sv.nx);  // deviator block
+    const double* h = f.harmonic[s];
+    double* series = f.series + sv.victim_offset;
+    for_each_fold_tile(sv.nr, hc, [&](auto rows, std::size_t a0,
+                                      std::size_t c) {
+      constexpr std::size_t kR = rows();
+      // Exponent of column c: the mean block starts at 1 - nx, the
+      // deviator block at 2 - nx; padding columns read in-range weights
+      // times zero.
+      const std::size_t e = c < db ? f.neg + 1 + c - sv.nx
+                                   : f.neg + 2 + (c - db) - sv.nx;
+      V acc_re[kR], acc_im[kR];
+      for (std::size_t i = 0; i < kR; ++i) acc_re[i] = acc_im[i] = V{};
+      for (std::size_t p = 0; p < f.order; ++p) {
+        V wr, wi;
+        std::memcpy(&wr, f.wre + p * ws + e, sizeof(V));
+        std::memcpy(&wi, f.wim + p * ws + e, sizeof(V));
+        for (std::size_t i = 0; i < kR; ++i) {
+          V hv;
+          std::memcpy(&hv, h, sizeof(V));
+          h += kHarmonicLanes;
+          acc_re[i] += hv * wr;
+          acc_im[i] += hv * wi;
         }
       }
-      for (std::size_t p = 0; p < kP; ++p)
-        for (std::size_t i = 0; i < kW; ++i)
-          std::memcpy(dp[p] + q + i * kLanes, &acc[p][i], sizeof(V));
-    };
-    constexpr std::size_t kW = kAcc / kP;
-    std::size_t q = 0;
-    for (; q + kW * kLanes <= block; q += kW * kLanes)
-      tile(std::integral_constant<std::size_t, kW>{}, q);
-    for (; q + kLanes <= block; q += kLanes)
-      tile(std::integral_constant<std::size_t, 1>{}, q);
-    for (; q < block; ++q) {
-      for (std::size_t p = 0; p < kP; ++p) {
-        double acc = src[q];
-        for (std::size_t a = 1; a < order; ++a)
-          acc += tp[p][a] * src[a * block + q];
-        dp[p][q] = acc;
+      for (std::size_t i = 0; i < kR; ++i) {
+        double* out = series + (a0 + i) * 2 * hc + c;
+        std::memcpy(out, &acc_re[i], sizeof(V));
+        std::memcpy(out + hc, &acc_im[i], sizeof(V));
       }
-    }
-  };
-  static_assert(kContractGroup == 4, "the remainder switch below");
-  std::size_t p = 0;
-  for (; p + kContractGroup <= npitch; p += kContractGroup)
-    group(std::integral_constant<std::size_t, kContractGroup>{}, p);
-  switch (npitch - p) {
-    case 3:
-      group(std::integral_constant<std::size_t, 3>{}, p);
-      break;
-    case 2:
-      group(std::integral_constant<std::size_t, 2>{}, p);
-      break;
-    case 1:
-      group(std::integral_constant<std::size_t, 1>{}, p);
-      break;
-    default:
-      break;
+    });
   }
 }
 
 using StageFn = void (*)(const KernelArgs&, const geo::Point*, std::size_t,
                          RunScratch&);
-using EvalFn = void (*)(const KernelArgs&, const RunScratch&, const PairArgs*,
-                        std::size_t, num::SymTensor2*);
+using EvalFn = void (*)(const KernelArgs&, const RunScratch&, const PairArgs&,
+                        num::SymTensor2*);
+using EvalVictimFn = void (*)(const KernelArgs&, const RunScratch&,
+                              const VictimArgs&, num::SymTensor2*);
+using FoldFn = void (*)(const FoldArgs&);
 
-void stage_generic(const KernelArgs& k, const geo::Point* points,
-                   std::size_t n, RunScratch& sc) {
-  stage_body<v4d>(k, points, n, sc);
-}
+// Every pass compiled for one ISA level at lane vector V (the fold always
+// runs 4 lanes). The build intentionally carries no global -march flags
+// (baseline x86-64 codegen keeps every committed kernel baseline
+// bit-stable), so the FMA throughput this kernel's budget assumes is opted
+// into locally: the same bodies are compiled again for AVX2+FMA (4 lanes)
+// and AVX-512 (8 lanes) and selected once at runtime. Results differ from
+// the generic path only by fused-rounding regrouping; the certificate is
+// computed through this very dispatch, so the certified bound always covers
+// the code actually running on the host.
+#define TSV_KERNEL_VARIANTS(isa, target, V)                                   \
+  target void stage_##isa(const KernelArgs& k, const geo::Point* points,     \
+                          std::size_t n, RunScratch& sc) {                   \
+    stage_body<V>(k, points, n, sc);                                         \
+  }                                                                          \
+  target void eval_##isa(const KernelArgs& k, const RunScratch& sc,          \
+                         const PairArgs& pa, num::SymTensor2* out) {         \
+    eval_body<V>(k, sc, pa, out);                                            \
+  }                                                                          \
+  target void eval_victim_##isa(const KernelArgs& k, const RunScratch& sc,   \
+                                const VictimArgs& va, num::SymTensor2* out) { \
+    eval_victim_body<V>(k, sc, va, out);                                     \
+  }                                                                          \
+  target void contract_##isa(const double* src, std::size_t block,           \
+                             const double* t, std::size_t order,             \
+                             double* dst) {                                  \
+    contract_body<V>(src, block, t, order, dst);                             \
+  }                                                                          \
+  target void fold_##isa(const FoldArgs& f) { fold_body(f); }
 
-void eval_generic(const KernelArgs& k, const RunScratch& sc,
-                  const PairArgs* pairs, std::size_t count,
-                  num::SymTensor2* out) {
-  eval_body<v4d>(k, sc, pairs, count, out);
-}
-
+TSV_KERNEL_VARIANTS(generic, , v4d)
 #if defined(__x86_64__) && defined(__GNUC__)
-// The build intentionally carries no global -march flags (baseline x86-64
-// codegen keeps every committed kernel baseline bit-stable), so the FMA
-// throughput this kernel's budget assumes is opted into locally: the same
-// bodies (staging, evaluation and pitch contraction) are compiled again for
-// AVX2+FMA (4 lanes) and AVX-512 (8 lanes) and selected once at runtime.
-// Results differ from the generic path only by fused-rounding regrouping;
-// the certificate is computed through this very dispatch, so the certified
-// bound always covers the code actually running on the host.
-#define TSV_AVX2 __attribute__((target("avx2,fma")))
-#define TSV_AVX512 \
-  __attribute__((target("avx512f,avx512dq,avx512vl,avx2,fma,popcnt")))
-
-TSV_AVX2 void stage_avx2(const KernelArgs& k, const geo::Point* points,
-                         std::size_t n, RunScratch& sc) {
-  stage_body<v4d>(k, points, n, sc);
-}
-
-TSV_AVX2 void eval_avx2(const KernelArgs& k, const RunScratch& sc,
-                        const PairArgs* pairs, std::size_t count,
-                        num::SymTensor2* out) {
-  eval_body<v4d>(k, sc, pairs, count, out);
-}
-
-TSV_AVX2 void contract_avx2(const double* src, std::size_t block,
-                            const double* t, std::size_t t_stride,
-                            std::size_t order, std::size_t npitch,
-                            double* dst, std::size_t dst_stride) {
-  contract_body<v4d>(src, block, t, t_stride, order, npitch, dst, dst_stride);
-}
-
-TSV_AVX512 void stage_avx512(const KernelArgs& k, const geo::Point* points,
-                             std::size_t n, RunScratch& sc) {
-  stage_body<v8d>(k, points, n, sc);
-}
-
-TSV_AVX512 void eval_avx512(const KernelArgs& k, const RunScratch& sc,
-                            const PairArgs* pairs, std::size_t count,
-                            num::SymTensor2* out) {
-  eval_body<v8d>(k, sc, pairs, count, out);
-}
-
-TSV_AVX512 void contract_avx512(const double* src, std::size_t block,
-                                const double* t, std::size_t t_stride,
-                                std::size_t order, std::size_t npitch,
-                                double* dst, std::size_t dst_stride) {
-  contract_body<v8d>(src, block, t, t_stride, order, npitch, dst, dst_stride);
-}
-
-#undef TSV_AVX2
-#undef TSV_AVX512
+TSV_KERNEL_VARIANTS(avx2, __attribute__((target("avx2,fma"))), v4d)
+TSV_KERNEL_VARIANTS(
+    avx512,
+    __attribute__((target("avx512f,avx512dq,avx512vl,avx2,fma,popcnt"))),
+    v8d)
 #endif
+#undef TSV_KERNEL_VARIANTS
 
-/// The staging, evaluation and contraction passes are selected together,
-/// so all of them always run at the same ISA level.
+/// The staging, evaluation, contraction and fold passes are selected
+/// together, so all of them always run at the same ISA level.
 struct Dispatch {
   StageFn stage;
   EvalFn eval;
+  EvalVictimFn eval_victim;
   detail::PitchContractionFn contract;
+  FoldFn fold;
 };
 
 Dispatch select_dispatch() {
 #if defined(__x86_64__) && defined(__GNUC__)
   if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
       __builtin_cpu_supports("avx512vl"))
-    return {stage_avx512, eval_avx512, contract_avx512};
+    return {stage_avx512, eval_avx512, eval_victim_avx512, contract_avx512,
+            fold_avx512};
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-    return {stage_avx2, eval_avx2, contract_avx2};
+    return {stage_avx2, eval_avx2, eval_victim_avx2, contract_avx2,
+            fold_avx2};
 #endif
-  return {stage_generic, eval_generic, detail::contract_pitches_generic};
+  return {stage_generic, eval_generic, eval_victim_generic, contract_generic,
+          fold_generic};
 }
 
 const Dispatch& active_dispatch() {
@@ -704,15 +846,63 @@ PairArgs pair_frame(const geo::Point& victim, const geo::Point& aggressor) {
   return p;
 }
 
+/// One segment's coefficients (natural angular order) re-expressed in the
+/// chip-frame harmonic basis. Per (pitch, radial) row, with mean
+/// (s11 + s22)/2 = sum_j m_j cos j theta, dev (s11 - s22)/2 = sum_j d_j
+/// cos j theta and s12 = sin theta sum_j g_j cos j theta = sum_n h_n sin n
+/// theta (sin theta cos j theta = [sin (j+1) theta - sin (j-1) theta] / 2):
+/// dev + i s12 = sum_n P_n e^{i n theta} + Q_n e^{-i n theta}, P_0 = d_0,
+/// P_n = (d_n + h_n)/2, Q_n = (d_n - h_n)/2. In the chip frame (theta = phi
+/// - beta, the deviator turned by e^{2 i beta}) a pair adds m_j e^{-i j
+/// beta} to z^j of the mean, P_n e^{i (2-n) beta} to z^n and Q_n e^{i (2+n)
+/// beta} to conj(z)^n of the deviator. A row holds m_{nx-1} .. m_0
+/// (exponents of e^{i beta} 1-nx .. 0), then P_nx .. P_0, Q_1 .. Q_nx
+/// (exponents 2-nx .. nx+2), so each block's weights are one contiguous run
+/// of exponents. Stored in the fold's tile order (for_each_fold_tile).
+std::vector<double> harmonic_tensor(const std::vector<double>& coeffs,
+                                    std::size_t order, std::size_t nr,
+                                    std::size_t nx) {
+  const std::size_t hc = harmonic_columns(nx);
+  const std::size_t db = pad_columns(nx);  // deviator block
+  std::vector<double> h(order * nr * hc, 0.0);
+  std::vector<double> sh(nx + 2);
+  for (std::size_t p = 0; p < order; ++p) {
+    for (std::size_t a = 0; a < nr; ++a) {
+      const double* c11 = coeffs.data() + (p * 3 * nr + a) * nx;
+      const double* c22 = c11 + nr * nx;
+      const double* c12 = c22 + nr * nx;
+      double* row = h.data() + (p * nr + a) * hc;
+      std::fill(sh.begin(), sh.end(), 0.0);
+      for (std::size_t j = 0; j < nx; ++j) {
+        sh[j + 1] += j == 0 ? c12[0] : 0.5 * c12[j];
+        if (j >= 2) sh[j - 1] -= 0.5 * c12[j];
+        row[nx - 1 - j] = 0.5 * (c11[j] + c22[j]);
+      }
+      for (std::size_t n = 0; n <= nx; ++n) {
+        const double dn = n < nx ? 0.5 * (c11[n] - c22[n]) : 0.0;
+        row[db + nx - n] = n == 0 ? dn : 0.5 * (dn + sh[n]);
+        if (n > 0) row[db + nx + n] = 0.5 * (dn - sh[n]);
+      }
+    }
+  }
+  std::vector<double> tiled;
+  tiled.reserve(h.size());
+  for_each_fold_tile(nr, hc, [&](auto rows, std::size_t a0, std::size_t c) {
+    for (std::size_t p = 0; p < order; ++p)
+      for (std::size_t i = 0; i < rows(); ++i)
+        for (std::size_t l = 0; l < kHarmonicLanes; ++l)
+          tiled.push_back(h[(p * nr + a0 + i) * hc + c + l]);
+  });
+  return tiled;
+}
+
 }  // namespace
 
 namespace detail {
 
-void contract_pitches_generic(const double* src, std::size_t block,
-                              const double* t, std::size_t t_stride,
-                              std::size_t order, std::size_t npitch,
-                              double* dst, std::size_t dst_stride) {
-  contract_body<v4d>(src, block, t, t_stride, order, npitch, dst, dst_stride);
+void contract_pitch_generic(const double* src, std::size_t block,
+                            const double* t, std::size_t order, double* dst) {
+  contract_generic(src, block, t, order, dst);
 }
 
 PitchContractionFn active_pitch_contraction() {
@@ -750,6 +940,8 @@ void PairSurrogate::finalize() {
   TSV_REQUIRE(!segments_.empty() && segments_.size() <= kMaxSegments,
               "surrogate data: segment count out of range");
   segment_offsets_.assign(segments_.size() + 1, 0);
+  victim_offsets_.assign(segments_.size() + 1, 0);
+  max_nx_ = 0;
   double prev = 0.0;
   for (std::size_t i = 0; i < segments_.size(); ++i) {
     Segment& s = segments_[i];
@@ -766,14 +958,30 @@ void PairSurrogate::finalize() {
     const double v_hi = s.inverse_radial ? 1.0 / s.r0 : s.r1;
     s.t_mid = 0.5 * (v_lo + v_hi);
     s.t_half_inv = 2.0 / (v_hi - v_lo);
+    s.harmonic = harmonic_tensor(s.coeffs, pitch_order_, s.nr, s.nx);
     // Kernel layout: angular columns split by parity so the halved-degree
     // even/odd Clenshaw sums read contiguous coefficient runs. to_data()
     // restores natural Chebyshev order.
     permute_angular_rows(s.coeffs, s.nx, /*to_kernel_order=*/true);
     segment_offsets_[i + 1] = segment_offsets_[i] + 3 * s.nr * s.nx;
+    victim_offsets_[i + 1] =
+        victim_offsets_[i] + 2 * s.nr * harmonic_columns(s.nx);
+    max_nx_ = std::max(max_nx_, s.nx);
     prev = s.r1;
   }
   TSV_REQUIRE(prev == r_max_, "surrogate data: segments must reach r_max");
+  // The victim center as a run of one sees it: the core segment at t_hat =
+  // -1 (r = 0) and theta = 0, where every T_j(cos theta) is 1 and s12
+  // vanishes. One s11 and one s22 per pitch plane (center_[2 p + c]).
+  const Segment& core = segments_[0];
+  center_.assign(2 * pitch_order_, 0.0);
+  for (std::size_t q = 0; q < center_.size(); ++q) {
+    const double* m =
+        core.coeffs.data() + (q / 2 * 3 + q % 2) * core.nr * core.nx;
+    for (std::size_t a = 0; a < core.nr; ++a)
+      for (std::size_t j = 0; j < core.nx; ++j)
+        center_[q] += (a % 2 == 0 ? 1.0 : -1.0) * m[a * core.nx + j];
+  }
   // Pitch axis map in q = 1/pitch (see the header: the interaction is
   // Laurent in the pair distance, so Chebyshev-in-q converges much faster
   // at the steep small-pitch end than Chebyshev-in-pitch).
@@ -842,8 +1050,8 @@ const double* PairSurrogate::contracted_for_pitch(double pitch) const {
   const detail::PitchContractionFn contract = active_dispatch().contract;
   for (std::size_t s = 0; s < segments_.size(); ++s) {
     const Segment& seg = segments_[s];
-    contract(seg.coeffs.data(), 3 * seg.nr * seg.nx, t, 0, pitch_order_, 1,
-             memo.m.data() + segment_offsets_[s], 0);
+    contract(seg.coeffs.data(), 3 * seg.nr * seg.nx, t, pitch_order_,
+             memo.m.data() + segment_offsets_[s]);
   }
   memo.id = id_;
   memo.pitch_bits = bits;
@@ -866,6 +1074,7 @@ void PairSurrogate::accumulate_run(const geo::Point& victim,
     views[i].nr = static_cast<std::uint32_t>(s.nr);
     views[i].nx = static_cast<std::uint32_t>(s.nx);
     views[i].offset = segment_offsets_[i];
+    views[i].victim_offset = victim_offsets_[i];
   }
   // Sentinel: sqrt rounding can land r exactly on r_max even when
   // r2 < r_max^2; the open-ended last view keeps the select walk in range.
@@ -880,37 +1089,62 @@ void PairSurrogate::accumulate_run(const geo::Point& victim,
   RunScratch& sc = tls_run_scratch();
   d.stage(k, points, n, sc);
 
-  PairArgs pairs[kRunBlock];
   if (count == 1) {
-    // A single pair keeps the per-thread memo, so certification's
-    // per-point calls and a regular array skip the contraction.
-    pairs[0] = pair_frame(victim, aggressors[0]);
-    pairs[0].contracted =
-        contracted_for_pitch(geo::distance(victim, aggressors[0]));
-    d.eval(k, sc, pairs, 1, out);
+    // A run of one keeps the per-thread memo, so certification's per-point
+    // calls and a regular array skip the contraction.
+    PairArgs pa = pair_frame(victim, aggressors[0]);
+    pa.contracted = contracted_for_pitch(geo::distance(victim, aggressors[0]));
+    d.eval(k, sc, pa, out);
     return;
   }
-  // Longer runs go in blocks of at most kRunBlock aggressors: contract the
-  // block's pitches together, then evaluate the block over the staged disc.
-  const std::size_t stride = segment_offsets_.back();
-  sc.contracted.resize(kRunBlock * stride);
-  double t[kRunBlock * kMaxOrder];
-  for (std::size_t b = 0; b < count; b += kRunBlock) {
-    const std::size_t m = std::min(kRunBlock, count - b);
-    for (std::size_t j = 0; j < m; ++j) {
-      pairs[j] = pair_frame(victim, aggressors[b + j]);
-      pairs[j].contracted = sc.contracted.data() + j * stride;
-      pitch_weights(geo::distance(victim, aggressors[b + j]),
-                    t + j * kMaxOrder);
+  // A longer run becomes one chip-frame series (see harmonic_tensor). Its
+  // weights span every exponent a harmonic column reads, padding columns
+  // included: 1 - max_nx .. max_nx + kHarmonicLanes.
+  FoldArgs f;
+  f.k = &k;
+  f.sc = &sc;
+  f.count = count;
+  f.order = pitch_order_;
+  f.neg = max_nx_ - 1;
+  f.np = pad_columns(max_nx_ + kHarmonicLanes + 1);
+  sc.pairs.resize(count);
+  sc.t.resize(count * kMaxOrder);
+  sc.wre.resize(f.order * (f.neg + f.np));
+  sc.wim.resize(f.order * (f.neg + f.np));
+  sc.series.resize(victim_offsets_.back());
+  // Center points keep the runs-of-one convention, each pair at theta = 0
+  // in its own frame, so the run sums those pair tensors separately.
+  VictimArgs va;
+  for (std::size_t i = 0; i < sc.fill[0]; ++i)
+    if (sc.ir[0][i] == 0.0) va.has_center = true;
+  for (std::size_t j = 0; j < count; ++j) {
+    const PairArgs& pa = sc.pairs[j] = pair_frame(victim, aggressors[j]);
+    double* t = sc.t.data() + j * kMaxOrder;
+    pitch_weights(geo::distance(victim, aggressors[j]), t);
+    if (!va.has_center) continue;
+    double f11 = 0.0, f22 = 0.0;
+    for (std::size_t p = 0; p < pitch_order_; ++p) {
+      f11 += t[p] * center_[2 * p];
+      f22 += t[p] * center_[2 * p + 1];
     }
-    for (std::size_t s = 0; s < nseg; ++s) {
-      const Segment& seg = segments_[s];
-      d.contract(seg.coeffs.data(), 3 * seg.nr * seg.nx, t, kMaxOrder,
-                 pitch_order_, m, sc.contracted.data() + segment_offsets_[s],
-                 stride);
-    }
-    d.eval(k, sc, pairs, m, out);
+    const double mean = 0.5 * (f11 + f22);
+    const double dev = 0.5 * (f11 - f22);
+    va.c11 += mean + dev * pa.c2b;
+    va.c22 += mean - dev * pa.c2b;
+    va.c12 += dev * pa.s2b;
   }
+  const double* harmonic[kMaxSegments];
+  for (std::size_t s = 0; s < nseg; ++s)
+    harmonic[s] = segments_[s].harmonic.data();
+  f.harmonic = harmonic;
+  f.pairs = sc.pairs.data();
+  f.t = sc.t.data();
+  f.wre = sc.wre.data();
+  f.wim = sc.wim.data();
+  f.series = sc.series.data();
+  d.fold(f);
+  va.series = sc.series.data();
+  d.eval_victim(k, sc, va, out);
 }
 
 num::SymTensor2 PairSurrogate::stress_at(const geo::Point& victim,

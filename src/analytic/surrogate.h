@@ -27,17 +27,19 @@
 //
 // Stage II evaluates a victim's pairs as one run (accumulate_run): the
 // victim's disc is staged once (one sqrt, one divide and the segment
-// bucket per point), the run's pitches are contracted together, up to four
-// per pass over the 305 KB coefficient tensor, and each point's sum over
-// the run meets the output once per block of up to 8 aggressors. Every
-// Stage II caller enters through InteractiveStressModel::accumulate_run,
-// IncrementalEngine's edits included (their pairs go victim-major too). A
-// run of one (stress_at, certification, a victim with one aggressor) keeps
-// the per-thread contraction memo, which serves the next run of one with a
-// bitwise-equal pitch: certification's per-point calls at each sampled
-// pitch, or a regular array. bench_micro_kernels' stage2_surrogate rows
-// time the batch kernel, a single pair and a 9-aggressor run, all with
-// fresh pitches where it matters; EXPERIMENTS.md records the numbers.
+// bucket per point). A run of two or more becomes one series in the chip
+// frame: turning a pair frame by its angle beta multiplies harmonic j by
+// e^{i j beta} (and the deviator (s11 - s22)/2 + i s12 by e^{2 i beta}), so
+// with the tensor re-expressed in that harmonic basis (finalize) a run folds
+// all of its pairs into one complex matrix per segment in a single pass,
+// and each point pays one radial combine and three complex Horner sums in
+// z = e^{i phi}, about two pairs' worth, whatever the run length. A run of
+// one (an edit's partner runs, stress_at, certification) evaluates its pair
+// directly and keeps the per-thread contraction memo for the next run of
+// one with a bitwise-equal pitch. Every Stage II caller enters through
+// InteractiveStressModel::accumulate_run. bench_micro_kernels'
+// stage2_surrogate rows time the batch kernel, a single pair and a
+// 9-aggressor run; EXPERIMENTS.md records the numbers.
 //
 // Certification is first-class: fitting ends with a dense adversarial
 // comparison against the exact series (Chebyshev-offset nodes, random
@@ -196,12 +198,16 @@ class PairSurrogate {
 
   /// The run kernel: adds the interactive stress of every ordered pair
   /// (victim, aggressors[k]), k < count, at each of points[0..n) into
-  /// out[i], bitwise the same as a run of one for each aggressor in order.
-  /// The pair-frame rotation is hoisted per pair; per point the kernel is
-  /// trig-free. Requires covers(distance(victim, aggressors[k])) for every k;
-  /// counts nothing (the caller records its run with record_use). Points at
-  /// r >= r_max() contribute zero. Thread-safe; bitwise deterministic for a
-  /// fixed (run, points) regardless of thread count or call order.
+  /// out[i]. A run of one evaluates its pair in the pair frame, trig-free
+  /// per point. A longer run evaluates one chip-frame series built from all
+  /// of its pairs: it equals the sequence of its pairs as runs of one up to
+  /// rounding (well inside 1e-12 of the certificate's field scale), and a
+  /// point at the victim center keeps the runs-of-one convention (each pair
+  /// at theta = 0). Requires covers(distance(victim, aggressors[k])) for
+  /// every k; counts nothing (the caller records its run with record_use).
+  /// Points at r >= r_max() contribute exactly zero. Thread-safe; bitwise
+  /// deterministic for a fixed (run, points) regardless of thread count,
+  /// call order or how the points are split across calls.
   void accumulate_run(const geo::Point& victim, const geo::Point* aggressors,
                       std::size_t count, const geo::Point* points,
                       std::size_t n, num::SymTensor2* out) const;
@@ -233,6 +239,9 @@ class PairSurrogate {
     std::size_t nr = 0;
     std::size_t nx = 0;
     std::vector<double> coeffs;  ///< [pitch][component][radial][angular]
+    /// The same tensor in the chip-frame harmonic basis, derived in
+    /// finalize and never serialized (harmonic_tensor in surrogate.cc).
+    std::vector<double> harmonic;
   };
 
   struct Counters {
@@ -266,6 +275,11 @@ class PairSurrogate {
   std::size_t pitch_order_ = 0;
   std::vector<Segment> segments_;
   std::vector<std::size_t> segment_offsets_;  ///< into the contracted memo
+  std::vector<std::size_t> victim_offsets_;   ///< into a run's victim series
+  /// Per pitch plane, s11 and s22 of the pair frame at the victim center
+  /// (core segment, theta = 0): a run's center points keep that convention.
+  std::vector<double> center_;
+  std::size_t max_nx_ = 0;  ///< largest angular order over the segments
   SurrogateCertificate certificate_;
   std::uint64_t id_ = 0;  ///< process-unique memo key (survives moves)
   std::unique_ptr<Counters> counters_;
@@ -273,23 +287,17 @@ class PairSurrogate {
 
 namespace detail {
 
-/// The pitch-axis contraction behind PairSurrogate::accumulate_run, over
-/// one segment's [pitch][block] coefficients, for `npitch` pitches at once:
-/// with weights w = t + p * t_stride and d = dst + p * dst_stride for pitch
-/// p, d[q] = src[q] + w[1] * src[block + q] + ... + w[order - 1] *
-/// src[(order - 1) * block + q], summed in that plane order for every q.
-/// Each pitch's result is bitwise independent of npitch and of the other
-/// pitches.
+/// The pitch-axis contraction behind a run of one, over one segment's
+/// [pitch][block] coefficients: dst[q] = src[q] + t[1] * src[block + q] +
+/// ... + t[order - 1] * src[(order - 1) * block + q], summed in that plane
+/// order for every q.
 using PitchContractionFn = void (*)(const double* src, std::size_t block,
-                                    const double* t, std::size_t t_stride,
-                                    std::size_t order, std::size_t npitch,
-                                    double* dst, std::size_t dst_stride);
+                                    const double* t, std::size_t order,
+                                    double* dst);
 
-/// Baseline-ISA variant: per pitch, bitwise the plane-order scalar loop.
-void contract_pitches_generic(const double* src, std::size_t block,
-                              const double* t, std::size_t t_stride,
-                              std::size_t order, std::size_t npitch,
-                              double* dst, std::size_t dst_stride);
+/// Baseline-ISA variant: bitwise the plane-order scalar loop.
+void contract_pitch_generic(const double* src, std::size_t block,
+                            const double* t, std::size_t order, double* dst);
 
 /// The variant selected for this host, together with the point kernel (the
 /// one accumulate_run and the certificate run).

@@ -57,16 +57,9 @@ num::SymTensor2 InteractiveStage::stress_at(const geo::Point& p) const {
 
 std::vector<std::pair<std::uint32_t, std::uint32_t>>
 InteractiveStage::ordered_pairs() const {
-  const auto& centers = placement_.centers();
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
-  std::vector<std::uint32_t> nearby;
-  for (std::uint32_t v = 0; v < centers.size(); ++v) {
-    tsv_index_.query_radius(centers[v], options_.pair_pitch_cutoff, nearby);
-    for (const std::uint32_t a : nearby) {
-      if (a != v) pairs.emplace_back(v, a);
-    }
-  }
-  return pairs;
+  std::vector<std::uint32_t> victims(placement_.size());
+  for (std::uint32_t v = 0; v < victims.size(); ++v) victims[v] = v;
+  return pairs_of(victims);
 }
 
 std::vector<std::pair<std::uint32_t, std::uint32_t>>
@@ -79,15 +72,41 @@ InteractiveStage::ordered_pairs_near(const geo::Box& region) const {
       std::hypot(region.width(), region.height()) / 2.0;
   std::vector<std::uint32_t> candidates;
   tsv_index_.query_radius(region.center(), half_diag + reach, candidates);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
-  std::vector<std::uint32_t> nearby;
-  for (const std::uint32_t v : candidates) {
-    if (distance_to_box(centers[v], region) > reach) continue;
-    tsv_index_.query_radius(centers[v], options_.pair_pitch_cutoff, nearby);
-    for (const std::uint32_t a : nearby) {
-      if (a != v) pairs.emplace_back(v, a);
-    }
-  }
+  std::vector<std::uint32_t> victims;
+  for (const std::uint32_t v : candidates)
+    if (distance_to_box(centers[v], region) <= reach) victims.push_back(v);
+  return pairs_of(victims);
+}
+
+std::vector<std::pair<std::uint32_t, std::uint32_t>>
+InteractiveStage::pairs_of(const std::vector<std::uint32_t>& victims) const {
+  const auto& centers = placement_.centers();
+  // Two parallel passes over the victims: count each victim's pairs, then
+  // write them at their prefix-sum offsets. The list is built in place, at
+  // its final size, with no per-thread copies.
+  std::vector<std::size_t> offsets(victims.size() + 1, 0);
+  const auto each_victim = [&](auto&& visit) {
+    num::parallel_for_chunks(
+        victims.size(), options_.num_threads,
+        [&](std::size_t begin, std::size_t end, std::size_t) {
+          std::vector<std::uint32_t> nearby;
+          for (std::size_t i = begin; i < end; ++i) {
+            tsv_index_.query_radius(centers[victims[i]],
+                                    options_.pair_pitch_cutoff, nearby);
+            visit(i, nearby);
+          }
+        });
+  };
+  each_victim([&](std::size_t i, const std::vector<std::uint32_t>& nearby) {
+    offsets[i + 1] = nearby.size() - 1;  // every victim finds itself
+  });
+  for (std::size_t i = 0; i < victims.size(); ++i) offsets[i + 1] += offsets[i];
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs(offsets.back());
+  each_victim([&](std::size_t i, const std::vector<std::uint32_t>& nearby) {
+    std::size_t at = offsets[i];
+    for (const std::uint32_t a : nearby)
+      if (a != victims[i]) pairs[at++] = {victims[i], a};
+  });
   return pairs;
 }
 
@@ -117,17 +136,26 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_pairs(
   // per-pair pitch gate lives in accumulate_run.
   const std::shared_ptr<const ana::PairSurrogate> surrogate =
       model_->surrogate_for(options_.influence_radius);
-  // Pair-parallel: every chunk of pairs accumulates into its own private
-  // buffer (writing `out[n] +=` across chunks would race). With one chunk
-  // (num_threads == 1, or a call from inside a pool worker) this is the
-  // exact serial pair loop.
+  // Run-parallel: the pair list splits into victim runs (maximal stretches
+  // of consecutive pairs with one victim), and every chunk of runs
+  // accumulates into its own private buffer (writing `out[n] +=` across
+  // chunks would race). A run costs about the same whatever its length, so
+  // chunks of equal run counts balance where chunks of equal pair counts
+  // would not. With one chunk (num_threads == 1, or a call from inside a
+  // pool worker) this is the exact serial pair loop.
+  std::vector<std::size_t> run_starts;
+  for (std::size_t k = 0; k < pairs.size(); ++k)
+    if (k == 0 || pairs[k].first != pairs[k - 1].first) run_starts.push_back(k);
+  const std::size_t runs = run_starts.size();
+  run_starts.push_back(pairs.size());
   const std::size_t max_chunks = std::max<std::size_t>(
-      1, std::min(num::resolve_thread_count(options_.num_threads),
-                  pairs.size()));
+      1, std::min(num::resolve_thread_count(options_.num_threads), runs));
   std::vector<std::vector<num::SymTensor2>> parts(max_chunks);
   num::parallel_for_chunks(
-      pairs.size(), options_.num_threads,
-      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
+      runs, options_.num_threads,
+      [&](std::size_t first_run, std::size_t last_run, std::size_t chunk) {
+        const std::size_t begin = run_starts[first_run];
+        const std::size_t end = run_starts[last_run];
         std::vector<num::SymTensor2>& out = parts[chunk];
         out.assign(points.size(), num::SymTensor2{});
         // Chunk-local gather/scatter buffers keep their steady-state

@@ -11,11 +11,13 @@
 // InteractiveStressModel::accumulate_run: the model's certified surrogate
 // when one is attached, the exact series otherwise (and for every pitch
 // outside the surrogate's domain). The pairs of a run read the same disc of
-// points, so the disc is gathered once per run and the surrogate stages it
-// once per run. A stage holds no per-call state: each evaluate builds its
-// point index, and every batched evaluation, whole-placement or per tile,
-// goes through the one pair loop evaluate_pairs. IncrementalEngine makes
-// the same accumulate_run call per victim run of an edit.
+// points, so the disc is gathered once per run, and the surrogate stages it
+// once and evaluates the whole run as one chip-frame series, at a cost per
+// point that does not grow with the number of aggressors. A stage holds no
+// per-call state: each evaluate builds its point index, and every batched
+// evaluation, whole-placement or per tile, goes through the one pair loop
+// evaluate_pairs. IncrementalEngine makes the same accumulate_run call per
+// victim run of an edit.
 // stress_at always uses the exact series, so it can differ from evaluate()
 // by up to the surrogate's certified bound.
 
@@ -33,13 +35,14 @@ namespace tsv::core {
 struct InteractiveOptions {
   double pair_pitch_cutoff = 25.0;  ///< um
   double influence_radius = 25.0;   ///< um, victim to simulation point
-  /// Threads for the batched evaluate: 0 = hardware concurrency, 1 = serial
-  /// (the default baseline path). Pairs are chunked statically; each chunk
-  /// accumulates into a private output buffer and the partials merge in
-  /// chunk index order, so results are deterministic for a fixed thread
-  /// count but can differ from the serial sum by floating-point regrouping
-  /// (<= ~1e-12 relative; the determinism tests pin this down). The merge
-  /// itself runs point-parallel on the same workers.
+  /// Threads for the batched evaluate and the pair enumeration: 0 =
+  /// hardware concurrency, 1 = serial (the default baseline path). Victim
+  /// runs are chunked statically; each chunk accumulates into a private
+  /// output buffer and the partials merge in chunk index order, so results
+  /// are deterministic for a fixed thread count but can differ from the
+  /// serial sum by floating-point regrouping (<= ~1e-12 relative; the
+  /// determinism tests pin this down). The merge itself runs point-parallel
+  /// on the same workers.
   std::size_t num_threads = 1;
 };
 
@@ -58,8 +61,8 @@ class InteractiveStage {
   /// Interactive stress at many points: evaluate_with_pairs over
   /// ordered_pairs(). Organized victim-outer so that each victim's affected
   /// points are found (through a point GridIndex built per call) and
-  /// gathered once and reused by all of its pairs. Pair-parallel over
-  /// options().num_threads workers: `out[n] +=` across pairs would race,
+  /// gathered once and reused by all of its pairs. Run-parallel over
+  /// options().num_threads workers: `out[n] +=` across runs would race,
   /// so each worker owns a private buffer (see InteractiveOptions).
   std::vector<num::SymTensor2> evaluate(
       const std::vector<geo::Point>& points) const;
@@ -75,24 +78,32 @@ class InteractiveStage {
 
   /// Ordered victim/aggressor pairs within the pitch cutoff. All pairs of
   /// one victim are contiguous (victim-major order), the order
-  /// evaluate_pairs batches on.
+  /// evaluate_pairs batches on. The victims are enumerated on
+  /// options().num_threads workers; the list is the same, element for
+  /// element, at every thread count.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> ordered_pairs() const;
 
   /// Ordered pairs whose victim lies within influence_radius of `region`
-  /// (the pairs that can contribute to any point inside it). Victim-major,
-  /// like ordered_pairs.
+  /// (the pairs that can contribute to any point inside it). Victim-major
+  /// and thread-count independent, like ordered_pairs.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> ordered_pairs_near(
       const geo::Box& region) const;
 
  private:
+  /// The pairs of `victims` in their order, each victim's aggressors in
+  /// index order, enumerated in parallel chunks of victims.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs_of(
+      const std::vector<std::uint32_t>& victims) const;
+
   /// The batched pair loop behind every evaluate. Each run of consecutive
   /// pairs with the same victim queries the victim's influence disc once,
   /// gathers its points once, evaluates all its aggressors with one
-  /// InteractiveStressModel::accumulate_run into a zeroed buffer (bitwise
-  /// the sequence of its pairs as runs of one) and scatters that buffer into
-  /// the chunk's output once. Any pair order is correct: a list that is not
+  /// InteractiveStressModel::accumulate_run into a zeroed buffer (one
+  /// chip-frame series for a covered stretch, equal to the sequence of its
+  /// pairs as runs of one up to rounding) and scatters that buffer into the
+  /// chunk's output once. Any pair order is correct: a list that is not
   /// victim-major just forms shorter runs, and differs from the sorted one
-  /// by summation regrouping only. Runs never cross a thread chunk; the
+  /// by summation regrouping only. Threads take chunks of whole runs; the
   /// chunk partials merge point-parallel, each point in chunk index order
   /// (see InteractiveOptions).
   std::vector<num::SymTensor2> evaluate_pairs(

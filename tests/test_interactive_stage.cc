@@ -311,18 +311,19 @@ TEST(InteractiveStage, VictimBatchingIsOrderIndependent) {
 
 // InteractiveStressModel::accumulate_run sends each covered stretch of a
 // victim's aggressors to the surrogate run kernel and each out-of-domain
-// aggressor to the exact series, in aggressor order. The result must be
-// the bits of the sequence of runs of one into a zeroed buffer, and the
-// run must be counted exactly once per pair.
-TEST(InteractiveStage, MixedRunIsBitwiseThePairSequence) {
+// aggressor to the exact series, in aggressor order. A covered stretch of
+// two or more is one chip-frame series, so the result must match the
+// sequence of runs of one into a zeroed buffer within 1e-12 of the
+// certificate's field scale, and the run must be counted exactly once per
+// pair.
+TEST(InteractiveStage, MixedRunMatchesThePairSequence) {
   const auto model = std::make_shared<const ana::InteractiveStressModel>(
       kS, mat::ThermalLoad{});
   const auto surrogate = std::make_shared<const ana::PairSurrogate>(
       ana::PairSurrogate::fit(*model));
   const geo::Point v{1.5, -2.0};
   // Sub-domain (7 um) aggressors at the start, in the middle (two in a
-  // row), and at the end, around a covered stretch longer than one
-  // 8-aggressor block.
+  // row), and at the end, around covered stretches of 2 and 12.
   std::vector<double> pitches = {7.0, 9.5, 12.25, 7.0, 7.0, 8.0, 25.0};
   for (int i = 0; i < 10; ++i) pitches.push_back(10.0 + 1.4 * i);
   pitches.push_back(7.0);
@@ -352,20 +353,23 @@ TEST(InteractiveStage, MixedRunIsBitwiseThePairSequence) {
   EXPECT_EQ(surrogate->use_stats().fallback_pairs, sub_domain);
   EXPECT_EQ(surrogate->use_stats().surrogate_pairs,
             aggressors.size() - sub_domain);
+  const double tol = 1e-12 * surrogate->certificate().field_scale;
   for (std::size_t i = 0; i < pts.size(); ++i) {
-    EXPECT_EQ(got[i].s11, want[i].s11) << i;
-    EXPECT_EQ(got[i].s22, want[i].s22) << i;
-    EXPECT_EQ(got[i].s12, want[i].s12) << i;
+    EXPECT_NEAR(got[i].s11, want[i].s11, tol) << i;
+    EXPECT_NEAR(got[i].s22, want[i].s22, tol) << i;
+    EXPECT_NEAR(got[i].s12, want[i].s12, tol) << i;
   }
 }
 
 // The batched evaluate against a reference loop that spells out its
-// contract one pair at a time: the pairs split into the same static chunks,
-// every victim run of a chunk sums its pairs' runs-of-one contributions
-// per point (in pair order, from zero) and adds the sum to the chunk's
-// partial field, and the partials add up in chunk order. The run kernel,
-// the gathers and the point-parallel merge must reproduce those bits at 1
-// and 4 threads, surrogate and series pairs alike.
+// contract one victim run at a time: the pair list splits into victim runs,
+// the runs into the same static chunks, every run of a chunk evaluates at
+// each of its disc's points alone (one accumulate_run call per point, from
+// zero) and adds that to the chunk's partial field, and the partials add up
+// in chunk order. The gathers, the batched kernel calls and the
+// point-parallel merge must reproduce those bits at 1 and 4 threads,
+// surrogate and series pairs alike; and the field must match the same loop
+// with every pair as a run of one within 1e-12 of the field scale.
 TEST(InteractiveStage, EvaluateIsBitwiseAPerPairReferenceLoop) {
   const std::vector<geo::Point> centers = mixed_pitch_centers();
   const tsvlib::Placement design(kS, centers);
@@ -377,6 +381,7 @@ TEST(InteractiveStage, EvaluateIsBitwiseAPerPairReferenceLoop) {
   std::vector<geo::Point> pts;
   for (double x = -6; x <= 48; x += 1.9)
     for (double y = -6; y <= 34; y += 2.3) pts.push_back({x, y});
+  const double tol = 1e-12 * surrogate->certificate().field_scale;
 
   for (const std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE(threads);
@@ -386,25 +391,35 @@ TEST(InteractiveStage, EvaluateIsBitwiseAPerPairReferenceLoop) {
     const auto got = stage.evaluate(pts);
 
     const auto pairs = stage.ordered_pairs();
+    std::vector<std::size_t> run_starts;
+    for (std::size_t k = 0; k < pairs.size(); ++k)
+      if (k == 0 || pairs[k].first != pairs[k - 1].first)
+        run_starts.push_back(k);
+    const std::size_t runs = run_starts.size();
+    run_starts.push_back(pairs.size());
     const double r2 = opt.influence_radius * opt.influence_radius;
-    const std::size_t chunks = std::min<std::size_t>(threads, pairs.size());
-    std::vector<num::SymTensor2> want(pts.size());
+    const std::size_t chunks = std::min<std::size_t>(threads, runs);
+    std::vector<num::SymTensor2> want(pts.size()), by_pair(pts.size());
     for (std::size_t c = 0; c < chunks; ++c) {
-      const auto [begin, end] = num::chunk_bounds(pairs.size(), chunks, c);
+      const auto [first, last] = num::chunk_bounds(runs, chunks, c);
       std::vector<num::SymTensor2> part(pts.size());
-      for (std::size_t k = begin; k < end;) {
+      for (std::size_t r = first; r < last; ++r) {
+        const std::size_t k = run_starts[r];
+        const std::size_t count = run_starts[r + 1] - k;
         const geo::Point& victim = centers[pairs[k].first];
-        std::vector<num::SymTensor2> run(pts.size());
-        std::size_t e = k;
-        for (; e < end && pairs[e].first == pairs[k].first; ++e)
-          for (std::size_t i = 0; i < pts.size(); ++i)
-            if (geo::distance_squared(pts[i], victim) <= r2)
-              model->accumulate_run(surrogate.get(), victim,
-                                    &centers[pairs[e].second], 1, &pts[i], 1,
-                                    &run[i]);
-        for (std::size_t i = 0; i < pts.size(); ++i)
-          if (geo::distance_squared(pts[i], victim) <= r2) part[i] += run[i];
-        k = e;
+        std::vector<geo::Point> aggressors;
+        for (std::size_t e = k; e < k + count; ++e)
+          aggressors.push_back(centers[pairs[e].second]);
+        for (std::size_t i = 0; i < pts.size(); ++i) {
+          if (geo::distance_squared(pts[i], victim) > r2) continue;
+          num::SymTensor2 run;
+          model->accumulate_run(surrogate.get(), victim, aggressors.data(),
+                                count, &pts[i], 1, &run);
+          part[i] += run;
+          for (const geo::Point& a : aggressors)
+            model->accumulate_run(surrogate.get(), victim, &a, 1, &pts[i], 1,
+                                  &by_pair[i]);
+        }
       }
       if (c == 0) {
         want = part;
@@ -417,7 +432,45 @@ TEST(InteractiveStage, EvaluateIsBitwiseAPerPairReferenceLoop) {
       EXPECT_EQ(got[i].s11, want[i].s11) << i;
       EXPECT_EQ(got[i].s22, want[i].s22) << i;
       EXPECT_EQ(got[i].s12, want[i].s12) << i;
+      EXPECT_NEAR(got[i].s11, by_pair[i].s11, tol) << i;
+      EXPECT_NEAR(got[i].s22, by_pair[i].s22, tol) << i;
+      EXPECT_NEAR(got[i].s12, by_pair[i].s12, tol) << i;
     }
+  }
+}
+
+// The pair enumeration runs its victims in parallel chunks. The lists must
+// be the serial ones element for element at every thread count, for the
+// whole placement and for tile boxes, on the mixed-pitch grid and on a
+// seeded random 2k design.
+TEST(InteractiveStage, OrderedPairsAreThreadCountIndependent) {
+  const tsvlib::Placement designs[] = {
+      tsvlib::Placement(kS, mixed_pitch_centers()),
+      tsvlib::make_random(kS, 2000, geo::Box{{0.0, 0.0}, {600.0, 600.0}},
+                          8.0, 20261017)};
+  for (const tsvlib::Placement& design : designs) {
+    SCOPED_TRACE(design.size());
+    InteractiveOptions opt;
+    const InteractiveStage serial(design, make_model(), opt);
+    opt.num_threads = 4;
+    const InteractiveStage pooled(design, make_model(), opt);
+    const auto all = serial.ordered_pairs();
+    ASSERT_GT(all.size(), 0u);
+    EXPECT_EQ(pooled.ordered_pairs(), all);
+    const geo::Box hull = design.bounding_box();
+    const geo::Point c = hull.center();
+    const geo::Box boxes[] = {
+        hull,
+        {hull.lo, c},
+        {c, hull.hi},
+        {{c.x - 5.0, c.y - 5.0}, {c.x + 5.0, c.y + 5.0}},
+        {{hull.hi.x + 100.0, hull.hi.y + 100.0},
+         {hull.hi.x + 200.0, hull.hi.y + 200.0}}};
+    for (const geo::Box& box : boxes) {
+      const auto near = serial.ordered_pairs_near(box);
+      EXPECT_EQ(pooled.ordered_pairs_near(box), near);
+    }
+    EXPECT_EQ(serial.ordered_pairs_near(hull), all);
   }
 }
 

@@ -10,11 +10,14 @@
 //   - the scalar path is bitwise the batch kernel, and concurrent batch
 //     evaluations from many threads are bitwise the serial ones;
 //   - the pitch contraction's generic variant is bitwise the plane-order
-//     loop, contracting several pitches at once is bitwise contracting
-//     each alone, and whether the per-thread memo is cold or warm never
-//     changes a result;
-//   - the run kernel (accumulate_run) is bitwise the per-pair sequence for
-//     every run length;
+//     loop, and whether the per-thread memo is cold or warm never changes
+//     a result;
+//   - the run kernel (accumulate_run) matches the per-pair sequence for
+//     every run length: bitwise for a run of one, within 1e-12 of the field
+//     scale for a longer run folded into one chip-frame series, which also
+//     stays within the certified budget of the exact series, keeps the
+//     runs-of-one convention at the victim center, and is bitwise
+//     deterministic across threads and point splits;
 //   - out-of-domain pitches provably fall back to the exact series
 //     (counter-tracked), and points beyond the fitted radius contribute
 //     exactly zero;
@@ -292,9 +295,8 @@ TEST(Surrogate, GenericContractionIsBitwiseThePlaneOrderLoop) {
         for (std::size_t q = 0; q < width; ++q)
           want[q] += t[a] * src[a * width + q];
       std::vector<double> got(width), fused(width);
-      detail::contract_pitches_generic(src, width, t, 0, order, 1, got.data(),
-                                       0);
-      host(src, width, t, 0, order, 1, fused.data(), 0);
+      detail::contract_pitch_generic(src, width, t, order, got.data());
+      host(src, width, t, order, fused.data());
       for (std::size_t q = 0; q < width; ++q) {
         EXPECT_EQ(got[q], want[q]) << "block " << b << " q " << q;
         double mag = 0.0;
@@ -307,80 +309,38 @@ TEST(Surrogate, GenericContractionIsBitwiseThePlaneOrderLoop) {
   }
 }
 
-TEST(Surrogate, MultiPitchContractionIsBitwiseThePerPitchContraction) {
-  // The run kernel contracts a block's pitches together, four to each
-  // loaded coefficient vector. Every pitch must get the bits of its own
-  // one-pitch contraction, for 1-9 pitches (every group remainder, and
-  // more than one block's worth), on the generic variant and on the host's
-  // FMA variant alike.
-  const PairSurrogate::Data data = fitted().to_data();
-  std::mt19937_64 rng(97);
-  std::uniform_real_distribution<double> unit(-1.0, 1.0);
-  std::vector<std::vector<double>> blocks;
-  std::vector<std::size_t> widths;
-  for (const PairSurrogate::Data::Segment& s : data.segments) {
-    blocks.push_back(s.coeffs);
-    widths.push_back(3 * s.nr * s.nx);
-  }
-  for (const std::size_t width : {1u, 5u, 13u, 67u}) {
-    std::vector<double> coeffs(data.pitch_order * width);
-    for (double& c : coeffs) c = unit(rng);
-    blocks.push_back(std::move(coeffs));
-    widths.push_back(width);
-  }
-  const std::size_t order = data.pitch_order;
-  constexpr std::size_t kStride = 64;
-  const detail::PitchContractionFn host = detail::active_pitch_contraction();
-  for (std::size_t npitch = 1; npitch <= 9; ++npitch) {
-    SCOPED_TRACE(npitch);
-    std::vector<double> t(npitch * kStride);
-    for (std::size_t p = 0; p < npitch; ++p) {
-      double* w = t.data() + p * kStride;
-      const double ph = p == 0 ? 1.0 : unit(rng);
-      w[0] = 1.0;
-      w[1] = ph;
-      for (std::size_t a = 2; a < order; ++a)
-        w[a] = 2.0 * ph * w[a - 1] - w[a - 2];
-    }
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-      const std::size_t width = widths[b];
-      const double* src = blocks[b].data();
-      std::vector<double> got(npitch * width), fused(npitch * width);
-      detail::contract_pitches_generic(src, width, t.data(), kStride, order,
-                                       npitch, got.data(), width);
-      host(src, width, t.data(), kStride, order, npitch, fused.data(), width);
-      for (std::size_t p = 0; p < npitch; ++p) {
-        std::vector<double> want(width), want_fused(width);
-        detail::contract_pitches_generic(src, width, t.data() + p * kStride,
-                                         0, order, 1, want.data(), 0);
-        host(src, width, t.data() + p * kStride, 0, order, 1,
-             want_fused.data(), 0);
-        for (std::size_t q = 0; q < width; ++q) {
-          EXPECT_EQ(got[p * width + q], want[q])
-              << "block " << b << " pitch " << p << " q " << q;
-          EXPECT_EQ(fused[p * width + q], want_fused[q])
-              << "block " << b << " pitch " << p << " q " << q;
-        }
-      }
-    }
-  }
-}
-
-TEST(Surrogate, RunKernelIsBitwiseTheSequentialPairs) {
-  // accumulate_run stages the victim's disc once and contracts the run's
-  // pitches together, in blocks of at most 8 aggressors. For every run
-  // length 1-17 (every remainder of the four-pitch grouping and of the
-  // eight-aggressor block) it must add exactly the bits of a run of one
-  // per aggressor in order, into a zeroed buffer and into
-  // one that already holds a field. The points include the victim center,
-  // one exactly at r_max and one beyond it.
-  const PairSurrogate& sur = fitted();
-  const geo::Point v{-2.25, 3.5};
-  std::mt19937_64 rng(101);
-  std::uniform_real_distribution<double> coord(-27.0, 27.0);
+/// `count` aggressors of `v` at random pitches in the fitted domain and
+/// random angles.
+std::vector<geo::Point> random_run(const PairSurrogate& sur,
+                                   const geo::Point& v, std::size_t count,
+                                   std::mt19937_64& rng) {
   std::uniform_real_distribution<double> pitch(sur.pitch_min(),
                                                sur.pitch_max());
   std::uniform_real_distribution<double> angle(0.0, 2.0 * std::numbers::pi);
+  std::vector<geo::Point> aggressors(count);
+  for (geo::Point& a : aggressors) {
+    const double d = pitch(rng), phi = angle(rng);
+    a = {v.x + d * std::cos(phi), v.y + d * std::sin(phi)};
+  }
+  return aggressors;
+}
+
+TEST(Surrogate, RunKernelMatchesTheSequentialPairs) {
+  // accumulate_run stages the victim's disc once. A run of one evaluates
+  // its pair directly; a longer run folds all of its pairs into one
+  // chip-frame series, which is the sequence of its pairs as runs of one
+  // up to rounding. For every run length 1-20, into a zeroed buffer and
+  // into one that already holds a field: a run of one is that sequence bit
+  // for bit, a longer run within 1e-12 of the certificate's field scale per
+  // component. The points include the victim center (which keeps the
+  // runs-of-one convention), one exactly at r_max and one beyond it (both
+  // add exactly zero). Repeating a run, or evaluating its points one call
+  // at a time, gives the same bits.
+  const PairSurrogate& sur = fitted();
+  const double tol = 1e-12 * sur.certificate().field_scale;
+  const geo::Point v{-2.25, 3.5};
+  std::mt19937_64 rng(101);
+  std::uniform_real_distribution<double> coord(-27.0, 27.0);
   std::vector<geo::Point> pts = {
       v, {v.x + sur.r_max(), v.y}, {v.x, v.y - 30.0}};
   for (int i = 0; i < 250; ++i)
@@ -388,13 +348,9 @@ TEST(Surrogate, RunKernelIsBitwiseTheSequentialPairs) {
   std::vector<num::SymTensor2> prefilled(pts.size());
   for (num::SymTensor2& t : prefilled) t = {coord(rng), coord(rng), coord(rng)};
   const std::vector<num::SymTensor2> zeroed(pts.size());
-  for (std::size_t count = 1; count <= 17; ++count) {
+  for (std::size_t count = 1; count <= 20; ++count) {
     SCOPED_TRACE(count);
-    std::vector<geo::Point> aggressors(count);
-    for (geo::Point& a : aggressors) {
-      const double d = pitch(rng), phi = angle(rng);
-      a = {v.x + d * std::cos(phi), v.y + d * std::sin(phi)};
-    }
+    const std::vector<geo::Point> aggressors = random_run(sur, v, count, rng);
     const std::vector<num::SymTensor2>* starts[] = {&zeroed, &prefilled};
     for (const std::vector<num::SymTensor2>* start : starts) {
       std::vector<num::SymTensor2> want = *start;
@@ -403,15 +359,32 @@ TEST(Surrogate, RunKernelIsBitwiseTheSequentialPairs) {
       std::vector<num::SymTensor2> got = *start;
       sur.accumulate_run(v, aggressors.data(), count, pts.data(), pts.size(),
                          got.data());
-      expect_bitwise_equal(got, want);
-      if (start == &zeroed) {
-        EXPECT_TRUE(std::isfinite(got[0].s11) && got[0].s11 != 0.0);
-        for (const std::size_t i : {1u, 2u}) {
-          EXPECT_EQ(got[i].s11, 0.0) << i;
-          EXPECT_EQ(got[i].s22, 0.0) << i;
-          EXPECT_EQ(got[i].s12, 0.0) << i;
+      if (count == 1) {
+        expect_bitwise_equal(got, want);
+      } else {
+        for (std::size_t i = 0; i < pts.size(); ++i) {
+          EXPECT_NEAR(got[i].s11, want[i].s11, tol) << i;
+          EXPECT_NEAR(got[i].s22, want[i].s22, tol) << i;
+          EXPECT_NEAR(got[i].s12, want[i].s12, tol) << i;
         }
       }
+      for (const std::size_t i : {1u, 2u}) {
+        EXPECT_EQ(got[i].s11, (*start)[i].s11) << i;
+        EXPECT_EQ(got[i].s22, (*start)[i].s22) << i;
+        EXPECT_EQ(got[i].s12, (*start)[i].s12) << i;
+      }
+      if (start == &zeroed) {
+        EXPECT_TRUE(std::isfinite(got[0].s11) && got[0].s11 != 0.0);
+      }
+      std::vector<num::SymTensor2> again = *start;
+      sur.accumulate_run(v, aggressors.data(), count, pts.data(), pts.size(),
+                         again.data());
+      expect_bitwise_equal(again, got);
+      std::vector<num::SymTensor2> split = *start;
+      for (std::size_t i = 0; i < pts.size(); ++i)
+        sur.accumulate_run(v, aggressors.data(), count, &pts[i], 1,
+                           &split[i]);
+      expect_bitwise_equal(split, got);
     }
     // An empty point set touches nothing.
     std::vector<num::SymTensor2> none;
@@ -420,35 +393,115 @@ TEST(Surrogate, RunKernelIsBitwiseTheSequentialPairs) {
   }
 }
 
+TEST(Surrogate, VictimCenterKeepsTheRunsOfOneConvention) {
+  // A run of one evaluates the victim center at theta = 0 of its pair
+  // frame. A smooth field's harmonics j >= 1 vanish at r = 0, so a good fit
+  // barely depends on that choice; a surrogate whose core segment carries
+  // angular terms at r = 0 depends on it fully. A longer run must keep the
+  // runs-of-one convention at the center, and its series everywhere else.
+  PairSurrogate::Data data = fitted().to_data();
+  PairSurrogate::Data::Segment& core = data.segments[0];
+  for (std::size_t p = 0; p < data.pitch_order; ++p)
+    for (std::size_t comp = 0; comp < 3; ++comp)
+      for (std::size_t a = 0; a < core.nr; ++a) {
+        double* row = core.coeffs.data() + ((p * 3 + comp) * core.nr + a) *
+                                               core.nx;
+        row[1] += 5.0 / static_cast<double>(1 + p + a);
+        row[3] -= 2.0 / static_cast<double>(1 + p + comp);
+      }
+  const PairSurrogate sur(std::move(data));
+  const double tol = 1e-12 * fitted().certificate().field_scale;
+  const geo::Point v{3.25, -1.0};
+  const std::vector<geo::Point> pts = {
+      v, {v.x + 0.7, v.y - 1.1}, {v.x - 2.0, v.y + 0.3}, {v.x + 9.0, v.y}};
+  std::mt19937_64 rng(109);
+  for (std::size_t count = 2; count <= 20; ++count) {
+    SCOPED_TRACE(count);
+    const std::vector<geo::Point> aggressors = random_run(sur, v, count, rng);
+    std::vector<num::SymTensor2> want(pts.size()), got(pts.size());
+    for (const geo::Point& a : aggressors)
+      sur.accumulate_run(v, &a, 1, pts.data(), pts.size(), want.data());
+    sur.accumulate_run(v, aggressors.data(), count, pts.data(), pts.size(),
+                       got.data());
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      EXPECT_NEAR(got[i].s11, want[i].s11, tol) << i;
+      EXPECT_NEAR(got[i].s22, want[i].s22, tol) << i;
+      EXPECT_NEAR(got[i].s12, want[i].s12, tol) << i;
+    }
+  }
+}
+
+TEST(Surrogate, AggregatedRunStaysWithinTheCertifiedBound) {
+  // The chip-frame series of a run is an identity of the sum of its
+  // certified pairs, so a run of K pairs stays within K times the
+  // certified per-pair budget of the exact series, center point included.
+  const PairSurrogate& sur = fitted();
+  const SurrogateCertificate& c = sur.certificate();
+  const auto model = shared_model();
+  std::mt19937_64 rng(103);
+  std::uniform_real_distribution<double> u01(0.0, 1.0);
+  const geo::Point v{4.0, -7.5};
+  std::vector<geo::Point> pts = {v};
+  for (int i = 0; i < 160; ++i) {
+    const double r = i % 2 == 0 ? sur.r_max() * std::sqrt(u01(rng))
+                                : 0.05 * std::pow(500.0, u01(rng));
+    const double th = 2.0 * std::numbers::pi * u01(rng);
+    pts.push_back({v.x + r * std::cos(th), v.y + r * std::sin(th)});
+  }
+  for (const std::size_t count : {2u, 5u, 11u, 20u}) {
+    SCOPED_TRACE(count);
+    const std::vector<geo::Point> aggressors = random_run(sur, v, count, rng);
+    std::vector<num::SymTensor2> got(pts.size());
+    sur.accumulate_run(v, aggressors.data(), count, pts.data(), pts.size(),
+                       got.data());
+    const double budget =
+        static_cast<double>(count) * c.certified_rel_bound * c.field_scale;
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      num::SymTensor2 exact;
+      for (const geo::Point& a : aggressors)
+        exact += model->stress_at(v, a, pts[i]);
+      EXPECT_LE(std::abs(got[i].s11 - exact.s11), budget) << i;
+      EXPECT_LE(std::abs(got[i].s22 - exact.s22), budget) << i;
+      EXPECT_LE(std::abs(got[i].s12 - exact.s12), budget) << i;
+    }
+  }
+}
+
 TEST(Surrogate, BatchEvaluationIsBitwiseDeterministicAcrossThreads) {
   const PairSurrogate& sur = fitted();
   std::mt19937_64 rng(47);
   std::uniform_real_distribution<double> coord(-24.0, 24.0);
-  std::vector<geo::Point> pts(4096);
-  for (geo::Point& p : pts) p = {coord(rng), coord(rng)};
-  const geo::Point v{0.0, 0.0}, a{11.3, 4.7};
-
-  std::vector<num::SymTensor2> want(pts.size());
-  sur.accumulate_run(v, &a, 1, pts.data(), pts.size(), want.data());
-
-  // Eight threads evaluate the same (pair, points) concurrently into
-  // private buffers. Each thread builds its own per-thread pitch
-  // contraction memo; the contract is that this recomputation is bitwise
-  // identical, so every buffer must equal the serial result exactly.
-  constexpr std::size_t kThreads = 8;
-  std::vector<std::vector<num::SymTensor2>> results(
-      kThreads, std::vector<num::SymTensor2>(pts.size()));
-  std::vector<std::thread> workers;
-  for (std::size_t t = 0; t < kThreads; ++t)
-    workers.emplace_back([&, t] {
-      for (int rep = 0; rep < 3; ++rep) {
-        results[t].assign(pts.size(), num::SymTensor2{});
-        sur.accumulate_run(v, &a, 1, pts.data(), pts.size(), results[t].data());
-      }
-    });
-  for (std::thread& w : workers) w.join();
-  for (std::size_t t = 0; t < kThreads; ++t) expect_bitwise_equal(results[t],
-                                                                  want);
+  const geo::Point v{0.0, 0.0};
+  std::vector<geo::Point> pts = {v};  // the victim center, then the disc
+  for (int i = 0; i < 4096; ++i) pts.push_back({coord(rng), coord(rng)});
+  // A run of one (per-thread contraction memo) and a 9-aggressor run (per-
+  // thread fold scratch).
+  const std::vector<geo::Point> runs[] = {{{11.3, 4.7}},
+                                          random_run(sur, v, 9, rng)};
+  for (const std::vector<geo::Point>& aggressors : runs) {
+    SCOPED_TRACE(aggressors.size());
+    std::vector<num::SymTensor2> want(pts.size());
+    sur.accumulate_run(v, aggressors.data(), aggressors.size(), pts.data(),
+                       pts.size(), want.data());
+    // Eight threads evaluate the same (run, points) concurrently into
+    // private buffers. Each thread recomputes its own per-thread state; the
+    // contract is that this recomputation is bitwise identical, so every
+    // buffer must equal the serial result exactly.
+    constexpr std::size_t kThreads = 8;
+    std::vector<std::vector<num::SymTensor2>> results(kThreads);
+    std::vector<std::thread> workers;
+    for (std::size_t t = 0; t < kThreads; ++t)
+      workers.emplace_back([&, t] {
+        for (int rep = 0; rep < 3; ++rep) {
+          results[t].assign(pts.size(), num::SymTensor2{});
+          sur.accumulate_run(v, aggressors.data(), aggressors.size(),
+                             pts.data(), pts.size(), results[t].data());
+        }
+      });
+    for (std::thread& w : workers) w.join();
+    for (std::size_t t = 0; t < kThreads; ++t)
+      expect_bitwise_equal(results[t], want);
+  }
 }
 
 TEST(Surrogate, OutOfDomainPitchFallsBackAndIsCounted) {

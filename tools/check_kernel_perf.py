@@ -18,7 +18,7 @@ bound: "pair" (ns per pair-point on one victim's 493-point disc, a fresh
 pitch every pair, so the pitch contraction is included), "contraction"
 (ns per pair for the contraction alone) and "run" (ns per pair-point when
 the same disc takes 9 fresh-pitch aggressors per call through the run
-kernel, contraction included). The batch row times one fixed pitch, where
+kernel, which folds them into one chip-frame series). The batch row times one fixed pitch, where
 the contraction memo always hits. The run row carries a second
 host-independent floor: its "speedup" (pair / run, same run) must stay at
 or above the baseline's `min_run_speedup`.
