@@ -4,7 +4,8 @@
 //
 // Besides the google-benchmark rows, the binary always appends point-kernel
 // timings to <out-dir>/kernels.jsonl (--out-dir=PATH, default "."): Stage I
-// scalar vs batch, the Stage II exact series, and the certified surrogate
+// scalar vs batch, Stage I point-major vs disc-major on one full-chip tile,
+// the Stage II exact series, and the certified surrogate
 // (per point at one pitch, and per pair with a fresh pitch each pair, which
 // includes the pitch contraction, and per pair-point over 9-aggressor runs
 // through the run kernel). tools/check_kernel_perf.py guards those
@@ -34,6 +35,7 @@
 #include "numeric/cg.h"
 #include "numeric/parallel.h"
 #include "numeric/sparse_cholesky.h"
+#include "tsv/fullchip.h"
 #include "tsv/generators.h"
 
 namespace {
@@ -437,6 +439,37 @@ void emit_kernel_rows(const std::string& out_dir) {
     append_kernel_row(path, "stage1_point", "scalar", evals, scalar_ns, 0.0);
     append_kernel_row(path, "stage1_point", "batch", evals, batch_ns,
                       scalar_ns / batch_ns);
+  }
+
+  // Stage I on one 256 x 256 tile (65 536 points at 2 um) from the middle of
+  // the seeded 10k full-chip design, 1 thread: point-major (a TSV query per
+  // point, then sum_at) against the disc-major window evaluation (each TSV
+  // walks its disc as row spans, then accumulate). Same values bit for bit;
+  // the "window" row's "speedup" is point / window from this same run, the
+  // ratio the min_window_speedup floor guards.
+  {
+    const tsvlib::Placement design =
+        tsvlib::make_fullchip(structure(),
+                              tsvlib::spec_for_count(10000, 0.25e-2, 1))
+            .placement;
+    const geo::SampleGrid grid = geo::SampleGrid::with_spacing(
+        design.bounding_box().expanded(25.0), 2.0);
+    constexpr std::size_t kSide = 256;
+    const std::size_t ix0 = (grid.nx() - kSide) / 2;
+    const std::size_t iy0 = (grid.ny() - kSide) / 2;
+    const geo::GridWindow tile(grid, ix0, ix0 + kSide, iy0, iy0 + kSide);
+    const std::vector<geo::Point> pts = tile.points();
+    const core::LinearSuperposition ls(design, stage1_kernel_table());
+    const double point_ns = best_ns_per_eval(pts.size(), [&] {
+      benchmark::DoNotOptimize(ls.evaluate(pts).data());
+    });
+    const double window_ns = best_ns_per_eval(pts.size(), [&] {
+      benchmark::DoNotOptimize(ls.evaluate(tile).data());
+    });
+    append_kernel_row(path, "stage1_window", "point", pts.size(), point_ns,
+                      0.0);
+    append_kernel_row(path, "stage1_window", "window", pts.size(), window_ns,
+                      point_ns / window_ns);
   }
 
   // The exact series through the production entry point with no surrogate

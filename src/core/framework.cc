@@ -72,8 +72,8 @@ StressFramework::StressFramework(
   }
 }
 
-StressResult StressFramework::evaluate(
-    const std::vector<geo::Point>& points) const {
+template <typename Points>
+StressResult StressFramework::evaluate_stages(const Points& points) const {
   StressResult result;
   const auto t0 = Clock::now();
   result.stress = stage1_.evaluate(points);
@@ -81,8 +81,9 @@ StressResult StressFramework::evaluate(
 
   if (stage2_ != nullptr) {
     const auto t1 = Clock::now();
-    result.interactive = stage2_->evaluate(points);
-    num::parallel_for(points.size(), options_.stage2.num_threads,
+    result.interactive =
+        stage2_->evaluate_with_pairs(points, stage2_->ordered_pairs());
+    num::parallel_for(result.stress.size(), options_.stage2.num_threads,
                       [&](std::size_t i) {
                         result.stress[i] += result.interactive[i];
                       });
@@ -91,8 +92,13 @@ StressResult StressFramework::evaluate(
   return result;
 }
 
+StressResult StressFramework::evaluate(
+    const std::vector<geo::Point>& points) const {
+  return evaluate_stages(points);
+}
+
 StressResult StressFramework::evaluate(const geo::SampleGrid& grid) const {
-  return evaluate(grid.points());
+  return evaluate_stages(geo::GridWindow(grid));
 }
 
 num::SymTensor2 StressFramework::stress_at(const geo::Point& p) const {

@@ -76,13 +76,18 @@ class StressFramework {
   /// Full evaluation at a list of points.
   StressResult evaluate(const std::vector<geo::Point>& points) const;
 
-  /// Convenience: evaluate over a grid (row-major point order).
+  /// Evaluation over a grid (row-major point order): both stages run
+  /// disc-major on the whole-grid window, bitwise evaluate(grid.points()).
   StressResult evaluate(const geo::SampleGrid& grid) const;
 
   /// Single-point evaluation (slow path; prefer the batched overloads).
   num::SymTensor2 stress_at(const geo::Point& p) const;
 
  private:
+  /// Both stages at a point list or a grid window.
+  template <typename Points>
+  StressResult evaluate_stages(const Points& points) const;
+
   FrameworkOptions options_;
   ana::SingleTsvModel single_;
   LinearSuperposition stage1_;

@@ -7,6 +7,7 @@
 
 #include "analytic/surrogate.h"
 #include "geometry/grid_index.h"
+#include "geometry/grid_window.h"
 
 namespace tsv::core {
 namespace {
@@ -157,41 +158,6 @@ std::vector<num::SymTensor2> IncrementalEngine::total_field() const {
   return total;
 }
 
-template <typename F>
-void IncrementalEngine::for_disc_points(const geo::Point& c, double radius,
-                                        F&& f) const {
-  const geo::Box& b = grid_.box();
-  const double r2 = radius * radius;
-  // Conservative index window (one extra cell each side guards the floor /
-  // ceil rounding); the exact GridIndex predicate distance^2 <= radius^2
-  // then decides membership, so the dirty set matches a spatial-index query
-  // bit for bit.
-  const auto axis_range = [radius](double lo, double step, std::size_t n,
-                                   double cc) {
-    long i0 = 0;
-    long i1 = static_cast<long>(n) - 1;
-    if (step > 0.0) {
-      i0 = std::max(
-          i0, static_cast<long>(std::floor((cc - radius - lo) / step)) - 1);
-      i1 = std::min(
-          i1, static_cast<long>(std::ceil((cc + radius - lo) / step)) + 1);
-    }
-    return std::pair<long, long>{i0, i1};
-  };
-  const auto [ix0, ix1] = axis_range(b.lo.x, grid_.dx(), grid_.nx(), c.x);
-  const auto [iy0, iy1] = axis_range(b.lo.y, grid_.dy(), grid_.ny(), c.y);
-  for (long iy = iy0; iy <= iy1; ++iy) {
-    for (long ix = ix0; ix <= ix1; ++ix) {
-      const geo::Point p = grid_.point(static_cast<std::size_t>(ix),
-                                       static_cast<std::size_t>(iy));
-      if (geo::distance_squared(p, c) <= r2)
-        f(static_cast<std::size_t>(iy) * grid_.nx() +
-              static_cast<std::size_t>(ix),
-          p);
-    }
-  }
-}
-
 void IncrementalEngine::touch(std::size_t point_index, ApplyStats& stats) {
   if (stamp_[point_index] != epoch_) {
     stamp_[point_index] = epoch_;
@@ -200,12 +166,7 @@ void IncrementalEngine::touch(std::size_t point_index, ApplyStats& stats) {
 }
 
 void IncrementalEngine::gather_disc(const geo::Point& c, double radius) {
-  disc_idx_.clear();
-  disc_pts_.clear();
-  for_disc_points(c, radius, [&](std::size_t i, const geo::Point& p) {
-    disc_idx_.push_back(i);
-    disc_pts_.push_back(p);
-  });
+  geo::GridWindow(grid_).gather_disc(c, radius, disc_idx_, disc_pts_);
   disc_contrib_.assign(disc_pts_.size(), num::SymTensor2{});
 }
 

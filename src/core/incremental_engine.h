@@ -168,13 +168,9 @@ class IncrementalEngine {
                     std::shared_ptr<const SingleTsvField> table,
                     std::shared_ptr<const ana::InteractiveStressModel> model);
 
-  /// Calls f(point_index, point) for every grid point within `radius` of
-  /// `c` (distance <= radius, the GridIndex predicate).
-  template <typename F>
-  void for_disc_points(const geo::Point& c, double radius, F&& f) const;
-
-  /// Collects the disc around `c` into the disc_* scratch buffers
-  /// (disc_contrib_ zeroed to the same length) for the batch kernels.
+  /// Collects the disc around `c` (GridWindow::gather_disc) into the
+  /// disc_* scratch buffers (disc_contrib_ zeroed to the same length) for
+  /// the batch kernels.
   void gather_disc(const geo::Point& c, double radius);
 
   /// Adds (sign = +1) or subtracts (sign = -1) the Stage-I field of a TSV

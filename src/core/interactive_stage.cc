@@ -62,6 +62,14 @@ InteractiveStage::ordered_pairs() const {
   return pairs_of(victims);
 }
 
+std::size_t InteractiveStage::pair_count() const {
+  std::vector<std::uint32_t> victims(placement_.size());
+  for (std::uint32_t v = 0; v < victims.size(); ++v) victims[v] = v;
+  std::size_t count = 0;
+  pairs_of(victims, &count);
+  return count;
+}
+
 std::vector<std::pair<std::uint32_t, std::uint32_t>>
 InteractiveStage::ordered_pairs_near(const geo::Box& region) const {
   const auto& centers = placement_.centers();
@@ -79,7 +87,8 @@ InteractiveStage::ordered_pairs_near(const geo::Box& region) const {
 }
 
 std::vector<std::pair<std::uint32_t, std::uint32_t>>
-InteractiveStage::pairs_of(const std::vector<std::uint32_t>& victims) const {
+InteractiveStage::pairs_of(const std::vector<std::uint32_t>& victims,
+                           std::size_t* count) const {
   const auto& centers = placement_.centers();
   // Two parallel passes over the victims: count each victim's pairs, then
   // write them at their prefix-sum offsets. The list is built in place, at
@@ -101,6 +110,10 @@ InteractiveStage::pairs_of(const std::vector<std::uint32_t>& victims) const {
     offsets[i + 1] = nearby.size() - 1;  // every victim finds itself
   });
   for (std::size_t i = 0; i < victims.size(); ++i) offsets[i + 1] += offsets[i];
+  if (count != nullptr) {
+    *count = offsets.back();
+    return {};
+  }
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs(offsets.back());
   each_victim([&](std::size_t i, const std::vector<std::uint32_t>& nearby) {
     std::size_t at = offsets[i];
@@ -124,13 +137,36 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_with_pairs(
   // stay indexed.
   const geo::GridIndex index(points, geo::Box::bounding(points),
                              std::max(options_.influence_radius / 2.0, 1.0));
-  return evaluate_pairs(points, pairs, index);
+  return evaluate_pairs(
+      points.size(), pairs,
+      [&](const geo::Point& victim, std::vector<std::uint32_t>& affected,
+          std::vector<geo::Point>& gathered) {
+        index.query_radius(victim, options_.influence_radius, affected);
+        gathered.resize(affected.size());
+        for (std::size_t j = 0; j < affected.size(); ++j)
+          gathered[j] = points[affected[j]];
+      });
 }
 
+std::vector<num::SymTensor2> InteractiveStage::evaluate_with_pairs(
+    const geo::GridWindow& window,
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs) const {
+  TSV_REQUIRE(window.size() <= UINT32_MAX,
+              "grid window too large for 32-bit point indices");
+  return evaluate_pairs(
+      window.size(), pairs,
+      [&](const geo::Point& victim, std::vector<std::uint32_t>& affected,
+          std::vector<geo::Point>& gathered) {
+        window.gather_disc(victim, options_.influence_radius, affected,
+                           gathered);
+      });
+}
+
+template <typename GatherDisc>
 std::vector<num::SymTensor2> InteractiveStage::evaluate_pairs(
-    const std::vector<geo::Point>& points,
+    std::size_t num_points,
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs,
-    const geo::GridIndex& point_index) const {
+    GatherDisc&& gather) const {
   const auto& centers = placement_.centers();
   // The certificate/coverage gate is resolved once per evaluate; the
   // per-pair pitch gate lives in accumulate_run.
@@ -157,7 +193,7 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_pairs(
         const std::size_t begin = run_starts[first_run];
         const std::size_t end = run_starts[last_run];
         std::vector<num::SymTensor2>& out = parts[chunk];
-        out.assign(points.size(), num::SymTensor2{});
+        out.assign(num_points, num::SymTensor2{});
         // Chunk-local gather/scatter buffers keep their steady-state
         // capacity across victims.
         std::vector<std::uint32_t> affected;
@@ -165,17 +201,13 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_pairs(
         std::vector<geo::Point> aggressors;
         std::vector<num::SymTensor2> contrib;
         // Every aggressor of a victim reads the same disc, so a run of
-        // consecutive pairs with one victim shares a single query, gather,
+        // consecutive pairs with one victim shares a single gather,
         // accumulate_run and scatter.
         for (std::size_t k = begin; k < end;) {
           const std::uint32_t v = pairs[k].first;
           const geo::Point& victim = centers[v];
-          point_index.query_radius(victim, options_.influence_radius,
-                                   affected);
+          gather(victim, affected, gathered);
           const std::size_t m = affected.size();
-          gathered.resize(m);
-          for (std::size_t j = 0; j < m; ++j)
-            gathered[j] = points[affected[j]];
           aggressors.clear();
           for (; k < end && pairs[k].first == v; ++k)
             aggressors.push_back(centers[pairs[k].second]);
@@ -191,7 +223,7 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_pairs(
   // points are split.
   std::size_t used = 0;
   while (used < parts.size() && !parts[used].empty()) ++used;
-  if (used == 0) return std::vector<num::SymTensor2>(points.size());
+  if (used == 0) return std::vector<num::SymTensor2>(num_points);
   std::vector<num::SymTensor2> total = std::move(parts[0]);
   if (used > 1) {
     num::parallel_for_chunks(

@@ -14,10 +14,11 @@
 // points, so the disc is gathered once per run, and the surrogate stages it
 // once and evaluates the whole run as one chip-frame series, at a cost per
 // point that does not grow with the number of aggressors. A stage holds no
-// per-call state: each evaluate builds its point index, and every batched
-// evaluation, whole-placement or per tile, goes through the one pair loop
-// evaluate_pairs. IncrementalEngine makes the same accumulate_run call per
-// victim run of an edit.
+// per-call state, and every batched evaluation goes through the one pair
+// loop evaluate_pairs. A run walks its victim's disc as row spans of a grid
+// window, or queries a per-call point GridIndex on a point list: the same
+// points in the same order, so the two agree bit for bit.
+// IncrementalEngine makes the same accumulate_run call per victim run.
 // stress_at always uses the exact series, so it can differ from evaluate()
 // by up to the surrogate's certified bound.
 
@@ -28,6 +29,7 @@
 
 #include "analytic/interaction.h"
 #include "geometry/grid_index.h"
+#include "geometry/grid_window.h"
 #include "tsv/placement.h"
 
 namespace tsv::core {
@@ -76,6 +78,16 @@ class InteractiveStage {
       const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs)
       const;
 
+  /// The same at a grid window's points, row-major, bitwise
+  /// evaluate_with_pairs(window.points(), pairs) with no point index.
+  std::vector<num::SymTensor2> evaluate_with_pairs(
+      const geo::GridWindow& window,
+      const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs)
+      const;
+
+  /// ordered_pairs().size(), from the enumeration's count pass alone.
+  std::size_t pair_count() const;
+
   /// Ordered victim/aggressor pairs within the pitch cutoff. All pairs of
   /// one victim are contiguous (victim-major order), the order
   /// evaluate_pairs batches on. The victims are enumerated on
@@ -91,13 +103,16 @@ class InteractiveStage {
 
  private:
   /// The pairs of `victims` in their order, each victim's aggressors in
-  /// index order, enumerated in parallel chunks of victims.
+  /// index order, enumerated in parallel chunks of victims. With `count`,
+  /// only the count pass runs: it stores the number and returns no list.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs_of(
-      const std::vector<std::uint32_t>& victims) const;
+      const std::vector<std::uint32_t>& victims,
+      std::size_t* count = nullptr) const;
 
-  /// The batched pair loop behind every evaluate. Each run of consecutive
-  /// pairs with the same victim queries the victim's influence disc once,
-  /// gathers its points once, evaluates all its aggressors with one
+  /// The batched pair loop behind every evaluate, over `num_points` points.
+  /// Each run of consecutive pairs with the same victim has
+  /// gather(victim, affected, gathered) collect its disc's point indices
+  /// (ascending) and points once, evaluates all its aggressors with one
   /// InteractiveStressModel::accumulate_run into a zeroed buffer (one
   /// chip-frame series for a covered stretch, equal to the sequence of its
   /// pairs as runs of one up to rounding) and scatters that buffer into the
@@ -106,10 +121,11 @@ class InteractiveStage {
   /// by summation regrouping only. Threads take chunks of whole runs; the
   /// chunk partials merge point-parallel, each point in chunk index order
   /// (see InteractiveOptions).
+  template <typename GatherDisc>
   std::vector<num::SymTensor2> evaluate_pairs(
-      const std::vector<geo::Point>& points,
+      std::size_t num_points,
       const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs,
-      const geo::GridIndex& point_index) const;
+      GatherDisc&& gather) const;
 
   tsvlib::Placement placement_;
   std::shared_ptr<const ana::InteractiveStressModel> model_;

@@ -1,5 +1,7 @@
 #include "core/superposition.h"
 
+#include <cmath>
+
 #include "numeric/kernels.h"
 #include "numeric/parallel.h"
 
@@ -54,6 +56,35 @@ std::vector<num::SymTensor2> LinearSuperposition::evaluate(
           out[n] = table_->sum_at(points[n], centers.data(), nearby.data(),
                                   nearby.size());
         }
+      });
+  return out;
+}
+
+std::vector<num::SymTensor2> LinearSuperposition::evaluate(
+    const geo::GridWindow& window) const {
+  const auto& centers = placement_.centers();
+  const double radius = options_.influence_radius;
+  const std::size_t nx = window.nx();
+  std::vector<num::SymTensor2> out(window.size());
+  num::parallel_for_chunks(
+      window.ny(), options_.num_threads,
+      [&](std::size_t row_begin, std::size_t row_end, std::size_t) {
+        const geo::GridWindow band = window.rows(row_begin, row_end);
+        const std::vector<geo::Point> points = band.points();
+        num::SymTensor2* const band_out = out.data() + row_begin * nx;
+        // The TSVs within radius + half diagonal (+ slack for rounding) of
+        // the band's center; the disc walk applies the exact test.
+        const geo::Box box = band.bounds();
+        const double reach =
+            radius + std::hypot(box.width(), box.height()) / 2.0 + 1.0;
+        for (const std::uint32_t t : index_.query_radius(box.center(), reach))
+          band.for_disc_rows(
+              centers[t], radius,
+              [&](std::size_t row, std::size_t col_begin, std::size_t col_end) {
+                const std::size_t at = row * nx + col_begin;
+                table_->accumulate(centers[t], points.data() + at,
+                                   col_end - col_begin, band_out + at);
+              });
       });
   return out;
 }

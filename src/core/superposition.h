@@ -1,13 +1,17 @@
 #pragma once
 // Stage I of Algorithm 1: linear superposition [Jung/Pan/Lim DAC'11].
 // Each simulation point accumulates the isolated-TSV field of every TSV
-// within the influence radius, found through a uniform-grid spatial index.
+// within the influence radius: on a grid window each TSV walks its disc as
+// row spans, on a point list each point queries a uniform-grid spatial
+// index. Both add the same TSVs in the same order, so they agree bit for
+// bit.
 
 #include <memory>
 #include <vector>
 
 #include "core/stress_table.h"
 #include "geometry/grid_index.h"
+#include "geometry/grid_window.h"
 #include "tsv/placement.h"
 
 namespace tsv::core {
@@ -46,6 +50,12 @@ class LinearSuperposition {
   /// and its own query scratch buffer).
   std::vector<num::SymTensor2> evaluate(
       const std::vector<geo::Point>& points) const;
+
+  /// Stage-I stress at a grid window's points, row-major: threads take
+  /// bands of rows, and each TSV reaching a band, ascending, adds its field
+  /// along its disc's row spans with SingleTsvField::accumulate. Bitwise
+  /// evaluate(window.points()) at every thread count.
+  std::vector<num::SymTensor2> evaluate(const geo::GridWindow& window) const;
 
  private:
   tsvlib::Placement placement_;

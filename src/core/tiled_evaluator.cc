@@ -82,7 +82,7 @@ TiledStats TiledEvaluator::evaluate(const geo::SampleGrid& grid,
   stats.tiles_x = (grid.nx() + side - 1) / side;
   stats.tiles_y = (grid.ny() + side - 1) / side;
   const InteractiveStage* stage2 = framework_->stage2();
-  if (stage2 != nullptr) stats.total_pairs = stage2->ordered_pairs().size();
+  if (stage2 != nullptr) stats.total_pairs = stage2->pair_count();
 
   const bool checkpointing =
       checkpoint.writer != nullptr && checkpoint.every_tiles > 0;
@@ -111,15 +111,9 @@ TiledStats TiledEvaluator::evaluate(const geo::SampleGrid& grid,
     const auto [iy0, iy1] = num::chunk_bounds(grid.ny(), stats.tiles_y, ty);
     for (std::size_t tx = 0; tx < stats.tiles_x; ++tx) {
       const auto [ix0, ix1] = num::chunk_bounds(grid.nx(), stats.tiles_x, tx);
-      const std::size_t tnx = ix1 - ix0;
-      const std::size_t tny = iy1 - iy0;
-      points.clear();
-      points.reserve(tnx * tny);
-      for (std::size_t iy = iy0; iy < iy1; ++iy)
-        for (std::size_t ix = ix0; ix < ix1; ++ix)
-          points.push_back(grid.point(ix, iy));
-      const geo::Box bounds{grid.point(ix0, iy0),
-                            grid.point(ix1 - 1, iy1 - 1)};
+      const geo::GridWindow window(grid, ix0, ix1, iy0, iy1);
+      points = window.points();
+      const geo::Box bounds = window.bounds();
 
       const bool replay = resume != nullptr && stats.tiles < resume->tiles_done;
       if (replay) {
@@ -137,7 +131,7 @@ TiledStats TiledEvaluator::evaluate(const geo::SampleGrid& grid,
         ++stats.resumed_tiles;
       } else {
         const auto t0 = Clock::now();
-        stress = framework_->stage1().evaluate(points);
+        stress = framework_->stage1().evaluate(window);
         stats.stage1_seconds += seconds_since(t0);
 
         if (stage2 != nullptr) {
@@ -147,7 +141,7 @@ TiledStats TiledEvaluator::evaluate(const geo::SampleGrid& grid,
           const auto pairs = stage2->ordered_pairs_near(bounds);
           stats.culled_pairs += pairs.size();
           const std::vector<num::SymTensor2> interactive =
-              stage2->evaluate_with_pairs(points, pairs);
+              stage2->evaluate_with_pairs(window, pairs);
           num::parallel_for(points.size(),
                             framework_->options().stage2.num_threads,
                             [&](std::size_t i) {
@@ -157,7 +151,8 @@ TiledStats TiledEvaluator::evaluate(const geo::SampleGrid& grid,
         }
       }
 
-      const Tile tile{stats.tiles, ix0, iy0, tnx, tny, bounds, points, stress};
+      const Tile tile{stats.tiles, ix0,    iy0,    window.nx(),
+                      window.ny(), bounds, points, stress};
       consume(tile);
       ++stats.tiles;
       stats.points += points.size();

@@ -7,7 +7,8 @@
 // tile (Stage II enumerates only the pairs whose victim can reach the tile,
 // via the TSV grid index) and hands each finished tile to a consumer, so
 // peak memory is O(tile) and results stream in deterministic row-major
-// tile order. The per-tile evaluations reuse the framework's thread pool:
+// tile order. A tile is a geo::GridWindow that both stages evaluate
+// disc-major. The per-tile evaluations reuse the framework's thread pool:
 // tiles x threads compose because the outer tile loop is serial. Stage II
 // runs per tile as ordered_pairs_near(tile) + evaluate_with_pairs, and a
 // tile (and a checkpoint) carries the total field only; StressFramework's

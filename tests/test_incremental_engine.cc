@@ -309,6 +309,44 @@ TEST(IncrementalEngine, FarPointsUntouchedBitwise) {
   EXPECT_GT(far_points, 0u);
 }
 
+TEST(IncrementalEngine, DirtyPointsAreABruteForceDiscScan) {
+  // Stage I only: a move updates exactly the grid points within the
+  // influence radius (distance_squared <= r^2) of the old and of the new
+  // center, and an add near the grid corner the clipped disc around it.
+  // The counts match a brute-force scan of those discs, and no point
+  // outside them changes.
+  const Fixture f;
+  IncrementalOptions opt;
+  opt.enable_interactive = false;
+  IncrementalEngine engine = f.engine(opt, nullptr);
+  const std::vector<num::SymTensor2> before = engine.stage1_field();
+  const geo::Point old_c = engine.center(3);
+  const geo::Point new_c{old_c.x + 1.37, old_c.y - 0.83};
+  const geo::Point corner = f.grid.box().lo + geo::Point{3.1, 4.2};
+  const ApplyStats st =
+      engine.apply({EcoOp::move(3, new_c), EcoOp::add(corner)});
+  const double r2 = engine.options().stage1.influence_radius *
+                    engine.options().stage1.influence_radius;
+  const std::vector<geo::Point> pts = f.grid.points();
+  const std::vector<num::SymTensor2>& after = engine.stage1_field();
+  std::size_t dirty_points = 0;
+  std::size_t disc_points = 0;
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    std::size_t discs = 0;
+    for (const geo::Point& c : {old_c, new_c, corner})
+      discs += geo::distance_squared(pts[i], c) <= r2 ? 1 : 0;
+    disc_points += discs;
+    dirty_points += discs > 0 ? 1 : 0;
+    if (discs == 0) {
+      EXPECT_EQ(std::memcmp(&before[i], &after[i], sizeof(before[i])), 0)
+          << "point " << i << " outside every disc changed";
+    }
+  }
+  EXPECT_GT(dirty_points, 0u);
+  EXPECT_EQ(st.dirty_points, dirty_points);
+  EXPECT_EQ(st.stage1_point_updates, disc_points);
+}
+
 TEST(IncrementalEngine, RebuildReportsTinyDriftAndResets) {
   const Fixture f;
   IncrementalEngine engine = f.engine();

@@ -474,6 +474,21 @@ TEST(InteractiveStage, OrderedPairsAreThreadCountIndependent) {
   }
 }
 
+TEST(InteractiveStage, PairCountIsTheOrderedPairListSize) {
+  const tsvlib::Placement design = tsvlib::make_random(
+      kS, 2000, geo::Box{{0.0, 0.0}, {600.0, 600.0}}, 8.0, 20261017);
+  InteractiveOptions opt;
+  const InteractiveStage serial(design, make_model(), opt);
+  opt.num_threads = 4;
+  const InteractiveStage pooled(design, make_model(), opt);
+  const std::size_t want = serial.ordered_pairs().size();
+  ASSERT_GT(want, 0u);
+  EXPECT_EQ(serial.pair_count(), want);
+  EXPECT_EQ(pooled.pair_count(), want);
+  const tsvlib::Placement lone(kS, {{0.0, 0.0}});
+  EXPECT_EQ(InteractiveStage(lone, make_model()).pair_count(), 0u);
+}
+
 TEST(InteractiveStage, FiveCrossSymmetry) {
   // The 5-TSV cross is symmetric under 90-degree rotation; von Mises of the
   // interactive field must match at rotated points.

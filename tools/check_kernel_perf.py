@@ -23,6 +23,12 @@ the contraction memo always hits. The run row carries a second
 host-independent floor: its "speedup" (pair / run, same run) must stay at
 or above the baseline's `min_run_speedup`.
 
+stage1_window times Stage I on one 65 536-point tile of a seeded 10k
+full-chip design, 1 thread: "point" is the point-major evaluation (a TSV
+query per point), "window" the disc-major one on the tile as a grid window.
+The window row's "speedup" (point / window, same run) must stay at or above
+the baseline's `min_window_speedup`.
+
 With --e2e DIR, the guard also gates a quick run of the end-to-end
 benchmark (`python3 bench/e2e/run.py --quick --out DIR`) against the
 baseline's "e2e" section: one `max_growth` bound and, per workload, a
@@ -52,9 +58,10 @@ import json
 import os
 import sys
 
-MODES = ("scalar", "batch", "pair", "contraction", "run")
+MODES = ("scalar", "batch", "pair", "contraction", "run", "point", "window")
 # Same-run ratio floors: (baseline key, row mode whose "speedup" it bounds).
-FLOORS = (("min_speedup", "batch"), ("min_run_speedup", "run"))
+FLOORS = (("min_speedup", "batch"), ("min_run_speedup", "run"),
+          ("min_window_speedup", "window"))
 # Floors used for kernels absent from the baseline when writing a fresh one.
 DEFAULT_MIN_SPEEDUP = {
     "stage1_point": 2.0,
@@ -87,8 +94,9 @@ def write_baseline(rows, baseline_path, old, max_regression):
         floor = old_spec.get("min_speedup", DEFAULT_MIN_SPEEDUP.get(kernel))
         if floor is not None and "batch_ns_per_eval" in spec:
             spec["min_speedup"] = floor
-        if "min_run_speedup" in old_spec and "run_ns_per_eval" in spec:
-            spec["min_run_speedup"] = old_spec["min_run_speedup"]
+        for key, mode in FLOORS[1:]:
+            if key in old_spec and f"{mode}_ns_per_eval" in spec:
+                spec[key] = old_spec[key]
     data = {"max_regression": max_regression, "kernels": kernels}
     if "e2e" in old:
         data["e2e"] = old["e2e"]
