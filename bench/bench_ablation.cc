@@ -65,9 +65,8 @@ void ablate_table_source(const bench::BenchConfig& config) {
   const tsvlib::TsvStructure s = tsvlib::TsvStructure::baseline_bcb();
   const mat::ThermalLoad load{};
   const bench::Characterization ch = bench::characterize(s, load, config);
-  const ana::SingleTsvModel exact(s, load);
-  const core::RadialStressTable analytic_table =
-      core::RadialStressTable::from_analytic(exact, 30.0, 4096);
+  const auto analytic_table =
+      core::characterize(s, load, core::StageTwo::kOff).table;
 
   const tsvlib::Placement pair = tsvlib::make_pair(s, 10.0);
   const geo::Box roi = geo::Box::centered({0.0, 0.0}, 60.0, 30.0);

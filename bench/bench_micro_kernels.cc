@@ -54,8 +54,7 @@ const ana::SingleTsvModel& single_model() {
 
 std::shared_ptr<const ana::InteractiveStressModel> interactive_model() {
   static const auto model =
-      std::make_shared<const ana::InteractiveStressModel>(structure(),
-                                                          mat::ThermalLoad{});
+      core::characterize(structure(), {}, core::StageTwo::kSeries).model;
   return model;
 }
 
@@ -274,11 +273,9 @@ void BM_Stage1BatchScaling(benchmark::State& state) {
   const std::size_t threads = static_cast<std::size_t>(state.range(0));
   const tsvlib::Placement p = tsvlib::make_jittered_array(
       structure(), 100, 1.0e-2, 10.0, 7);
-  core::SuperpositionOptions opt;
-  opt.num_threads = threads;
-  const core::RadialStressTable table =
-      core::RadialStressTable::from_analytic(single_model(), 30.0, 4096);
-  const core::LinearSuperposition stage1(p, table, opt);
+  const core::LinearSuperposition stage1(
+      p, core::characterize(structure(), {}, core::StageTwo::kOff).table, {},
+      threads);
   const geo::SampleGrid grid(p.bounding_box().expanded(25.0), 200, 200);
   const std::vector<geo::Point> pts = grid.points();
   for (auto _ : state) {
@@ -293,9 +290,7 @@ void BM_Stage2BatchScaling(benchmark::State& state) {
   const std::size_t threads = static_cast<std::size_t>(state.range(0));
   const tsvlib::Placement p = tsvlib::make_jittered_array(
       structure(), 60, 1.0e-2, 10.0, 7);
-  core::InteractiveOptions opt;
-  opt.num_threads = threads;
-  const core::InteractiveStage stage2(p, interactive_model(), opt);
+  const core::InteractiveStage stage2(p, interactive_model(), {}, threads);
   const geo::SampleGrid grid(p.bounding_box().expanded(10.0), 120, 120);
   const std::vector<geo::Point> pts = grid.points();
   for (auto _ : state) {
@@ -459,7 +454,9 @@ void emit_kernel_rows(const std::string& out_dir) {
     const std::size_t iy0 = (grid.ny() - kSide) / 2;
     const geo::GridWindow tile(grid, ix0, ix0 + kSide, iy0, iy0 + kSide);
     const std::vector<geo::Point> pts = tile.points();
-    const core::LinearSuperposition ls(design, stage1_kernel_table());
+    const core::LinearSuperposition ls(
+        design,
+        std::make_shared<const core::RadialStressTable>(stage1_kernel_table()));
     const double point_ns = best_ns_per_eval(pts.size(), [&] {
       benchmark::DoNotOptimize(ls.evaluate(pts).data());
     });

@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
   // Characterization is shared (structure-only); use the analytic table so
   // this bench runs without any FEM solve.
   const ana::SingleTsvModel single(structure, load);
-  const core::RadialStressTable table =
-      core::RadialStressTable::from_analytic(single, 30.0, 4096);
+  const auto table = std::make_shared<const core::RadialStressTable>(
+      core::RadialStressTable::from_analytic(single, 30.0, 4096));
   const auto response = std::make_shared<const ana::InclusionResponse>(
       structure);
   const auto model = std::make_shared<const ana::InteractiveStressModel>(

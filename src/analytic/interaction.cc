@@ -7,22 +7,6 @@
 namespace tsv::ana {
 
 InteractiveStressModel::InteractiveStressModel(
-    std::shared_ptr<const InclusionResponse> response,
-    const SingleTsvModel& single)
-    : response_(std::move(response)) {
-  TSV_REQUIRE(response_ != nullptr, "null inclusion response");
-  k_hat_ = single.k_hat();
-  outer_radius_ = single.outer_radius();
-}
-
-InteractiveStressModel::InteractiveStressModel(
-    const tsvlib::TsvStructure& structure, const mat::ThermalLoad& load,
-    const InclusionResponseOptions& options)
-    : InteractiveStressModel(
-          std::make_shared<InclusionResponse>(structure, options),
-          SingleTsvModel(structure, load)) {}
-
-InteractiveStressModel::InteractiveStressModel(
     std::shared_ptr<const InclusionResponse> response, double k_hat)
     : response_(std::move(response)), k_hat_(k_hat) {
   TSV_REQUIRE(response_ != nullptr, "null inclusion response");

@@ -33,16 +33,9 @@ namespace tsv::ana {
 
 class InteractiveStressModel {
  public:
-  /// `response` is the per-geometry characterization; `single` supplies K.
-  InteractiveStressModel(std::shared_ptr<const InclusionResponse> response,
-                         const SingleTsvModel& single);
-
-  /// Convenience: characterizes the structure internally.
-  InteractiveStressModel(const tsvlib::TsvStructure& structure,
-                         const mat::ThermalLoad& load,
-                         const InclusionResponseOptions& options = {});
-
-  /// Explicit k_hat (= K / R'^2, MPa), e.g. fitted from a FEM
+  /// `response` is the per-geometry characterization and k_hat (= K / R'^2,
+  /// MPa) the single-TSV load: SingleTsvModel::k_hat() for the analytic
+  /// characterization (core::characterize), or a value fitted from a FEM
   /// characterization so that Stage II matches a FEM-derived Stage I table.
   InteractiveStressModel(std::shared_ptr<const InclusionResponse> response,
                          double k_hat);

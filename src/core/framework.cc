@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "analytic/surrogate.h"
 #include "numeric/parallel.h"
 
 namespace tsv::core {
@@ -13,37 +14,38 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-SuperpositionOptions with_threads(SuperpositionOptions opt,
-                                  std::size_t num_threads) {
-  if (num_threads != 1) opt.num_threads = num_threads;
-  return opt;
-}
-
 }  // namespace
+
+Characterization characterize(const tsvlib::TsvStructure& structure,
+                              const mat::ThermalLoad& load, StageTwo stage2) {
+  const ana::SingleTsvModel single(structure, load);
+  Characterization ch;
+  ch.table = std::make_shared<const RadialStressTable>(
+      RadialStressTable::from_analytic(single, 30.0, 4096));
+  if (stage2 == StageTwo::kOff) return ch;
+  ch.model = std::make_shared<const ana::InteractiveStressModel>(
+      std::make_shared<const ana::InclusionResponse>(structure),
+      single.k_hat());
+  if (stage2 == StageTwo::kSurrogate)
+    ch.model->attach_surrogate(std::make_shared<const ana::PairSurrogate>(
+        ana::PairSurrogate::fit(*ch.model)));
+  return ch;
+}
 
 StressFramework::StressFramework(const tsvlib::Placement& placement,
                                  const FrameworkOptions& options)
-    : StressFramework(placement, nullptr, options) {}
+    : StressFramework(placement,
+                      characterize(placement.structure(), options.load,
+                                   options.enable_interactive
+                                       ? StageTwo::kSeries
+                                       : StageTwo::kOff),
+                      options) {}
 
-StressFramework::StressFramework(
-    const tsvlib::Placement& placement,
-    std::shared_ptr<const ana::InteractiveStressModel> model,
-    const FrameworkOptions& options)
-    : StressFramework(
-          placement,
-          RadialStressTable::from_analytic(
-              ana::SingleTsvModel(placement.structure(), options.load),
-              options.table_radius, options.table_samples),
-          std::move(model), options) {}
-
-StressFramework::StressFramework(
-    const tsvlib::Placement& placement, RadialStressTable table,
-    std::shared_ptr<const ana::InteractiveStressModel> model,
-    const FrameworkOptions& options)
-    : StressFramework(
-          placement,
-          std::make_shared<const RadialStressTable>(std::move(table)),
-          std::move(model), options) {}
+StressFramework::StressFramework(const tsvlib::Placement& placement,
+                                 Characterization ch,
+                                 const FrameworkOptions& options)
+    : StressFramework(placement, std::move(ch.table), std::move(ch.model),
+                      options) {}
 
 StressFramework::StressFramework(
     const tsvlib::Placement& placement,
@@ -51,29 +53,22 @@ StressFramework::StressFramework(
     std::shared_ptr<const ana::InteractiveStressModel> model,
     const FrameworkOptions& options)
     : options_(options),
-      single_(placement.structure(), options.load),
-      stage1_(placement, std::move(table),
-              with_threads(options.stage1, options.num_threads)),
-      model_(std::move(model)) {
-  if (options_.num_threads != 1) {
-    options_.stage1.num_threads = options_.num_threads;
-    options_.stage2.num_threads = options_.num_threads;
-  }
+      stage1_(placement, std::move(table), options.stage1,
+              options.num_threads) {
   TSV_REQUIRE(stage1_.table().coverage_radius() >=
                   options_.stage1.influence_radius,
               "stress table must cover the influence radius");
   if (options_.enable_interactive) {
-    if (model_ == nullptr) {
-      model_ = std::make_shared<const ana::InteractiveStressModel>(
-          placement.structure(), options_.load, options_.characterization);
-    }
-    stage2_ = std::make_unique<InteractiveStage>(placement, model_,
-                                                 options_.stage2);
+    TSV_REQUIRE(model != nullptr,
+                "interactive stage enabled but no model supplied");
+    stage2_ = std::make_unique<InteractiveStage>(
+        placement, std::move(model), options_.stage2, options_.num_threads);
   }
 }
 
 template <typename Points>
-StressResult StressFramework::evaluate_stages(const Points& points) const {
+StressResult StressFramework::evaluate_stages(
+    const Points& points, const std::function<PairList()>& pairs) const {
   StressResult result;
   const auto t0 = Clock::now();
   result.stress = stage1_.evaluate(points);
@@ -81,9 +76,8 @@ StressResult StressFramework::evaluate_stages(const Points& points) const {
 
   if (stage2_ != nullptr) {
     const auto t1 = Clock::now();
-    result.interactive =
-        stage2_->evaluate_with_pairs(points, stage2_->ordered_pairs());
-    num::parallel_for(result.stress.size(), options_.stage2.num_threads,
+    result.interactive = stage2_->evaluate_with_pairs(points, pairs());
+    num::parallel_for(result.stress.size(), options_.num_threads,
                       [&](std::size_t i) {
                         result.stress[i] += result.interactive[i];
                       });
@@ -92,13 +86,17 @@ StressResult StressFramework::evaluate_stages(const Points& points) const {
   return result;
 }
 
+template StressResult StressFramework::evaluate_stages(
+    const geo::GridWindow&, const std::function<PairList()>&) const;
+
 StressResult StressFramework::evaluate(
     const std::vector<geo::Point>& points) const {
-  return evaluate_stages(points);
+  return evaluate_stages(points, [&] { return stage2_->ordered_pairs(); });
 }
 
 StressResult StressFramework::evaluate(const geo::SampleGrid& grid) const {
-  return evaluate_stages(geo::GridWindow(grid));
+  return evaluate_stages(geo::GridWindow(grid),
+                         [&] { return stage2_->ordered_pairs(); });
 }
 
 num::SymTensor2 StressFramework::stress_at(const geo::Point& p) const {

@@ -8,8 +8,16 @@
 //
 // Run Stage I alone for the LS baseline, or both for the proposed framework
 // (PF). Timings for both stages are reported for the Table 6 study.
+//
+// Besides a placement, a run needs its cutoffs (FrameworkOptions) and a
+// one-time characterization of the TSV structure, built only by
+// characterize() and shared by sweeps over placements. Both stages (and a
+// tiled evaluator's tiles) run on the framework's one thread count.
 
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/interactive_stage.h"
@@ -20,19 +28,33 @@
 
 namespace tsv::core {
 
+/// How a characterization serves Stage II.
+enum class StageTwo : std::uint8_t {
+  kOff,        ///< no Stage II: no interaction model is built
+  kSeries,     ///< the exact interaction series
+  kSurrogate,  ///< the series with a fitted certified surrogate attached
+};
+
+/// A TSV structure's one-time characterization under a thermal load.
+struct Characterization {
+  std::shared_ptr<const RadialStressTable> table;
+  /// Null for StageTwo::kOff.
+  std::shared_ptr<const ana::InteractiveStressModel> model;
+};
+
+/// The characterization recipe: the analytic single-TSV radial table over
+/// 30 um with 4096 samples, the inclusion response with k_hat of the same
+/// single-TSV solution, and for kSurrogate a PairSurrogate fitted on that
+/// model and attached (its certificate gates use per evaluation).
+Characterization characterize(const tsvlib::TsvStructure& structure,
+                              const mat::ThermalLoad& load, StageTwo stage2);
+
 struct FrameworkOptions {
   mat::ThermalLoad load{};
   SuperpositionOptions stage1{};
   InteractiveOptions stage2{};
-  ana::InclusionResponseOptions characterization{};
-  /// Radial table extent; must cover the influence radius.
-  double table_radius = 30.0;
-  std::size_t table_samples = 4096;
   bool enable_interactive = true;  ///< false = plain linear superposition
-  /// Convenience thread knob for both stages: 0 = hardware concurrency,
-  /// n > 1 = n threads; either overrides stage1.num_threads and
-  /// stage2.num_threads at construction. The default 1 leaves the per-stage
-  /// settings untouched (per-stage defaults are serial).
+  /// Threads for both stages: 0 = hardware concurrency, 1 = serial.
   std::size_t num_threads = 1;
 };
 
@@ -45,33 +67,25 @@ struct StressResult {
 
 class StressFramework {
  public:
+  /// Characterizes the placement's structure (characterize() with
+  /// StageTwo::kSeries, or kOff when options.enable_interactive is false).
   StressFramework(const tsvlib::Placement& placement,
                   const FrameworkOptions& options = {});
 
-  /// Shares a pre-built characterization (it depends only on the TSV
-  /// structure, so sweeps over placements should reuse it).
-  StressFramework(const tsvlib::Placement& placement,
-                  std::shared_ptr<const ana::InteractiveStressModel> model,
-                  const FrameworkOptions& options = {});
-
-  /// Full injection: caller supplies the Stage-I single-TSV field (e.g. a
-  /// StressMapTable characterized from a FEM solve, the methodology of the
-  /// original LS work) and the Stage-II model (may be null when
-  /// options.enable_interactive is false).
+  /// Full injection: caller supplies the Stage-I single-TSV field (a
+  /// characterize() table, or e.g. a StressMapTable characterized from a
+  /// FEM solve, the methodology of the original LS work) and the Stage-II
+  /// model (may be null when options.enable_interactive is false). The
+  /// characterization depends only on the TSV structure, so sweeps over
+  /// placements should share one.
   StressFramework(const tsvlib::Placement& placement,
                   std::shared_ptr<const SingleTsvField> table,
-                  std::shared_ptr<const ana::InteractiveStressModel> model,
-                  const FrameworkOptions& options = {});
-
-  /// Convenience overload taking a radial table by value.
-  StressFramework(const tsvlib::Placement& placement, RadialStressTable table,
                   std::shared_ptr<const ana::InteractiveStressModel> model,
                   const FrameworkOptions& options = {});
 
   const FrameworkOptions& options() const { return options_; }
   const LinearSuperposition& stage1() const { return stage1_; }
   const InteractiveStage* stage2() const { return stage2_.get(); }
-  const ana::SingleTsvModel& single_tsv() const { return single_; }
 
   /// Full evaluation at a list of points.
   StressResult evaluate(const std::vector<geo::Point>& points) const;
@@ -84,14 +98,22 @@ class StressFramework {
   num::SymTensor2 stress_at(const geo::Point& p) const;
 
  private:
-  /// Both stages at a point list or a grid window.
+  friend class TiledEvaluator;
+  using PairList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+  StressFramework(const tsvlib::Placement& placement, Characterization ch,
+                  const FrameworkOptions& options);
+
+  /// Both stages at a point list or a grid window. Stage II evaluates the
+  /// pair list `pairs()` returns, enumerated inside the Stage II timer:
+  /// ordered_pairs() for a whole evaluation, ordered_pairs_near(tile) for a
+  /// tile of a TiledEvaluator.
   template <typename Points>
-  StressResult evaluate_stages(const Points& points) const;
+  StressResult evaluate_stages(const Points& points,
+                               const std::function<PairList()>& pairs) const;
 
   FrameworkOptions options_;
-  ana::SingleTsvModel single_;
   LinearSuperposition stage1_;
-  std::shared_ptr<const ana::InteractiveStressModel> model_;
   std::unique_ptr<InteractiveStage> stage2_;
 };
 

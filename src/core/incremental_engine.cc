@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "analytic/surrogate.h"
+#include "core/error.h"
 #include "geometry/grid_index.h"
 #include "geometry/grid_window.h"
 
@@ -66,12 +67,17 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs_touching(
   return pairs;
 }
 
-/// FrameworkOptions-style convenience override: a non-default engine thread
-/// knob wins over the per-stage settings for the full evaluations.
-template <typename Opt>
-Opt with_threads(Opt opt, std::size_t num_threads) {
-  if (num_threads != 1) opt.num_threads = num_threads;
-  return opt;
+/// Why `options` cannot drive an engine over `table` (both constructors
+/// refuse such options), or nullptr.
+const char* cutoff_defect(const IncrementalOptions& o,
+                          const SingleTsvField& table) {
+  const auto ok = [](double v) { return std::isfinite(v) && v > 0.0; };
+  if (!ok(o.stage1.influence_radius) || !ok(o.stage2.influence_radius) ||
+      !ok(o.stage2.pair_pitch_cutoff))
+    return "cutoffs must be finite and positive";
+  return table.coverage_radius() >= o.stage1.influence_radius
+             ? nullptr
+             : "stress table must cover the influence radius";
 }
 
 }  // namespace
@@ -92,8 +98,8 @@ IncrementalEngine::IncrementalEngine(
   TSV_REQUIRE(table_ != nullptr, "null single-TSV field");
   TSV_REQUIRE(!options_.enable_interactive || model_ != nullptr,
               "interactive stage enabled but no model supplied");
-  TSV_REQUIRE(table_->coverage_radius() >= options_.stage1.influence_radius,
-              "stress table must cover the influence radius");
+  const char* defect = cutoff_defect(options_, *table_);
+  TSV_REQUIRE(defect == nullptr, defect);
   full_evaluate(stage1_, stage2_);
 }
 
@@ -116,6 +122,8 @@ IncrementalEngine::IncrementalEngine(
               "engine state: active flags do not match centers");
   TSV_REQUIRE(stage1_.size() == grid_.size() && stage2_.size() == grid_.size(),
               "engine state: field size does not match the grid");
+  if (const char* defect = cutoff_defect(options_, *table_))
+    throw InvalidInputError(std::string("engine state: ") + defect);
   active_count_ = static_cast<std::size_t>(
       std::count(active_.begin(), active_.end(), std::uint8_t{1}));
 }
@@ -339,12 +347,12 @@ void IncrementalEngine::full_evaluate(
     std::vector<num::SymTensor2>& stage2) const {
   const tsvlib::Placement current = placement();
   const std::vector<geo::Point> points = grid_.points();
-  const LinearSuperposition s1(
-      current, table_, with_threads(options_.stage1, options_.num_threads));
+  const LinearSuperposition s1(current, table_, options_.stage1,
+                               options_.num_threads);
   stage1 = s1.evaluate(points);
   if (options_.enable_interactive && current.size() >= 2) {
-    const InteractiveStage s2(
-        current, model_, with_threads(options_.stage2, options_.num_threads));
+    const InteractiveStage s2(current, model_, options_.stage2,
+                              options_.num_threads);
     stage2 = s2.evaluate(points);
   } else {
     stage2.assign(points.size(), num::SymTensor2{});

@@ -27,7 +27,9 @@
 // test_incremental_engine). apply() is serial and therefore bitwise
 // deterministic: the same edit sequence always produces the same bits.
 // rebuild() re-evaluates from scratch to measure and clear the accumulated
-// drift.
+// drift. IncrementalOptions::num_threads is the engine's one thread count:
+// the build and rebuild() run both stages on it (0 = hardware, 1 = serial,
+// the default), and apply() is serial whatever it says.
 
 #include <cstdint>
 #include <memory>
@@ -65,10 +67,9 @@ struct IncrementalOptions {
   SuperpositionOptions stage1{};
   InteractiveOptions stage2{};
   bool enable_interactive = true;  ///< false = Stage I only
-  /// Threads for the initial full build and rebuild() (same semantics as
-  /// FrameworkOptions::num_threads: 0 = hardware, 1 = serial default).
-  /// apply() itself is always serial — deltas are small and serial updates
-  /// keep the engine bitwise deterministic.
+  /// Threads for the initial full build and rebuild(): 0 = hardware
+  /// concurrency, 1 = serial. apply() itself is always serial — deltas are
+  /// small and serial updates keep the engine bitwise deterministic.
   std::size_t num_threads = 1;
 };
 
@@ -157,7 +158,10 @@ class IncrementalEngine {
 
   /// Restores an engine from a snapshot state without recomputing the
   /// fields. `table` and `model` must match the ones the state was built
-  /// with (the snapshot layer reconstructs them from the same file).
+  /// with (the snapshot layer reconstructs them from the same file). The
+  /// state's cutoffs are held to the build constructor's rules (finite,
+  /// positive, Stage I radius covered by the table); a state that breaks
+  /// them throws tsv::InvalidInputError.
   static IncrementalEngine restore(
       State state, std::shared_ptr<const SingleTsvField> table,
       std::shared_ptr<const ana::InteractiveStressModel> model);

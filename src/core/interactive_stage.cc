@@ -25,10 +25,11 @@ double distance_to_box(const geo::Point& p, const geo::Box& box) {
 InteractiveStage::InteractiveStage(
     const tsvlib::Placement& placement,
     std::shared_ptr<const ana::InteractiveStressModel> model,
-    const InteractiveOptions& options)
+    const InteractiveOptions& options, std::size_t num_threads)
     : placement_(placement),
       model_(std::move(model)),
       options_(options),
+      num_threads_(num_threads),
       tsv_index_(placement.centers(), index_bounds(placement),
                  std::max(options.pair_pitch_cutoff / 2.0, 1.0)) {
   TSV_REQUIRE(model_ != nullptr, "null interactive model");
@@ -96,7 +97,7 @@ InteractiveStage::pairs_of(const std::vector<std::uint32_t>& victims,
   std::vector<std::size_t> offsets(victims.size() + 1, 0);
   const auto each_victim = [&](auto&& visit) {
     num::parallel_for_chunks(
-        victims.size(), options_.num_threads,
+        victims.size(), num_threads_,
         [&](std::size_t begin, std::size_t end, std::size_t) {
           std::vector<std::uint32_t> nearby;
           for (std::size_t i = begin; i < end; ++i) {
@@ -185,10 +186,10 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_pairs(
   const std::size_t runs = run_starts.size();
   run_starts.push_back(pairs.size());
   const std::size_t max_chunks = std::max<std::size_t>(
-      1, std::min(num::resolve_thread_count(options_.num_threads), runs));
+      1, std::min(num::resolve_thread_count(num_threads_), runs));
   std::vector<std::vector<num::SymTensor2>> parts(max_chunks);
   num::parallel_for_chunks(
-      runs, options_.num_threads,
+      runs, num_threads_,
       [&](std::size_t first_run, std::size_t last_run, std::size_t chunk) {
         const std::size_t begin = run_starts[first_run];
         const std::size_t end = run_starts[last_run];
@@ -227,7 +228,7 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_pairs(
   std::vector<num::SymTensor2> total = std::move(parts[0]);
   if (used > 1) {
     num::parallel_for_chunks(
-        total.size(), options_.num_threads,
+        total.size(), num_threads_,
         [&](std::size_t begin, std::size_t end, std::size_t) {
           for (std::size_t c = 1; c < used; ++c) {
             const std::vector<num::SymTensor2>& part = parts[c];

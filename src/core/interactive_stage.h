@@ -21,6 +21,14 @@
 // IncrementalEngine makes the same accumulate_run call per victim run.
 // stress_at always uses the exact series, so it can differ from evaluate()
 // by up to the surrogate's certified bound.
+//
+// The batched evaluates and the pair enumeration run on num_threads workers
+// (a constructor argument: 0 = hardware concurrency, 1 = serial, the
+// default). Victim runs are chunked statically; each chunk accumulates into
+// a private output buffer and the partials merge in chunk index order, on
+// the same workers, so results are deterministic for a fixed thread count
+// but can differ from the serial sum by floating-point regrouping (<= ~1e-12
+// relative; the determinism tests pin this down).
 
 #include <cstdint>
 #include <memory>
@@ -37,24 +45,17 @@ namespace tsv::core {
 struct InteractiveOptions {
   double pair_pitch_cutoff = 25.0;  ///< um
   double influence_radius = 25.0;   ///< um, victim to simulation point
-  /// Threads for the batched evaluate and the pair enumeration: 0 =
-  /// hardware concurrency, 1 = serial (the default baseline path). Victim
-  /// runs are chunked statically; each chunk accumulates into a private
-  /// output buffer and the partials merge in chunk index order, so results
-  /// are deterministic for a fixed thread count but can differ from the
-  /// serial sum by floating-point regrouping (<= ~1e-12 relative; the
-  /// determinism tests pin this down). The merge itself runs point-parallel
-  /// on the same workers.
-  std::size_t num_threads = 1;
 };
 
 class InteractiveStage {
  public:
   InteractiveStage(const tsvlib::Placement& placement,
                    std::shared_ptr<const ana::InteractiveStressModel> model,
-                   const InteractiveOptions& options = {});
+                   const InteractiveOptions& options = {},
+                   std::size_t num_threads = 1);
 
   const InteractiveOptions& options() const { return options_; }
+  std::size_t num_threads() const { return num_threads_; }
   const ana::InteractiveStressModel& model() const { return *model_; }
 
   /// Interactive stress at one point (enumerates nearby ordered pairs).
@@ -64,8 +65,8 @@ class InteractiveStage {
   /// ordered_pairs(). Organized victim-outer so that each victim's affected
   /// points are found (through a point GridIndex built per call) and
   /// gathered once and reused by all of its pairs. Run-parallel over
-  /// options().num_threads workers: `out[n] +=` across runs would race,
-  /// so each worker owns a private buffer (see InteractiveOptions).
+  /// num_threads() workers: `out[n] +=` across runs would race, so each
+  /// worker owns a private buffer (see the header comment).
   std::vector<num::SymTensor2> evaluate(
       const std::vector<geo::Point>& points) const;
 
@@ -91,7 +92,7 @@ class InteractiveStage {
   /// Ordered victim/aggressor pairs within the pitch cutoff. All pairs of
   /// one victim are contiguous (victim-major order), the order
   /// evaluate_pairs batches on. The victims are enumerated on
-  /// options().num_threads workers; the list is the same, element for
+  /// num_threads() workers; the list is the same, element for
   /// element, at every thread count.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> ordered_pairs() const;
 
@@ -120,7 +121,7 @@ class InteractiveStage {
   /// victim-major just forms shorter runs, and differs from the sorted one
   /// by summation regrouping only. Threads take chunks of whole runs; the
   /// chunk partials merge point-parallel, each point in chunk index order
-  /// (see InteractiveOptions).
+  /// (see the header comment).
   template <typename GatherDisc>
   std::vector<num::SymTensor2> evaluate_pairs(
       std::size_t num_points,
@@ -130,6 +131,7 @@ class InteractiveStage {
   tsvlib::Placement placement_;
   std::shared_ptr<const ana::InteractiveStressModel> model_;
   InteractiveOptions options_;
+  std::size_t num_threads_;
   geo::GridIndex tsv_index_;
 };
 

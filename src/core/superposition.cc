@@ -17,24 +17,17 @@ geo::Box index_bounds(const tsvlib::Placement& p) {
 LinearSuperposition::LinearSuperposition(
     const tsvlib::Placement& placement,
     std::shared_ptr<const SingleTsvField> table,
-    const SuperpositionOptions& options)
+    const SuperpositionOptions& options, std::size_t num_threads)
     : placement_(placement),
       table_(std::move(table)),
       options_(options),
+      num_threads_(num_threads),
       index_(placement.centers(), index_bounds(placement),
              std::max(options.influence_radius / 2.0, 1.0)) {
   TSV_REQUIRE(table_ != nullptr, "null single-TSV field");
   TSV_REQUIRE(options_.influence_radius > 0.0,
               "influence radius must be positive");
 }
-
-LinearSuperposition::LinearSuperposition(const tsvlib::Placement& placement,
-                                         RadialStressTable table,
-                                         const SuperpositionOptions& options)
-    : LinearSuperposition(
-          placement,
-          std::make_shared<const RadialStressTable>(std::move(table)),
-          options) {}
 
 num::SymTensor2 LinearSuperposition::stress_at(const geo::Point& p) const {
   const auto& centers = placement_.centers();
@@ -48,7 +41,7 @@ std::vector<num::SymTensor2> LinearSuperposition::evaluate(
   const auto& centers = placement_.centers();
   std::vector<num::SymTensor2> out(points.size());
   num::parallel_for_chunks(
-      points.size(), options_.num_threads,
+      points.size(), num_threads_,
       [&](std::size_t begin, std::size_t end, std::size_t) {
         std::vector<std::uint32_t> nearby;
         for (std::size_t n = begin; n < end; ++n) {
@@ -67,7 +60,7 @@ std::vector<num::SymTensor2> LinearSuperposition::evaluate(
   const std::size_t nx = window.nx();
   std::vector<num::SymTensor2> out(window.size());
   num::parallel_for_chunks(
-      window.ny(), options_.num_threads,
+      window.ny(), num_threads_,
       [&](std::size_t row_begin, std::size_t row_end, std::size_t) {
         const geo::GridWindow band = window.rows(row_begin, row_end);
         const std::vector<geo::Point> points = band.points();

@@ -50,8 +50,17 @@ std::uint64_t TiledEvaluator::fingerprint(const geo::SampleGrid& grid) const {
     h.f64(c.x);
     h.f64(c.y);
   }
-  h.f64(p.structure().body_radius);
-  h.f64(p.structure().liner_thickness);
+  const tsvlib::TsvStructure& s = p.structure();
+  h.f64(s.body_radius);
+  h.f64(s.liner_thickness);
+  for (const mat::Material* m : {&s.body, &s.liner, &s.substrate}) {
+    h.f64(m->youngs_modulus);
+    h.f64(m->poisson_ratio);
+    h.f64(m->cte);
+  }
+  const FrameworkOptions& opt = framework_->options();
+  h.f64(opt.load.delta_t);
+  h.f64(opt.stage1.influence_radius);
   h.f64(grid.box().lo.x);
   h.f64(grid.box().lo.y);
   h.f64(grid.box().hi.x);
@@ -59,7 +68,14 @@ std::uint64_t TiledEvaluator::fingerprint(const geo::SampleGrid& grid) const {
   h.u64(grid.nx());
   h.u64(grid.ny());
   h.u64(options_.max_tile_points);
-  h.u64(framework_->stage2() != nullptr ? 1 : 0);
+  const InteractiveStage* s2 = framework_->stage2();
+  h.u64(s2 != nullptr ? 1 : 0);
+  if (s2 != nullptr) {
+    h.f64(s2->options().pair_pitch_cutoff);
+    h.f64(s2->options().influence_radius);
+    // Whether a certified surrogate passes its gate and serves Stage II.
+    h.u64(s2->model().surrogate_for(s2->options().influence_radius) ? 1 : 0);
+  }
   return h.value();
 }
 
@@ -97,7 +113,7 @@ TiledStats TiledEvaluator::evaluate(const geo::SampleGrid& grid,
     if (resume->fingerprint != cp.fingerprint)
       throw InvalidInputError(
           "tiled checkpoint does not match this run (different placement, "
-          "grid, or tiling configuration)");
+          "structure, grid, or configuration)");
     if (resume->tiles_done > total_tiles)
       throw InvalidInputError(
           "tiled checkpoint claims more finished tiles than the run has");
@@ -130,25 +146,16 @@ TiledStats TiledEvaluator::evaluate(const geo::SampleGrid& grid,
         resume_offset += points.size();
         ++stats.resumed_tiles;
       } else {
-        const auto t0 = Clock::now();
-        stress = framework_->stage1().evaluate(window);
-        stats.stage1_seconds += seconds_since(t0);
-
-        if (stage2 != nullptr) {
-          const auto t1 = Clock::now();
-          // One pair enumeration per tile, shared between the statistics and
-          // the evaluation.
-          const auto pairs = stage2->ordered_pairs_near(bounds);
+        // One pair enumeration per tile, shared between the statistics and
+        // the evaluation.
+        StressResult r = framework_->evaluate_stages(window, [&] {
+          auto pairs = stage2->ordered_pairs_near(bounds);
           stats.culled_pairs += pairs.size();
-          const std::vector<num::SymTensor2> interactive =
-              stage2->evaluate_with_pairs(window, pairs);
-          num::parallel_for(points.size(),
-                            framework_->options().stage2.num_threads,
-                            [&](std::size_t i) {
-                              stress[i] += interactive[i];
-                            });
-          stats.stage2_seconds += seconds_since(t1);
-        }
+          return pairs;
+        });
+        stress = std::move(r.stress);
+        stats.stage1_seconds += r.stage1_seconds;
+        stats.stage2_seconds += r.stage2_seconds;
       }
 
       const Tile tile{stats.tiles, ix0,    iy0,    window.nx(),

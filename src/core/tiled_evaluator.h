@@ -8,9 +8,10 @@
 // via the TSV grid index) and hands each finished tile to a consumer, so
 // peak memory is O(tile) and results stream in deterministic row-major
 // tile order. A tile is a geo::GridWindow that both stages evaluate
-// disc-major. The per-tile evaluations reuse the framework's thread pool:
-// tiles x threads compose because the outer tile loop is serial. Stage II
-// runs per tile as ordered_pairs_near(tile) + evaluate_with_pairs, and a
+// disc-major. Each tile runs through the framework's own two-stage
+// sequence on its threads (tiles x threads compose because the outer tile
+// loop is serial), with Stage II given the tile's pairs,
+// ordered_pairs_near(tile) instead of the whole grid's ordered_pairs(). A
 // tile (and a checkpoint) carries the total field only; StressFramework's
 // whole-grid evaluate is the way to get the Stage II part on its own.
 
@@ -49,9 +50,10 @@ using TileConsumer = std::function<void(const Tile&)>;
 
 /// Completed-tile state of an interrupted (or in-flight) tiled run — enough
 /// to resume without re-evaluating finished tiles. The fingerprint binds
-/// the state to one (placement, grid, tiling) configuration so a stale
-/// checkpoint can never be resumed against the wrong run. Persistence is
-/// the io layer's job (io::save_tiled_checkpoint / load_tiled_checkpoint).
+/// the state to one run configuration (TiledEvaluator::fingerprint) so a
+/// stale checkpoint can never be resumed against the wrong run.
+/// Persistence is the io layer's job (io::save_tiled_checkpoint /
+/// load_tiled_checkpoint).
 struct TiledCheckpoint {
   std::uint64_t fingerprint = 0;
   std::size_t tiles_done = 0;
@@ -117,8 +119,10 @@ class TiledEvaluator {
                       const CheckpointConfig& checkpoint) const;
 
   /// FNV-1a fingerprint of everything a checkpoint must agree on: the
-  /// placement (centers + structure), the grid geometry, the tile budget,
-  /// and whether Stage II runs.
+  /// placement (centers, radii and the three materials), the thermal load,
+  /// the grid geometry, the tile budget, the Stage I radius, and whether
+  /// Stage II runs, with which cutoff and radius, and whether a certified
+  /// surrogate serves it.
   std::uint64_t fingerprint(const geo::SampleGrid& grid) const;
 
  private:

@@ -511,10 +511,8 @@ std::uint64_t save_engine_state(const std::string& path,
   w.size(state.grid_nx);
   w.size(state.grid_ny);
   w.f64(opt.stage1.influence_radius);
-  w.size(opt.stage1.num_threads);
   w.f64(opt.stage2.pair_pitch_cutoff);
   w.f64(opt.stage2.influence_radius);
-  w.size(opt.stage2.num_threads);
   w.u8(opt.enable_interactive ? 1 : 0);
   w.size(opt.num_threads);
 
@@ -560,10 +558,8 @@ core::IncrementalEngine load_engine_state(const std::string& path) {
   state.grid_ny = r.size();
   core::IncrementalOptions& opt = state.options;
   opt.stage1.influence_radius = r.f64();
-  opt.stage1.num_threads = r.size();
   opt.stage2.pair_pitch_cutoff = r.f64();
   opt.stage2.influence_radius = r.f64();
-  opt.stage2.num_threads = r.size();
   opt.enable_interactive = r.u8() != 0;
   opt.num_threads = r.size();
 
@@ -599,8 +595,13 @@ core::IncrementalEngine load_engine_state(const std::string& path) {
     // gates use per evaluation (surrogate_for checks the bound and domain).
     if (surrogate != nullptr) model->attach_surrogate(std::move(surrogate));
   }
-  return core::IncrementalEngine::restore(std::move(state), std::move(table),
-                                          std::move(model));
+  try {
+    return core::IncrementalEngine::restore(
+        std::move(state), std::move(table), std::move(model));
+  } catch (const InvalidInputError& e) {
+    // A checksum-valid payload whose cutoffs no engine may run with.
+    snapshot_error(path, e.what());
+  }
 }
 
 void save_tiled_checkpoint(const std::string& path,
@@ -663,12 +664,13 @@ core::TiledStats evaluate_with_checkpoint(const core::TiledEvaluator& evaluator,
                                           std::size_t every_tiles) {
   std::optional<core::TiledCheckpoint> resume =
       try_load_tiled_checkpoint(checkpoint_path);
-  // A checkpoint from a different placement/grid/tiling must not be
-  // resumed; treat it like a corrupt one and start clean.
+  // A checkpoint from a different configuration (placement, materials,
+  // load, grid, tiling, cutoffs, Stage II path) must not be resumed; treat
+  // it like a corrupt one and start clean.
   if (resume && resume->fingerprint != evaluator.fingerprint(grid)) {
     std::fprintf(stderr,
                  "warning: checkpoint ignored: '%s' is from another "
-                 "placement, grid or tiling\n",
+                 "placement, structure, grid or configuration\n",
                  checkpoint_path.c_str());
     resume.reset();
   }

@@ -38,12 +38,13 @@
 
 namespace tsv::io {
 
-// Version 4 is the only format this build reads or writes: an engine-state
-// payload holds the placement slots, the Stage I/II cutoff and thread
-// options, both accumulated f64 fields, the radial table, and an optional
-// embedded surrogate. Files of any other version are refused with a
-// version-mismatch error; re-create them from the placement.
-inline constexpr std::uint32_t kSnapshotVersion = 4;
+// Version 5 is the only format this build reads or writes: an engine-state
+// payload holds the placement slots, the Stage I/II cutoffs, the engine's
+// one thread count, both accumulated f64 fields, the radial table, and an
+// optional embedded surrogate. Files of any other version (v4 stored three
+// thread counts) are refused with a version-mismatch error; re-create them
+// from the placement.
+inline constexpr std::uint32_t kSnapshotVersion = 5;
 
 enum class SnapshotKind : std::uint32_t {
   kRadialTable = 1,
@@ -118,7 +119,9 @@ std::uint64_t save_engine_state(const std::string& path,
 /// Rebuilds an engine from a snapshot without re-evaluating anything: the
 /// radial table is decoded, the interactive model is re-characterized from
 /// the stored structure/options (with the embedded surrogate reattached),
-/// and the accumulated fields are restored verbatim.
+/// and the accumulated fields are restored verbatim. Cutoffs the engine's
+/// constructor would refuse (not finite and positive, or a Stage I radius
+/// beyond the table) are rejected with IoCorruptionError.
 core::IncrementalEngine load_engine_state(const std::string& path);
 
 // --- Tiled-run checkpoints -----------------------------------------------

@@ -7,10 +7,9 @@
 #include <filesystem>
 #include <utility>
 
-#include "analytic/interaction.h"
-#include "analytic/single_tsv.h"
 #include "analytic/surrogate.h"
 #include "core/error.h"
+#include "core/framework.h"
 #include "core/stress_table.h"
 #include "geometry/sample_grid.h"
 #include "io/journal.h"
@@ -38,23 +37,13 @@ void validate_session_name(const std::string& name) {
 std::unique_ptr<core::IncrementalEngine> build_engine(
     const tsvlib::Placement& placement, const geo::SampleGrid& grid,
     const SessionSpec& spec) {
-  const mat::ThermalLoad load{};
-  const ana::SingleTsvModel single(placement.structure(), load);
-  const auto table = std::make_shared<const core::RadialStressTable>(
-      core::RadialStressTable::from_analytic(single, 30.0, 4096));
-  auto model = std::make_shared<const ana::InteractiveStressModel>(
-      std::make_shared<const ana::InclusionResponse>(placement.structure()),
-      single.k_hat());
-  if (spec.surrogate)
-    model->attach_surrogate(std::make_shared<const ana::PairSurrogate>(
-        ana::PairSurrogate::fit(*model)));
-
+  const core::Characterization ch = core::characterize(
+      placement.structure(), mat::ThermalLoad{},
+      spec.surrogate ? core::StageTwo::kSurrogate : core::StageTwo::kSeries);
   core::IncrementalOptions opt;
   opt.num_threads = 1;
-  opt.stage1.num_threads = 1;
-  opt.stage2.num_threads = 1;
-  return std::make_unique<core::IncrementalEngine>(placement, grid, table,
-                                                   model, opt);
+  return std::make_unique<core::IncrementalEngine>(placement, grid, ch.table,
+                                                   ch.model, opt);
 }
 
 /// The journal's open record is the session recipe: enough to rerun
@@ -584,8 +573,10 @@ void SessionManager::open(const std::string& name,
           (2 * sizeof(num::SymTensor2) + sizeof(std::uint32_t)) +
       static_cast<std::uint64_t>(placement.size()) * (sizeof(geo::Point) + 2);
 
-  std::shared_ptr<Session> session;
-  std::unique_lock<std::mutex> work_lock;
+  // The new session's work lock is taken before the manager lock, the order
+  // use(), evict() and close() take them in.
+  const auto session = std::make_shared<Session>(name);
+  std::unique_lock<std::mutex> work_lock(session->work_mu);
   {
     std::lock_guard<std::mutex> lk(mu_);
     for (const auto& s : sessions_)
@@ -605,12 +596,10 @@ void SessionManager::open(const std::string& name,
           std::to_string(limits_.global_budget_bytes) +
           " bytes exhausted by busy sessions");
     }
-    session = std::make_shared<Session>(name);
     session->estimated_bytes = pre_estimate;
     session->last_used = ++lru_clock_;
     resident_bytes_ += pre_estimate;
     sessions_.push_back(session);
-    work_lock = std::unique_lock<std::mutex>(session->work_mu);
   }
 
   const auto remove_session = [&] {

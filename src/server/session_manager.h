@@ -47,9 +47,11 @@
 // so every per-session result is bitwise reproducible regardless of how
 // requests interleave across sessions (test_server_concurrent locks this).
 // The manager mutex only guards the session map, LRU clock, and memory
-// accounting; it is never held across an engine evaluation. Eviction locks
-// its victim with try_lock, so a session actively serving a request is
-// never evicted out from under it (and lock order cannot cycle).
+// accounting; it is never held across an engine evaluation. A session's
+// work mutex is always taken before the manager mutex (open() locks its new
+// session's before registering it), and eviction locks its victim with
+// try_lock, so a session actively serving a request is never evicted out
+// from under it and lock order cannot cycle.
 
 #include <atomic>
 #include <cstdint>

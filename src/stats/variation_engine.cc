@@ -6,11 +6,7 @@
 #include <iterator>
 #include <limits>
 
-#include "analytic/interaction.h"
-#include "analytic/mode_solver.h"
-#include "analytic/single_tsv.h"
-#include "analytic/surrogate.h"
-#include "core/stress_table.h"
+#include "core/framework.h"
 #include "geometry/grid_index.h"
 #include "numeric/check.h"
 #include "numeric/parallel.h"
@@ -114,24 +110,15 @@ VariationEngine::VariationEngine(const tsvlib::Placement& nominal,
 
     const auto t0 = std::chrono::steady_clock::now();
     const tsvlib::Placement placement(corner.structure, nominal_.centers());
-    const ana::SingleTsvModel single(corner.structure, options_.load);
-    const auto table = std::make_shared<const core::RadialStressTable>(
-        core::RadialStressTable::from_analytic(single, 30.0, 4096));
-    std::shared_ptr<const ana::InteractiveStressModel> model;
-    if (options_.engine.enable_interactive) {
-      model = std::make_shared<const ana::InteractiveStressModel>(
-          std::make_shared<const ana::InclusionResponse>(corner.structure),
-          single.k_hat());
-      if (options_.fit_surrogate)
-        model->attach_surrogate(std::make_shared<const ana::PairSurrogate>(
-            ana::PairSurrogate::fit(*model)));
-    }
+    const core::Characterization ch = core::characterize(
+        corner.structure, options_.load,
+        !options_.engine.enable_interactive ? core::StageTwo::kOff
+        : options_.fit_surrogate            ? core::StageTwo::kSurrogate
+                                            : core::StageTwo::kSeries);
     core::IncrementalOptions opt = options_.engine;
     opt.num_threads = 1;  // serial build => bitwise-reproducible fields
-    opt.stage1.num_threads = 1;
-    opt.stage2.num_threads = 1;
     engines_.push_back(std::make_unique<core::IncrementalEngine>(
-        placement, grid_, table, model, opt));
+        placement, grid_, ch.table, ch.model, opt));
     build_seconds_.push_back(seconds_since(t0));
   }
 }

@@ -6,8 +6,9 @@
 // the bench measures at >= 50x cheaper than a cold recompute at 1k TSVs.
 //
 // Structure corners (radius / liner / materials, see sampler.h) each get
-// their own characterized engine; per corner the engine streams every
-// sample through the stats/accumulators.h engines and reports
+// their own engine over core::characterize() of the corner structure (with
+// the certified surrogate when fit_surrogate is set); per corner the engine
+// streams every sample through the stats/accumulators.h engines and reports
 //   * per-point mean / sigma / quantiles of von Mises stress,
 //   * per-point exceedance probability at the configured MPa thresholds,
 //   * statistical KOZ contours: per nominal TSV, the region where
@@ -41,8 +42,8 @@
 namespace tsv::stats {
 
 struct VariationOptions {
-  /// Engine configuration shared by every corner. num_threads is forced to
-  /// 1 internally: builds and applies stay serial so fields are bitwise
+  /// Engine configuration shared by every corner. Its num_threads is
+  /// forced to 1: builds and applies stay serial so fields are bitwise
   /// reproducible (Stage II pair-parallelism is only regroup-deterministic).
   core::IncrementalOptions engine{};
   mat::ThermalLoad load{};

@@ -63,8 +63,7 @@ double max_rel_err(const std::vector<num::SymTensor2>& a,
 }
 
 std::shared_ptr<const ana::InteractiveStressModel> fresh_model() {
-  return std::make_shared<const ana::InteractiveStressModel>(
-      kS, mat::ThermalLoad{});
+  return characterize(kS, {}, StageTwo::kSeries).model;
 }
 
 std::shared_ptr<const RadialStressTable> shared_table() {

@@ -31,6 +31,7 @@
 
 #include "analytic/surrogate.h"
 #include "core/error.h"
+#include "core/framework.h"
 #include "core/interactive_stage.h"
 #include "core/tiled_evaluator.h"
 #include "fem/thermo_solver.h"
@@ -272,8 +273,8 @@ TEST(FaultInjection, KilledRunResumesBitwiseIdentical) {
 // --- corrupted surrogate snapshots ----------------------------------------
 
 TEST(FaultInjection, CorruptedSurrogateSnapshotDegradesToTheSeriesPath) {
-  const auto model = std::make_shared<const ana::InteractiveStressModel>(
-      kS, mat::ThermalLoad{});
+  const auto model =
+      core::characterize(kS, {}, core::StageTwo::kSeries).model;
   const auto surrogate = std::make_shared<const ana::PairSurrogate>(
       ana::PairSurrogate::fit(*model));
   const std::string path = temp_path("surrogate_bitrot.snap");
@@ -305,8 +306,8 @@ TEST(FaultInjection, CorruptedSurrogateSnapshotDegradesToTheSeriesPath) {
   for (double x = -8; x <= 18; x += 2.3)
     for (double y = -8; y <= 8; y += 2.7) pts.push_back({x, y});
   const auto got = stage.evaluate(pts);
-  const auto fresh_model = std::make_shared<const ana::InteractiveStressModel>(
-      kS, mat::ThermalLoad{});
+  const auto fresh_model =
+      core::characterize(kS, {}, core::StageTwo::kSeries).model;
   const core::InteractiveStage series(pair, fresh_model);
   const auto want = series.evaluate(pts);
   ASSERT_EQ(got.size(), want.size());

@@ -50,10 +50,10 @@ TEST(Framework, GridAndPointsAgree) {
 }
 
 TEST(Framework, SharedModelAcrossPlacements) {
-  auto model = std::make_shared<const ana::InteractiveStressModel>(
-      kS, mat::ThermalLoad{});
-  const StressFramework fw1(tsvlib::make_pair(kS, 8.0), model);
-  const StressFramework fw2(tsvlib::make_pair(kS, 12.0), model);
+  const Characterization ch =
+      characterize(kS, mat::ThermalLoad{}, StageTwo::kSeries);
+  const StressFramework fw1(tsvlib::make_pair(kS, 8.0), ch.table, ch.model);
+  const StressFramework fw2(tsvlib::make_pair(kS, 12.0), ch.table, ch.model);
   EXPECT_TRUE(std::isfinite(fw1.stress_at({2.0, 1.0}).s11));
   EXPECT_TRUE(std::isfinite(fw2.stress_at({2.0, 1.0}).s11));
 }
@@ -68,9 +68,14 @@ TEST(Framework, TimingsAreReported) {
 }
 
 TEST(Framework, TableMustCoverInfluenceRadius) {
+  const auto table = std::make_shared<const RadialStressTable>(
+      RadialStressTable::from_analytic(
+          ana::SingleTsvModel(kS, mat::ThermalLoad{}), 10.0,
+          512));  // < influence radius 25
   FrameworkOptions opt;
-  opt.table_radius = 10.0;  // < influence radius 25
-  EXPECT_THROW(StressFramework(tsvlib::make_pair(kS, 10.0), opt),
+  opt.enable_interactive = false;
+  EXPECT_THROW(StressFramework(tsvlib::make_pair(kS, 10.0), table, nullptr,
+                               opt),
                std::invalid_argument);
 }
 
@@ -87,8 +92,8 @@ TEST(Framework, ProposedFrameworkBeatsLinearSuperpositionAt8um) {
   const tsvlib::Placement one(kS, {{0.0, 0.0}});
   const fem::FemSolution fem1 = fem::solve_thermo_elastic(
       one, load, geo::Box{{-30, -30}, {30, 30}}, fopt);
-  const RadialStressTable table =
-      RadialStressTable::from_fem(fem1.stress, {0, 0}, 30.0, 1024, 16);
+  const auto table = std::make_shared<const RadialStressTable>(
+      RadialStressTable::from_fem(fem1.stress, {0, 0}, 30.0, 1024, 16));
   const double k_fem = effective_k_from_fem(fem1.stress, {0, 0}, 5.0, 15.0);
   auto response = std::make_shared<ana::InclusionResponse>(kS);
   auto model = std::make_shared<ana::InteractiveStressModel>(

@@ -16,14 +16,14 @@ namespace {
 const tsvlib::TsvStructure kS = tsvlib::TsvStructure::baseline_bcb();
 
 std::shared_ptr<const ana::InteractiveStressModel> shared_model() {
-  static auto model = std::make_shared<const ana::InteractiveStressModel>(
-      kS, mat::ThermalLoad{});
+  static auto model = characterize(kS, {}, StageTwo::kSeries).model;
   return model;
 }
 
-RadialStressTable shared_table() {
+std::shared_ptr<const RadialStressTable> shared_table() {
   const ana::SingleTsvModel model(kS, mat::ThermalLoad{});
-  return RadialStressTable::from_analytic(model, 30.0, 4096);
+  return std::make_shared<const RadialStressTable>(
+      RadialStressTable::from_analytic(model, 30.0, 4096));
 }
 
 TEST(FrameworkParallel, DenseGridParallelMatchesSerial) {
@@ -48,7 +48,7 @@ TEST(FrameworkParallel, DenseGridParallelMatchesSerial) {
   ASSERT_EQ(got.interactive.size(), want.interactive.size());
   for (std::size_t i = 0; i < want.stress.size(); ++i) {
     // Stage I is bitwise; the total inherits Stage II's merge-order
-    // tolerance (<= 1e-12 relative, see InteractiveOptions::num_threads).
+    // tolerance (<= 1e-12 relative, see interactive_stage.h).
     EXPECT_NEAR(got.stress[i].s11, want.stress[i].s11,
                 1e-12 * std::max(1.0, std::abs(want.stress[i].s11)))
         << i;
@@ -79,22 +79,9 @@ TEST(FrameworkParallel, FrameworkKnobPropagatesToBothStages) {
   FrameworkOptions opt;
   opt.num_threads = 3;
   const StressFramework fw(pair, opt);
-  EXPECT_EQ(fw.options().stage1.num_threads, 3u);
-  EXPECT_EQ(fw.options().stage2.num_threads, 3u);
-  EXPECT_EQ(fw.stage1().options().num_threads, 3u);
+  EXPECT_EQ(fw.stage1().num_threads(), 3u);
   ASSERT_NE(fw.stage2(), nullptr);
-  EXPECT_EQ(fw.stage2()->options().num_threads, 3u);
-}
-
-TEST(FrameworkParallel, DefaultLeavesPerStageSettingsAlone) {
-  const tsvlib::Placement pair = tsvlib::make_pair(kS, 10.0);
-  FrameworkOptions opt;  // num_threads == 1 (default)
-  opt.stage1.num_threads = 2;
-  opt.stage2.num_threads = 5;
-  const StressFramework fw(pair, opt);
-  EXPECT_EQ(fw.stage1().options().num_threads, 2u);
-  ASSERT_NE(fw.stage2(), nullptr);
-  EXPECT_EQ(fw.stage2()->options().num_threads, 5u);
+  EXPECT_EQ(fw.stage2()->num_threads(), 3u);
 }
 
 TEST(FrameworkParallel, ZeroMeansHardwareConcurrency) {
@@ -102,8 +89,8 @@ TEST(FrameworkParallel, ZeroMeansHardwareConcurrency) {
   FrameworkOptions opt;
   opt.num_threads = 0;
   const StressFramework fw(pair, opt);
-  EXPECT_EQ(fw.stage1().options().num_threads, 0u);
-  EXPECT_EQ(num::resolve_thread_count(fw.stage1().options().num_threads),
+  EXPECT_EQ(fw.stage1().num_threads(), 0u);
+  EXPECT_EQ(num::resolve_thread_count(fw.stage1().num_threads()),
             num::hardware_thread_count());
   // And it still evaluates correctly.
   const StressResult res = fw.evaluate({{0.0, 2.0}, {3.0, 1.0}});

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "analytic/surrogate.h"
+#include "core/framework.h"
 #include "core/interactive_stage.h"
 #include "core/stress_map_table.h"
 #include "core/superposition.h"
@@ -270,9 +271,7 @@ TEST(StageOneWindow, IsBitwiseThePointMajorEvaluate) {
       radial_table(), map_table()};
   for (const auto& table : tables) {
     for (const std::size_t threads : {1u, 4u}) {
-      core::SuperpositionOptions opt;
-      opt.num_threads = threads;
-      const core::LinearSuperposition ls(d.placement, table, opt);
+      const core::LinearSuperposition ls(d.placement, table, {}, threads);
       for (const GridWindow& w : windows_of(d.grid)) {
         SCOPED_TRACE(testing::Message() << "threads " << threads << ", "
                                         << w.nx() << "x" << w.ny());
@@ -301,8 +300,7 @@ TEST(StageOneWindow, SingleRowAndFarWindows) {
 
 std::shared_ptr<const ana::InteractiveStressModel> surrogate_model() {
   static const auto model = [] {
-    auto m = std::make_shared<const ana::InteractiveStressModel>(
-        kS, mat::ThermalLoad{});
+    auto m = core::characterize(kS, {}, core::StageTwo::kSeries).model;
     m->attach_surrogate(std::make_shared<const ana::PairSurrogate>(
         ana::PairSurrogate::fit(*m)));
     return m;
@@ -313,9 +311,8 @@ std::shared_ptr<const ana::InteractiveStressModel> surrogate_model() {
 TEST(StageTwoWindow, IsBitwiseThePointListEvaluate) {
   const Design d;
   for (const std::size_t threads : {1u, 4u}) {
-    core::InteractiveOptions opt;
-    opt.num_threads = threads;
-    const core::InteractiveStage stage(d.placement, surrogate_model(), opt);
+    const core::InteractiveStage stage(d.placement, surrogate_model(), {},
+                                       threads);
     for (const GridWindow& w : windows_of(d.grid)) {
       SCOPED_TRACE(testing::Message() << "threads " << threads << ", "
                                       << w.nx() << "x" << w.ny());

@@ -22,8 +22,7 @@ namespace {
 const tsvlib::TsvStructure kS = tsvlib::TsvStructure::baseline_bcb();
 
 std::shared_ptr<const ana::InteractiveStressModel> shared_model() {
-  static auto model = std::make_shared<const ana::InteractiveStressModel>(
-      kS, mat::ThermalLoad{});
+  static auto model = characterize(kS, {}, StageTwo::kSeries).model;
   return model;
 }
 
@@ -31,8 +30,7 @@ std::shared_ptr<const ana::InteractiveStressModel> shared_model() {
 /// path); shared_model() stays surrogate-free, i.e. the exact series.
 std::shared_ptr<const ana::InteractiveStressModel> surrogate_model() {
   static auto model = [] {
-    auto m = std::make_shared<const ana::InteractiveStressModel>(
-        kS, mat::ThermalLoad{});
+    auto m = characterize(kS, {}, StageTwo::kSeries).model;
     m->attach_surrogate(std::make_shared<const ana::PairSurrogate>(
         ana::PairSurrogate::fit(*m)));
     return m;

@@ -18,8 +18,10 @@ InclusionResponseOptions fast_options() {
 }
 
 const InteractiveStressModel& model() {
-  static const InteractiveStressModel m(tsvlib::TsvStructure::baseline_bcb(),
-                                        mat::ThermalLoad{}, fast_options());
+  static const tsvlib::TsvStructure s = tsvlib::TsvStructure::baseline_bcb();
+  static const InteractiveStressModel m(
+      std::make_shared<const InclusionResponse>(s, fast_options()),
+      SingleTsvModel(s, mat::ThermalLoad{}).k_hat());
   return m;
 }
 

@@ -7,6 +7,7 @@
 #include <random>
 
 #include "analytic/surrogate.h"
+#include "core/framework.h"
 #include "numeric/parallel.h"
 #include "tsv/generators.h"
 
@@ -16,8 +17,7 @@ namespace {
 const tsvlib::TsvStructure kS = tsvlib::TsvStructure::baseline_bcb();
 
 std::shared_ptr<const ana::InteractiveStressModel> make_model() {
-  static auto model = std::make_shared<const ana::InteractiveStressModel>(
-      kS, mat::ThermalLoad{});
+  static auto model = characterize(kS, {}, StageTwo::kSeries).model;
   return model;
 }
 
@@ -88,7 +88,7 @@ TEST(InteractiveStage, InfluenceRadiusLimitsPointCoverage) {
 // Determinism: Stage II is pair-parallel and merges per-chunk partial sums
 // in chunk index order, so a parallel run may differ from the serial sum by
 // floating-point regrouping only. The contract (documented on
-// InteractiveOptions::num_threads) is <= 1e-12 RELATIVE to the serial
+// interactive_stage.h) is <= 1e-12 RELATIVE to the serial
 // value — not bitwise, because chunk boundaries regroup the pair sum.
 TEST(InteractiveStage, ParallelEvaluateMatchesSerialWithinTolerance) {
   const tsvlib::Placement cluster = tsvlib::make_jittered_array(
@@ -98,15 +98,11 @@ TEST(InteractiveStage, ParallelEvaluateMatchesSerialWithinTolerance) {
   for (double x = roi.lo.x; x <= roi.hi.x; x += 2.9)
     for (double y = roi.lo.y; y <= roi.hi.y; y += 3.3) pts.push_back({x, y});
 
-  InteractiveOptions serial_opt;
-  serial_opt.num_threads = 1;
-  const InteractiveStage serial(cluster, make_model(), serial_opt);
+  const InteractiveStage serial(cluster, make_model());
   const auto want = serial.evaluate(pts);
 
   for (const std::size_t threads : {2u, 4u}) {
-    InteractiveOptions opt;
-    opt.num_threads = threads;
-    const InteractiveStage stage(cluster, make_model(), opt);
+    const InteractiveStage stage(cluster, make_model(), {}, threads);
     const auto got = stage.evaluate(pts);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < pts.size(); ++i) {
@@ -125,9 +121,7 @@ TEST(InteractiveStage, ParallelEvaluateMatchesSerialWithinTolerance) {
 // scheduling-dependent freedom.
 TEST(InteractiveStage, ParallelEvaluateIsReproducibleAtFixedThreadCount) {
   const tsvlib::Placement arr = tsvlib::make_array(kS, 4, 3, 9.0);
-  InteractiveOptions opt;
-  opt.num_threads = 4;
-  const InteractiveStage stage(arr, make_model(), opt);
+  const InteractiveStage stage(arr, make_model(), {}, 4);
   std::vector<geo::Point> pts;
   for (double x = -4; x <= 31; x += 1.7)
     for (double y = -4; y <= 22; y += 2.1) pts.push_back({x, y});
@@ -145,16 +139,11 @@ TEST(InteractiveStage, SurrogateParallelMatchesSerialWithinTolerance) {
   const tsvlib::Placement arr = tsvlib::make_array(kS, 3, 3, 10.0);
   // A private model: attaching to the shared one would leak into the
   // other tests of this binary.
-  const auto model = std::make_shared<const ana::InteractiveStressModel>(
-      kS, mat::ThermalLoad{});
+  const auto model = characterize(kS, {}, StageTwo::kSeries).model;
   model->attach_surrogate(std::make_shared<const ana::PairSurrogate>(
       ana::PairSurrogate::fit(*model)));
-  InteractiveOptions serial_opt;
-  serial_opt.num_threads = 1;
-  const InteractiveStage serial(arr, model, serial_opt);
-  InteractiveOptions par_opt = serial_opt;
-  par_opt.num_threads = 3;
-  const InteractiveStage parallel(arr, model, par_opt);
+  const InteractiveStage serial(arr, model);
+  const InteractiveStage parallel(arr, model, {}, 3);
   std::vector<geo::Point> pts;
   for (double x = -3; x <= 23; x += 2.3)
     for (double y = -3; y <= 23; y += 2.7) pts.push_back({x, y});
@@ -253,8 +242,7 @@ std::vector<geo::Point> mixed_pitch_centers() {
 TEST(InteractiveStage, VictimBatchingIsOrderIndependent) {
   const std::vector<geo::Point> centers = mixed_pitch_centers();
   const tsvlib::Placement design(kS, centers);
-  const auto model = std::make_shared<const ana::InteractiveStressModel>(
-      kS, mat::ThermalLoad{});
+  const auto model = characterize(kS, {}, StageTwo::kSeries).model;
   const auto surrogate = std::make_shared<const ana::PairSurrogate>(
       ana::PairSurrogate::fit(*model));
   model->attach_surrogate(surrogate);
@@ -295,9 +283,7 @@ TEST(InteractiveStage, VictimBatchingIsOrderIndependent) {
   // Bitwise repeatable for a fixed thread count, serial and pooled.
   for (const std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE(threads);
-    InteractiveOptions opt;
-    opt.num_threads = threads;
-    const InteractiveStage stage(design, model, opt);
+    const InteractiveStage stage(design, model, {}, threads);
     const auto first = stage.evaluate_with_pairs(pts, shuffled);
     const auto second = stage.evaluate_with_pairs(pts, shuffled);
     for (std::size_t i = 0; i < pts.size(); ++i) {
@@ -317,8 +303,7 @@ TEST(InteractiveStage, VictimBatchingIsOrderIndependent) {
 // certificate's field scale, and the run must be counted exactly once per
 // pair.
 TEST(InteractiveStage, MixedRunMatchesThePairSequence) {
-  const auto model = std::make_shared<const ana::InteractiveStressModel>(
-      kS, mat::ThermalLoad{});
+  const auto model = characterize(kS, {}, StageTwo::kSeries).model;
   const auto surrogate = std::make_shared<const ana::PairSurrogate>(
       ana::PairSurrogate::fit(*model));
   const geo::Point v{1.5, -2.0};
@@ -373,8 +358,7 @@ TEST(InteractiveStage, MixedRunMatchesThePairSequence) {
 TEST(InteractiveStage, EvaluateIsBitwiseAPerPairReferenceLoop) {
   const std::vector<geo::Point> centers = mixed_pitch_centers();
   const tsvlib::Placement design(kS, centers);
-  const auto model = std::make_shared<const ana::InteractiveStressModel>(
-      kS, mat::ThermalLoad{});
+  const auto model = characterize(kS, {}, StageTwo::kSeries).model;
   const auto surrogate = std::make_shared<const ana::PairSurrogate>(
       ana::PairSurrogate::fit(*model));
   model->attach_surrogate(surrogate);
@@ -385,9 +369,7 @@ TEST(InteractiveStage, EvaluateIsBitwiseAPerPairReferenceLoop) {
 
   for (const std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE(threads);
-    InteractiveOptions opt;
-    opt.num_threads = threads;
-    const InteractiveStage stage(design, model, opt);
+    const InteractiveStage stage(design, model, {}, threads);
     const auto got = stage.evaluate(pts);
 
     const auto pairs = stage.ordered_pairs();
@@ -397,7 +379,8 @@ TEST(InteractiveStage, EvaluateIsBitwiseAPerPairReferenceLoop) {
         run_starts.push_back(k);
     const std::size_t runs = run_starts.size();
     run_starts.push_back(pairs.size());
-    const double r2 = opt.influence_radius * opt.influence_radius;
+    const double r2 =
+        stage.options().influence_radius * stage.options().influence_radius;
     const std::size_t chunks = std::min<std::size_t>(threads, runs);
     std::vector<num::SymTensor2> want(pts.size()), by_pair(pts.size());
     for (std::size_t c = 0; c < chunks; ++c) {
@@ -450,10 +433,8 @@ TEST(InteractiveStage, OrderedPairsAreThreadCountIndependent) {
                           8.0, 20261017)};
   for (const tsvlib::Placement& design : designs) {
     SCOPED_TRACE(design.size());
-    InteractiveOptions opt;
-    const InteractiveStage serial(design, make_model(), opt);
-    opt.num_threads = 4;
-    const InteractiveStage pooled(design, make_model(), opt);
+    const InteractiveStage serial(design, make_model());
+    const InteractiveStage pooled(design, make_model(), {}, 4);
     const auto all = serial.ordered_pairs();
     ASSERT_GT(all.size(), 0u);
     EXPECT_EQ(pooled.ordered_pairs(), all);
@@ -477,10 +458,8 @@ TEST(InteractiveStage, OrderedPairsAreThreadCountIndependent) {
 TEST(InteractiveStage, PairCountIsTheOrderedPairListSize) {
   const tsvlib::Placement design = tsvlib::make_random(
       kS, 2000, geo::Box{{0.0, 0.0}, {600.0, 600.0}}, 8.0, 20261017);
-  InteractiveOptions opt;
-  const InteractiveStage serial(design, make_model(), opt);
-  opt.num_threads = 4;
-  const InteractiveStage pooled(design, make_model(), opt);
+  const InteractiveStage serial(design, make_model());
+  const InteractiveStage pooled(design, make_model(), {}, 4);
   const std::size_t want = serial.ordered_pairs().size();
   ASSERT_GT(want, 0u);
   EXPECT_EQ(serial.pair_count(), want);

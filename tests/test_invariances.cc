@@ -20,9 +20,14 @@ namespace {
 const tsvlib::TsvStructure kS = tsvlib::TsvStructure::baseline_bcb();
 
 std::shared_ptr<const ana::InteractiveStressModel> shared_model() {
-  static auto model = std::make_shared<const ana::InteractiveStressModel>(
-      kS, mat::ThermalLoad{});
+  static auto model = characterize(kS, {}, StageTwo::kSeries).model;
   return model;
+}
+
+std::shared_ptr<const RadialStressTable> shared_table() {
+  static const auto table =
+      characterize(kS, mat::ThermalLoad{}, StageTwo::kOff).table;
+  return table;
 }
 
 tsvlib::Placement seeded_placement(std::uint64_t seed) {
@@ -64,8 +69,8 @@ TEST(Invariances, TranslationEquivariance) {
           return c;
         }());
 
-    const StressFramework fa(p, shared_model());
-    const StressFramework fb(q, shared_model());
+    const StressFramework fa(p, shared_table(), shared_model());
+    const StressFramework fb(q, shared_table(), shared_model());
     const std::vector<geo::Point> pts = probe_points(p);
     const StressResult ra = fa.evaluate(pts);
     std::vector<geo::Point> moved;
@@ -83,8 +88,8 @@ TEST(Invariances, MirrorEquivariance) {
   const tsvlib::Placement q = transformed(
       p, +[](const geo::Point& v) { return geo::Point{v.x, -v.y}; });
 
-  const StressFramework fa(p, shared_model());
-  const StressFramework fb(q, shared_model());
+  const StressFramework fa(p, shared_table(), shared_model());
+  const StressFramework fb(q, shared_table(), shared_model());
   const std::vector<geo::Point> pts = probe_points(p);
   const StressResult ra = fa.evaluate(pts);
   std::vector<geo::Point> mirrored;
@@ -104,8 +109,8 @@ TEST(Invariances, QuarterTurnEquivariance) {
   const tsvlib::Placement q = transformed(
       p, +[](const geo::Point& v) { return geo::Point{-v.y, v.x}; });
 
-  const StressFramework fa(p, shared_model());
-  const StressFramework fb(q, shared_model());
+  const StressFramework fa(p, shared_table(), shared_model());
+  const StressFramework fb(q, shared_table(), shared_model());
   const std::vector<geo::Point> pts = probe_points(p);
   const StressResult ra = fa.evaluate(pts);
   std::vector<geo::Point> rotated;
@@ -129,8 +134,8 @@ TEST(Invariances, EquivarianceHoldsThroughTheSurrogatePath) {
   const tsvlib::Placement p = seeded_placement(51);
   const tsvlib::Placement q = transformed(
       p, +[](const geo::Point& v) { return geo::Point{-v.y, v.x}; });
-  const StressFramework fa(p, model);
-  const StressFramework fb(q, model);
+  const StressFramework fa(p, shared_table(), model);
+  const StressFramework fb(q, shared_table(), model);
   const std::vector<geo::Point> pts = probe_points(p);
   const StressResult ra = fa.evaluate(pts);
   std::vector<geo::Point> rotated;

@@ -44,7 +44,9 @@ const ana::SingleTsvModel& single_model() {
 
 const ana::InteractiveStressModel& pair_model() {
   static const ana::InteractiveStressModel m(
-      tsvlib::TsvStructure::baseline_bcb(), mat::ThermalLoad{});
+      std::make_shared<const ana::InclusionResponse>(
+          tsvlib::TsvStructure::baseline_bcb()),
+      single_model().k_hat());
   return m;
 }
 
@@ -137,8 +139,8 @@ TEST(Kernels, SuperpositionRoutesThroughBatchKernel) {
   // scalar superposition to the kernel tolerance.
   const tsvlib::Placement arr =
       tsvlib::make_array(tsvlib::TsvStructure::baseline_bcb(), 4, 3, 9.0);
-  const core::RadialStressTable table =
-      core::RadialStressTable::from_analytic(single_model(), 30.0);
+  const auto table = std::make_shared<const core::RadialStressTable>(
+      core::RadialStressTable::from_analytic(single_model(), 30.0));
   const core::LinearSuperposition stage1(arr, table);
   std::mt19937 rng(41);
   std::uniform_real_distribution<double> coord(-5.0, 35.0);
@@ -149,7 +151,7 @@ TEST(Kernels, SuperpositionRoutesThroughBatchKernel) {
     num::SymTensor2 ref;
     for (const geo::Point& c : arr.centers()) {
       if (geo::distance(c, points[i]) <= stage1.options().influence_radius)
-        ref += table.stress_at(c, points[i]);
+        ref += table->stress_at(c, points[i]);
     }
     EXPECT_LE(max_diff(field[i], ref), kRelTol * std::max(max_abs(ref), 1.0));
     EXPECT_EQ(max_diff(field[i], stage1.stress_at(points[i])), 0.0);

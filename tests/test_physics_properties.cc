@@ -19,6 +19,12 @@ namespace {
 
 using tsvlib::TsvStructure;
 
+/// The Stage II model of `s` under `load`.
+std::shared_ptr<const ana::InteractiveStressModel> model_of(
+    const TsvStructure& s, const mat::ThermalLoad& load = {}) {
+  return core::characterize(s, load, core::StageTwo::kSeries).model;
+}
+
 TEST(PhysicsProperties, StressIsLinearInThermalLoad) {
   const TsvStructure s = TsvStructure::baseline_bcb();
   const ana::SingleTsvModel half(s, mat::ThermalLoad{-125.0});
@@ -41,11 +47,11 @@ TEST(PhysicsProperties, HeatingFlipsTheSign) {
 
 TEST(PhysicsProperties, InteractiveStressLinearInThermalLoad) {
   const TsvStructure s = TsvStructure::baseline_bcb();
-  const ana::InteractiveStressModel half(s, mat::ThermalLoad{-125.0});
-  const ana::InteractiveStressModel full(s, mat::ThermalLoad{-250.0});
+  const auto half = model_of(s, mat::ThermalLoad{-125.0});
+  const auto full = model_of(s, mat::ThermalLoad{-250.0});
   const geo::Point v{0, 0}, a{9, 0}, p{-3.5, 1.0};
-  const num::SymTensor2 sh = half.stress_at(v, a, p);
-  const num::SymTensor2 sf = full.stress_at(v, a, p);
+  const num::SymTensor2 sh = half->stress_at(v, a, p);
+  const num::SymTensor2 sf = full->stress_at(v, a, p);
   EXPECT_NEAR(sf.s11, 2.0 * sh.s11, 1e-9);
   EXPECT_NEAR(sf.s22, 2.0 * sh.s22, 1e-9);
   EXPECT_NEAR(sf.s12, 2.0 * sh.s12, 1e-9);
@@ -76,13 +82,13 @@ TEST(PhysicsProperties, InteractiveStressInvariantUnderScaling) {
   TsvStructure big = small;
   big.body_radius *= scale;
   big.liner_thickness *= scale;
-  const ana::InteractiveStressModel ms(small, mat::ThermalLoad{});
-  const ana::InteractiveStressModel mb(big, mat::ThermalLoad{});
+  const auto ms = model_of(small);
+  const auto mb = model_of(big);
   const geo::Point v{0, 0};
   const geo::Point a{9.0, 0.0};
   const geo::Point p{3.7, 1.2};
-  const num::SymTensor2 ss = ms.stress_at(v, a, p);
-  const num::SymTensor2 sb = mb.stress_at(v, a * scale, p * scale);
+  const num::SymTensor2 ss = ms->stress_at(v, a, p);
+  const num::SymTensor2 sb = mb->stress_at(v, a * scale, p * scale);
   EXPECT_NEAR(sb.s11, ss.s11, 1e-8);
   EXPECT_NEAR(sb.s22, ss.s22, 1e-8);
   EXPECT_NEAR(sb.s12, ss.s12, 1e-8);
@@ -92,8 +98,7 @@ TEST(PhysicsProperties, PairCorrectionHasExchangeSymmetry) {
   // The total two-round correction field of a pair is symmetric under the
   // reflection that swaps the two TSVs.
   const TsvStructure s = TsvStructure::baseline_bcb();
-  const auto model = std::make_shared<const ana::InteractiveStressModel>(
-      s, mat::ThermalLoad{});
+  const auto model = model_of(s);
   const geo::Point t1{-5.0, 0.0}, t2{5.0, 0.0};
   const auto total = [&](const geo::Point& p) {
     return model->stress_at(t1, t2, p) + model->stress_at(t2, t1, p);

@@ -71,8 +71,6 @@ core::IncrementalEngine reference_engine(const tsvlib::Placement& placement,
       single.k_hat());
   core::IncrementalOptions opt;
   opt.num_threads = 1;
-  opt.stage1.num_threads = 1;
-  opt.stage2.num_threads = 1;
   const geo::Box roi = placement.bounding_box().expanded(spec.margin);
   const geo::SampleGrid grid = geo::SampleGrid::with_spacing(roi, spec.spacing);
   return core::IncrementalEngine(placement, grid, table, model, opt);

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -114,6 +115,7 @@ TEST(Snapshot, EngineStateRoundTripsBitwiseAndStaysEditable) {
   core::IncrementalOptions opt;
   opt.stage2.pair_pitch_cutoff = 20.0;
   opt.stage1.influence_radius = 22.0;
+  opt.num_threads = 2;
   core::IncrementalEngine engine(placement, grid, table, model, opt);
   engine.apply({core::EcoOp::move(0, {2.0, 1.0})});
   save_engine_state(path, engine);
@@ -136,6 +138,7 @@ TEST(Snapshot, EngineStateRoundTripsBitwiseAndStaysEditable) {
   EXPECT_EQ(warmed.options().stage2.influence_radius,
             opt.stage2.influence_radius);
   EXPECT_EQ(warmed.options().stage1.influence_radius, 22.0);
+  EXPECT_EQ(warmed.options().num_threads, 2u);
   ASSERT_NE(warmed.model(), nullptr);
   ASSERT_NE(warmed.model()->surrogate_for(opt.stage2.influence_radius),
             nullptr);
@@ -222,8 +225,9 @@ TEST(Snapshot, EngineStateEmbedsTheFittedSurrogate) {
 
 TEST(Snapshot, EngineStateOfAnotherVersionIsRefused) {
   // Only the current format loads: files written by older builds (v1-v3,
-  // with their pair-table sections) or by a newer one are refused with a
-  // typed version-mismatch error, never decoded.
+  // with their pair-table sections, and v4, with three thread counts) or by
+  // a newer one are refused with a typed version-mismatch error, never
+  // decoded.
   const tsvlib::Placement placement = tsvlib::make_five_cross(kS, 12.0);
   const geo::SampleGrid grid =
       geo::SampleGrid::with_spacing(placement.bounding_box().expanded(25.0),
@@ -236,7 +240,7 @@ TEST(Snapshot, EngineStateOfAnotherVersionIsRefused) {
   save_engine_state(path, engine);
   EXPECT_EQ(read_snapshot_info(path).version, kSnapshotVersion);
   const std::string current = read_bytes(path);
-  for (const std::uint32_t version : {1u, 2u, 3u, kSnapshotVersion + 1}) {
+  for (const std::uint32_t version : {1u, 2u, 3u, 4u, kSnapshotVersion + 1}) {
     SCOPED_TRACE(version);
     std::string bytes = current;
     std::memcpy(&bytes[8], &version, sizeof(version));  // u32 version field
@@ -299,10 +303,65 @@ TEST(Snapshot, RejectsBadMagic) {
 TEST(Snapshot, RejectsWrongVersion) {
   const std::string path = temp_path("version.snap");
   save_placement(path, tsvlib::Placement(kS, {{0.0, 0.0}}));
-  std::string bytes = read_bytes(path);
-  bytes[8] = static_cast<char>(kSnapshotVersion + 1);  // u32 version field
-  write_bytes(path, bytes);
-  expect_rejection([&] { load_placement(path); }, "version");
+  const std::string current = read_bytes(path);
+  for (const std::uint32_t version : {4u, kSnapshotVersion + 1}) {
+    SCOPED_TRACE(version);
+    std::string bytes = current;
+    std::memcpy(&bytes[8], &version, sizeof(version));  // u32 version field
+    write_bytes(path, bytes);
+    expect_rejection([&] { load_placement(path); }, "version mismatch");
+  }
+}
+
+// A checksum-valid engine file whose Stage I radius no engine could be
+// built with is refused with a typed error, not restored: restore holds the
+// state to the build constructor's rules.
+TEST(Snapshot, EngineStateWithInvalidStageOneRadiusIsRefused) {
+  const tsvlib::Placement placement = tsvlib::make_five_cross(kS, 12.0);
+  const geo::SampleGrid grid =
+      geo::SampleGrid::with_spacing(placement.bounding_box().expanded(25.0),
+                                    4.0);
+  const auto table =
+      std::make_shared<const core::RadialStressTable>(make_table());
+  core::IncrementalOptions opt;
+  opt.stage1.influence_radius = 23.25;  // a bit pattern found once below
+  const core::IncrementalEngine engine(placement, grid, table, make_model(),
+                                       opt);
+  const std::string path = temp_path("engine_radius.snap");
+  save_engine_state(path, engine);
+  const std::string valid = read_bytes(path);
+  constexpr std::size_t kHeader = 24;
+  const std::size_t payload = valid.size() - kHeader - 8;
+  const double marker = 23.25;
+  const std::string needle(reinterpret_cast<const char*>(&marker),
+                           sizeof(marker));
+  const std::size_t at = valid.find(needle, kHeader);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(valid.find(needle, at + 1), std::string::npos);
+
+  // 40 um lies beyond the 30 um table.
+  for (const double radius :
+       {0.0, std::numeric_limits<double>::quiet_NaN(), 40.0}) {
+    SCOPED_TRACE(radius);
+    std::string bytes = valid;
+    std::memcpy(&bytes[at], &radius, sizeof(radius));
+    // Re-seal the payload so only the value, not the checksum, is wrong.
+    std::uint64_t h = 1469598103934665603ull;
+    for (std::size_t i = kHeader; i < kHeader + payload; ++i) {
+      h ^= static_cast<unsigned char>(bytes[i]);
+      h *= 1099511628211ull;
+    }
+    std::memcpy(&bytes[kHeader + payload], &h, sizeof(h));
+    write_bytes(path, bytes);
+    try {
+      load_engine_state(path);
+      FAIL() << "expected a typed rejection";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.category(), ErrorCategory::kIoCorruption);
+      EXPECT_NE(std::string(e.what()).find("engine state"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Snapshot, RejectsCorruptPayload) {

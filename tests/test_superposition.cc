@@ -11,9 +11,10 @@ namespace {
 
 const tsvlib::TsvStructure kS = tsvlib::TsvStructure::baseline_bcb();
 
-RadialStressTable make_table() {
+std::shared_ptr<const RadialStressTable> make_table() {
   const ana::SingleTsvModel model(kS, mat::ThermalLoad{});
-  return RadialStressTable::from_analytic(model, 30.0, 4096);
+  return std::make_shared<const RadialStressTable>(
+      RadialStressTable::from_analytic(model, 30.0, 4096));
 }
 
 TEST(Superposition, SingleTsvReproducesTable) {
@@ -97,15 +98,11 @@ TEST(Superposition, ParallelEvaluateBitwiseMatchesSerial) {
   for (double x = roi.lo.x; x <= roi.hi.x; x += 3.1)
     for (double y = roi.lo.y; y <= roi.hi.y; y += 3.7) pts.push_back({x, y});
 
-  SuperpositionOptions serial_opt;
-  serial_opt.num_threads = 1;
-  const LinearSuperposition serial(cluster, make_table(), serial_opt);
+  const LinearSuperposition serial(cluster, make_table());
   const auto want = serial.evaluate(pts);
 
   for (const std::size_t threads : {2u, 4u}) {
-    SuperpositionOptions opt;
-    opt.num_threads = threads;
-    const LinearSuperposition ls(cluster, make_table(), opt);
+    const LinearSuperposition ls(cluster, make_table(), {}, threads);
     const auto got = ls.evaluate(pts);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < pts.size(); ++i) {
@@ -118,9 +115,8 @@ TEST(Superposition, ParallelEvaluateBitwiseMatchesSerial) {
 
 TEST(Superposition, HardwareConcurrencyOptionEvaluates) {
   const tsvlib::Placement arr = tsvlib::make_array(kS, 3, 3, 10.0);
-  SuperpositionOptions opt;
-  opt.num_threads = 0;  // hardware concurrency
-  const LinearSuperposition ls(arr, make_table(), opt);
+  const LinearSuperposition ls(arr, make_table(), {},
+                               0);  // hardware concurrency
   const auto out = ls.evaluate({{1.0, 1.0}, {5.0, 5.0}, {30.0, 30.0}});
   EXPECT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].s11, ls.stress_at({1.0, 1.0}).s11);

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "analytic/interaction.h"
+#include "core/framework.h"
 #include "core/incremental_engine.h"
 #include "core/interactive_stage.h"
 #include "core/stress_table.h"
@@ -55,8 +56,8 @@ namespace {
 const tsvlib::TsvStructure kS = tsvlib::TsvStructure::baseline_bcb();
 
 std::shared_ptr<const InteractiveStressModel> shared_model() {
-  static auto model = std::make_shared<const InteractiveStressModel>(
-      kS, mat::ThermalLoad{});
+  static auto model =
+      core::characterize(kS, {}, core::StageTwo::kSeries).model;
   return model;
 }
 
@@ -700,8 +701,7 @@ TEST(Surrogate, InteractiveStageDispatchesThroughTheSurrogate) {
   // series, and the attached surrogate is never consulted.
   fitted_shared()->reset_use_stats();
   const core::InteractiveStage exact(
-      arr, std::make_shared<const InteractiveStressModel>(kS,
-                                                          mat::ThermalLoad{}));
+      arr, core::characterize(kS, {}, core::StageTwo::kSeries).model);
   expect_bitwise_equal(exact.evaluate(pts), want);
   EXPECT_EQ(fitted_shared()->use_stats().surrogate_pairs, 0u);
   EXPECT_EQ(fitted_shared()->use_stats().fallback_pairs, 0u);
@@ -733,10 +733,10 @@ TEST(Surrogate, OutOfDomainPitchesFallBackToTheExactSeries) {
   for (double x = -5; x <= 18; x += 1.9)
     for (double y = -5; y <= 18; y += 2.3) pts.push_back({x, y});
 
-  const auto series_model = std::make_shared<const InteractiveStressModel>(
-      kS, mat::ThermalLoad{});
-  const auto fast_model = std::make_shared<const InteractiveStressModel>(
-      kS, mat::ThermalLoad{});
+  const auto series_model =
+      core::characterize(kS, {}, core::StageTwo::kSeries).model;
+  const auto fast_model =
+      core::characterize(kS, {}, core::StageTwo::kSeries).model;
   fast_model->attach_surrogate(fitted_shared());
   const core::InteractiveStage series(arr, series_model);
   const core::InteractiveStage fast(arr, fast_model);

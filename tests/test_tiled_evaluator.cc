@@ -6,7 +6,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "analytic/surrogate.h"
 #include "core/error.h"
+#include "io/snapshot.h"
 #include "tsv/generators.h"
 
 namespace tsv::core {
@@ -294,6 +296,100 @@ TEST(TiledEvaluator, FingerprintSeparatesConfigurations) {
   const StressFramework fwq(q);
   const TiledEvaluator c(fwq, TiledOptions{200});
   EXPECT_NE(a.fingerprint(grid), c.fingerprint(grid));
+}
+
+// Everything that changes the field changes the fingerprint: the three
+// materials, the thermal load, both stages' cutoffs and whether a certified
+// surrogate serves Stage II.
+TEST(TiledEvaluator, FingerprintCoversStructureLoadCutoffsAndStageTwoPath) {
+  const tsvlib::Placement p = cluster_placement();
+  const geo::SampleGrid grid = test_grid(p);
+  const Characterization ch =
+      characterize(kS, mat::ThermalLoad{}, StageTwo::kSeries);
+  const auto fingerprint = [&](const tsvlib::Placement& placement,
+                               const Characterization& c,
+                               const FrameworkOptions& opt) {
+    const StressFramework fw(placement, c.table, c.model, opt);
+    return TiledEvaluator(fw, TiledOptions{200}).fingerprint(grid);
+  };
+  const std::uint64_t base = fingerprint(p, ch, {});
+
+  tsvlib::TsvStructure sio2 = kS;
+  sio2.liner = tsvlib::TsvStructure::baseline_sio2().liner;
+  EXPECT_NE(fingerprint(tsvlib::Placement(sio2, p.centers()), ch, {}), base);
+  tsvlib::TsvStructure cnt = kS;
+  cnt.body.cte *= 0.5;
+  EXPECT_NE(fingerprint(tsvlib::Placement(cnt, p.centers()), ch, {}), base);
+
+  FrameworkOptions opt;
+  opt.load.delta_t = -200.0;
+  EXPECT_NE(fingerprint(p, ch, opt), base);
+  opt = {};
+  opt.stage1.influence_radius = 20.0;
+  EXPECT_NE(fingerprint(p, ch, opt), base);
+  opt = {};
+  opt.stage2.pair_pitch_cutoff = 20.0;
+  EXPECT_NE(fingerprint(p, ch, opt), base);
+  opt = {};
+  opt.stage2.influence_radius = 20.0;
+  EXPECT_NE(fingerprint(p, ch, opt), base);
+
+  const Characterization fitted =
+      characterize(kS, mat::ThermalLoad{}, StageTwo::kSurrogate);
+  EXPECT_NE(fingerprint(p, fitted, {}), base);
+  // The thread count does not change the field's identity.
+  opt = {};
+  opt.num_threads = 4;
+  EXPECT_EQ(fingerprint(p, ch, opt), base);
+}
+
+// A checkpoint of the BCB-liner run must not be replayed into the SiO2-liner
+// run of the same centers and grid: the SiO2 run recomputes every tile.
+TEST(TiledEvaluator, CheckpointOfAnotherLinerIsRecomputed) {
+  const tsvlib::Placement bcb = cluster_placement();
+  const tsvlib::Placement sio2(tsvlib::TsvStructure::baseline_sio2(),
+                               bcb.centers());
+  const geo::SampleGrid grid = test_grid(bcb);
+  const StressFramework fw_bcb(bcb);
+  const StressFramework fw_sio2(sio2);
+  const TiledEvaluator tiled_bcb(fw_bcb, TiledOptions{200});
+  const TiledEvaluator tiled_sio2(fw_sio2, TiledOptions{200});
+  ASSERT_NE(tiled_bcb.fingerprint(grid), tiled_sio2.fingerprint(grid));
+
+  // An interrupted BCB run leaves its checkpoint on disk.
+  const std::string path =
+      ::testing::TempDir() + "tiled_other_liner.ckpt";
+  TiledCheckpoint last;
+  CheckpointConfig config;
+  config.every_tiles = 2;
+  config.writer = [&](const TiledCheckpoint& cp) { last = cp; };
+  EXPECT_THROW(collect(grid, tiled_bcb, config, nullptr, 5), InterruptedRun);
+  ASSERT_EQ(last.tiles_done, 4u);
+  io::save_tiled_checkpoint(path, last);
+
+  const std::vector<num::SymTensor2> want =
+      collect(grid, tiled_sio2, CheckpointConfig{0, nullptr, nullptr});
+  std::vector<num::SymTensor2> got(grid.size());
+  ::testing::internal::CaptureStderr();
+  const TiledStats stats = io::evaluate_with_checkpoint(
+      tiled_sio2, grid,
+      [&](const Tile& t) {
+        std::size_t k = 0;
+        for (std::size_t iy = t.iy0; iy < t.iy0 + t.ny; ++iy)
+          for (std::size_t ix = t.ix0; ix < t.ix0 + t.nx; ++ix, ++k)
+            got[iy * grid.nx() + ix] = t.stress[k];
+      },
+      path, 2);
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                "checkpoint ignored"),
+            std::string::npos);
+  EXPECT_EQ(stats.resumed_tiles, 0u);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].s11, want[i].s11) << i;
+    EXPECT_EQ(got[i].s22, want[i].s22) << i;
+    EXPECT_EQ(got[i].s12, want[i].s12) << i;
+  }
 }
 
 }  // namespace

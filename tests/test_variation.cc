@@ -95,8 +95,6 @@ TEST(Variation, MomentsMatchBruteForceReference) {
       ana::PairSurrogate::fit(*model)));
   core::IncrementalOptions eopt = opt.engine;
   eopt.num_threads = 1;
-  eopt.stage1.num_threads = 1;
-  eopt.stage2.num_threads = 1;
 
   const std::size_t n = f.grid.size();
   std::vector<std::vector<double>> vm(spec.samples,

@@ -236,6 +236,17 @@ void setup_surrogate(const ana::InteractiveStressModel& model,
   model.attach_surrogate(std::move(fitted));
 }
 
+/// The structure's characterization for evaluate and eco: the exact series
+/// (none with --ls-only), then --surrogate / --surrogate-file applied.
+core::Characterization characterize(const tsvlib::Placement& placement,
+                                    const CommonOptions& c) {
+  core::Characterization ch = core::characterize(
+      placement.structure(), mat::ThermalLoad{},
+      c.ls_only ? core::StageTwo::kOff : core::StageTwo::kSeries);
+  if (ch.model != nullptr) setup_surrogate(*ch.model, c);
+  return ch;
+}
+
 void write_field_csv(const std::string& out_path,
                      const std::vector<geo::Point>& pts,
                      const std::vector<num::SymTensor2>& field,
@@ -276,19 +287,11 @@ int run_evaluate(const std::vector<std::string>& args) {
   options.enable_interactive = !c.ls_only;
   options.num_threads = c.threads;
 
-  // With a surrogate request the model is built here so the surrogate can
-  // be attached (loaded or fitted) before the framework wraps it.
-  std::shared_ptr<const ana::InteractiveStressModel> model;
-  if (!c.ls_only && (c.surrogate || !c.surrogate_file.empty())) {
-    const ana::SingleTsvModel single(placement.structure(), options.load);
-    model = std::make_shared<const ana::InteractiveStressModel>(
-        std::make_shared<const ana::InclusionResponse>(placement.structure()),
-        single.k_hat());
-    setup_surrogate(*model, c);
-  }
-  const core::StressFramework framework =
-      model != nullptr ? core::StressFramework(placement, model, options)
-                       : core::StressFramework(placement, options);
+  // The surrogate (loaded or fitted) is attached before the framework
+  // wraps the model.
+  const core::Characterization ch = characterize(placement, c);
+  const core::StressFramework framework(placement, ch.table, ch.model,
+                                        options);
 
   const geo::Box roi = placement.bounding_box().expanded(c.margin);
   const geo::SampleGrid grid = geo::SampleGrid::with_spacing(roi, c.spacing);
@@ -373,18 +376,7 @@ core::IncrementalEngine build_engine(const CommonOptions& c) {
   std::printf("placement: %zu TSVs, min pitch %.2f um\n", placement.size(),
               placement.min_pitch());
 
-  const mat::ThermalLoad load{};
-  const ana::SingleTsvModel single(placement.structure(), load);
-  const auto table = std::make_shared<const core::RadialStressTable>(
-      core::RadialStressTable::from_analytic(single, 30.0, 4096));
-  std::shared_ptr<const ana::InteractiveStressModel> model;
-  if (!c.ls_only)
-    model = std::make_shared<const ana::InteractiveStressModel>(
-        std::make_shared<const ana::InclusionResponse>(placement.structure()),
-        single.k_hat());
-
-  if (model != nullptr) setup_surrogate(*model, c);
-
+  const core::Characterization ch = characterize(placement, c);
   core::IncrementalOptions opt;
   opt.enable_interactive = !c.ls_only;
   opt.num_threads = c.threads;
@@ -393,7 +385,7 @@ core::IncrementalEngine build_engine(const CommonOptions& c) {
   const geo::SampleGrid grid = geo::SampleGrid::with_spacing(roi, c.spacing);
   std::printf("grid: %zu x %zu points, spacing %.3g um\n", grid.nx(),
               grid.ny(), c.spacing);
-  return core::IncrementalEngine(placement, grid, table, model, opt);
+  return core::IncrementalEngine(placement, grid, ch.table, ch.model, opt);
 }
 
 int run_eco(const std::vector<std::string>& args) {
