@@ -5,13 +5,15 @@
 // Besides the google-benchmark rows, the binary always appends point-kernel
 // timings to <out-dir>/kernels.jsonl (--out-dir=PATH, default "."): Stage I
 // scalar vs batch, Stage I point-major vs disc-major on one full-chip tile,
-// the Stage II exact series, and the certified surrogate
-// (per point at one pitch, and per pair with a fresh pitch each pair, which
-// includes the pitch contraction, and per pair-point over 9-aggressor runs
-// through the run kernel). tools/check_kernel_perf.py guards those
-// rows against tools/kernel_baseline.json in CI. The stage2_surrogate batch
-// row's "speedup" is measured against the Stage II exact series timed in the
-// same run, not against the surrogate's own scalar path.
+// the Stage I table kernel on one victim disc (scalar loop vs the SIMD
+// variant dispatched for the host), the Stage II exact series, and the
+// certified surrogate (per point at one pitch, and per pair with a fresh
+// pitch each pair, which includes the pitch contraction, and per pair-point
+// over 9-aggressor runs through the run kernel). tools/check_kernel_perf.py
+// guards those rows against tools/kernel_baseline.json in CI. The
+// stage2_surrogate batch row's "speedup" is measured against the Stage II
+// exact series timed in the same run, not against the surrogate's own
+// scalar path.
 //
 // A fit-order sweep for the surrogate (orders vs certified bound vs
 // ns/eval) additionally lands in <out-dir>/surrogate.jsonl; EXPERIMENTS.md
@@ -154,6 +156,19 @@ std::vector<geo::Point> kernel_points(std::size_t n, double radius,
   std::vector<geo::Point> pts(n);
   for (geo::Point& p : pts) p = {coord(rng), coord(rng)};
   return pts;
+}
+
+/// One victim's reach (a 25 um disc around the origin) on a 2 um point
+/// grid: 493 points, the disc the fused pass and the Stage II pair rows
+/// evaluate per victim.
+std::vector<geo::Point> victim_disc() {
+  std::vector<geo::Point> disc;
+  for (int i = -13; i <= 13; ++i)
+    for (int j = -13; j <= 13; ++j) {
+      const geo::Point p{2.0 * i + 0.25, 2.0 * j + 0.25};
+      if (p.x * p.x + p.y * p.y <= 25.0 * 25.0) disc.push_back(p);
+    }
+  return disc;
 }
 
 const core::RadialStressTable& stage1_kernel_table() {
@@ -469,6 +484,35 @@ void emit_kernel_rows(const std::string& out_dir) {
                       point_ns / window_ns);
   }
 
+  // Stage I on one gathered victim disc (victim_disc, 493 points), the
+  // call the fused Stage I + II pass makes once per TSV, 1 thread. "scalar"
+  // is the per-point reference loop, "dispatch" the SIMD variant
+  // RadialStressTable::accumulate selects for this host (bitwise the same
+  // values). The dispatch row's "speedup" is scalar / dispatch from this
+  // same run, the ratio the min_disc_speedup floor guards.
+  {
+    const core::RadialStressTable& table = stage1_kernel_table();
+    const std::vector<geo::Point> disc = victim_disc();
+    const geo::Point c{0, 0};
+    std::vector<num::SymTensor2> out(disc.size());
+    constexpr std::size_t kDiscReps = 64;
+    const std::size_t evals = kDiscReps * disc.size();
+    const double scalar_ns = best_ns_per_eval(evals, [&] {
+      for (std::size_t rep = 0; rep < kDiscReps; ++rep)
+        core::detail::radial_accumulate_scalar(table, c, disc.data(),
+                                               disc.size(), out.data());
+      benchmark::DoNotOptimize(out.data());
+    });
+    const double dispatch_ns = best_ns_per_eval(evals, [&] {
+      for (std::size_t rep = 0; rep < kDiscReps; ++rep)
+        table.accumulate(c, disc.data(), disc.size(), out.data());
+      benchmark::DoNotOptimize(out.data());
+    });
+    append_kernel_row(path, "stage1_disc", "scalar", evals, scalar_ns, 0.0);
+    append_kernel_row(path, "stage1_disc", "dispatch", evals, dispatch_ns,
+                      scalar_ns / dispatch_ns);
+  }
+
   // The exact series through the production entry point with no surrogate
   // (InteractiveStressModel::accumulate_run, a run of one).
   double stage2_series_ns = 0.0;
@@ -516,17 +560,12 @@ void emit_kernel_rows(const std::string& out_dir) {
                       stage2_series_ns / batch_ns);
 
     // Pair rows: what one Stage II pair costs on an irregular placement.
-    // One victim's reach (a 25 um disc) on a 2 um point grid, 493 points,
-    // against a fresh pitch per pair drawn from [8.5, 24.5] um, so the
-    // per-thread contraction memo never hits. "pair" is ns per pair-point
+    // One victim's reach (victim_disc, 493 points) against a fresh pitch
+    // per pair drawn from [8.5, 24.5] um, so the per-thread contraction
+    // memo never hits. "pair" is ns per pair-point
     // with the pitch contraction included; "contraction" is ns per pair,
     // timed as the same pairs over an empty point set.
-    std::vector<geo::Point> disc;
-    for (int i = -13; i <= 13; ++i)
-      for (int j = -13; j <= 13; ++j) {
-        const geo::Point p{2.0 * i + 0.25, 2.0 * j + 0.25};
-        if (p.x * p.x + p.y * p.y <= 25.0 * 25.0) disc.push_back(p);
-      }
+    const std::vector<geo::Point> disc = victim_disc();
     constexpr std::size_t kPairs = 256;
     std::mt19937 rng(23);
     std::uniform_real_distribution<double> pitch(8.5, 24.5);

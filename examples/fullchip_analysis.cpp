@@ -29,6 +29,9 @@ int main(int argc, char** argv) {
               placement.size(), placement.min_pitch(), placement.density());
 
   const core::StressFramework framework(placement);
+  core::FrameworkOptions ls_options;
+  ls_options.enable_interactive = false;
+  const core::StressFramework ls_only(placement, ls_options);
 
   // Simulation grid over the chip with a 25 um halo.
   const geo::Box roi = placement.bounding_box().expanded(25.0);
@@ -36,12 +39,15 @@ int main(int argc, char** argv) {
   std::printf("grid: %zu x %zu = %zu points (%.0f x %.0f um)\n", grid.nx(),
               grid.ny(), grid.size(), roi.width(), roi.height());
 
+  // The framework walks each TSV's disc once for both stages, so its run
+  // has no Stage I time of its own; AR is measured against an LS-only run
+  // on the same grid, as in the paper's Table 6.
   const core::StressResult result = framework.evaluate(grid);
-  std::printf("stage I %.2fs, stage II %.2fs (AR = %.0f%%)\n",
-              result.stage1_seconds, result.stage2_seconds,
-              result.stage1_seconds > 0.0
-                  ? 100.0 * result.stage2_seconds / result.stage1_seconds
-                  : 0.0);
+  const core::StressResult ls = ls_only.evaluate(grid);
+  const double pf_s = result.stage1_seconds + result.stage2_seconds;
+  const double ls_s = ls.stage1_seconds;
+  std::printf("LS %.2fs, PF %.2fs (AR = %.0f%%)\n", ls_s, pf_s,
+              ls_s > 0.0 ? 100.0 * (pf_s - ls_s) / ls_s : 0.0);
 
   // Von Mises hot spots in the device layer (outside the TSVs themselves).
   const std::vector<geo::Point> pts = grid.points();
@@ -66,9 +72,12 @@ int main(int argc, char** argv) {
 
   // Interactive-stress significance: how much Stage II moved the answer.
   double max_interactive = 0.0;
-  for (const auto& s : result.interactive)
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    num::SymTensor2 interactive = result.stress[i];
+    interactive -= ls.stress[i];
     max_interactive =
-        std::max(max_interactive, num::von_mises_plane_stress(s));
+        std::max(max_interactive, num::von_mises_plane_stress(interactive));
+  }
   std::printf("largest interactive von Mises correction: %.1f MPa\n",
               max_interactive);
 

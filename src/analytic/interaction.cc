@@ -1,6 +1,7 @@
 #include "analytic/interaction.h"
 
 #include <cmath>
+#include <cstdio>
 
 #include "analytic/surrogate.h"
 
@@ -51,6 +52,7 @@ void InteractiveStressModel::attach_surrogate(
     std::shared_ptr<const PairSurrogate> surrogate) const {
   const std::lock_guard<std::mutex> lock(cache_mutex_);
   surrogate_ = std::move(surrogate);
+  has_surrogate_.store(surrogate_ != nullptr, std::memory_order_relaxed);
 }
 
 std::shared_ptr<const PairSurrogate> InteractiveStressModel::surrogate()
@@ -73,6 +75,8 @@ void InteractiveStressModel::accumulate_run(
     const geo::Point* aggressors, std::size_t count, const geo::Point* points,
     std::size_t n, num::SymTensor2* out) const {
   if (surrogate == nullptr) {
+    if (count > 0 && has_surrogate_.load(std::memory_order_relaxed))
+      note_rejected_surrogate(count);
     for (std::size_t k = 0; k < count; ++k)
       accumulate_series(victim, aggressors[k], points, n, out);
     return;
@@ -96,6 +100,20 @@ void InteractiveStressModel::accumulate_run(
     k = end;
   }
   surrogate->record_use(count - fallbacks, fallbacks);
+}
+
+void InteractiveStressModel::note_rejected_surrogate(
+    std::uint64_t pairs) const {
+  rejected_surrogate_pairs_.fetch_add(pairs, std::memory_order_relaxed);
+  if (rejection_reported_.exchange(true, std::memory_order_relaxed)) return;
+  const std::shared_ptr<const PairSurrogate> s = surrogate();
+  if (s == nullptr) return;  // detached meanwhile
+  std::fprintf(stderr,
+               "warning: the attached Stage II surrogate is not used "
+               "(certified bound %.3g, tolerance %.3g; fitted radius %.4g "
+               "um): its pairs take the exact series\n",
+               s->certificate().certified_rel_bound, kSurrogateTolerance,
+               s->r_max());
 }
 
 void InteractiveStressModel::accumulate_series(const geo::Point& victim,

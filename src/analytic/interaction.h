@@ -18,6 +18,7 @@
 // (analytic/surrogate.h) for pitches inside its fitted domain, the exact
 // series for everything else.
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -81,25 +82,40 @@ class InteractiveStressModel {
   /// (or edit) and hand it to accumulate_run.
   std::shared_ptr<const PairSurrogate> surrogate_for(double r_needed) const;
 
+  /// Pairs accumulate_run sent to the exact series while a surrogate was
+  /// attached: surrogate_for rejected it (certificate above
+  /// kSurrogateTolerance, or fitted r_max below the reach), so the whole
+  /// evaluation ran at series cost. The first such run also prints one line
+  /// to stderr per model. Pitch-domain misses of a used surrogate are
+  /// counted on its own use stats instead. Thread-safe (relaxed).
+  std::uint64_t rejected_surrogate_pairs() const {
+    return rejected_surrogate_pairs_.load(std::memory_order_relaxed);
+  }
+
   /// Stage II evaluation of one victim's run of ordered pairs (victim,
   /// aggressors[k]), k < count: the one entry into Stage II, which
   /// InteractiveStage and IncrementalEngine both call (a single pair is a
   /// run of one), and the only place a path is chosen. Adds their
   /// interactive stress at points[0..n) into out[i]. Each pair goes
   /// through `surrogate` when it is non-null and covers the pair pitch, and
-  /// through the exact series otherwise; consecutive covered pairs share
-  /// one surrogate run (PairSurrogate::accumulate_run), which evaluates a
-  /// stretch of two or more as one chip-frame series. The result is the
-  /// per-pair sequence in aggressor order up to rounding (bitwise where
-  /// every stretch is a run of one), and the run is counted on the
-  /// surrogate's use stats once. `surrogate` must come from surrogate_for
-  /// (or be nullptr for the series only).
+  /// through the exact series otherwise (counted on
+  /// rejected_surrogate_pairs when a surrogate is attached); consecutive
+  /// covered pairs share one surrogate run (PairSurrogate::accumulate_run),
+  /// which evaluates a stretch of two or more as one chip-frame series.
+  /// The result is the per-pair sequence in aggressor order up to rounding
+  /// (bitwise where every stretch is a run of one), and the run is counted
+  /// on the surrogate's use stats once. `surrogate` must come from
+  /// surrogate_for (or be nullptr for the series only).
   void accumulate_run(const PairSurrogate* surrogate, const geo::Point& victim,
                       const geo::Point* aggressors, std::size_t count,
                       const geo::Point* points, std::size_t n,
                       num::SymTensor2* out) const;
 
  private:
+  /// Counts `pairs` on rejected_surrogate_pairs_; the first time, prints
+  /// why the attached surrogate is not used.
+  void note_rejected_surrogate(std::uint64_t pairs) const;
+
   /// The exact series leg of accumulate_run.
   void accumulate_series(const geo::Point& victim,
                          const geo::Point& aggressor,
@@ -114,6 +130,9 @@ class InteractiveStressModel {
   mutable std::mutex cache_mutex_;
   mutable std::map<long long, RegionField> cache_;
   mutable std::shared_ptr<const PairSurrogate> surrogate_;
+  mutable std::atomic<bool> has_surrogate_{false};  ///< surrogate_ != null
+  mutable std::atomic<std::uint64_t> rejected_surrogate_pairs_{0};
+  mutable std::atomic<bool> rejection_reported_{false};
 };
 
 }  // namespace tsv::ana

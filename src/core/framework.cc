@@ -1,6 +1,7 @@
 #include "core/framework.h"
 
 #include <chrono>
+#include <type_traits>
 
 #include "analytic/surrogate.h"
 #include "numeric/parallel.h"
@@ -68,35 +69,46 @@ StressFramework::StressFramework(
 
 template <typename Points>
 StressResult StressFramework::evaluate_stages(
-    const Points& points, const std::function<PairList()>& pairs) const {
+    const Points& points, const std::function<VictimRuns()>& runs) const {
   StressResult result;
+  if constexpr (std::is_same_v<Points, geo::GridWindow>) {
+    if (stage2_ != nullptr && options_.stage1.influence_radius ==
+                                  options_.stage2.influence_radius) {
+      // One disc pass per TSV for both stages, timed as Stage II (see the
+      // header comment).
+      const auto t0 = Clock::now();
+      result.stress = stage2_->evaluate_runs(points, runs(), &stage1_.table());
+      result.stage2_seconds = seconds_since(t0);
+      return result;
+    }
+  }
   const auto t0 = Clock::now();
   result.stress = stage1_.evaluate(points);
   result.stage1_seconds = seconds_since(t0);
 
   if (stage2_ != nullptr) {
     const auto t1 = Clock::now();
-    result.interactive = stage2_->evaluate_with_pairs(points, pairs());
-    num::parallel_for(result.stress.size(), options_.num_threads,
-                      [&](std::size_t i) {
-                        result.stress[i] += result.interactive[i];
-                      });
+    const std::vector<num::SymTensor2> interactive =
+        stage2_->evaluate_runs(points, runs());
+    num::parallel_for(
+        result.stress.size(), options_.num_threads,
+        [&](std::size_t i) { result.stress[i] += interactive[i]; });
     result.stage2_seconds = seconds_since(t1);
   }
   return result;
 }
 
 template StressResult StressFramework::evaluate_stages(
-    const geo::GridWindow&, const std::function<PairList()>&) const;
+    const geo::GridWindow&, const std::function<VictimRuns()>&) const;
 
 StressResult StressFramework::evaluate(
     const std::vector<geo::Point>& points) const {
-  return evaluate_stages(points, [&] { return stage2_->ordered_pairs(); });
+  return evaluate_stages(points, [&] { return stage2_->victim_runs(); });
 }
 
 StressResult StressFramework::evaluate(const geo::SampleGrid& grid) const {
   return evaluate_stages(geo::GridWindow(grid),
-                         [&] { return stage2_->ordered_pairs(); });
+                         [&] { return stage2_->victim_runs(); });
 }
 
 num::SymTensor2 StressFramework::stress_at(const geo::Point& p) const {

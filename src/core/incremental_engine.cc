@@ -201,7 +201,7 @@ void IncrementalEngine::apply_stage1(const geo::Point& c, double sign,
 void IncrementalEngine::apply_stage2(const ana::PairSurrogate* surrogate,
                                      const std::vector<IdPair>& pairs,
                                      double sign, ApplyStats& stats) {
-  // Victim runs, as in InteractiveStage::evaluate_pairs: each victim's disc
+  // Victim runs, as in InteractiveStage::evaluate_runs: each victim's disc
   // is gathered once, all of its aggressors go through one accumulate_run
   // into the zeroed disc buffer, and the run's sum is scattered with the
   // edit's sign.

@@ -192,7 +192,7 @@ class IncrementalEngine {
   /// (victim, aggressor) slot ids at the current centers, victim-major) as
   /// victim runs: one disc gather and one
   /// InteractiveStressModel::accumulate_run per victim, the call
-  /// InteractiveStage::evaluate_pairs makes. `surrogate` is the model's
+  /// InteractiveStage::evaluate_runs makes. `surrogate` is the model's
   /// surrogate_for gate, resolved once per apply().
   void apply_stage2(const ana::PairSurrogate* surrogate,
                     const std::vector<IdPair>& pairs, double sign,

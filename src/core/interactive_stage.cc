@@ -13,14 +13,46 @@ geo::Box index_bounds(const tsvlib::Placement& p) {
   return p.empty() ? geo::Box{{0.0, 0.0}, {1.0, 1.0}} : p.bounding_box();
 }
 
-/// Distance from a point to a closed axis-aligned box (0 inside).
-double distance_to_box(const geo::Point& p, const geo::Box& box) {
+/// Squared distance from a point to a closed axis-aligned box (0 inside).
+/// A point of the box is no closer to p, and rounding is monotone, so this
+/// never exceeds the squared distance the disc walks compute to any point of
+/// the box.
+double distance_squared_to_box(const geo::Point& p, const geo::Box& box) {
   const double dx = std::max({box.lo.x - p.x, 0.0, p.x - box.hi.x});
   const double dy = std::max({box.lo.y - p.y, 0.0, p.y - box.hi.y});
-  return std::hypot(dx, dy);
+  return dx * dx + dy * dy;
+}
+
+std::vector<std::uint32_t> all_tsvs(std::size_t n) {
+  std::vector<std::uint32_t> ids(n);
+  for (std::uint32_t v = 0; v < ids.size(); ++v) ids[v] = v;
+  return ids;
 }
 
 }  // namespace
+
+PairList VictimRuns::pairs() const {
+  PairList out;
+  out.reserve(pair_count());
+  for (std::size_t i = 0; i < victims.size(); ++i)
+    for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k)
+      out.emplace_back(victims[i], aggressors[k]);
+  return out;
+}
+
+VictimRuns VictimRuns::from_pairs(const PairList& pairs) {
+  VictimRuns runs;
+  runs.aggressors.reserve(pairs.size());
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    if (k == 0 || pairs[k].first != pairs[k - 1].first) {
+      if (k > 0) runs.offsets.push_back(k);
+      runs.victims.push_back(pairs[k].first);
+    }
+    runs.aggressors.push_back(pairs[k].second);
+  }
+  if (!pairs.empty()) runs.offsets.push_back(pairs.size());
+  return runs;
+}
 
 InteractiveStage::InteractiveStage(
     const tsvlib::Placement& placement,
@@ -56,23 +88,17 @@ num::SymTensor2 InteractiveStage::stress_at(const geo::Point& p) const {
   return sum;
 }
 
-std::vector<std::pair<std::uint32_t, std::uint32_t>>
-InteractiveStage::ordered_pairs() const {
-  std::vector<std::uint32_t> victims(placement_.size());
-  for (std::uint32_t v = 0; v < victims.size(); ++v) victims[v] = v;
-  return pairs_of(victims);
+VictimRuns InteractiveStage::victim_runs() const {
+  return runs_of(all_tsvs(placement_.size()));
 }
 
 std::size_t InteractiveStage::pair_count() const {
-  std::vector<std::uint32_t> victims(placement_.size());
-  for (std::uint32_t v = 0; v < victims.size(); ++v) victims[v] = v;
   std::size_t count = 0;
-  pairs_of(victims, &count);
+  runs_of(all_tsvs(placement_.size()), &count);
   return count;
 }
 
-std::vector<std::pair<std::uint32_t, std::uint32_t>>
-InteractiveStage::ordered_pairs_near(const geo::Box& region) const {
+VictimRuns InteractiveStage::victim_runs_near(const geo::Box& region) const {
   const auto& centers = placement_.centers();
   // Over-query a disc covering the region plus the influence halo, then
   // keep the victims whose true box distance is within the radius.
@@ -83,18 +109,27 @@ InteractiveStage::ordered_pairs_near(const geo::Box& region) const {
   tsv_index_.query_radius(region.center(), half_diag + reach, candidates);
   std::vector<std::uint32_t> victims;
   for (const std::uint32_t v : candidates)
-    if (distance_to_box(centers[v], region) <= reach) victims.push_back(v);
-  return pairs_of(victims);
+    if (distance_squared_to_box(centers[v], region) <= reach * reach)
+      victims.push_back(v);
+  return runs_of(std::move(victims));
 }
 
-std::vector<std::pair<std::uint32_t, std::uint32_t>>
-InteractiveStage::pairs_of(const std::vector<std::uint32_t>& victims,
-                           std::size_t* count) const {
+PairList InteractiveStage::ordered_pairs() const {
+  return victim_runs().pairs();
+}
+
+PairList InteractiveStage::ordered_pairs_near(const geo::Box& region) const {
+  return victim_runs_near(region).pairs();
+}
+
+VictimRuns InteractiveStage::runs_of(std::vector<std::uint32_t> victims,
+                                     std::size_t* count) const {
   const auto& centers = placement_.centers();
-  // Two parallel passes over the victims: count each victim's pairs, then
-  // write them at their prefix-sum offsets. The list is built in place, at
-  // its final size, with no per-thread copies.
-  std::vector<std::size_t> offsets(victims.size() + 1, 0);
+  // Two parallel passes over the victims: count each victim's aggressors,
+  // then write them at their prefix-sum offsets. The runs are built in
+  // place, at their final size, with no per-thread copies.
+  VictimRuns runs;
+  runs.offsets.assign(victims.size() + 1, 0);
   const auto each_victim = [&](auto&& visit) {
     num::parallel_for_chunks(
         victims.size(), num_threads_,
@@ -107,6 +142,7 @@ InteractiveStage::pairs_of(const std::vector<std::uint32_t>& victims,
           }
         });
   };
+  std::vector<std::size_t>& offsets = runs.offsets;
   each_victim([&](std::size_t i, const std::vector<std::uint32_t>& nearby) {
     offsets[i + 1] = nearby.size() - 1;  // every victim finds itself
   });
@@ -115,31 +151,41 @@ InteractiveStage::pairs_of(const std::vector<std::uint32_t>& victims,
     *count = offsets.back();
     return {};
   }
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs(offsets.back());
+  runs.aggressors.resize(offsets.back());
   each_victim([&](std::size_t i, const std::vector<std::uint32_t>& nearby) {
     std::size_t at = offsets[i];
     for (const std::uint32_t a : nearby)
-      if (a != victims[i]) pairs[at++] = {victims[i], a};
+      if (a != victims[i]) runs.aggressors[at++] = a;
   });
-  return pairs;
+  runs.victims = std::move(victims);
+  return runs;
 }
 
 std::vector<num::SymTensor2> InteractiveStage::evaluate(
     const std::vector<geo::Point>& points) const {
-  return evaluate_with_pairs(points, ordered_pairs());
+  return evaluate_runs(points, victim_runs());
 }
 
 std::vector<num::SymTensor2> InteractiveStage::evaluate_with_pairs(
-    const std::vector<geo::Point>& points,
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs) const {
+    const std::vector<geo::Point>& points, const PairList& pairs) const {
+  return evaluate_runs(points, VictimRuns::from_pairs(pairs));
+}
+
+std::vector<num::SymTensor2> InteractiveStage::evaluate_with_pairs(
+    const geo::GridWindow& window, const PairList& pairs) const {
+  return evaluate_runs(window, VictimRuns::from_pairs(pairs));
+}
+
+std::vector<num::SymTensor2> InteractiveStage::evaluate_runs(
+    const std::vector<geo::Point>& points, const VictimRuns& runs) const {
   if (placement_.size() < 2 || points.empty())
     return std::vector<num::SymTensor2>(points.size());
   // The hull is inclusive on every edge, so points exactly on the boundary
   // stay indexed.
   const geo::GridIndex index(points, geo::Box::bounding(points),
                              std::max(options_.influence_radius / 2.0, 1.0));
-  return evaluate_pairs(
-      points.size(), pairs,
+  return evaluate_runs(
+      points.size(), runs, nullptr,
       [&](const geo::Point& victim, std::vector<std::uint32_t>& affected,
           std::vector<geo::Point>& gathered) {
         index.query_radius(victim, options_.influence_radius, affected);
@@ -149,13 +195,13 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_with_pairs(
       });
 }
 
-std::vector<num::SymTensor2> InteractiveStage::evaluate_with_pairs(
-    const geo::GridWindow& window,
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs) const {
+std::vector<num::SymTensor2> InteractiveStage::evaluate_runs(
+    const geo::GridWindow& window, const VictimRuns& runs,
+    const SingleTsvField* stage1) const {
   TSV_REQUIRE(window.size() <= UINT32_MAX,
               "grid window too large for 32-bit point indices");
-  return evaluate_pairs(
-      window.size(), pairs,
+  return evaluate_runs(
+      window.size(), runs, stage1,
       [&](const geo::Point& victim, std::vector<std::uint32_t>& affected,
           std::vector<geo::Point>& gathered) {
         window.gather_disc(victim, options_.influence_radius, affected,
@@ -164,35 +210,30 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_with_pairs(
 }
 
 template <typename GatherDisc>
-std::vector<num::SymTensor2> InteractiveStage::evaluate_pairs(
-    std::size_t num_points,
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs,
-    GatherDisc&& gather) const {
+std::vector<num::SymTensor2> InteractiveStage::evaluate_runs(
+    std::size_t num_points, const VictimRuns& runs,
+    const SingleTsvField* stage1, GatherDisc&& gather) const {
   const auto& centers = placement_.centers();
   // The certificate/coverage gate is resolved once per evaluate; the
   // per-pair pitch gate lives in accumulate_run.
   const std::shared_ptr<const ana::PairSurrogate> surrogate =
       model_->surrogate_for(options_.influence_radius);
-  // Run-parallel: the pair list splits into victim runs (maximal stretches
-  // of consecutive pairs with one victim), and every chunk of runs
-  // accumulates into its own private buffer (writing `out[n] +=` across
-  // chunks would race). A run costs about the same whatever its length, so
-  // chunks of equal run counts balance where chunks of equal pair counts
-  // would not. With one chunk (num_threads == 1, or a call from inside a
-  // pool worker) this is the exact serial pair loop.
-  std::vector<std::size_t> run_starts;
-  for (std::size_t k = 0; k < pairs.size(); ++k)
-    if (k == 0 || pairs[k].first != pairs[k - 1].first) run_starts.push_back(k);
-  const std::size_t runs = run_starts.size();
-  run_starts.push_back(pairs.size());
+  // Run-parallel: every chunk of runs accumulates into its own private
+  // buffer (writing `out[n] +=` across chunks would race). A run costs
+  // about the same whatever its length, so chunks of equal run counts
+  // balance where chunks of equal pair counts would not. With one chunk
+  // (num_threads == 1, or a call from inside a pool worker) this is the
+  // exact serial run loop.
+  std::vector<std::size_t> todo;
+  for (std::size_t i = 0; i < runs.victims.size(); ++i)
+    if (stage1 != nullptr || runs.offsets[i + 1] > runs.offsets[i])
+      todo.push_back(i);
   const std::size_t max_chunks = std::max<std::size_t>(
-      1, std::min(num::resolve_thread_count(num_threads_), runs));
+      1, std::min(num::resolve_thread_count(num_threads_), todo.size()));
   std::vector<std::vector<num::SymTensor2>> parts(max_chunks);
   num::parallel_for_chunks(
-      runs, num_threads_,
-      [&](std::size_t first_run, std::size_t last_run, std::size_t chunk) {
-        const std::size_t begin = run_starts[first_run];
-        const std::size_t end = run_starts[last_run];
+      todo.size(), num_threads_,
+      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
         std::vector<num::SymTensor2>& out = parts[chunk];
         out.assign(num_points, num::SymTensor2{});
         // Chunk-local gather/scatter buffers keep their steady-state
@@ -201,21 +242,23 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_pairs(
         std::vector<geo::Point> gathered;
         std::vector<geo::Point> aggressors;
         std::vector<num::SymTensor2> contrib;
-        // Every aggressor of a victim reads the same disc, so a run of
-        // consecutive pairs with one victim shares a single gather,
-        // accumulate_run and scatter.
-        for (std::size_t k = begin; k < end;) {
-          const std::uint32_t v = pairs[k].first;
-          const geo::Point& victim = centers[v];
+        // Every aggressor of a victim, and the victim's own Stage I field,
+        // read the same disc: one gather, one buffer, one scatter per run.
+        for (std::size_t r = begin; r < end; ++r) {
+          const std::size_t i = todo[r];
+          const geo::Point& victim = centers[runs.victims[i]];
           gather(victim, affected, gathered);
           const std::size_t m = affected.size();
           aggressors.clear();
-          for (; k < end && pairs[k].first == v; ++k)
-            aggressors.push_back(centers[pairs[k].second]);
+          for (std::size_t k = runs.offsets[i]; k < runs.offsets[i + 1]; ++k)
+            aggressors.push_back(centers[runs.aggressors[k]]);
           contrib.assign(m, num::SymTensor2{});
-          model_->accumulate_run(surrogate.get(), victim, aggressors.data(),
-                                 aggressors.size(), gathered.data(), m,
-                                 contrib.data());
+          if (stage1 != nullptr)
+            stage1->accumulate(victim, gathered.data(), m, contrib.data());
+          if (!aggressors.empty())
+            model_->accumulate_run(surrogate.get(), victim, aggressors.data(),
+                                   aggressors.size(), gathered.data(), m,
+                                   contrib.data());
           for (std::size_t j = 0; j < m; ++j) out[affected[j]] += contrib[j];
         }
       });

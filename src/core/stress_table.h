@@ -6,6 +6,14 @@
 // Tables can be characterized from the exact analytical solution (default)
 // or from a FEM solve of an isolated TSV (the paper's approach with COMSOL);
 // tests show the two agree to discretization error.
+//
+// accumulate (one TSV's field over a disc of points) is the Stage I kernel
+// of every grid evaluation, including the fused Stage I + II pass, where it
+// runs once per TSV disc. It is compiled for three ISA levels (2, 4 and 8
+// lanes) and dispatched once per process; each lane does the scalar
+// kernel's operations in the scalar order with no fused multiply-add, so
+// every variant is bitwise the scalar per-point loop
+// (detail::radial_accumulate_scalar) and the host never changes a value.
 
 #include <vector>
 
@@ -53,9 +61,13 @@ class RadialStressTable : public SingleTsvField {
   num::SymTensor2 stress_at(const geo::Point& center,
                             const geo::Point& p) const override;
 
-  /// Trig-free batch kernel, "one center, many points": gathers the
-  /// displacements into SoA scratch and runs a flat loop — one sqrt, two
-  /// table loads and the double-angle rotation per point, no atan2/sin/cos.
+  /// Trig-free batch kernel, "one center, many points" (the disc walk of
+  /// both Stage I passes, and of the fused Stage I + II pass): one sqrt, two
+  /// table loads and the double-angle rotation per point, no atan2/sin/cos,
+  /// a block of 4 or 8 points at a time. Runs the SIMD variant selected
+  /// once per process for the host (generic, AVX2 or AVX-512; see
+  /// detail::radial_accumulate_variants), every lane bitwise the scalar
+  /// per-point kernel, so the choice never changes a value.
   void accumulate(const geo::Point& center, const geo::Point* points,
                   std::size_t n, num::SymTensor2* out) const override;
 
@@ -75,6 +87,32 @@ class RadialStressTable : public SingleTsvField {
   double max_radius_;
   double inv_dr_;
 };
+
+namespace detail {
+
+/// One way to run RadialStressTable::accumulate's loop.
+using RadialAccumulateFn = void (*)(const RadialStressTable& table,
+                                    const geo::Point& center,
+                                    const geo::Point* points, std::size_t n,
+                                    num::SymTensor2* out);
+
+/// The per-point scalar loop every SIMD variant reproduces bit for bit
+/// (kernel tests and the stage1_disc kernel row).
+void radial_accumulate_scalar(const RadialStressTable& table,
+                              const geo::Point& center,
+                              const geo::Point* points, std::size_t n,
+                              num::SymTensor2* out);
+
+struct RadialAccumulateVariant {
+  const char* name;  ///< "generic", "avx2" or "avx512"
+  RadialAccumulateFn run;
+};
+
+/// The SIMD variants of accumulate this host can run, narrowest first
+/// ("generic" always); accumulate runs the last one.
+std::vector<RadialAccumulateVariant> radial_accumulate_variants();
+
+}  // namespace detail
 
 /// Fits the effective far-field constant K (paper eq. 6) of a FEM
 /// single-TSV field: the mean of sigma_rr * r^2 over rays and radii in

@@ -146,12 +146,12 @@ TiledStats TiledEvaluator::evaluate(const geo::SampleGrid& grid,
         resume_offset += points.size();
         ++stats.resumed_tiles;
       } else {
-        // One pair enumeration per tile, shared between the statistics and
+        // One run enumeration per tile, shared between the statistics and
         // the evaluation.
         StressResult r = framework_->evaluate_stages(window, [&] {
-          auto pairs = stage2->ordered_pairs_near(bounds);
-          stats.culled_pairs += pairs.size();
-          return pairs;
+          VictimRuns runs = stage2->victim_runs_near(bounds);
+          stats.culled_pairs += runs.pair_count();
+          return runs;
         });
         stress = std::move(r.stress);
         stats.stage1_seconds += r.stage1_seconds;

@@ -7,13 +7,17 @@
 // tile (Stage II enumerates only the pairs whose victim can reach the tile,
 // via the TSV grid index) and hands each finished tile to a consumer, so
 // peak memory is O(tile) and results stream in deterministic row-major
-// tile order. A tile is a geo::GridWindow that both stages evaluate
-// disc-major. Each tile runs through the framework's own two-stage
-// sequence on its threads (tiles x threads compose because the outer tile
-// loop is serial), with Stage II given the tile's pairs,
-// ordered_pairs_near(tile) instead of the whole grid's ordered_pairs(). A
-// tile (and a checkpoint) carries the total field only; StressFramework's
-// whole-grid evaluate is the way to get the Stage II part on its own.
+// tile order. A tile is a geo::GridWindow evaluated disc-major. Each tile
+// runs through the framework's own stage sequence on its threads (tiles x
+// threads compose because the outer tile loop is serial), given the tile's
+// victim runs, victim_runs_near(tile) instead of the whole grid's
+// victim_runs(): every TSV that can reach the tile, with its aggressors
+// (possibly none). With Stage II on (and equal radii) that is the fused
+// pass, one disc walk per TSV for both stages, and the tile's whole time
+// counts as Stage II: TiledStats::stage1_seconds stays 0. A tile (and a
+// checkpoint) carries the total field only; the Stage II part alone comes
+// from InteractiveStage::evaluate, or as the difference with an LS-only
+// framework.
 
 #include <cstdint>
 #include <functional>
@@ -84,6 +88,8 @@ struct TiledStats {
   std::size_t tiles_y = 0;
   std::size_t points = 0;
   std::size_t peak_tile_points = 0;
+  /// Stage times summed over the evaluated tiles; a fused tile pass counts
+  /// wholly as Stage II (see the header comment).
   double stage1_seconds = 0.0;
   double stage2_seconds = 0.0;
   /// Ordered pairs in the whole design, and the total over tiles of the

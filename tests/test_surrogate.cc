@@ -20,7 +20,8 @@
 //     deterministic across threads and point splits;
 //   - out-of-domain pitches provably fall back to the exact series
 //     (counter-tracked), and points beyond the fitted radius contribute
-//     exactly zero;
+//     exactly zero; an attached surrogate the gate refuses sends every
+//     pair to the series, counted on the model and reported once;
 //   - theta-mirror antisymmetry of the shear is exact (bitwise), because
 //     the kernel represents s12 as sin(theta) * even-polynomial;
 //   - snapshot round-trips (io/snapshot, SnapshotKind::kSurrogate) are
@@ -33,6 +34,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -705,6 +707,44 @@ TEST(Surrogate, InteractiveStageDispatchesThroughTheSurrogate) {
   expect_bitwise_equal(exact.evaluate(pts), want);
   EXPECT_EQ(fitted_shared()->use_stats().surrogate_pairs, 0u);
   EXPECT_EQ(fitted_shared()->use_stats().fallback_pairs, 0u);
+}
+
+TEST(Surrogate, RejectedAttachedSurrogateIsCountedAndReportedOnce) {
+  // A surrogate fitted out to 20 um cannot serve a 25 um stage
+  // (surrogate_for refuses it), so every pair takes the exact series: the
+  // model counts them, and says so in one line however often it happens.
+  const auto model = core::characterize(kS, {}, core::StageTwo::kSeries).model;
+  SurrogateFitOptions opt;
+  opt.r_max = 20.0;
+  model->attach_surrogate(
+      std::make_shared<const PairSurrogate>(PairSurrogate::fit(*model, opt)));
+  const tsvlib::Placement arr = tsvlib::make_array(kS, 3, 3, 9.0);
+  const core::InteractiveStage stage(arr, model);
+  ASSERT_EQ(stage.options().influence_radius, 25.0);
+  ASSERT_EQ(model->surrogate_for(25.0), nullptr);
+  std::vector<geo::Point> pts;
+  for (double x = -5; x <= 23; x += 1.7)
+    for (double y = -5; y <= 23; y += 2.1) pts.push_back({x, y});
+  const std::uint64_t pairs = stage.pair_count();
+  ASSERT_GT(pairs, 0u);
+
+  testing::internal::CaptureStderr();
+  stage.evaluate(pts);
+  const std::string first = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(model->rejected_surrogate_pairs(), pairs);
+  testing::internal::CaptureStderr();
+  stage.evaluate(pts);
+  const std::string second = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(model->rejected_surrogate_pairs(), 2 * pairs);
+
+  EXPECT_EQ(std::count(first.begin(), first.end(), '\n'), 1) << first;
+  EXPECT_NE(first.find("surrogate is not used"), std::string::npos) << first;
+  EXPECT_EQ(second, "");
+
+  // With no surrogate attached the series is the plan, not a fallback.
+  const auto plain = core::characterize(kS, {}, core::StageTwo::kSeries).model;
+  core::InteractiveStage(arr, plain).evaluate(pts);
+  EXPECT_EQ(plain->rejected_surrogate_pairs(), 0u);
 }
 
 /// Largest per-component |a - b| over the field scale of `b`.

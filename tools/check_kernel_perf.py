@@ -29,6 +29,13 @@ query per point), "window" the disc-major one on the tile as a grid window.
 The window row's "speedup" (point / window, same run) must stay at or above
 the baseline's `min_window_speedup`.
 
+stage1_disc times RadialStressTable::accumulate on one gathered 25 um disc
+(the 493 points of the stage2_surrogate pair rows), 1 thread, the call the
+fused Stage I + II pass makes once per TSV: "scalar" is the per-point
+reference loop, "dispatch" the SIMD variant selected for the host (bitwise
+the same values). The dispatch row's "speedup" (scalar / dispatch, same
+run) must stay at or above the baseline's `min_disc_speedup`.
+
 With --e2e DIR, the guard also gates a quick run of the end-to-end
 benchmark (`python3 bench/e2e/run.py --quick --out DIR`) against the
 baseline's "e2e" section: one `max_growth` bound and, per workload, a
@@ -58,10 +65,11 @@ import json
 import os
 import sys
 
-MODES = ("scalar", "batch", "pair", "contraction", "run", "point", "window")
+MODES = ("scalar", "batch", "pair", "contraction", "run", "point", "window",
+         "dispatch")
 # Same-run ratio floors: (baseline key, row mode whose "speedup" it bounds).
 FLOORS = (("min_speedup", "batch"), ("min_run_speedup", "run"),
-          ("min_window_speedup", "window"))
+          ("min_window_speedup", "window"), ("min_disc_speedup", "dispatch"))
 # Floors used for kernels absent from the baseline when writing a fresh one.
 DEFAULT_MIN_SPEEDUP = {
     "stage1_point": 2.0,
