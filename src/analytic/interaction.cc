@@ -18,11 +18,9 @@ const RegionField& InteractiveStressModel::combined_for_pitch(
     double pitch) const {
   TSV_REQUIRE(pitch > 2.0 * outer_radius_ * 0.999,
               "pair pitch must exceed the TSV diameter");
-  // Quantize to 1e-6 um to make cache keys robust against fp noise.
-  const long long key = std::llround(pitch * 1e6);
   {
     const std::lock_guard<std::mutex> lock(cache_mutex_);
-    if (const auto it = cache_.find(key); it != cache_.end())
+    if (const auto it = cache_.find(pitch); it != cache_.end())
       return it->second;
   }
 
@@ -45,7 +43,7 @@ const RegionField& InteractiveStressModel::combined_for_pitch(
   combined.liner.trim(1e-9);
   combined.substrate.trim(1e-9);
   const std::lock_guard<std::mutex> lock(cache_mutex_);
-  return cache_.emplace(key, std::move(combined)).first->second;
+  return cache_.emplace(pitch, std::move(combined)).first->second;
 }
 
 void InteractiveStressModel::attach_surrogate(

@@ -45,10 +45,12 @@ class InteractiveStressModel {
   double k_hat() const { return k_hat_; }
 
   /// Combined (pitch-specific) response potentials, victim-centered hat
-  /// frame with the aggressor on the +x axis. Cached per quantized pitch.
-  /// Thread-safe: the cache is mutex-guarded and map nodes are stable, so
-  /// the returned reference stays valid for the model's lifetime; races to
-  /// build the same pitch resolve to the first insert.
+  /// frame with the aggressor on the +x axis. Cached per exact pitch, so an
+  /// entry is a function of its key alone and results do not depend on
+  /// which pitch, or which thread, asked first. Thread-safe: the cache is
+  /// mutex-guarded and map nodes are stable, so the returned reference
+  /// stays valid for the model's lifetime; races to build the same pitch
+  /// build the same bits, and the first insert lands.
   const RegionField& combined_for_pitch(double pitch) const;
 
   /// Interactive stress (Cartesian, global frame) at point p induced by the
@@ -128,7 +130,7 @@ class InteractiveStressModel {
   /// Guards the pitch cache and the surrogate slot (Stage II evaluates
   /// pairs from many threads).
   mutable std::mutex cache_mutex_;
-  mutable std::map<long long, RegionField> cache_;
+  mutable std::map<double, RegionField> cache_;
   mutable std::shared_ptr<const PairSurrogate> surrogate_;
   mutable std::atomic<bool> has_surrogate_{false};  ///< surrogate_ != null
   mutable std::atomic<std::uint64_t> rejected_surrogate_pairs_{0};

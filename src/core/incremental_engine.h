@@ -29,7 +29,8 @@
 // rebuild() re-evaluates from scratch to measure and clear the accumulated
 // drift. IncrementalOptions::num_threads is the engine's one thread count:
 // the build and rebuild() run both stages on it (0 = hardware, 1 = serial,
-// the default), and apply() is serial whatever it says.
+// the default) with the same bits at every count, and apply() is serial
+// whatever it says.
 
 #include <cstdint>
 #include <memory>

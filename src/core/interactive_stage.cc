@@ -1,6 +1,10 @@
 #include "core/interactive_stage.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
+#include <thread>
+#include <tuple>
 
 #include "analytic/surrogate.h"
 #include "numeric/kernels.h"
@@ -29,7 +33,104 @@ std::vector<std::uint32_t> all_tsvs(std::size_t n) {
   return ids;
 }
 
+/// The runs of one evaluate bucketed into victim cells, in the order
+/// workers claim the cells, with the cells each one waits for: cell k runs
+/// runs[cell_offsets[k], cell_offsets[k + 1]) in that order, after the
+/// cells waits[wait_offsets[k], wait_offsets[k + 1]) (claim order indices).
+struct CellSchedule {
+  std::vector<std::size_t> runs;
+  std::vector<std::size_t> cell_offsets{0};
+  std::vector<std::size_t> wait_offsets{0};
+  std::vector<std::size_t> waits;
+
+  std::size_t cells() const { return cell_offsets.size() - 1; }
+};
+
+/// Claim order: colour by colour, and within a colour the cells with the
+/// most runs first, so the last ones claimed are short (ties by position).
+/// The victims that reach one point lie in a 2 x 2 block of cells, one of
+/// each colour, all neighbours of each other. So a cell waits only for its
+/// (up to eight) neighbours of earlier colours, which come earlier in claim
+/// order, and not for a whole colour: each point still sums colour by
+/// colour, and no two cells in flight share a point. Runs with no aggressor
+/// are left out unless `keep_empty`.
+CellSchedule schedule_cells(const VictimCells& grid,
+                            const std::vector<geo::Point>& centers,
+                            const VictimRuns& runs, bool keep_empty) {
+  struct Slot {
+    VictimCells::Cell at;
+    std::size_t run;
+    auto key() const { return std::tie(at.y, at.x, run); }
+  };
+  std::vector<Slot> slots;
+  for (std::size_t i = 0; i < runs.victims.size(); ++i)
+    if (keep_empty || runs.offsets[i + 1] > runs.offsets[i])
+      slots.push_back({grid.cell(centers[runs.victims[i]]), i});
+  std::sort(slots.begin(), slots.end(),
+            [](const Slot& a, const Slot& b) { return a.key() < b.key(); });
+
+  // Cells as stretches of `slots`, first in position order.
+  struct Cell {
+    VictimCells::Cell at;
+    std::size_t begin, end;
+    auto position() const { return std::tie(at.y, at.x); }
+  };
+  std::vector<Cell> by_position;
+  for (std::size_t k = 0; k < slots.size(); ++k) {
+    if (k == 0 || slots[k].at.y != slots[k - 1].at.y ||
+        slots[k].at.x != slots[k - 1].at.x)
+      by_position.push_back({slots[k].at, k, k});
+    ++by_position.back().end;
+  }
+  std::vector<std::size_t> claim(by_position.size());
+  for (std::size_t k = 0; k < claim.size(); ++k) claim[k] = k;
+  std::sort(claim.begin(), claim.end(), [&](std::size_t a, std::size_t b) {
+    const Cell& p = by_position[a];
+    const Cell& q = by_position[b];
+    return std::make_tuple(p.at.colour(), q.end - q.begin, a) <
+           std::make_tuple(q.at.colour(), p.end - p.begin, b);
+  });
+  std::vector<std::size_t> rank(claim.size());
+  for (std::size_t k = 0; k < claim.size(); ++k) rank[claim[k]] = k;
+
+  CellSchedule schedule;
+  schedule.runs.reserve(slots.size());
+  for (const std::size_t c : claim) {
+    const Cell& cell = by_position[c];
+    for (std::size_t k = cell.begin; k < cell.end; ++k)
+      schedule.runs.push_back(slots[k].run);
+    schedule.cell_offsets.push_back(schedule.runs.size());
+    for (std::int64_t dy = -1; dy <= 1; ++dy)
+      for (std::int64_t dx = -1; dx <= 1; ++dx) {
+        const Cell want{{cell.at.x + dx, cell.at.y + dy}, 0, 0};
+        const auto it = std::lower_bound(
+            by_position.begin(), by_position.end(), want,
+            [](const Cell& a, const Cell& b) {
+              return a.position() < b.position();
+            });
+        if (it != by_position.end() && it->position() == want.position() &&
+            it->at.colour() < cell.at.colour())
+          schedule.waits.push_back(rank[it - by_position.begin()]);
+      }
+    schedule.wait_offsets.push_back(schedule.waits.size());
+  }
+  return schedule;
+}
+
 }  // namespace
+
+VictimCells::VictimCells(const geo::Box& hull, double influence_radius)
+    : origin(hull.lo),
+      side(std::ldexp(std::max(hull.width(), hull.height()), -40) +
+           2.0 * influence_radius * (1.0 + std::ldexp(1.0, -20))) {
+  TSV_REQUIRE(std::isfinite(side) && side > 0.0,
+              "victim cells need a finite hull and a positive radius");
+}
+
+VictimCells::Cell VictimCells::cell(const geo::Point& p) const {
+  return {static_cast<std::int64_t>(std::floor((p.x - origin.x) / side)),
+          static_cast<std::int64_t>(std::floor((p.y - origin.y) / side))};
+}
 
 PairList VictimRuns::pairs() const {
   PairList out;
@@ -63,7 +164,8 @@ InteractiveStage::InteractiveStage(
       options_(options),
       num_threads_(num_threads),
       tsv_index_(placement.centers(), index_bounds(placement),
-                 std::max(options.pair_pitch_cutoff / 2.0, 1.0)) {
+                 std::max(options.pair_pitch_cutoff / 2.0, 1.0)),
+      cells_(index_bounds(placement), options.influence_radius) {
   TSV_REQUIRE(model_ != nullptr, "null interactive model");
   TSV_REQUIRE(options_.pair_pitch_cutoff > 0.0 &&
                   options_.influence_radius > 0.0,
@@ -218,68 +320,61 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_runs(
   // per-pair pitch gate lives in accumulate_run.
   const std::shared_ptr<const ana::PairSurrogate> surrogate =
       model_->surrogate_for(options_.influence_radius);
-  // Run-parallel: every chunk of runs accumulates into its own private
-  // buffer (writing `out[n] +=` across chunks would race). A run costs
-  // about the same whatever its length, so chunks of equal run counts
-  // balance where chunks of equal pair counts would not. With one chunk
-  // (num_threads == 1, or a call from inside a pool worker) this is the
-  // exact serial run loop.
-  std::vector<std::size_t> todo;
-  for (std::size_t i = 0; i < runs.victims.size(); ++i)
-    if (stage1 != nullptr || runs.offsets[i + 1] > runs.offsets[i])
-      todo.push_back(i);
-  const std::size_t max_chunks = std::max<std::size_t>(
-      1, std::min(num::resolve_thread_count(num_threads_), todo.size()));
-  std::vector<std::vector<num::SymTensor2>> parts(max_chunks);
-  num::parallel_for_chunks(
-      todo.size(), num_threads_,
-      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-        std::vector<num::SymTensor2>& out = parts[chunk];
-        out.assign(num_points, num::SymTensor2{});
-        // Chunk-local gather/scatter buffers keep their steady-state
-        // capacity across victims.
-        std::vector<std::uint32_t> affected;
-        std::vector<geo::Point> gathered;
-        std::vector<geo::Point> aggressors;
-        std::vector<num::SymTensor2> contrib;
-        // Every aggressor of a victim, and the victim's own Stage I field,
-        // read the same disc: one gather, one buffer, one scatter per run.
-        for (std::size_t r = begin; r < end; ++r) {
-          const std::size_t i = todo[r];
-          const geo::Point& victim = centers[runs.victims[i]];
-          gather(victim, affected, gathered);
-          const std::size_t m = affected.size();
-          aggressors.clear();
-          for (std::size_t k = runs.offsets[i]; k < runs.offsets[i + 1]; ++k)
-            aggressors.push_back(centers[runs.aggressors[k]]);
-          contrib.assign(m, num::SymTensor2{});
-          if (stage1 != nullptr)
-            stage1->accumulate(victim, gathered.data(), m, contrib.data());
-          if (!aggressors.empty())
-            model_->accumulate_run(surrogate.get(), victim, aggressors.data(),
-                                   aggressors.size(), gathered.data(), m,
-                                   contrib.data());
-          for (std::size_t j = 0; j < m; ++j) out[affected[j]] += contrib[j];
-        }
+
+  const CellSchedule schedule =
+      schedule_cells(cells_, centers, runs, stage1 != nullptr);
+  std::vector<std::atomic<bool>> done(schedule.cells());
+  for (std::atomic<bool>& d : done) d.store(false, std::memory_order_relaxed);
+
+  // Worker-local gather/scatter buffers keep their steady-state capacity
+  // across victims.
+  struct Scratch {
+    std::vector<std::uint32_t> affected;
+    std::vector<geo::Point> gathered;
+    std::vector<geo::Point> aggressors;
+    std::vector<num::SymTensor2> contrib;
+  };
+  std::vector<Scratch> scratch(num::resolve_thread_count(num_threads_));
+  std::vector<num::SymTensor2> out(num_points);
+  // Every aggressor of a victim, and the victim's own Stage I field, read
+  // the same disc: one gather, one buffer, one scatter per run. The cells
+  // in flight touch disjoint points of `out`.
+  const auto run_cell = [&](std::size_t cell, Scratch& w) {
+    for (std::size_t k = schedule.cell_offsets[cell];
+         k < schedule.cell_offsets[cell + 1]; ++k) {
+      const std::size_t i = schedule.runs[k];
+      const geo::Point& victim = centers[runs.victims[i]];
+      gather(victim, w.affected, w.gathered);
+      const std::size_t m = w.affected.size();
+      w.aggressors.clear();
+      for (std::size_t a = runs.offsets[i]; a < runs.offsets[i + 1]; ++a)
+        w.aggressors.push_back(centers[runs.aggressors[a]]);
+      w.contrib.assign(m, num::SymTensor2{});
+      if (stage1 != nullptr)
+        stage1->accumulate(victim, w.gathered.data(), m, w.contrib.data());
+      if (!w.aggressors.empty())
+        model_->accumulate_run(surrogate.get(), victim, w.aggressors.data(),
+                               w.aggressors.size(), w.gathered.data(), m,
+                               w.contrib.data());
+      for (std::size_t j = 0; j < m; ++j) out[w.affected[j]] += w.contrib[j];
+    }
+  };
+  num::parallel_for_dynamic(
+      schedule.cells(), num_threads_,
+      [&](std::size_t cell, std::size_t worker) {
+        for (std::size_t k = schedule.wait_offsets[cell];
+             k < schedule.wait_offsets[cell + 1]; ++k)
+          while (!done[schedule.waits[k]].load(std::memory_order_acquire))
+            std::this_thread::yield();
+        // Marked done even when the cell throws, so no worker waits on it
+        // forever; the exception still reaches the caller.
+        struct MarkDone {
+          std::atomic<bool>& flag;
+          ~MarkDone() { flag.store(true, std::memory_order_release); }
+        } mark{done[cell]};
+        run_cell(cell, scratch[worker]);
       });
-  // Merge the chunk partials point-parallel. Each point still sums its
-  // partials in chunk index order, so the result does not depend on how the
-  // points are split.
-  std::size_t used = 0;
-  while (used < parts.size() && !parts[used].empty()) ++used;
-  if (used == 0) return std::vector<num::SymTensor2>(num_points);
-  std::vector<num::SymTensor2> total = std::move(parts[0]);
-  if (used > 1) {
-    num::parallel_for_chunks(
-        total.size(), num_threads_,
-        [&](std::size_t begin, std::size_t end, std::size_t) {
-          for (std::size_t c = 1; c < used; ++c) {
-            const std::vector<num::SymTensor2>& part = parts[c];
-            for (std::size_t n = begin; n < end; ++n) total[n] += part[n];
-          }
-        });
-  }
-  return total;
+  return out;
 }
 
 }  // namespace tsv::core

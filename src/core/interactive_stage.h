@@ -32,11 +32,18 @@
 //
 // The batched evaluates and the pair enumeration run on num_threads workers
 // (a constructor argument: 0 = hardware concurrency, 1 = serial, the
-// default). Victim runs are chunked statically; each chunk accumulates into
-// a private output buffer and the partials merge in chunk index order, on
-// the same workers, so results are deterministic for a fixed thread count
-// but can differ from the serial sum by floating-point regrouping (<= ~1e-12
-// relative; the determinism tests pin this down).
+// default). The run loop schedules its runs by victim cell (VictimCells):
+// square cells wider than twice the influence radius, coloured by the
+// parity of their column and row. Two victims in different cells of one
+// colour are too far apart for their discs to share a point, and the
+// victims that reach one point lie in a 2 x 2 block of neighbouring cells,
+// one of each colour. Workers claim whole cells from one cursor, colour by
+// colour and largest first within a colour; a cell starts once its
+// neighbours of earlier colours are done, and scatters straight into the
+// one shared output. Each point thus sums its contributions by colour, then
+// within the one cell of that colour that reaches it, in run order: an
+// order no schedule or thread count changes, so every batched evaluate is
+// bitwise the same at any thread count, 1 included.
 
 #include <cstdint>
 #include <memory>
@@ -57,6 +64,31 @@ struct InteractiveOptions {
 };
 
 using PairList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+/// The square cells the run loop buckets victims into (see the header
+/// comment), laid from the corner of a hull that holds every victim. A
+/// cell's side is 2 x influence_radius widened by 2^-20 of itself and by
+/// 2^-40 of the hull's larger extent, more than the rounding of the disc
+/// predicate and of cell(), so victims whose cells are not neighbours (two
+/// cells of one colour never are) are more than 2 x influence_radius apart.
+/// Cell coordinates are 64-bit and stay below 2^41, so they neither
+/// overflow nor alias however wide the hull.
+struct VictimCells {
+  struct Cell {
+    std::int64_t x = 0;
+    std::int64_t y = 0;
+    /// 0..3, from the parities of x and y.
+    int colour() const { return static_cast<int>((x & 1) | ((y & 1) << 1)); }
+  };
+
+  VictimCells(const geo::Box& hull, double influence_radius);
+
+  /// The cell of a point of the hull.
+  Cell cell(const geo::Point& p) const;
+
+  geo::Point origin;
+  double side = 0.0;
+};
 
 /// Victims with their aggressors in CSR form: victims[i] pairs with
 /// aggressors[offsets[i], offsets[i + 1]), in index order. A victim may
@@ -92,9 +124,7 @@ class InteractiveStage {
   /// Interactive stress at many points: evaluate_runs over victim_runs().
   /// Organized victim-outer so that each victim's affected points are found
   /// (through a point GridIndex built per call) and gathered once and
-  /// reused by all of its pairs. Run-parallel over num_threads() workers:
-  /// `out[n] +=` across runs would race, so each worker owns a private
-  /// buffer (see the header comment).
+  /// reused by all of its pairs.
   std::vector<num::SymTensor2> evaluate(
       const std::vector<geo::Point>& points) const;
 
@@ -167,12 +197,12 @@ class InteractiveStage {
   /// aggressors with one InteractiveStressModel::accumulate_run (one
   /// chip-frame series for a covered stretch, equal to the sequence of its
   /// pairs as runs of one up to rounding), and scatters that buffer into the
-  /// chunk's output once. Without stage1, runs with no aggressor are
-  /// skipped. Any run order is correct: one that is not victim-major just
-  /// splits a victim into several runs, and differs from the sorted one by
-  /// summation regrouping only. Threads take chunks of whole runs; the
-  /// chunk partials merge point-parallel, each point in chunk index order
-  /// (see the header comment).
+  /// output once. Without stage1, runs with no aggressor are skipped. A
+  /// cell's runs execute in run order, after its neighbours of earlier
+  /// colours (see the header comment). Any run order is correct: one that
+  /// is not victim-major just splits a victim into several runs, which
+  /// share its cell, and differs from the sorted one by summation
+  /// regrouping only.
   template <typename GatherDisc>
   std::vector<num::SymTensor2> evaluate_runs(std::size_t num_points,
                                              const VictimRuns& runs,
@@ -184,6 +214,7 @@ class InteractiveStage {
   InteractiveOptions options_;
   std::size_t num_threads_;
   geo::GridIndex tsv_index_;
+  VictimCells cells_;
 };
 
 }  // namespace tsv::core

@@ -1,8 +1,8 @@
 #pragma once
 // Tiled, streaming evaluation of the two-stage framework over a sample
 // grid — the full-chip driver. A 10k-TSV chip sampled at sub-um spacing has
-// millions of points; materializing the whole field (plus the Stage II
-// partial buffers of the pair-parallel reduce) costs O(chip) memory. This
+// millions of points; materializing the whole field costs O(chip) memory.
+// This
 // driver splits the grid into cache-sized tiles, evaluates both stages per
 // tile (Stage II enumerates only the pairs whose victim can reach the tile,
 // via the TSV grid index) and hands each finished tile to a consumer, so
@@ -29,10 +29,9 @@
 namespace tsv::core {
 
 struct TiledOptions {
-  /// Upper bound on points per tile. The default keeps a tile's output plus
-  /// one private Stage II buffer per thread comfortably inside the last
-  /// level cache for typical thread counts (64k points x 24 B/tensor =
-  /// 1.5 MB per buffer).
+  /// Upper bound on points per tile. The default keeps a tile's output, the
+  /// one buffer every Stage II worker scatters into, comfortably inside the
+  /// last level cache (64k points x 24 B/tensor = 1.5 MB).
   std::size_t max_tile_points = 64 * 1024;
 };
 
@@ -103,6 +102,9 @@ struct TiledStats {
   std::size_t resumed_tiles = 0;
   std::size_t checkpoints_written = 0;
   double checkpoint_seconds = 0.0;
+  /// Checkpoint files io::evaluate_with_checkpoint found but could not
+  /// resume (corrupt, or from another run) and restarted without: 0 or 1.
+  std::size_t checkpoints_ignored = 0;
 };
 
 class TiledEvaluator {

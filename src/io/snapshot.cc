@@ -662,6 +662,8 @@ core::TiledStats evaluate_with_checkpoint(const core::TiledEvaluator& evaluator,
                                           const core::TileConsumer& consume,
                                           const std::string& checkpoint_path,
                                           std::size_t every_tiles) {
+  std::error_code ec;
+  const bool present = std::filesystem::exists(checkpoint_path, ec);
   std::optional<core::TiledCheckpoint> resume =
       try_load_tiled_checkpoint(checkpoint_path);
   // A checkpoint from a different configuration (placement, materials,
@@ -689,6 +691,7 @@ core::TiledStats evaluate_with_checkpoint(const core::TiledEvaluator& evaluator,
   };
   config.resume = resume ? &*resume : nullptr;
   core::TiledStats stats = evaluator.evaluate(grid, consume, config);
+  stats.checkpoints_ignored = present && !resume ? 1 : 0;
   std::remove(checkpoint_path.c_str());
   return stats;
 }

@@ -140,7 +140,8 @@ std::optional<core::TiledCheckpoint> try_load_tiled_checkpoint(
 
 /// Runs `evaluator.evaluate(grid, consume)` with crash resilience: resumes
 /// from `checkpoint_path` when a usable checkpoint with a matching
-/// fingerprint exists (stale/corrupt ones are ignored), writes a fresh
+/// fingerprint exists (stale/corrupt ones are ignored, with a stderr
+/// warning and TiledStats::checkpoints_ignored = 1), writes a fresh
 /// checkpoint every `every_tiles` computed tiles, and removes the file once
 /// the run completes. Interrupt-and-rerun therefore streams the exact tiles
 /// an uninterrupted run would have.

@@ -151,8 +151,8 @@ ThreadPool& ThreadPool::shared() {
   // hw - 1 workers (the caller participates), but never fewer than 3: on
   // low-core hosts an explicit num_threads > 1 request still runs on real
   // threads (the OS timeslices), which is what the sanitizer suite needs to
-  // exercise actual concurrency. Oversubscription only affects timing —
-  // the chunk -> data mapping is static, so results are unchanged.
+  // exercise actual concurrency. Oversubscription only affects timing:
+  // no caller's result depends on which thread runs a chunk.
   static ThreadPool pool(std::max<std::size_t>(
       hardware_thread_count() > 1 ? hardware_thread_count() - 1 : 0, 3));
   return pool;

@@ -1,12 +1,16 @@
 #pragma once
 // Shared-memory parallelism for the framework's embarrassingly parallel
-// loops: Stage I is point-parallel, Stage II is pair-parallel, and the FEM
-// element loops are element-parallel.
+// loops: Stage I is point-parallel, Stage II is parallel over victim cells
+// (see interactive_stage.h), and the FEM element loops are element-parallel.
 //
 // Design rules (all enforced here so callers stay simple):
 //   * Static chunking: [0, n) splits into at most `num_threads` contiguous
 //     chunks, so every index is owned by exactly one chunk and results are
 //     deterministic for a fixed thread count.
+//   * Dynamic claiming (parallel_for_dynamic) for items of uneven cost:
+//     workers take the next index from one atomic cursor. Which worker runs
+//     an item varies from run to run, so an item may write only what it
+//     owns; the caller's results then do not depend on the schedule.
 //   * `num_threads` semantics everywhere: 0 = hardware concurrency,
 //     1 = exact serial path (no pool involvement, bitwise-identical to a
 //     plain loop), n = n.
@@ -16,6 +20,7 @@
 //   * Nested calls from inside a worker run serially instead of
 //     deadlocking; exceptions thrown by a chunk rethrow on the caller.
 
+#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <optional>
@@ -91,6 +96,30 @@ void parallel_for_chunks(std::size_t n, std::size_t num_threads, Body&& body) {
   ThreadPool::shared().run(chunks, [&](std::size_t c) {
     const auto [begin, end] = chunk_bounds(n, chunks, c);
     body(begin, end, c);
+  });
+}
+
+/// Runs body(i, worker) for every i in [0, n) on at most
+/// resolve_thread_count(num_threads) workers, each claiming the next index
+/// from one atomic cursor: items start in index order, and a worker that
+/// finishes early takes the next item instead of idling. `worker` (below that
+/// count) names the claiming worker: one worker runs its items one at a
+/// time, so per-worker scratch indexed by it is never shared. With one
+/// worker (n <= 1, num_threads == 1, or a nested call) this is the plain
+/// loop body(i, 0).
+template <typename Body>
+void parallel_for_dynamic(std::size_t n, std::size_t num_threads,
+                          Body&& body) {
+  const std::size_t workers = std::min(resolve_thread_count(num_threads), n);
+  if (workers <= 1 || in_parallel_region()) {
+    for (std::size_t i = 0; i < n; ++i) body(i, std::size_t{0});
+    return;
+  }
+  std::atomic<std::size_t> next{0};
+  ThreadPool::shared().run(workers, [&](std::size_t worker) {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed))
+      body(i, worker);
   });
 }
 

@@ -43,9 +43,10 @@
 // Concurrency contract (mirrors the repo's determinism rules): each session
 // has its own work mutex, so all engine use — edits *and* queries — is
 // serialized per session while independent sessions proceed concurrently on
-// their own connections. Engines are built and applied with num_threads=1,
-// so every per-session result is bitwise reproducible regardless of how
-// requests interleave across sessions (test_server_concurrent locks this).
+// their own connections. Engines are built and applied with num_threads=1
+// (a build's field is the same bits at any thread count), so every
+// per-session result is bitwise reproducible regardless of how requests
+// interleave across sessions (test_server_concurrent locks this).
 // The manager mutex only guards the session map, LRU clock, and memory
 // accounting; it is never held across an engine evaluation. A session's
 // work mutex is always taken before the manager mutex (open() locks its new

@@ -116,7 +116,7 @@ VariationEngine::VariationEngine(const tsvlib::Placement& nominal,
         : options_.fit_surrogate            ? core::StageTwo::kSurrogate
                                             : core::StageTwo::kSeries);
     core::IncrementalOptions opt = options_.engine;
-    opt.num_threads = 1;  // serial build => bitwise-reproducible fields
+    opt.num_threads = 1;  // serial engine builds (see VariationOptions)
     engines_.push_back(std::make_unique<core::IncrementalEngine>(
         placement, grid_, ch.table, ch.model, opt));
     build_seconds_.push_back(seconds_since(t0));

@@ -43,8 +43,8 @@ namespace tsv::stats {
 
 struct VariationOptions {
   /// Engine configuration shared by every corner. Its num_threads is
-  /// forced to 1: builds and applies stay serial so fields are bitwise
-  /// reproducible (Stage II pair-parallelism is only regroup-deterministic).
+  /// forced to 1: corner engines build and apply serially, and num_threads
+  /// below parallelizes the per-point accumulation instead.
   core::IncrementalOptions engine{};
   mat::ThermalLoad load{};
   /// Von Mises exceedance thresholds, MPa.

@@ -225,6 +225,56 @@ TEST(FaultInjection, IgnoredCheckpointIsLoggedAndAMissingOneIsNot) {
   std::remove(path.c_str());
 }
 
+// A discarded checkpoint is reported on the run's stats, not only on
+// stderr: a corrupt file and a foreign-fingerprint file each count as one
+// ignored checkpoint; a missing file and a clean resume count none.
+TEST(FaultInjection, IgnoredCheckpointIsReportedOnTheStats) {
+  TiledFixture f;
+  const std::string path = temp_path("ckpt_reported.snap");
+  const auto run = [&] {
+    std::vector<num::SymTensor2> got;
+    ::testing::internal::CaptureStderr();
+    const core::TiledStats stats = io::evaluate_with_checkpoint(
+        f.tiled, f.grid, f.writer_into(got), path, 4);
+    ::testing::internal::GetCapturedStderr();
+    return stats;
+  };
+
+  std::remove(path.c_str());
+  EXPECT_EQ(run().checkpoints_ignored, 0u);
+
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "TSVSNAP but not a checkpoint";
+  }
+  core::TiledStats stats = run();
+  EXPECT_EQ(stats.checkpoints_ignored, 1u);
+  EXPECT_EQ(stats.resumed_tiles, 0u);
+
+  core::TiledCheckpoint foreign;
+  foreign.fingerprint = f.tiled.fingerprint(f.grid) + 1;
+  io::save_tiled_checkpoint(path, foreign);
+  stats = run();
+  EXPECT_EQ(stats.checkpoints_ignored, 1u);
+  EXPECT_EQ(stats.resumed_tiles, 0u);
+
+  // A clean checkpoint of this run: its two tiles resume, nothing ignored.
+  core::TiledCheckpoint clean;
+  f.tiled.evaluate(
+      f.grid, [](const core::Tile&) {},
+      core::CheckpointConfig{2,
+                             [&](const core::TiledCheckpoint& cp) {
+                               if (cp.tiles_done == 2) clean = cp;
+                             },
+                             nullptr});
+  ASSERT_EQ(clean.tiles_done, 2u);
+  io::save_tiled_checkpoint(path, clean);
+  stats = run();
+  EXPECT_EQ(stats.checkpoints_ignored, 0u);
+  EXPECT_EQ(stats.resumed_tiles, 2u);
+  std::remove(path.c_str());
+}
+
 TEST(FaultInjection, KilledRunResumesBitwiseIdentical) {
   TiledFixture f;
   std::vector<num::SymTensor2> want;

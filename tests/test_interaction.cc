@@ -121,6 +121,31 @@ TEST(Interaction, CombinedFieldCacheIsConsistent) {
   EXPECT_NEAR(via_cache.s11, direct.s11, 1e-12);
 }
 
+// Pitches a fraction of a nanometre apart are different pitches: each
+// gets its own cache entry, so a pitch's field does not depend on which
+// nearby pitch a model saw first (or, under threads, which thread asked
+// first).
+TEST(Interaction, NearbyPitchesDoNotShareACacheEntry) {
+  const tsvlib::TsvStructure s = tsvlib::TsvStructure::baseline_bcb();
+  const auto fresh = [&] {
+    return InteractiveStressModel(
+        std::make_shared<const InclusionResponse>(s, fast_options()),
+        SingleTsvModel(s, mat::ThermalLoad{}).k_hat());
+  };
+  const double near = 11.37;
+  const double pitch = near + 4e-7;
+  const geo::Point victim{0, 0}, agg{pitch, 0}, p{4.0, 1.0};
+  const InteractiveStressModel first_near = fresh();
+  first_near.stress_at(victim, {near, 0}, p);
+  const num::SymTensor2 got = first_near.stress_at(victim, agg, p);
+  const num::SymTensor2 want = fresh().stress_at(victim, agg, p);
+  EXPECT_NE(&first_near.combined_for_pitch(near),
+            &first_near.combined_for_pitch(pitch));
+  EXPECT_EQ(got.s11, want.s11);
+  EXPECT_EQ(got.s22, want.s22);
+  EXPECT_EQ(got.s12, want.s12);
+}
+
 TEST(Interaction, MagnitudeIsSecondOrderButSignificantAtSmallPitch) {
   // Appendix A.1: interactive stress ~ khat (R'/d)^2 near the victim. For
   // d = 8 um that is a two-digit-MPa effect for the BCB structure.

@@ -8,7 +8,6 @@
 
 #include "analytic/surrogate.h"
 #include "core/framework.h"
-#include "numeric/parallel.h"
 #include "tsv/generators.h"
 
 namespace tsv::core {
@@ -85,11 +84,10 @@ TEST(InteractiveStage, InfluenceRadiusLimitsPointCoverage) {
   EXPECT_NE(batch[1].s11, 0.0);
 }
 
-// Determinism: Stage II is pair-parallel and merges per-chunk partial sums
-// in chunk index order, so a parallel run may differ from the serial sum by
-// floating-point regrouping only. The contract (documented on
-// interactive_stage.h) is <= 1e-12 RELATIVE to the serial
-// value — not bitwise, because chunk boundaries regroup the pair sum.
+// Determinism: a parallel run against the serial one on a jittered array,
+// within 1e-12 relative. The cell schedule in fact makes them bitwise equal
+// (interactive_stage.h); EvaluateIsBitwiseAPerPairReferenceLoop and
+// test_run_schedule assert the bits.
 TEST(InteractiveStage, ParallelEvaluateMatchesSerialWithinTolerance) {
   const tsvlib::Placement cluster = tsvlib::make_jittered_array(
       kS, 30, 1.0e-2, 10.0, 777);
@@ -116,9 +114,8 @@ TEST(InteractiveStage, ParallelEvaluateMatchesSerialWithinTolerance) {
   }
 }
 
-// For a FIXED thread count, repeated parallel runs must be bitwise
-// reproducible: static chunking plus chunk-order merge leaves no
-// scheduling-dependent freedom.
+// Repeated parallel runs must be bitwise reproducible: the cell schedule
+// fixes each point's summation order whichever worker claims which cell.
 TEST(InteractiveStage, ParallelEvaluateIsReproducibleAtFixedThreadCount) {
   const tsvlib::Placement arr = tsvlib::make_array(kS, 4, 3, 9.0);
   const InteractiveStage stage(arr, make_model(), {}, 4);
@@ -280,7 +277,7 @@ TEST(InteractiveStage, VictimBatchingIsOrderIndependent) {
     EXPECT_NEAR(got[i].s12, want[i].s12, 1e-12 * scale) << i;
   }
 
-  // Bitwise repeatable for a fixed thread count, serial and pooled.
+  // Bitwise repeatable, serial and pooled.
   for (const std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE(threads);
     const InteractiveStage stage(design, model, {}, threads);
@@ -347,69 +344,74 @@ TEST(InteractiveStage, MixedRunMatchesThePairSequence) {
 }
 
 // The batched evaluate against a reference loop that spells out its
-// contract one victim run at a time: the pair list splits into victim runs,
-// the runs into the same static chunks, every run of a chunk evaluates at
+// contract one victim run at a time, in the schedule's documented order:
+// the pair list splits into victim runs; colour by colour (of the victim's
+// VictimCells cell), every run of that colour, in run order, evaluates at
 // each of its disc's points alone (one accumulate_run call per point, from
-// zero) and adds that to the chunk's partial field, and the partials add up
-// in chunk order. The gathers, the batched kernel calls and the
-// point-parallel merge must reproduce those bits at 1 and 4 threads,
-// surrogate and series pairs alike; and the field must match the same loop
-// with every pair as a run of one within 1e-12 of the field scale.
+// zero) and adds that to the point's field. Cells of one colour share no
+// point, so at each point this is the colour, cell, run order. The gathers,
+// the batched kernel calls and the cell schedule must reproduce those bits
+// at 1, 2, 3 and 4 threads, surrogate and series pairs alike; and the field
+// must match the same loop with every pair as a run of one within 1e-12 of
+// the field scale. Four copies of the mixed-pitch block span cells of all
+// four colours.
 TEST(InteractiveStage, EvaluateIsBitwiseAPerPairReferenceLoop) {
-  const std::vector<geo::Point> centers = mixed_pitch_centers();
+  std::vector<geo::Point> centers;
+  for (const geo::Point offset : {geo::Point{0.0, 0.0}, geo::Point{56.0, 0.0},
+                                  geo::Point{0.0, 42.0},
+                                  geo::Point{56.0, 42.0}})
+    for (const geo::Point& c : mixed_pitch_centers())
+      centers.push_back(c + offset);
   const tsvlib::Placement design(kS, centers);
   const auto model = characterize(kS, {}, StageTwo::kSeries).model;
   const auto surrogate = std::make_shared<const ana::PairSurrogate>(
       ana::PairSurrogate::fit(*model));
   model->attach_surrogate(surrogate);
   std::vector<geo::Point> pts;
-  for (double x = -6; x <= 48; x += 1.9)
-    for (double y = -6; y <= 34; y += 2.3) pts.push_back({x, y});
+  for (double x = -6; x <= 104; x += 1.9)
+    for (double y = -6; y <= 76; y += 2.3) pts.push_back({x, y});
   const double tol = 1e-12 * surrogate->certificate().field_scale;
 
-  for (const std::size_t threads : {1u, 4u}) {
-    SCOPED_TRACE(threads);
-    const InteractiveStage stage(design, model, {}, threads);
-    const auto got = stage.evaluate(pts);
-
-    const auto pairs = stage.ordered_pairs();
-    std::vector<std::size_t> run_starts;
-    for (std::size_t k = 0; k < pairs.size(); ++k)
-      if (k == 0 || pairs[k].first != pairs[k - 1].first)
-        run_starts.push_back(k);
-    const std::size_t runs = run_starts.size();
-    run_starts.push_back(pairs.size());
-    const double r2 =
-        stage.options().influence_radius * stage.options().influence_radius;
-    const std::size_t chunks = std::min<std::size_t>(threads, runs);
-    std::vector<num::SymTensor2> want(pts.size()), by_pair(pts.size());
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const auto [first, last] = num::chunk_bounds(runs, chunks, c);
-      std::vector<num::SymTensor2> part(pts.size());
-      for (std::size_t r = first; r < last; ++r) {
-        const std::size_t k = run_starts[r];
-        const std::size_t count = run_starts[r + 1] - k;
-        const geo::Point& victim = centers[pairs[k].first];
-        std::vector<geo::Point> aggressors;
-        for (std::size_t e = k; e < k + count; ++e)
-          aggressors.push_back(centers[pairs[e].second]);
-        for (std::size_t i = 0; i < pts.size(); ++i) {
-          if (geo::distance_squared(pts[i], victim) > r2) continue;
-          num::SymTensor2 run;
-          model->accumulate_run(surrogate.get(), victim, aggressors.data(),
-                                count, &pts[i], 1, &run);
-          part[i] += run;
-          for (const geo::Point& a : aggressors)
-            model->accumulate_run(surrogate.get(), victim, &a, 1, &pts[i], 1,
-                                  &by_pair[i]);
-        }
-      }
-      if (c == 0) {
-        want = part;
-      } else {
-        for (std::size_t i = 0; i < pts.size(); ++i) want[i] += part[i];
+  const InteractiveOptions options;
+  const auto pairs = InteractiveStage(design, model).ordered_pairs();
+  std::vector<std::size_t> run_starts;
+  for (std::size_t k = 0; k < pairs.size(); ++k)
+    if (k == 0 || pairs[k].first != pairs[k - 1].first)
+      run_starts.push_back(k);
+  const std::size_t runs = run_starts.size();
+  run_starts.push_back(pairs.size());
+  const VictimCells cells(design.bounding_box(), options.influence_radius);
+  const double r2 = options.influence_radius * options.influence_radius;
+  std::vector<num::SymTensor2> want(pts.size()), by_pair(pts.size());
+  bool coloured[4] = {false, false, false, false};
+  for (int colour = 0; colour < 4; ++colour) {
+    for (std::size_t r = 0; r < runs; ++r) {
+      const std::size_t k = run_starts[r];
+      const std::size_t count = run_starts[r + 1] - k;
+      const geo::Point& victim = centers[pairs[k].first];
+      if (cells.cell(victim).colour() != colour) continue;
+      coloured[colour] = true;
+      std::vector<geo::Point> aggressors;
+      for (std::size_t e = k; e < k + count; ++e)
+        aggressors.push_back(centers[pairs[e].second]);
+      for (std::size_t i = 0; i < pts.size(); ++i) {
+        if (geo::distance_squared(pts[i], victim) > r2) continue;
+        num::SymTensor2 run;
+        model->accumulate_run(surrogate.get(), victim, aggressors.data(),
+                              count, &pts[i], 1, &run);
+        want[i] += run;
+        for (const geo::Point& a : aggressors)
+          model->accumulate_run(surrogate.get(), victim, &a, 1, &pts[i], 1,
+                                &by_pair[i]);
       }
     }
+  }
+  for (const bool c : coloured) ASSERT_TRUE(c);
+
+  for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(threads);
+    const InteractiveStage stage(design, model, options, threads);
+    const auto got = stage.evaluate(pts);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < pts.size(); ++i) {
       EXPECT_EQ(got[i].s11, want[i].s11) << i;

@@ -65,6 +65,31 @@ TEST(Parallel, ChunksPartitionTheRangeInOrder) {
   }
 }
 
+// Dynamic claiming visits every index once, on workers numbered below the
+// thread count, and never runs two items of one worker at once.
+TEST(Parallel, DynamicClaimingVisitsEveryIndexOnce) {
+  const std::size_t n = 1000;
+  for (const std::size_t threads : {1u, 3u, 4u}) {
+    std::vector<int> hits(n, 0);
+    std::vector<std::atomic<int>> busy(threads);
+    std::atomic<bool> overlap{false};
+    parallel_for_dynamic(n, threads, [&](std::size_t i, std::size_t worker) {
+      ASSERT_LT(worker, threads);
+      if (busy[worker].fetch_add(1) != 0) overlap = true;
+      ++hits[i];
+      busy[worker].fetch_sub(1);
+    });
+    EXPECT_FALSE(overlap.load()) << threads;
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i], 1) << i;
+  }
+  EXPECT_THROW(parallel_for_dynamic(100, 4,
+                                    [](std::size_t i, std::size_t) {
+                                      if (i == 37)
+                                        throw std::runtime_error("boom");
+                                    }),
+               std::runtime_error);
+}
+
 TEST(Parallel, ExceptionPropagatesToCaller) {
   EXPECT_THROW(
       parallel_for(100, 4,

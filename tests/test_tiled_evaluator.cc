@@ -132,10 +132,10 @@ TEST(TiledEvaluator, SingleTileWhenBudgetCoversTheGrid) {
   EXPECT_EQ(stats.peak_tile_points, grid.size());
 }
 
-// The tile driver composes with the Stage II thread pool: a parallel run
-// must agree with the serial one within the documented regrouping tolerance
-// and stay deterministic (this test carries the `tsan` label).
-TEST(TiledEvaluator, ParallelTilesMatchSerialWithinTolerance) {
+// The tile driver composes with the Stage II thread pool: the cell schedule
+// fixes every point's summation order, so runs at 2, 3 and 4 threads are
+// bitwise the serial one (this test carries the `tsan` label).
+TEST(TiledEvaluator, ParallelTilesMatchSerialBitwise) {
   const tsvlib::Placement p = cluster_placement();
   const geo::SampleGrid grid = test_grid(p);
 
@@ -157,15 +157,15 @@ TEST(TiledEvaluator, ParallelTilesMatchSerialWithinTolerance) {
   };
 
   const auto want = run(1);
-  const auto got = run(3);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_NEAR(got[i].s11, want[i].s11,
-                1e-12 * std::max(1.0, std::abs(want[i].s11)))
-        << i;
-    EXPECT_NEAR(got[i].s12, want[i].s12,
-                1e-12 * std::max(1.0, std::abs(want[i].s12)))
-        << i;
+  for (const std::size_t threads : {2u, 3u, 4u}) {
+    SCOPED_TRACE(threads);
+    const auto got = run(threads);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].s11, want[i].s11) << i;
+      EXPECT_EQ(got[i].s22, want[i].s22) << i;
+      EXPECT_EQ(got[i].s12, want[i].s12) << i;
+    }
   }
 }
 
@@ -251,6 +251,48 @@ TEST(TiledEvaluator, ResumeReplaysInterruptedRunBitwise) {
   const std::vector<num::SymTensor2> got =
       collect(grid, tiled, resume_config, &stats);
   EXPECT_EQ(stats.resumed_tiles, 4u);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].s11, want[i].s11) << i;
+    EXPECT_EQ(got[i].s22, want[i].s22) << i;
+    EXPECT_EQ(got[i].s12, want[i].s12) << i;
+  }
+}
+
+// The fingerprint leaves the thread count out because the field does not
+// depend on it: a checkpoint written at 4 threads and resumed at 1 streams
+// the bits of an uninterrupted 2-thread run.
+TEST(TiledEvaluator, CheckpointResumesBitwiseAtAnotherThreadCount) {
+  const tsvlib::Placement p = cluster_placement();
+  const geo::SampleGrid grid = test_grid(p);
+  const auto framework = [&](std::size_t threads) {
+    FrameworkOptions fopt;
+    fopt.num_threads = threads;
+    return StressFramework(p, fopt);
+  };
+  const StressFramework fw4 = framework(4);
+  const StressFramework fw1 = framework(1);
+  const StressFramework fw2 = framework(2);
+  const TiledEvaluator tiled4(fw4, TiledOptions{200});
+  const TiledEvaluator tiled1(fw1, TiledOptions{200});
+  const TiledEvaluator tiled2(fw2, TiledOptions{200});
+  ASSERT_EQ(tiled4.fingerprint(grid), tiled1.fingerprint(grid));
+
+  TiledCheckpoint last;
+  CheckpointConfig config;
+  config.every_tiles = 2;
+  config.writer = [&](const TiledCheckpoint& cp) { last = cp; };
+  EXPECT_THROW(collect(grid, tiled4, config, nullptr, 5), InterruptedRun);
+  ASSERT_EQ(last.tiles_done, 4u);
+
+  CheckpointConfig resume_config;
+  resume_config.resume = &last;
+  TiledStats stats;
+  const std::vector<num::SymTensor2> got =
+      collect(grid, tiled1, resume_config, &stats);
+  EXPECT_EQ(stats.resumed_tiles, 4u);
+  const std::vector<num::SymTensor2> want =
+      collect(grid, tiled2, CheckpointConfig{0, nullptr, nullptr});
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got[i].s11, want[i].s11) << i;
@@ -385,6 +427,7 @@ TEST(TiledEvaluator, CheckpointOfAnotherLinerIsRecomputed) {
                 "checkpoint ignored"),
             std::string::npos);
   EXPECT_EQ(stats.resumed_tiles, 0u);
+  EXPECT_EQ(stats.checkpoints_ignored, 1u);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got[i].s11, want[i].s11) << i;

@@ -25,7 +25,7 @@ cmake --build "$BUILD_DIR" -j --target \
   test_parallel test_superposition test_interactive_stage \
   test_framework_parallel test_tiled_evaluator test_koz \
   test_incremental_engine test_surrogate test_grid_window test_disc_pass \
-  test_server_concurrent
+  test_run_schedule test_server_concurrent
 
 (cd "$BUILD_DIR" && ctest -L tsan --output-on-failure -j)
 echo "sanitizer=${SANITIZER}: all labeled tests passed with zero reports"

@@ -312,10 +312,11 @@ int run_evaluate(const std::vector<std::string>& args) {
     const core::TiledStats stats = io::evaluate_with_checkpoint(
         tiled, grid, consume, c.checkpoint_path, c.checkpoint_every);
     std::printf("tiles: %zu evaluated + %zu resumed, %zu checkpoints "
-                "(%.3fs); stage I %.2fs, stage II %.2fs\n",
+                "(%.3fs, %zu ignored); stage I %.2fs, stage II %.2fs\n",
                 stats.tiles - stats.resumed_tiles, stats.resumed_tiles,
                 stats.checkpoints_written, stats.checkpoint_seconds,
-                stats.stage1_seconds, stats.stage2_seconds);
+                stats.checkpoints_ignored, stats.stage1_seconds,
+                stats.stage2_seconds);
     write_field_csv(c.out_path, grid.points(), field, c.measure);
     return 0;
   }
