@@ -10,10 +10,21 @@ GridIndex::GridIndex(const std::vector<Point>& points, const Box& bounds,
                      double cell)
     : points_(points), bounds_(bounds), cell_(cell) {
   TSV_REQUIRE(cell > 0.0, "cell size must be positive");
-  nx_ = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(bounds_.width() / cell_)));
-  ny_ = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(bounds_.height() / cell_)));
+  // Buckets grow with the bounds' area, not with the points: far-apart
+  // clusters would ask for billions of empty buckets. Past max(2^20,
+  // 16 x points) buckets the cell doubles until the grid fits; queries
+  // visit every bucket the query box overlaps, so they stay exact at any
+  // cell size.
+  const double max_buckets =
+      std::max(double{1 << 20}, 16.0 * static_cast<double>(points_.size()));
+  const auto cells_along = [&](double extent) {
+    return std::max(1.0, std::ceil(extent / cell_));
+  };
+  while (cells_along(bounds_.width()) * cells_along(bounds_.height()) >
+         max_buckets)
+    cell_ *= 2.0;
+  nx_ = static_cast<std::size_t>(cells_along(bounds_.width()));
+  ny_ = static_cast<std::size_t>(cells_along(bounds_.height()));
 
   bucket_ptr_.assign(nx_ * ny_ + 1, 0);
   for (const Point& p : points_) ++bucket_ptr_[cell_of(p) + 1];

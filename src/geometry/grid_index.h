@@ -13,8 +13,9 @@ namespace tsv::geo {
 class GridIndex {
  public:
   /// Builds an index over `points`, bucketed on `bounds` with square cells of
-  /// size `cell`. Points outside bounds are clamped into the edge cells, so
-  /// queries remain correct for them.
+  /// size `cell`, doubled as often as it takes to keep the bucket count at
+  /// most max(2^20, 16 x points). Points outside bounds are clamped into the
+  /// edge cells, so queries remain correct for them.
   GridIndex(const std::vector<Point>& points, const Box& bounds, double cell);
 
   std::size_t size() const { return points_.size(); }

@@ -1,6 +1,7 @@
 #include "stats/accumulators.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "numeric/check.h"
@@ -57,6 +58,11 @@ std::vector<double> DescriptiveField::stddevs() const {
   return out;
 }
 
+void DescriptiveField::add_block(std::size_t begin, const double* values,
+                                 std::size_t n) {
+  for (std::size_t k = 0; k < n; ++k) add(begin + k, values[k]);
+}
+
 // -------------------------------------------------------------- quantile
 
 QuantileField::QuantileField(std::size_t n_points, double lo, double hi,
@@ -70,6 +76,38 @@ QuantileField::QuantileField(std::size_t n_points, double lo, double hi,
   edges_.resize(bins + 1);
   for (std::size_t b = 0; b <= bins; ++b)
     edges_[b] = std::exp(log_lo_ + log_step * static_cast<double>(b));
+
+  // Threshold b is the smallest double bin_of puts in bin b or above:
+  // bisection over the bit patterns of the positive doubles, whose integer
+  // order is their value order. bin_of(edges.front) = 0 and
+  // bin_of(edges.back) = bins - 1 bracket every threshold.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const auto from_bits = [](std::uint64_t u) {
+    return std::bit_cast<double>(u);
+  };
+  thresholds_.assign(bins + 1, -std::numeric_limits<double>::infinity());
+  thresholds_[bins] = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t b = 1; b < bins; ++b) {
+    std::uint64_t below = bits(edges_.front());
+    std::uint64_t at = bits(edges_.back());
+    while (at - below > 1) {
+      const std::uint64_t mid = below + (at - below) / 2;
+      (bin_of(from_bits(mid)) >= b ? at : below) = mid;
+    }
+    thresholds_[b] = from_bits(at);
+    TSV_REQUIRE(
+        bin_of(thresholds_[b]) == b && bin_of(from_bits(at - 1)) == b - 1,
+        "QuantileField bins narrower than the spacing of doubles");
+  }
+
+  key_bin_.resize(std::size_t{1} << (64 - kKeyShift));
+  for (std::size_t k = 0; k < key_bin_.size(); ++k)
+    key_bin_[k] = static_cast<std::uint32_t>(
+        bin_of(from_bits(static_cast<std::uint64_t>(k) << kKeyShift)));
+  // +inf shares its key with NaNs of small payload: start that key at bin 0
+  // (NaN's bin), from where the step walks +inf up to the last bin.
+  key_bin_[bits(std::numeric_limits<double>::infinity()) >> kKeyShift] = 0;
+
   counts_.assign(n_points * bins, 0);
   totals_.assign(n_points, 0);
 }
@@ -82,6 +120,14 @@ std::size_t QuantileField::bin_of(double x) const {
   return bin >= bins_ ? bins_ - 1 : bin;
 }
 
+void QuantileField::add_block(std::size_t begin, const double* values,
+                              std::size_t n) {
+  std::uint32_t* base = counts_.data() + begin;
+  for (std::size_t k = 0; k < n; ++k) ++base[bin(values[k]) * n_points_ + k];
+  std::uint32_t* totals = totals_.data() + begin;
+  for (std::size_t k = 0; k < n; ++k) ++totals[k];
+}
+
 double QuantileField::quantile(std::size_t point, double q) const {
   const std::uint32_t total = totals_[point];
   if (total == 0) return 0.0;
@@ -90,16 +136,16 @@ double QuantileField::quantile(std::size_t point, double q) const {
   // ceil(q * total) samples are <= v.
   const auto rank = static_cast<std::uint64_t>(
       std::max<double>(1.0, std::ceil(q * static_cast<double>(total))));
-  const std::uint32_t* row = counts_.data() + point * bins_;
+  const std::uint32_t* column = counts_.data() + point;
   std::uint64_t cum = 0;
   for (std::size_t b = 0; b < bins_; ++b) {
-    const std::uint64_t next = cum + row[b];
+    const std::uint32_t count = column[b * n_points_];
+    const std::uint64_t next = cum + count;
     if (next >= rank) {
       // Geometric interpolation of the rank's position inside the bin.
-      const double frac = row[b] == 0
-                              ? 0.0
-                              : (static_cast<double>(rank - cum)) /
-                                    static_cast<double>(row[b]);
+      const double frac = count == 0 ? 0.0
+                                     : (static_cast<double>(rank - cum)) /
+                                           static_cast<double>(count);
       const double lo = edges_[b];
       const double hi = edges_[b + 1];
       return lo * std::pow(hi / lo, frac);
@@ -123,6 +169,18 @@ ExceedanceField::ExceedanceField(std::size_t n_points,
   TSV_REQUIRE(!thresholds_.empty(), "ExceedanceField needs >= 1 threshold");
   counts_.assign(n_points_ * thresholds_.size(), 0);
   totals_.assign(n_points_, 0);
+}
+
+void ExceedanceField::add_block(std::size_t begin, const double* values,
+                                std::size_t n) {
+  for (std::size_t t = 0; t < thresholds_.size(); ++t) {
+    const double threshold = thresholds_[t];
+    std::uint32_t* row = counts_.data() + t * n_points_ + begin;
+    for (std::size_t k = 0; k < n; ++k)
+      row[k] += values[k] > threshold ? 1u : 0u;
+  }
+  std::uint32_t* totals = totals_.data() + begin;
+  for (std::size_t k = 0; k < n; ++k) ++totals[k];
 }
 
 double ExceedanceField::probability(std::size_t point, std::size_t t) const {

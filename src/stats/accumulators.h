@@ -7,9 +7,11 @@
 //
 // The shared contract every engine follows:
 //   * construction fixes the shape (number of points, bins, thresholds) —
-//     add() never allocates, so a Monte Carlo sweep streams samples in a
-//     single pass with O(points) memory regardless of sample count;
-//   * add() is O(1) per value and must be called for a given point by at
+//     add() and add_block() never allocate, so a Monte Carlo sweep streams
+//     samples in a single pass with O(points) memory regardless of sample
+//     count;
+//   * add() is O(1) per value, add_block() is add() over a run of
+//     consecutive points, and both must be called for a given point by at
 //     most one thread (the variation engine parallelizes over *points*, so
 //     each point's accumulator sees its samples in sample order — the
 //     per-point result is bitwise independent of the thread count);
@@ -19,6 +21,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -75,6 +78,9 @@ class DescriptiveField {
     if (x > max_[point]) max_[point] = x;
   }
 
+  /// add(begin + k, values[k]) for k in [0, n): the same update per point.
+  void add_block(std::size_t begin, const double* values, std::size_t n);
+
   std::uint32_t count(std::size_t point) const { return count_[point]; }
   double mean(std::size_t point) const { return mean_[point]; }
   double variance(std::size_t point) const;
@@ -101,17 +107,46 @@ class DescriptiveField {
 /// the bin width: with the default 48 bins over [1e-2, 1e4] MPa a quantile
 /// is exact to within ~33% of its value (one bin), which the variation
 /// reports' log-scale maps absorb; moments use DescriptiveField instead.
+///
+/// Binning is log-free and bit-exact. bin_of() is the reference rule (one
+/// std::log per value); the constructor bisects the bit patterns of the
+/// doubles in (edges.front, edges.back) for each bin's threshold, the
+/// smallest double bin_of puts in that bin or above, and checks each one
+/// against bin_of from both sides. add() then looks the bin up by the top
+/// bits of x (sign, exponent, kKeyMantissaBits mantissa bits), which gives
+/// bin_of at the low end of the key's range, and steps up past every
+/// threshold <= x. Because bin_of is monotone, the result is bin_of(x) for
+/// every double, NaN (bin 0) and the infinities included.
 class QuantileField {
  public:
   QuantileField(std::size_t n_points, double lo, double hi, std::size_t bins);
 
   std::size_t size() const { return n_points_; }
   std::size_t bins() const { return bins_; }
+  /// The bins_ + 1 log-spaced bin edges.
+  const std::vector<double>& edges() const { return edges_; }
 
   void add(std::size_t point, double x) {
-    ++counts_[point * bins_ + bin_of(x)];
+    ++counts_[bin(x) * n_points_ + point];
     ++totals_[point];
   }
+
+  /// add(begin + k, values[k]) for k in [0, n).
+  void add_block(std::size_t begin, const double* values, std::size_t n);
+
+  /// The bin add() counts x in: bin_of(x), without a log.
+  std::size_t bin(double x) const {
+    std::uint64_t key;
+    std::memcpy(&key, &x, sizeof key);  // the bits of x
+    std::size_t b = key_bin_[key >> kKeyShift];
+    while (x >= thresholds_[b + 1]) ++b;
+    return b;
+  }
+
+  /// Reference binning rule: floor((log x - log lo) / log step), clamped to
+  /// the first bin at or below edges.front (and for NaN) and to the last
+  /// bin at or above edges.back. Used to build and check bin().
+  std::size_t bin_of(double x) const;
 
   /// Quantile q in [0, 1] for one point: locates the bin whose cumulative
   /// count crosses ceil(q * n) and interpolates geometrically inside it.
@@ -122,14 +157,25 @@ class QuantileField {
   std::vector<double> quantiles(double q) const;
 
  private:
-  std::size_t bin_of(double x) const;
+  static constexpr int kKeyMantissaBits = 3;
+  static constexpr int kKeyShift = 64 - 12 - kKeyMantissaBits;
 
   std::size_t n_points_ = 0;
   std::size_t bins_ = 0;
   double log_lo_ = 0.0;
   double inv_log_step_ = 0.0;
   std::vector<double> edges_;  ///< bins_ + 1 log-spaced bin edges
-  std::vector<std::uint32_t> counts_;  ///< point-major [point][bin]
+  /// Bin b holds [thresholds_[b], thresholds_[b + 1]): thresholds_[0] is
+  /// -inf and thresholds_[bins_] is NaN, which no x reaches, so the step in
+  /// bin() stops at the last bin (for +inf too).
+  std::vector<double> thresholds_;
+  /// bin_of at the low end of each top-bits key's range, except the key
+  /// +inf shares with NaNs: it holds 0 (NaN's bin), and the step in bin()
+  /// walks +inf up to the last bin.
+  std::vector<std::uint32_t> key_bin_;
+  /// Bin-major [bin][point]: neighbouring points that fall in one bin bump
+  /// counters on one cache line.
+  std::vector<std::uint32_t> counts_;
   std::vector<std::uint32_t> totals_;
 };
 
@@ -144,14 +190,17 @@ class ExceedanceField {
   const std::vector<double>& thresholds() const { return thresholds_; }
 
   void add(std::size_t point, double x) {
-    const std::size_t base = point * thresholds_.size();
     for (std::size_t t = 0; t < thresholds_.size(); ++t)
-      counts_[base + t] += x > thresholds_[t] ? 1u : 0u;
+      counts_[t * n_points_ + point] += x > thresholds_[t] ? 1u : 0u;
     ++totals_[point];
   }
 
+  /// add(begin + k, values[k]) for k in [0, n): one compare-and-add pass
+  /// over the range per threshold.
+  void add_block(std::size_t begin, const double* values, std::size_t n);
+
   std::uint32_t count(std::size_t point, std::size_t t) const {
-    return counts_[point * thresholds_.size() + t];
+    return counts_[t * n_points_ + point];
   }
   double probability(std::size_t point, std::size_t t) const;
 
@@ -161,7 +210,9 @@ class ExceedanceField {
  private:
   std::size_t n_points_ = 0;
   std::vector<double> thresholds_;
-  std::vector<std::uint32_t> counts_;  ///< point-major [point][threshold]
+  /// Threshold-major [threshold][point]: a block add streams each
+  /// threshold's row.
+  std::vector<std::uint32_t> counts_;
   std::vector<std::uint32_t> totals_;
 };
 

@@ -158,6 +158,35 @@ TEST(GridIndex, NearestBruteForceAgreement) {
   }
 }
 
+// Two clusters 2^21 um apart on both axes: 1 um cells over their bounds
+// would be ~4.4e12 buckets. The index widens its cell instead, and every
+// query still returns exactly the brute-force set.
+TEST(GridIndex, FarClustersMatchBruteForce) {
+  const double span = std::ldexp(1.0, 21);
+  std::mt19937 rng(29);
+  std::uniform_real_distribution<double> u(0.0, 40.0);
+  std::vector<Point> pts;
+  for (int i = 0; i < 60; ++i) {
+    const double off = i % 2 == 0 ? 0.0 : span;
+    pts.push_back({off + u(rng), off + u(rng)});
+  }
+  const GridIndex index(pts, Box::bounding(pts), 1.0);
+  std::vector<Point> queries = {{span / 2.0, span / 2.0}, {-5.0, span}};
+  for (int i = 0; i < 40; ++i) {
+    const double off = i % 2 == 0 ? 0.0 : span;
+    queries.push_back({off + u(rng), off + u(rng)});
+  }
+  for (const double radius : {0.5, 3.0, 12.0, 60.0, 1.5 * span, 3.0 * span})
+    for (const Point& q : queries) {
+      std::vector<std::uint32_t> expected;
+      for (std::uint32_t i = 0; i < pts.size(); ++i)
+        if (distance(pts[i], q) <= radius) expected.push_back(i);
+      EXPECT_EQ(index.query_radius(q, radius), expected)
+          << "radius " << radius << " at (" << q.x << ", " << q.y << ")";
+    }
+  EXPECT_EQ(index.nearest({span + 20.0, span + 20.0}) % 2, 1u);
+}
+
 TEST(GridIndex, EmptyIndex) {
   const GridIndex index({}, Box{{0, 0}, {1, 1}}, 1.0);
   EXPECT_TRUE(index.query_radius({0.5, 0.5}, 10.0).empty());

@@ -11,8 +11,8 @@
 //     axes and off them);
 //   - every victim in one cell, and one victim per cell;
 //   - the lattice moved to 1e5 um;
-//   - a span of more than 2^33 cell widths, where 32-bit cell keys would
-//     overflow;
+//   - a span of more than 2^33 cell widths on both axes, where 32-bit cell
+//     keys would overflow;
 //   - a pair list that is not victim-major (a victim split into runs).
 //
 // Each runs on a grid window, a point list and the fused Stage I + II
@@ -292,27 +292,30 @@ TEST(RunSchedule, OneVictimPerCell) {
   check(p);
 }
 
-// Three pairs along a line 2^21 um long with an influence radius of
-// 2^-14 um: the span is more than 2^33 cell widths, past the range of any
-// 32-bit cell key. Grid points sit on the victims, their partners 10 um
-// away are out of every disc.
+// Nine pairs on a 3 x 3 lattice 2^21 um wide in x and in y, with an
+// influence radius of 2^-14 um: the span is more than 2^33 cell widths on
+// both axes, past the range of any 32-bit cell key. Grid points sit on the
+// victims, their partners 10 um away are out of every disc.
 TEST(RunSchedule, SpanBeyondThirtyTwoBitCellKeys) {
   const double span = std::ldexp(1.0, 21);
   InteractiveOptions options;
   options.influence_radius = std::ldexp(1.0, -14);
   Case p{"wide span", {}, options,
-         geo::SampleGrid(geo::Box{{0.0, 0.0}, {span, 0.0}}, 3, 1), {}, {}};
+         geo::SampleGrid(geo::Box{{0.0, 0.0}, {span, span}}, 3, 3), {}, {}};
   for (const geo::Point& c : p.grid.points()) {
     p.centers.push_back(c);
     p.centers.push_back({c.x + 10.0, c.y});
   }
   const VictimCells cells(tsvlib::Placement(kS, p.centers).bounding_box(),
                           options.influence_radius);
-  const std::int64_t far = cells.cell({span, 0.0}).x;
-  EXPECT_GT(far, std::int64_t{1} << 33);
-  const std::int64_t mid = cells.cell({span / 2.0, 0.0}).x;
-  EXPECT_GT(mid, std::int64_t{1} << 32);
-  EXPECT_LT(mid, far);
+  const VictimCells::Cell far = cells.cell({span, span});
+  EXPECT_GT(far.x, std::int64_t{1} << 33);
+  EXPECT_GT(far.y, std::int64_t{1} << 33);
+  const VictimCells::Cell mid = cells.cell({span / 2.0, span / 2.0});
+  EXPECT_GT(mid.x, std::int64_t{1} << 32);
+  EXPECT_GT(mid.y, std::int64_t{1} << 32);
+  EXPECT_LT(mid.x, far.x);
+  EXPECT_LT(mid.y, far.y);
   check(p);
 }
 

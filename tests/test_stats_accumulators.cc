@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 namespace tsv::stats {
@@ -133,6 +137,164 @@ TEST(ExceedanceField, CountsAreExact) {
   EXPECT_EQ(e.probability(0, 1), 0.25);
   EXPECT_EQ(e.probability(1, 0), 0.0);  // no samples at point 1
   EXPECT_EQ(e.probabilities(0)[0], 0.5);
+}
+
+// Four points whose values sit in different bins: every point's quantiles
+// must be a one-point field's fed the same values, so a wrong point or bin
+// index in the bin-major layout shows.
+TEST(QuantileField, PointsBeyondZeroMatchOnePointFields) {
+  const std::vector<std::vector<double>> per_point = {
+      test_values(50, 0.02, 0.5, 1), test_values(50, 3.0, 40.0, 2),
+      test_values(50, 200.0, 9000.0, 3), test_values(50, 0.5, 5000.0, 4)};
+  QuantileField field(per_point.size(), 1e-2, 1e4, 48);
+  for (std::size_t s = 0; s < 50; ++s)
+    for (std::size_t i = 0; i < per_point.size(); ++i)
+      field.add(i, per_point[i][s]);
+  for (std::size_t i = 0; i < per_point.size(); ++i) {
+    QuantileField one(1, 1e-2, 1e4, 48);
+    for (const double x : per_point[i]) one.add(0, x);
+    for (const double level : {0.0, 0.05, 0.5, 0.95, 1.0}) {
+      EXPECT_EQ(field.quantile(i, level), one.quantile(0, level))
+          << "point " << i << " q=" << level;
+      EXPECT_EQ(field.quantiles(level)[i], one.quantile(0, level));
+    }
+  }
+  // The four points' medians lie in four different bins.
+  std::vector<std::size_t> bins;
+  for (std::size_t i = 0; i < per_point.size(); ++i)
+    bins.push_back(field.bin_of(field.quantile(i, 0.5)));
+  std::sort(bins.begin(), bins.end());
+  EXPECT_EQ(std::unique(bins.begin(), bins.end()), bins.end());
+}
+
+TEST(ExceedanceField, PointsBeyondZeroMatchOnePointFields) {
+  const std::vector<double> thresholds = {10.0, 50.0, 80.0};
+  // Point 0 stays under every threshold, point 1 straddles 10 and 50,
+  // point 2 straddles 50 and 80 (10 is never crossed from below), point 3
+  // straddles all three.
+  const std::vector<std::vector<double>> per_point = {
+      test_values(40, 1.0, 9.0, 5), test_values(40, 5.0, 60.0, 6),
+      test_values(40, 40.0, 95.0, 7), test_values(40, 0.0, 100.0, 8)};
+  ExceedanceField field(per_point.size(), thresholds);
+  for (std::size_t s = 0; s < 40; ++s)
+    for (std::size_t i = 0; i < per_point.size(); ++i)
+      field.add(i, per_point[i][s]);
+  for (std::size_t i = 0; i < per_point.size(); ++i) {
+    ExceedanceField one(1, thresholds);
+    for (const double x : per_point[i]) one.add(0, x);
+    for (std::size_t t = 0; t < thresholds.size(); ++t) {
+      std::uint32_t want = 0;
+      for (const double x : per_point[i]) want += x > thresholds[t] ? 1 : 0;
+      EXPECT_EQ(field.count(i, t), want) << "point " << i << " t=" << t;
+      EXPECT_EQ(one.count(0, t), want);
+      EXPECT_EQ(field.probabilities(t)[i], one.probability(0, t));
+    }
+  }
+  EXPECT_EQ(field.count(0, 0), 0u);
+  EXPECT_GT(field.count(1, 0), field.count(1, 1));
+  EXPECT_GT(field.count(1, 1), 0u);
+  EXPECT_EQ(field.count(2, 0), 40u);
+  EXPECT_GT(field.count(2, 1), field.count(2, 2));
+  EXPECT_GT(field.count(2, 2), 0u);
+}
+
+// add_block(begin, values, n) is add(begin + k, values[k]) for every k,
+// bit for bit, for blocks that start anywhere and cover part of the field.
+TEST(FieldBlockAdd, IsBitwiseThePerPointAdd) {
+  const std::size_t n = 37;
+  DescriptiveField desc_a(n), desc_b(n);
+  QuantileField quant_a(n, 1e-2, 1e4, 48), quant_b(n, 1e-2, 1e4, 48);
+  ExceedanceField exceed_a(n, {1.0, 30.0, 500.0});
+  ExceedanceField exceed_b(n, {1.0, 30.0, 500.0});
+  for (std::uint64_t s = 0; s < 12; ++s) {
+    const std::vector<double> v = test_values(n, 0.0, 1000.0, 100 + s);
+    for (std::size_t i = 0; i < n; ++i) {
+      desc_a.add(i, v[i]);
+      quant_a.add(i, v[i]);
+      exceed_a.add(i, v[i]);
+    }
+    // Uneven blocks: [0, 5), [5, 21), [21, 37).
+    for (const auto& [begin, end] :
+         {std::pair<std::size_t, std::size_t>{0, 5}, {5, 21}, {21, 37}}) {
+      desc_b.add_block(begin, v.data() + begin, end - begin);
+      quant_b.add_block(begin, v.data() + begin, end - begin);
+      exceed_b.add_block(begin, v.data() + begin, end - begin);
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(desc_a.count(i), desc_b.count(i));
+    EXPECT_EQ(desc_a.mean(i), desc_b.mean(i));
+    EXPECT_EQ(desc_a.variance(i), desc_b.variance(i));
+    EXPECT_EQ(desc_a.min(i), desc_b.min(i));
+    EXPECT_EQ(desc_a.max(i), desc_b.max(i));
+    for (const double level : {0.05, 0.5, 0.95})
+      EXPECT_EQ(quant_a.quantile(i, level), quant_b.quantile(i, level));
+    for (std::size_t t = 0; t < 3; ++t)
+      EXPECT_EQ(exceed_a.count(i, t), exceed_b.count(i, t));
+  }
+}
+
+/// bin() against the reference bin_of() on every double within `ulps` of
+/// each bin threshold (found here by bisection over bin_of), on log-uniform
+/// values over [lo / 100, hi * 100] and on the special values. Returns the
+/// number of values checked.
+std::size_t check_log_free_bins(const QuantileField& field, std::size_t ulps,
+                                std::size_t log_uniform) {
+  std::size_t checked = 0;
+  std::size_t mismatches = 0;
+  const auto check = [&](double x) {
+    ++checked;
+    if (field.bin(x) != field.bin_of(x) && ++mismatches <= 5)
+      ADD_FAILURE() << "bin(" << x << ") = " << field.bin(x)
+                    << ", bin_of = " << field.bin_of(x);
+  };
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const auto from_bits = [](std::uint64_t u) {
+    return std::bit_cast<double>(u);
+  };
+  const std::vector<double>& edges = field.edges();
+  for (std::size_t b = 1; b < field.bins(); ++b) {
+    std::uint64_t below = bits(edges.front());
+    std::uint64_t at = bits(edges.back());
+    while (at - below > 1) {
+      const std::uint64_t mid = below + (at - below) / 2;
+      (field.bin_of(from_bits(mid)) >= b ? at : below) = mid;
+    }
+    EXPECT_EQ(field.bin_of(from_bits(at)), b);
+    for (std::uint64_t u = at - ulps; u <= at + ulps; ++u) check(from_bits(u));
+  }
+  const std::vector<double> u =
+      test_values(log_uniform, std::log(edges.front() / 100.0),
+                  std::log(edges.back() * 100.0), field.bins());
+  for (const double e : u) check(std::exp(e));
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double x :
+       {0.0, -0.0, -1.0, -inf, inf, std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::max(), edges.front(), edges.back(),
+        std::nextafter(edges.front(), inf), std::nextafter(edges.back(), 0.0),
+        from_bits(bits(inf) + 1)})  // a NaN sharing +inf's top bits
+    check(x);
+  for (const double e : edges) check(e);
+  EXPECT_EQ(mismatches, 0u);
+  return checked;
+}
+
+// The table-and-step binning is the log formula on every value checked:
+// >= 10^7 values over three shapes, including every double within 20000
+// ulps of each threshold. The third shape's bins (ratio 1.0046) are far
+// narrower than a top-bits key (ratio up to 1.125), so one key spans ~25
+// thresholds and the step loop runs.
+TEST(QuantileField, LogFreeBinsMatchLogFormula) {
+  std::size_t checked = 0;
+  checked += check_log_free_bins(QuantileField(1, 1e-2, 1e4, 48), 20000,
+                                 3'000'000);
+  checked += check_log_free_bins(QuantileField(1, 1.0, 1000.0, 96), 20000,
+                                 2'000'000);
+  checked += check_log_free_bins(QuantileField(1, 1.0, 100.0, 1000), 1000,
+                                 1'000'000);
+  EXPECT_GE(checked, std::size_t{10'000'000});
 }
 
 TEST(BivariateAccumulator, ExactLineRecovered) {

@@ -1,6 +1,8 @@
 // The variation engine's statistical contract:
 //   - moments match a brute-force reference (an independent full engine
-//     build per sample) to <= 1e-10 relative on a 64-TSV design;
+//     build per sample) to <= 1e-10 relative on a 64-TSV design, and
+//     exceedance counts and quantile bins match it exactly away from the
+//     cuts;
 //   - results are bitwise identical at any accumulation thread count and
 //     across repeated runs with the same seed;
 //   - different seeds agree within CLT-scaled tolerance;
@@ -149,6 +151,65 @@ TEST(Variation, MomentsMatchBruteForceReference) {
   // ~1e-13 of the field.
   EXPECT_LE(worst_mean / field_scale, 1e-10);
   EXPECT_LE(worst_sigma / field_scale, 1e-10);
+
+  // Exceedance and quantiles are discrete in the samples, so they match
+  // the reference exactly only where no sample sits within the engine's
+  // drift of a cut: at points whose samples all lie more than
+  // 1e-9 x field_scale from every threshold (or bin edge), the counts must
+  // be equal and each quantile must land in the bin of the reference's
+  // order statistic (same rank rule: the ceil(q n)-th smallest sample).
+  const double margin = 1e-9 * field_scale;
+  const auto clear_of = [&](std::size_t i, const std::vector<double>& cuts) {
+    for (std::size_t s = 0; s < spec.samples; ++s)
+      for (const double c : cuts)
+        if (std::abs(vm[s][i] - c) <= margin) return false;
+    return true;
+  };
+  ASSERT_EQ(res.exceedance.size(), opt.thresholds.size());
+  std::size_t exceed_checked = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!clear_of(i, opt.thresholds)) continue;
+    ++exceed_checked;
+    for (std::size_t t = 0; t < opt.thresholds.size(); ++t) {
+      std::size_t above = 0;
+      for (std::size_t s = 0; s < spec.samples; ++s)
+        above += vm[s][i] > opt.thresholds[t] ? 1 : 0;
+      EXPECT_EQ(res.exceedance[t][i], static_cast<double>(above) /
+                                          static_cast<double>(spec.samples))
+          << "point " << i << " threshold " << opt.thresholds[t];
+    }
+  }
+  const QuantileField bins(1, opt.histogram_lo, opt.histogram_hi,
+                           opt.histogram_bins);
+  const std::vector<double>& edges = bins.edges();
+  ASSERT_EQ(res.quantile.size(), opt.quantiles.size());
+  std::size_t quantile_checked = 0;
+  std::size_t in_range_bins = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!clear_of(i, edges)) continue;
+    ++quantile_checked;
+    std::vector<double> sorted(spec.samples);
+    for (std::size_t s = 0; s < spec.samples; ++s) sorted[s] = vm[s][i];
+    std::sort(sorted.begin(), sorted.end());
+    for (std::size_t q = 0; q < opt.quantiles.size(); ++q) {
+      const auto rank = static_cast<std::size_t>(std::max(
+          1.0, std::ceil(opt.quantiles[q] *
+                         static_cast<double>(spec.samples))));
+      const double order_stat = sorted[rank - 1];
+      const std::size_t b = bins.bin_of(order_stat);
+      in_range_bins += b > 0 ? 1 : 0;
+      // The in-bin interpolation can round one ulp past either edge.
+      EXPECT_GE(res.quantile[q][i], edges[b] * (1.0 - 1e-15))
+          << "point " << i << " q=" << opt.quantiles[q];
+      EXPECT_LE(res.quantile[q][i], edges[b + 1] * (1.0 + 1e-15))
+          << "point " << i << " q=" << opt.quantiles[q];
+    }
+  }
+  // Nearly every point is clear of every cut, and the quantile check
+  // reaches the stressed points, not only the far field in the first bin.
+  EXPECT_GE(exceed_checked, n * 99 / 100);
+  EXPECT_GE(quantile_checked, n * 99 / 100);
+  EXPECT_GT(in_range_bins, n);
 }
 
 TEST(Variation, BitwiseIdenticalAtAnyThreadCount) {
