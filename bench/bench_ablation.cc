@@ -35,9 +35,7 @@ void ablate_series_order(const bench::BenchConfig& config) {
 
   io::TablePrinter table({"max_basis_power", "Thr50:Rate%", "Crit:Rate%"});
   {
-    core::FrameworkOptions ls_opt;
-    ls_opt.enable_interactive = false;
-    const core::StressFramework ls(pair, ch.table, nullptr, ls_opt);
+    const core::StressFramework ls(pair, ch.table, nullptr);
     const auto e = core::compare_fields(core::StressMeasure::kSigmaXX, pts,
                                         ls.evaluate(pts).stress, gold, pair);
     table.add_row(std::string("LS (none)"),
@@ -77,17 +75,15 @@ void ablate_table_source(const bench::BenchConfig& config) {
   const auto gold = bench::sample_field(golden.stress, pts);
 
   io::TablePrinter table({"table source", "LS AvgErr(MPa)", "LS Thr50:Rate%"});
-  core::FrameworkOptions ls_opt;
-  ls_opt.enable_interactive = false;
   {
-    const core::StressFramework ls(pair, ch.table, nullptr, ls_opt);
+    const core::StressFramework ls(pair, ch.table, nullptr);
     const auto e = core::compare_fields(core::StressMeasure::kSigmaXX, pts,
                                         ls.evaluate(pts).stress, gold, pair);
     table.add_row(std::string("FEM-characterized"),
                   {e.avg_error, e.rate_thr50});
   }
   {
-    const core::StressFramework ls(pair, analytic_table, nullptr, ls_opt);
+    const core::StressFramework ls(pair, analytic_table, nullptr);
     const auto e = core::compare_fields(core::StressMeasure::kSigmaXX, pts,
                                         ls.evaluate(pts).stress, gold, pair);
     table.add_row(std::string("analytic (exact)"),

@@ -27,9 +27,7 @@ int main(int argc, char** argv) {
   const geo::Box roi = geo::Box::centered({0.0, 0.0}, 60.0, 30.0);
   const fem::FemSolution golden = bench::golden_solve(pair, load, roi, config);
 
-  core::FrameworkOptions ls_opt;
-  ls_opt.enable_interactive = false;
-  const core::StressFramework ls(pair, ch.table, nullptr, ls_opt);
+  const core::StressFramework ls(pair, ch.table, nullptr);
   const core::StressFramework pf(pair, ch.table, ch.model,
                                  core::FrameworkOptions{});
 

@@ -119,9 +119,7 @@ BENCHMARK(BM_GridIndexQuery);
 void BM_Stage1Point(benchmark::State& state) {
   const tsvlib::Placement p = tsvlib::make_jittered_array(
       structure(), 100, 1.0e-2, 10.0, 7);
-  core::FrameworkOptions opt;
-  opt.enable_interactive = false;
-  const core::StressFramework fw(p, opt);
+  const core::StressFramework fw(p, {}, core::StageTwo::kOff);
   double x = 0.0;
   for (auto _ : state) {
     x = x < 90.0 ? x + 0.71 : 0.0;
@@ -289,8 +287,8 @@ void BM_Stage1BatchScaling(benchmark::State& state) {
   const tsvlib::Placement p = tsvlib::make_jittered_array(
       structure(), 100, 1.0e-2, 10.0, 7);
   const core::LinearSuperposition stage1(
-      p, core::characterize(structure(), {}, core::StageTwo::kOff).table, {},
-      threads);
+      p, core::characterize(structure(), {}, core::StageTwo::kOff).table,
+      core::kInfluenceRadius, threads);
   const geo::SampleGrid grid(p.bounding_box().expanded(25.0), 200, 200);
   const std::vector<geo::Point> pts = grid.points();
   for (auto _ : state) {
@@ -305,7 +303,9 @@ void BM_Stage2BatchScaling(benchmark::State& state) {
   const std::size_t threads = static_cast<std::size_t>(state.range(0));
   const tsvlib::Placement p = tsvlib::make_jittered_array(
       structure(), 60, 1.0e-2, 10.0, 7);
-  const core::InteractiveStage stage2(p, interactive_model(), {}, threads);
+  const core::InteractiveStage stage2(p, interactive_model(),
+                                      core::kInfluenceRadius,
+                                      core::kPairPitchCutoff, threads);
   const geo::SampleGrid grid(p.bounding_box().expanded(10.0), 120, 120);
   const std::vector<geo::Point> pts = grid.points();
   for (auto _ : state) {

@@ -32,9 +32,7 @@ int main(int argc, char** argv) {
   const std::vector<num::SymTensor2> gold =
       bench::sample_field(golden.stress, pts);
 
-  core::FrameworkOptions ls_opt;
-  ls_opt.enable_interactive = false;
-  const core::StressFramework ls(five, ch.table, nullptr, ls_opt);
+  const core::StressFramework ls(five, ch.table, nullptr);
   const core::StressFramework pf(five, ch.table, ch.model,
                                  core::FrameworkOptions{});
   const core::StressResult r_ls = ls.evaluate(pts);

@@ -41,7 +41,7 @@ struct Case {
 
 /// Wall times of one case's grid evaluations.
 struct Timing {
-  double ls = 0.0;            // LS only (enable_interactive = false)
+  double ls = 0.0;            // LS only (no interaction model)
   double pf = 0.0;            // PF, Stage II on the exact series
   double pf_surrogate = 0.0;  // PF, Stage II through the certified surrogate
   static double ar(double pf_s, double ls_s) {
@@ -108,9 +108,7 @@ int main(int argc, char** argv) {
                             std::size_t threads) {
     core::FrameworkOptions opt;
     opt.num_threads = threads;
-    core::FrameworkOptions ls_opt = opt;
-    ls_opt.enable_interactive = false;
-    const core::StressFramework ls(placement, table, nullptr, ls_opt);
+    const core::StressFramework ls(placement, table, nullptr, opt);
     const core::StressFramework pf(placement, table, model, opt);
     // Same workload through the certified surrogate.
     const core::StressFramework pf_surrogate(placement, table,

@@ -186,9 +186,7 @@ std::vector<PairSweepResult> run_pair_sweep(
     const std::vector<num::SymTensor2> gold =
         sample_field(golden.stress, pts);
 
-    core::FrameworkOptions ls_opt;
-    ls_opt.enable_interactive = false;
-    const core::StressFramework ls(pair, ch.table, nullptr, ls_opt);
+    const core::StressFramework ls(pair, ch.table, nullptr);
     const core::StressFramework pf(pair, ch.table, ch.model,
                                    core::FrameworkOptions{});
     const core::StressResult r_ls = ls.evaluate(pts);

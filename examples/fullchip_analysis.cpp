@@ -29,9 +29,7 @@ int main(int argc, char** argv) {
               placement.size(), placement.min_pitch(), placement.density());
 
   const core::StressFramework framework(placement);
-  core::FrameworkOptions ls_options;
-  ls_options.enable_interactive = false;
-  const core::StressFramework ls_only(placement, ls_options);
+  const core::StressFramework ls_only(placement, {}, core::StageTwo::kOff);
 
   // Simulation grid over the chip with a 25 um halo.
   const geo::Box roi = placement.bounding_box().expanded(25.0);

@@ -25,9 +25,7 @@ int main() {
   const core::StressFramework framework(pair);
 
   // Baseline for comparison: Stage I only.
-  core::FrameworkOptions ls_options;
-  ls_options.enable_interactive = false;
-  const core::StressFramework baseline(pair, ls_options);
+  const core::StressFramework baseline(pair, {}, core::StageTwo::kOff);
 
   std::printf("Two TSVs, 10 um pitch, BCB liner, dT = -250 K\n");
   const ana::SingleTsvModel single(structure, mat::ThermalLoad{});

@@ -27,9 +27,7 @@ int main(int argc, char** argv) {
   for (const auto& c : scattered.centers()) placement.add(c);
   placement.validate_no_overlap();
 
-  core::FrameworkOptions ls_opt;
-  ls_opt.enable_interactive = false;
-  const core::StressFramework ls(placement, ls_opt);
+  const core::StressFramework ls(placement, {}, core::StageTwo::kOff);
   const core::StressFramework pf(placement);
 
   std::printf("screening %zu TSVs against a %g MPa von Mises limit\n",

@@ -34,12 +34,11 @@ Characterization characterize(const tsvlib::TsvStructure& structure,
 }
 
 StressFramework::StressFramework(const tsvlib::Placement& placement,
-                                 const FrameworkOptions& options)
+                                 const FrameworkOptions& options,
+                                 StageTwo stage2)
     : StressFramework(placement,
-                      characterize(placement.structure(), options.load,
-                                   options.enable_interactive
-                                       ? StageTwo::kSeries
-                                       : StageTwo::kOff),
+                      characterize(placement.structure(), mat::ThermalLoad{},
+                                   stage2),
                       options) {}
 
 StressFramework::StressFramework(const tsvlib::Placement& placement,
@@ -54,17 +53,14 @@ StressFramework::StressFramework(
     std::shared_ptr<const ana::InteractiveStressModel> model,
     const FrameworkOptions& options)
     : options_(options),
-      stage1_(placement, std::move(table), options.stage1,
+      stage1_(placement, std::move(table), options.influence_radius,
               options.num_threads) {
-  TSV_REQUIRE(stage1_.table().coverage_radius() >=
-                  options_.stage1.influence_radius,
+  TSV_REQUIRE(stage1_.table().coverage_radius() >= options_.influence_radius,
               "stress table must cover the influence radius");
-  if (options_.enable_interactive) {
-    TSV_REQUIRE(model != nullptr,
-                "interactive stage enabled but no model supplied");
+  if (model != nullptr)
     stage2_ = std::make_unique<InteractiveStage>(
-        placement, std::move(model), options_.stage2, options_.num_threads);
-  }
+        placement, std::move(model), options_.influence_radius,
+        options_.pair_pitch_cutoff, options_.num_threads);
 }
 
 template <typename Points>
@@ -72,8 +68,7 @@ StressResult StressFramework::evaluate_stages(
     const Points& points, const std::function<VictimRuns()>& runs) const {
   StressResult result;
   if constexpr (std::is_same_v<Points, geo::GridWindow>) {
-    if (stage2_ != nullptr && options_.stage1.influence_radius ==
-                                  options_.stage2.influence_radius) {
+    if (stage2_ != nullptr) {
       // One disc pass per TSV for both stages, timed as Stage II (see the
       // header comment).
       const auto t0 = Clock::now();
@@ -86,7 +81,7 @@ StressResult StressFramework::evaluate_stages(
   result.stress = stage1_.evaluate(points);
   result.stage1_seconds = seconds_since(t0);
 
-  if (stage2_ != nullptr) {
+  if (stage2_ != nullptr) {  // a point list: Stage II as its own pass
     const auto t1 = Clock::now();
     const std::vector<num::SymTensor2> interactive =
         stage2_->evaluate_runs(points, runs());

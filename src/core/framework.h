@@ -6,21 +6,22 @@
 //              over nearby TSVs (the prior art baseline).
 //   Stage II — analytical interactive stress of nearby TSV pairs.
 //
-// Run Stage I alone for the LS baseline, or both for the proposed framework
-// (PF). Both stages add fields over the same disc around each TSV, so a
-// grid evaluation with Stage II on (and equal influence radii, the default)
-// walks each disc once: InteractiveStage's fused pass adds the TSV's
-// Stage I field and its pair corrections as a victim into one buffer. That
-// pass has no separate Stage I part or time: it reports its whole time as
-// stage2_seconds and stage1_seconds = 0. Point lists, LS-only runs and
-// unequal radii run the two stages one after the other and time each; the
-// Table 6 study times a PF run against an LS-only run instead
-// (bench_table6_runtime).
+// Stage II runs exactly when an interaction model is given: without one the
+// run is the LS baseline (Stage I alone), with one the proposed framework
+// (PF). Both stages add fields over the same disc around each TSV, of the
+// one influence radius, so a grid evaluation with Stage II on walks each
+// disc once: InteractiveStage's fused pass adds the TSV's Stage I field and
+// its pair corrections as a victim into one buffer. That pass has no
+// separate Stage I part or time: it reports its whole time as
+// stage2_seconds and stage1_seconds = 0. Point lists and LS-only runs run
+// the stages one after the other and time each; the Table 6 study times a
+// PF run against an LS-only run instead (bench_table6_runtime).
 //
-// Besides a placement, a run needs its cutoffs (FrameworkOptions) and a
-// one-time characterization of the TSV structure, built only by
-// characterize() and shared by sweeps over placements. Both stages (and a
-// tiled evaluator's tiles) run on the framework's one thread count.
+// Besides a placement, a run needs a one-time characterization of the TSV
+// structure, built only by characterize() (the thermal load is its
+// argument) and shared by sweeps over placements, and FrameworkOptions: the
+// influence radius, the pair pitch cutoff and the one thread count both
+// stages (and a tiled evaluator's tiles) run on.
 
 #include <cstdint>
 #include <functional>
@@ -57,11 +58,14 @@ struct Characterization {
 Characterization characterize(const tsvlib::TsvStructure& structure,
                               const mat::ThermalLoad& load, StageTwo stage2);
 
+/// A run's configuration: a framework's and an incremental engine's alike
+/// (IncrementalOptions names the same struct).
 struct FrameworkOptions {
-  mat::ThermalLoad load{};
-  SuperpositionOptions stage1{};
-  InteractiveOptions stage2{};
-  bool enable_interactive = true;  ///< false = plain linear superposition
+  /// Both stages: a TSV adds its fields over the points within this
+  /// distance of its center, um.
+  double influence_radius = kInfluenceRadius;
+  /// Stage II: pairs at least this far apart do not interact, um.
+  double pair_pitch_cutoff = kPairPitchCutoff;
   /// Threads for both stages: 0 = hardware concurrency, 1 = serial.
   std::size_t num_threads = 1;
 };
@@ -78,17 +82,17 @@ struct StressResult {
 
 class StressFramework {
  public:
-  /// Characterizes the placement's structure (characterize() with
-  /// StageTwo::kSeries, or kOff when options.enable_interactive is false).
+  /// Characterizes the placement's structure at the default thermal load
+  /// (characterize() with `stage2`; kOff is the LS baseline).
   StressFramework(const tsvlib::Placement& placement,
-                  const FrameworkOptions& options = {});
+                  const FrameworkOptions& options = {},
+                  StageTwo stage2 = StageTwo::kSeries);
 
   /// Full injection: caller supplies the Stage-I single-TSV field (a
   /// characterize() table, or e.g. a StressMapTable characterized from a
   /// FEM solve, the methodology of the original LS work) and the Stage-II
-  /// model (may be null when options.enable_interactive is false). The
-  /// characterization depends only on the TSV structure, so sweeps over
-  /// placements should share one.
+  /// model, or null for the LS baseline. The characterization depends only
+  /// on the TSV structure, so sweeps over placements should share one.
   StressFramework(const tsvlib::Placement& placement,
                   std::shared_ptr<const SingleTsvField> table,
                   std::shared_ptr<const ana::InteractiveStressModel> model,
@@ -102,9 +106,9 @@ class StressFramework {
   StressResult evaluate(const std::vector<geo::Point>& points) const;
 
   /// Evaluation over a grid (row-major point order), disc-major on the
-  /// whole-grid window: the fused pass when Stage II is on and the radii
-  /// agree (evaluate(grid.points()) up to summation regrouping), else both
-  /// stages one after the other (bitwise evaluate(grid.points())).
+  /// whole-grid window: the fused pass when Stage II is on
+  /// (evaluate(grid.points()) up to summation regrouping), else Stage I
+  /// alone (bitwise evaluate(grid.points())).
   StressResult evaluate(const geo::SampleGrid& grid) const;
 
   /// Single-point evaluation (slow path; prefer the batched overloads).
@@ -117,11 +121,10 @@ class StressFramework {
                   const FrameworkOptions& options);
 
   /// Both stages at a point list or a grid window: one fused pass on a
-  /// window when Stage II is on and both stages reach the same influence
-  /// radius, else Stage I then Stage II. Stage II evaluates the victim
-  /// runs `runs()` returns, enumerated inside the Stage II timer:
-  /// victim_runs() for a whole evaluation, victim_runs_near(tile) for a
-  /// tile of a TiledEvaluator.
+  /// window when Stage II is on, else Stage I then (on a point list)
+  /// Stage II. Stage II evaluates the victim runs `runs()` returns,
+  /// enumerated inside the Stage II timer: victim_runs() for a whole
+  /// evaluation, victim_runs_near(tile) for a tile of a TiledEvaluator.
   template <typename Points>
   StressResult evaluate_stages(const Points& points,
                                const std::function<VictimRuns()>& runs) const;

@@ -72,10 +72,9 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs_touching(
 const char* cutoff_defect(const IncrementalOptions& o,
                           const SingleTsvField& table) {
   const auto ok = [](double v) { return std::isfinite(v) && v > 0.0; };
-  if (!ok(o.stage1.influence_radius) || !ok(o.stage2.influence_radius) ||
-      !ok(o.stage2.pair_pitch_cutoff))
+  if (!ok(o.influence_radius) || !ok(o.pair_pitch_cutoff))
     return "cutoffs must be finite and positive";
-  return table.coverage_radius() >= o.stage1.influence_radius
+  return table.coverage_radius() >= o.influence_radius
              ? nullptr
              : "stress table must cover the influence radius";
 }
@@ -96,8 +95,6 @@ IncrementalEngine::IncrementalEngine(
       active_(placement.size(), 1),
       active_count_(placement.size()) {
   TSV_REQUIRE(table_ != nullptr, "null single-TSV field");
-  TSV_REQUIRE(!options_.enable_interactive || model_ != nullptr,
-              "interactive stage enabled but no model supplied");
   const char* defect = cutoff_defect(options_, *table_);
   TSV_REQUIRE(defect == nullptr, defect);
   full_evaluate(stage1_, stage2_);
@@ -116,8 +113,6 @@ IncrementalEngine::IncrementalEngine(
       stage1_(std::move(state.stage1)),
       stage2_(std::move(state.stage2)) {
   TSV_REQUIRE(table_ != nullptr, "null single-TSV field");
-  TSV_REQUIRE(!options_.enable_interactive || model_ != nullptr,
-              "interactive stage enabled but no model supplied");
   TSV_REQUIRE(active_.size() == centers_.size(),
               "engine state: active flags do not match centers");
   TSV_REQUIRE(stage1_.size() == grid_.size() && stage2_.size() == grid_.size(),
@@ -191,7 +186,7 @@ void IncrementalEngine::apply_stage1(const geo::Point& c, double sign,
   // Batch path: gather the disc once, run the flat accumulate kernel, then
   // scatter with the edit's sign. apply() is serial, so the engine-owned
   // scratch buffers are safe to reuse across discs.
-  gather_disc(c, options_.stage1.influence_radius);
+  gather_disc(c, options_.influence_radius);
   table_->accumulate(c, disc_pts_.data(), disc_pts_.size(),
                      disc_contrib_.data());
   scatter_disc(stage1_, sign, stats);
@@ -210,7 +205,7 @@ void IncrementalEngine::apply_stage2(const ana::PairSurrogate* surrogate,
     run_aggressors_.clear();
     for (; k < pairs.size() && pairs[k].first == v; ++k)
       run_aggressors_.push_back(centers_[pairs[k].second]);
-    gather_disc(centers_[v], options_.stage2.influence_radius);
+    gather_disc(centers_[v], options_.influence_radius);
     model_->accumulate_run(surrogate, centers_[v], run_aggressors_.data(),
                            run_aggressors_.size(), disc_pts_.data(),
                            disc_pts_.size(), disc_contrib_.data());
@@ -269,7 +264,7 @@ ApplyStats IncrementalEngine::apply(const Delta& delta) {
 
   // --- Validate the final placement around every arriving TSV before any
   // field is touched, so a rejected delta leaves the engine unchanged.
-  const double cutoff = options_.stage2.pair_pitch_cutoff;
+  const double cutoff = options_.pair_pitch_cutoff;
   const ActiveIndex final_index = index_active(new_centers, new_active, cutoff);
   const double diameter = 2.0 * structure_.outer_radius();
   {
@@ -292,11 +287,11 @@ ApplyStats IncrementalEngine::apply(const Delta& delta) {
   }
   if (stamp_.size() != grid_.size()) stamp_.assign(grid_.size(), 0);
 
-  const bool interactive = options_.enable_interactive;
+  const bool interactive = model_ != nullptr;
 
   // Same certificate/coverage gate as a full evaluation, resolved once.
   const std::shared_ptr<const ana::PairSurrogate> surrogate =
-      interactive ? model_->surrogate_for(options_.stage2.influence_radius)
+      interactive ? model_->surrogate_for(options_.influence_radius)
                   : nullptr;
 
   // --- Subtract the departing contributions against the OLD placement.
@@ -347,11 +342,12 @@ void IncrementalEngine::full_evaluate(
     std::vector<num::SymTensor2>& stage2) const {
   const tsvlib::Placement current = placement();
   const std::vector<geo::Point> points = grid_.points();
-  const LinearSuperposition s1(current, table_, options_.stage1,
+  const LinearSuperposition s1(current, table_, options_.influence_radius,
                                options_.num_threads);
   stage1 = s1.evaluate(points);
-  if (options_.enable_interactive && current.size() >= 2) {
-    const InteractiveStage s2(current, model_, options_.stage2,
+  if (model_ != nullptr && current.size() >= 2) {
+    const InteractiveStage s2(current, model_, options_.influence_radius,
+                              options_.pair_pitch_cutoff,
                               options_.num_threads);
     stage2 = s2.evaluate(points);
   } else {

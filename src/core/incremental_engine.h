@@ -13,12 +13,16 @@
 // updates the fields by subtracting the departing contributions and adding
 // the arriving ones:
 //
-//   Stage I  — per affected TSV, only the grid points within
-//              stage1.influence_radius of its old/new center;
+//   Stage I  — per affected TSV, only the grid points within the influence
+//              radius of its old/new center;
 //   Stage II — only the ordered pairs involving an affected TSV (partners
 //              found through a GridIndex over the TSV centers), sorted
 //              victim-major and evaluated as victim runs over the points
-//              within stage2.influence_radius of the victim.
+//              within the influence radius of the victim.
+//
+// Stage II runs exactly when the engine is given an interaction model;
+// without one the engine maintains the LS baseline and its Stage II field
+// stays zero.
 //
 // The per-TSV kernel and the victim-run call (accumulate_run) are the code
 // paths of LinearSuperposition / InteractiveStage, so an incrementally
@@ -27,7 +31,8 @@
 // test_incremental_engine). apply() is serial and therefore bitwise
 // deterministic: the same edit sequence always produces the same bits.
 // rebuild() re-evaluates from scratch to measure and clear the accumulated
-// drift. IncrementalOptions::num_threads is the engine's one thread count:
+// drift. The engine's options are a framework's (IncrementalOptions names
+// FrameworkOptions), and their num_threads is the engine's one thread count:
 // the build and rebuild() run both stages on it (0 = hardware, 1 = serial,
 // the default) with the same bits at every count, and apply() is serial
 // whatever it says.
@@ -37,8 +42,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/interactive_stage.h"
-#include "core/superposition.h"
+#include "core/framework.h"
 #include "geometry/sample_grid.h"
 #include "tsv/placement.h"
 
@@ -64,15 +68,11 @@ struct EcoOp {
 /// is touched, so a throwing apply leaves the engine unchanged).
 using Delta = std::vector<EcoOp>;
 
-struct IncrementalOptions {
-  SuperpositionOptions stage1{};
-  InteractiveOptions stage2{};
-  bool enable_interactive = true;  ///< false = Stage I only
-  /// Threads for the initial full build and rebuild(): 0 = hardware
-  /// concurrency, 1 = serial. apply() itself is always serial — deltas are
-  /// small and serial updates keep the engine bitwise deterministic.
-  std::size_t num_threads = 1;
-};
+/// An engine runs on a framework's options. Their num_threads drives the
+/// initial full build and rebuild() only: apply() itself is always serial —
+/// deltas are small and serial updates keep the engine bitwise
+/// deterministic.
+using IncrementalOptions = FrameworkOptions;
 
 /// Work accounting of one apply(), for the ECO benches: the incremental
 /// cost is proportional to point_updates, a full recompute to
@@ -90,8 +90,8 @@ struct ApplyStats {
 class IncrementalEngine {
  public:
   /// Builds the engine and fully evaluates both stages over `grid`
-  /// (parallel per options.num_threads). `model` may be null only when
-  /// options.enable_interactive is false.
+  /// (parallel per options.num_threads). A null `model` is the LS
+  /// baseline: Stage I alone.
   IncrementalEngine(const tsvlib::Placement& placement,
                     const geo::SampleGrid& grid,
                     std::shared_ptr<const SingleTsvField> table,
@@ -142,8 +142,8 @@ class IncrementalEngine {
   double rebuild();
 
   /// Everything needed to resurrect an engine without re-evaluating:
-  /// io/snapshot serializes this verbatim (plus the single-TSV table and
-  /// the model's surrogate).
+  /// io/snapshot serializes this verbatim (plus the single-TSV table,
+  /// whether a model runs Stage II, and the model's surrogate).
   struct State {
     tsvlib::TsvStructure structure;
     geo::Box grid_box{{0.0, 0.0}, {1.0, 1.0}};
@@ -158,11 +158,11 @@ class IncrementalEngine {
   State state() const;
 
   /// Restores an engine from a snapshot state without recomputing the
-  /// fields. `table` and `model` must match the ones the state was built
-  /// with (the snapshot layer reconstructs them from the same file). The
-  /// state's cutoffs are held to the build constructor's rules (finite,
-  /// positive, Stage I radius covered by the table); a state that breaks
-  /// them throws tsv::InvalidInputError.
+  /// fields. `table` and `model` (null for an LS engine) must match the
+  /// ones the state was built with (the snapshot layer reconstructs them
+  /// from the same file). The state's cutoffs are held to the build
+  /// constructor's rules (finite, positive, the radius covered by the
+  /// table); a state that breaks them throws tsv::InvalidInputError.
   static IncrementalEngine restore(
       State state, std::shared_ptr<const SingleTsvField> table,
       std::shared_ptr<const ana::InteractiveStressModel> model);

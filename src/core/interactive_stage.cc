@@ -158,17 +158,18 @@ VictimRuns VictimRuns::from_pairs(const PairList& pairs) {
 InteractiveStage::InteractiveStage(
     const tsvlib::Placement& placement,
     std::shared_ptr<const ana::InteractiveStressModel> model,
-    const InteractiveOptions& options, std::size_t num_threads)
+    double influence_radius, double pair_pitch_cutoff,
+    std::size_t num_threads)
     : placement_(placement),
       model_(std::move(model)),
-      options_(options),
+      influence_radius_(influence_radius),
+      pair_pitch_cutoff_(pair_pitch_cutoff),
       num_threads_(num_threads),
       tsv_index_(placement.centers(), index_bounds(placement),
-                 std::max(options.pair_pitch_cutoff / 2.0, 1.0)),
-      cells_(index_bounds(placement), options.influence_radius) {
+                 std::max(pair_pitch_cutoff / 2.0, 1.0)),
+      cells_(index_bounds(placement), influence_radius) {
   TSV_REQUIRE(model_ != nullptr, "null interactive model");
-  TSV_REQUIRE(options_.pair_pitch_cutoff > 0.0 &&
-                  options_.influence_radius > 0.0,
+  TSV_REQUIRE(pair_pitch_cutoff_ > 0.0 && influence_radius_ > 0.0,
               "cutoffs must be positive");
 }
 
@@ -177,10 +178,10 @@ num::SymTensor2 InteractiveStage::stress_at(const geo::Point& p) const {
   num::KernelScratch& scratch = num::tls_kernel_scratch();
   std::vector<std::uint32_t>& victims = scratch.idx;
   std::vector<std::uint32_t>& aggressors = scratch.idx2;
-  tsv_index_.query_radius(p, options_.influence_radius, victims);
+  tsv_index_.query_radius(p, influence_radius_, victims);
   num::SymTensor2 sum;
   for (const std::uint32_t v : victims) {
-    tsv_index_.query_radius(centers[v], options_.pair_pitch_cutoff,
+    tsv_index_.query_radius(centers[v], pair_pitch_cutoff_,
                             aggressors);
     for (const std::uint32_t a : aggressors) {
       if (a == v) continue;
@@ -204,7 +205,7 @@ VictimRuns InteractiveStage::victim_runs_near(const geo::Box& region) const {
   const auto& centers = placement_.centers();
   // Over-query a disc covering the region plus the influence halo, then
   // keep the victims whose true box distance is within the radius.
-  const double reach = options_.influence_radius;
+  const double reach = influence_radius_;
   const double half_diag =
       std::hypot(region.width(), region.height()) / 2.0;
   std::vector<std::uint32_t> candidates;
@@ -214,14 +215,6 @@ VictimRuns InteractiveStage::victim_runs_near(const geo::Box& region) const {
     if (distance_squared_to_box(centers[v], region) <= reach * reach)
       victims.push_back(v);
   return runs_of(std::move(victims));
-}
-
-PairList InteractiveStage::ordered_pairs() const {
-  return victim_runs().pairs();
-}
-
-PairList InteractiveStage::ordered_pairs_near(const geo::Box& region) const {
-  return victim_runs_near(region).pairs();
 }
 
 VictimRuns InteractiveStage::runs_of(std::vector<std::uint32_t> victims,
@@ -239,7 +232,7 @@ VictimRuns InteractiveStage::runs_of(std::vector<std::uint32_t> victims,
           std::vector<std::uint32_t> nearby;
           for (std::size_t i = begin; i < end; ++i) {
             tsv_index_.query_radius(centers[victims[i]],
-                                    options_.pair_pitch_cutoff, nearby);
+                                    pair_pitch_cutoff_, nearby);
             visit(i, nearby);
           }
         });
@@ -268,16 +261,6 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate(
   return evaluate_runs(points, victim_runs());
 }
 
-std::vector<num::SymTensor2> InteractiveStage::evaluate_with_pairs(
-    const std::vector<geo::Point>& points, const PairList& pairs) const {
-  return evaluate_runs(points, VictimRuns::from_pairs(pairs));
-}
-
-std::vector<num::SymTensor2> InteractiveStage::evaluate_with_pairs(
-    const geo::GridWindow& window, const PairList& pairs) const {
-  return evaluate_runs(window, VictimRuns::from_pairs(pairs));
-}
-
 std::vector<num::SymTensor2> InteractiveStage::evaluate_runs(
     const std::vector<geo::Point>& points, const VictimRuns& runs) const {
   if (placement_.size() < 2 || points.empty())
@@ -285,12 +268,12 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_runs(
   // The hull is inclusive on every edge, so points exactly on the boundary
   // stay indexed.
   const geo::GridIndex index(points, geo::Box::bounding(points),
-                             std::max(options_.influence_radius / 2.0, 1.0));
+                             std::max(influence_radius_ / 2.0, 1.0));
   return evaluate_runs(
       points.size(), runs, nullptr,
       [&](const geo::Point& victim, std::vector<std::uint32_t>& affected,
           std::vector<geo::Point>& gathered) {
-        index.query_radius(victim, options_.influence_radius, affected);
+        index.query_radius(victim, influence_radius_, affected);
         gathered.resize(affected.size());
         for (std::size_t j = 0; j < affected.size(); ++j)
           gathered[j] = points[affected[j]];
@@ -306,7 +289,7 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_runs(
       window.size(), runs, stage1,
       [&](const geo::Point& victim, std::vector<std::uint32_t>& affected,
           std::vector<geo::Point>& gathered) {
-        window.gather_disc(victim, options_.influence_radius, affected,
+        window.gather_disc(victim, influence_radius_, affected,
                            gathered);
       });
 }
@@ -319,7 +302,7 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_runs(
   // The certificate/coverage gate is resolved once per evaluate; the
   // per-pair pitch gate lives in accumulate_run.
   const std::shared_ptr<const ana::PairSurrogate> surrogate =
-      model_->surrogate_for(options_.influence_radius);
+      model_->surrogate_for(influence_radius_);
 
   const CellSchedule schedule =
       schedule_cells(cells_, centers, runs, stage1 != nullptr);

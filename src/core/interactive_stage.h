@@ -24,26 +24,27 @@
 // window the two stages share the walk: given the Stage I field, the fused
 // evaluate_runs adds every run's victim field and pair corrections into
 // one buffer per disc, scattered once (StressFramework's window evaluations
-// take this path whenever Stage II is on and both radii agree). It then
-// also visits the victims with no aggressor, for their Stage I disc alone.
+// take this path whenever Stage II is on). It then also visits the victims
+// with no aggressor, for their Stage I disc alone.
 // IncrementalEngine makes the same accumulate_run call per victim run.
 // stress_at always uses the exact series, so it can differ from evaluate()
 // by up to the surrogate's certified bound.
 //
-// The batched evaluates and the pair enumeration run on num_threads workers
-// (a constructor argument: 0 = hardware concurrency, 1 = serial, the
-// default). The run loop schedules its runs by victim cell (VictimCells):
-// square cells wider than twice the influence radius, coloured by the
-// parity of their column and row. Two victims in different cells of one
-// colour are too far apart for their discs to share a point, and the
-// victims that reach one point lie in a 2 x 2 block of neighbouring cells,
-// one of each colour. Workers claim whole cells from one cursor, colour by
-// colour and largest first within a colour; a cell starts once its
-// neighbours of earlier colours are done, and scatters straight into the
-// one shared output. Each point thus sums its contributions by colour, then
-// within the one cell of that colour that reaches it, in run order: an
-// order no schedule or thread count changes, so every batched evaluate is
-// bitwise the same at any thread count, 1 included.
+// The cutoffs and the thread count are constructor arguments. The batched
+// evaluates and the pair enumeration run on num_threads workers (0 =
+// hardware concurrency, 1 = serial, the default). The run loop schedules
+// its runs by victim cell (VictimCells): square cells wider than twice the
+// influence radius, coloured by the parity of their column and row. Two
+// victims in different cells of one colour are too far apart for their
+// discs to share a point, and the victims that reach one point lie in a
+// 2 x 2 block of neighbouring cells, one of each colour. Workers claim
+// whole cells from one cursor, colour by colour and largest first within a
+// colour; a cell starts once its neighbours of earlier colours are done,
+// and scatters straight into the one shared output. Each point thus sums
+// its contributions by colour, then within the one cell of that colour
+// that reaches it, in run order: an order no schedule or thread count
+// changes, so every batched evaluate is bitwise the same at any thread
+// count, 1 included.
 
 #include <cstdint>
 #include <memory>
@@ -52,16 +53,15 @@
 
 #include "analytic/interaction.h"
 #include "core/single_tsv_field.h"
+#include "core/superposition.h"
 #include "geometry/grid_index.h"
 #include "geometry/grid_window.h"
 #include "tsv/placement.h"
 
 namespace tsv::core {
 
-struct InteractiveOptions {
-  double pair_pitch_cutoff = 25.0;  ///< um
-  double influence_radius = 25.0;   ///< um, victim to simulation point
-};
+/// Pairs at least this far apart do not interact (paper: 25 um).
+inline constexpr double kPairPitchCutoff = 25.0;
 
 using PairList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 
@@ -111,10 +111,12 @@ class InteractiveStage {
  public:
   InteractiveStage(const tsvlib::Placement& placement,
                    std::shared_ptr<const ana::InteractiveStressModel> model,
-                   const InteractiveOptions& options = {},
+                   double influence_radius = kInfluenceRadius,
+                   double pair_pitch_cutoff = kPairPitchCutoff,
                    std::size_t num_threads = 1);
 
-  const InteractiveOptions& options() const { return options_; }
+  double influence_radius() const { return influence_radius_; }
+  double pair_pitch_cutoff() const { return pair_pitch_cutoff_; }
   std::size_t num_threads() const { return num_threads_; }
   const ana::InteractiveStressModel& model() const { return *model_; }
 
@@ -128,21 +130,11 @@ class InteractiveStage {
   std::vector<num::SymTensor2> evaluate(
       const std::vector<geo::Point>& points) const;
 
-  /// Interactive stress at `points` from a caller-supplied pair list: its
-  /// maximal same-victim stretches as runs (VictimRuns::from_pairs). Only
-  /// pairs whose victim lies within influence_radius of a point contribute
-  /// there.
-  std::vector<num::SymTensor2> evaluate_with_pairs(
-      const std::vector<geo::Point>& points, const PairList& pairs) const;
-
-  /// The same at a grid window's points, row-major, bitwise
-  /// evaluate_with_pairs(window.points(), pairs) with no point index.
-  std::vector<num::SymTensor2> evaluate_with_pairs(
-      const geo::GridWindow& window, const PairList& pairs) const;
-
   /// Interactive stress at `points` from the runs with aggressors in
   /// `runs`, e.g. victim_runs_near(tile bounds), which the tiled evaluator
-  /// enumerates once per tile for its statistics and its evaluation.
+  /// enumerates once per tile for its statistics and its evaluation, or
+  /// VictimRuns::from_pairs of a pair list. Only pairs whose victim lies
+  /// within influence_radius of a point contribute there.
   std::vector<num::SymTensor2> evaluate_runs(
       const std::vector<geo::Point>& points, const VictimRuns& runs) const;
 
@@ -159,12 +151,13 @@ class InteractiveStage {
       const geo::GridWindow& window, const VictimRuns& runs,
       const SingleTsvField* stage1 = nullptr) const;
 
-  /// ordered_pairs().size(), from the enumeration's count pass alone.
+  /// victim_runs().pair_count(), from the enumeration's count pass alone.
   std::size_t pair_count() const;
 
   /// Every TSV as a victim, ascending, with its aggressors within the
-  /// pitch cutoff. Enumerated on num_threads() workers; the runs are the
-  /// same, element for element, at every thread count.
+  /// pitch cutoff: all ordered pairs, victim-major. Enumerated on
+  /// num_threads() workers; the runs are the same, element for element, at
+  /// every thread count.
   VictimRuns victim_runs() const;
 
   /// The TSVs within influence_radius of `region` (by the same squared
@@ -172,16 +165,6 @@ class InteractiveStage {
   /// point of the region is one), ascending, with their aggressors.
   /// Thread-count independent, like victim_runs.
   VictimRuns victim_runs_near(const geo::Box& region) const;
-
-  /// Ordered victim/aggressor pairs within the pitch cutoff:
-  /// victim_runs().pairs(). All pairs of one victim are contiguous
-  /// (victim-major order), the order the run loop batches on.
-  PairList ordered_pairs() const;
-
-  /// Ordered pairs whose victim lies within influence_radius of `region`
-  /// (the pairs that can contribute to any point inside it):
-  /// victim_runs_near(region).pairs().
-  PairList ordered_pairs_near(const geo::Box& region) const;
 
  private:
   /// The runs of `victims` in their order, each victim's aggressors in
@@ -211,7 +194,8 @@ class InteractiveStage {
 
   tsvlib::Placement placement_;
   std::shared_ptr<const ana::InteractiveStressModel> model_;
-  InteractiveOptions options_;
+  double influence_radius_;
+  double pair_pitch_cutoff_;
   std::size_t num_threads_;
   geo::GridIndex tsv_index_;
   VictimCells cells_;

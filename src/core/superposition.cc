@@ -17,22 +17,22 @@ geo::Box index_bounds(const tsvlib::Placement& p) {
 LinearSuperposition::LinearSuperposition(
     const tsvlib::Placement& placement,
     std::shared_ptr<const SingleTsvField> table,
-    const SuperpositionOptions& options, std::size_t num_threads)
+    double influence_radius, std::size_t num_threads)
     : placement_(placement),
       table_(std::move(table)),
-      options_(options),
+      influence_radius_(influence_radius),
       num_threads_(num_threads),
       index_(placement.centers(), index_bounds(placement),
-             std::max(options.influence_radius / 2.0, 1.0)) {
+             std::max(influence_radius / 2.0, 1.0)) {
   TSV_REQUIRE(table_ != nullptr, "null single-TSV field");
-  TSV_REQUIRE(options_.influence_radius > 0.0,
+  TSV_REQUIRE(influence_radius_ > 0.0,
               "influence radius must be positive");
 }
 
 num::SymTensor2 LinearSuperposition::stress_at(const geo::Point& p) const {
   const auto& centers = placement_.centers();
   std::vector<std::uint32_t>& nearby = num::tls_kernel_scratch().idx;
-  index_.query_radius(p, options_.influence_radius, nearby);
+  index_.query_radius(p, influence_radius_, nearby);
   return table_->sum_at(p, centers.data(), nearby.data(), nearby.size());
 }
 
@@ -45,7 +45,7 @@ std::vector<num::SymTensor2> LinearSuperposition::evaluate(
       [&](std::size_t begin, std::size_t end, std::size_t) {
         std::vector<std::uint32_t> nearby;
         for (std::size_t n = begin; n < end; ++n) {
-          index_.query_radius(points[n], options_.influence_radius, nearby);
+          index_.query_radius(points[n], influence_radius_, nearby);
           out[n] = table_->sum_at(points[n], centers.data(), nearby.data(),
                                   nearby.size());
         }
@@ -56,7 +56,7 @@ std::vector<num::SymTensor2> LinearSuperposition::evaluate(
 std::vector<num::SymTensor2> LinearSuperposition::evaluate(
     const geo::GridWindow& window) const {
   const auto& centers = placement_.centers();
-  const double radius = options_.influence_radius;
+  const double radius = influence_radius_;
   const std::size_t nx = window.nx();
   std::vector<num::SymTensor2> out(window.size());
   num::parallel_for_chunks(

@@ -6,9 +6,10 @@
 // index. Both add the same TSVs in the same order, so they agree bit for
 // bit.
 //
-// The batched evaluates run on num_threads workers (a constructor argument:
-// 0 = hardware concurrency, 1 = serial, the default). Points are
-// independent, so the results are bitwise identical for every thread count.
+// The influence radius and the thread count are constructor arguments. The
+// batched evaluates run on num_threads workers (0 = hardware concurrency,
+// 1 = serial, the default). Points are independent, so the results are
+// bitwise identical for every thread count.
 
 #include <memory>
 #include <vector>
@@ -20,23 +21,21 @@
 
 namespace tsv::core {
 
-struct SuperpositionOptions {
-  /// TSVs farther than this from a simulation point are ignored
-  /// (paper: 25 um; the field decays as 1/r^2).
-  double influence_radius = 25.0;
-};
+/// TSVs farther than this from a simulation point are ignored, in both
+/// stages (paper: 25 um; the field decays as 1/r^2).
+inline constexpr double kInfluenceRadius = 25.0;
 
 class LinearSuperposition {
  public:
   LinearSuperposition(const tsvlib::Placement& placement,
                       std::shared_ptr<const SingleTsvField> table,
-                      const SuperpositionOptions& options = {},
+                      double influence_radius = kInfluenceRadius,
                       std::size_t num_threads = 1);
 
   const tsvlib::Placement& placement() const { return placement_; }
   const SingleTsvField& table() const { return *table_; }
   const geo::GridIndex& index() const { return index_; }
-  const SuperpositionOptions& options() const { return options_; }
+  double influence_radius() const { return influence_radius_; }
   std::size_t num_threads() const { return num_threads_; }
 
   /// Stage-I stress at one point.
@@ -57,7 +56,7 @@ class LinearSuperposition {
  private:
   tsvlib::Placement placement_;
   std::shared_ptr<const SingleTsvField> table_;
-  SuperpositionOptions options_;
+  double influence_radius_;
   std::size_t num_threads_;
   geo::GridIndex index_;
 };

@@ -33,6 +33,26 @@ class Fnv1a {
   std::uint64_t h_ = 1469598103934665603ull;
 };
 
+/// The Stage I field as a run evaluates it: its coverage radius and its
+/// values at a fixed spiral of probe points around a TSV at the origin,
+/// spread over the covered disc at golden-angle turns so an anisotropic map
+/// is probed in every direction. Two characterizations built alike give the
+/// same values, bit for bit, in any process.
+void hash_field(Fnv1a& h, const SingleTsvField& field) {
+  constexpr int kProbes = 64;
+  const double reach = field.coverage_radius();
+  h.f64(reach);
+  for (int k = 0; k < kProbes; ++k) {
+    const double r = reach * (k + 0.5) / kProbes;
+    const double turn = 2.399963229728653 * k;
+    const num::SymTensor2 s =
+        field.stress_at({0.0, 0.0}, {r * std::cos(turn), r * std::sin(turn)});
+    h.f64(s.s11);
+    h.f64(s.s22);
+    h.f64(s.s12);
+  }
+}
+
 }  // namespace
 
 TiledEvaluator::TiledEvaluator(const StressFramework& framework,
@@ -58,9 +78,8 @@ std::uint64_t TiledEvaluator::fingerprint(const geo::SampleGrid& grid) const {
     h.f64(m->poisson_ratio);
     h.f64(m->cte);
   }
-  const FrameworkOptions& opt = framework_->options();
-  h.f64(opt.load.delta_t);
-  h.f64(opt.stage1.influence_radius);
+  hash_field(h, framework_->stage1().table());
+  h.f64(framework_->options().influence_radius);
   h.f64(grid.box().lo.x);
   h.f64(grid.box().lo.y);
   h.f64(grid.box().hi.x);
@@ -71,10 +90,15 @@ std::uint64_t TiledEvaluator::fingerprint(const geo::SampleGrid& grid) const {
   const InteractiveStage* s2 = framework_->stage2();
   h.u64(s2 != nullptr ? 1 : 0);
   if (s2 != nullptr) {
-    h.f64(s2->options().pair_pitch_cutoff);
-    h.f64(s2->options().influence_radius);
+    h.f64(s2->pair_pitch_cutoff());
+    const ana::InteractiveStressModel& model = s2->model();
+    h.f64(model.k_hat());
+    const ana::InclusionResponseOptions& ropt = model.response().options();
+    h.u64(static_cast<std::uint64_t>(ropt.max_basis_power));
+    h.u64(static_cast<std::uint64_t>(ropt.series_order));
+    h.u64(static_cast<std::uint64_t>(ropt.collocation_points));
     // Whether a certified surrogate passes its gate and serves Stage II.
-    h.u64(s2->model().surrogate_for(s2->options().influence_radius) ? 1 : 0);
+    h.u64(model.surrogate_for(s2->influence_radius()) ? 1 : 0);
   }
   return h.value();
 }

@@ -12,8 +12,7 @@
 // threads compose because the outer tile loop is serial), given the tile's
 // victim runs, victim_runs_near(tile) instead of the whole grid's
 // victim_runs(): every TSV that can reach the tile, with its aggressors
-// (possibly none). With Stage II on (and equal radii) that is the fused
-// pass, one disc walk per TSV for both stages, and the tile's whole time
+// (possibly none). With Stage II on that is the fused pass, one disc walk per TSV for both stages, and the tile's whole time
 // counts as Stage II: TiledStats::stage1_seconds stays 0. A tile (and a
 // checkpoint) carries the total field only; the Stage II part alone comes
 // from InteractiveStage::evaluate, or as the difference with an LS-only
@@ -127,10 +126,12 @@ class TiledEvaluator {
                       const CheckpointConfig& checkpoint) const;
 
   /// FNV-1a fingerprint of everything a checkpoint must agree on: the
-  /// placement (centers, radii and the three materials), the thermal load,
-  /// the grid geometry, the tile budget, the Stage I radius, and whether
-  /// Stage II runs, with which cutoff and radius, and whether a certified
-  /// surrogate serves it.
+  /// placement (centers, radii and the three materials), the Stage I
+  /// field's values at fixed probe points (so its thermal load and its
+  /// kind), the grid geometry, the tile budget, the influence radius, and
+  /// whether Stage II runs, with which pitch cutoff, model (k_hat and
+  /// inclusion-response options), and whether a certified surrogate
+  /// serves it.
   std::uint64_t fingerprint(const geo::SampleGrid& grid) const;
 
  private:

@@ -510,16 +510,15 @@ std::uint64_t save_engine_state(const std::string& path,
   w.point(state.grid_box.hi);
   w.size(state.grid_nx);
   w.size(state.grid_ny);
-  w.f64(opt.stage1.influence_radius);
-  w.f64(opt.stage2.pair_pitch_cutoff);
-  w.f64(opt.stage2.influence_radius);
-  w.u8(opt.enable_interactive ? 1 : 0);
+  const std::shared_ptr<const ana::InteractiveStressModel> model =
+      engine.model();
+  w.f64(opt.influence_radius);
+  w.f64(opt.pair_pitch_cutoff);
+  w.u8(model != nullptr ? 1 : 0);
   w.size(opt.num_threads);
 
   // Stage-II characterization: k_hat plus the response options, enough to
   // re-derive the InteractiveStressModel exactly.
-  const std::shared_ptr<const ana::InteractiveStressModel> model =
-      engine.model();
   w.f64(model != nullptr ? model->k_hat() : 0.0);
   const ana::InclusionResponseOptions ropt =
       model != nullptr ? model->response().options()
@@ -557,10 +556,9 @@ core::IncrementalEngine load_engine_state(const std::string& path) {
   state.grid_nx = r.size();
   state.grid_ny = r.size();
   core::IncrementalOptions& opt = state.options;
-  opt.stage1.influence_radius = r.f64();
-  opt.stage2.pair_pitch_cutoff = r.f64();
-  opt.stage2.influence_radius = r.f64();
-  opt.enable_interactive = r.u8() != 0;
+  opt.influence_radius = r.f64();
+  opt.pair_pitch_cutoff = r.f64();
+  const bool has_model = r.u8() != 0;
   opt.num_threads = r.size();
 
   const double k_hat = r.f64();
@@ -585,7 +583,7 @@ core::IncrementalEngine load_engine_state(const std::string& path) {
   r.expect_end();
 
   std::shared_ptr<const ana::InteractiveStressModel> model;
-  if (opt.enable_interactive) {
+  if (has_model) {
     // Re-characterize the inclusion response (cheap next to re-evaluating
     // the fields, which the restored state skips).
     model = std::make_shared<const ana::InteractiveStressModel>(

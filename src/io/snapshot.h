@@ -38,13 +38,14 @@
 
 namespace tsv::io {
 
-// Version 5 is the only format this build reads or writes: an engine-state
-// payload holds the placement slots, the Stage I/II cutoffs, the engine's
-// one thread count, both accumulated f64 fields, the radial table, and an
-// optional embedded surrogate. Files of any other version (v4 stored three
-// thread counts) are refused with a version-mismatch error; re-create them
-// from the placement.
-inline constexpr std::uint32_t kSnapshotVersion = 5;
+// Version 6 is the only format this build reads or writes: an engine-state
+// payload holds the placement slots, the one influence radius, the pair
+// pitch cutoff, whether a model runs Stage II, the engine's one thread
+// count, both accumulated f64 fields, the radial table, and an optional
+// embedded surrogate. Files of any other version (v5 stored per-stage radii
+// and an enable flag) are refused with a version-mismatch error; re-create
+// them from the placement.
+inline constexpr std::uint32_t kSnapshotVersion = 6;
 
 enum class SnapshotKind : std::uint32_t {
   kRadialTable = 1,
@@ -117,11 +118,12 @@ std::uint64_t save_engine_state(const std::string& path,
                                 const core::IncrementalEngine& engine);
 
 /// Rebuilds an engine from a snapshot without re-evaluating anything: the
-/// radial table is decoded, the interactive model is re-characterized from
-/// the stored structure/options (with the embedded surrogate reattached),
-/// and the accumulated fields are restored verbatim. Cutoffs the engine's
-/// constructor would refuse (not finite and positive, or a Stage I radius
-/// beyond the table) are rejected with IoCorruptionError.
+/// radial table is decoded, the interactive model (when the engine had one)
+/// is re-characterized from the stored structure/options (with the embedded
+/// surrogate reattached), and the accumulated fields are restored verbatim.
+/// Cutoffs the engine's constructor would refuse (not finite and positive,
+/// or an influence radius beyond the table) are rejected with
+/// IoCorruptionError.
 core::IncrementalEngine load_engine_state(const std::string& path);
 
 // --- Tiled-run checkpoints -----------------------------------------------

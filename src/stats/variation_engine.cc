@@ -117,13 +117,12 @@ VariationEngine::VariationEngine(const tsvlib::Placement& nominal,
     const tsvlib::Placement placement(corner.structure, nominal_.centers());
     const core::Characterization ch = core::characterize(
         corner.structure, options_.load,
-        !options_.engine.enable_interactive ? core::StageTwo::kOff
-        : options_.fit_surrogate            ? core::StageTwo::kSurrogate
-                                            : core::StageTwo::kSeries);
-    core::IncrementalOptions opt = options_.engine;
-    opt.num_threads = 1;  // serial engine builds (see VariationOptions)
+        options_.ls_only         ? core::StageTwo::kOff
+        : options_.fit_surrogate ? core::StageTwo::kSurrogate
+                                 : core::StageTwo::kSeries);
+    // Serial engine builds (see VariationOptions).
     engines_.push_back(std::make_unique<core::IncrementalEngine>(
-        placement, grid_, ch.table, ch.model, opt));
+        placement, grid_, ch.table, ch.model, core::IncrementalOptions{}));
     build_seconds_.push_back(seconds_since(t0));
   }
 }
@@ -175,7 +174,7 @@ CornerResult VariationEngine::run_corner(std::size_t corner_index) {
   std::vector<double> chunk_peak(
       num::resolve_thread_count(options_.num_threads));
 
-  const double pitch_cutoff = options_.engine.stage2.pair_pitch_cutoff;
+  const double pitch_cutoff = engine.options().pair_pitch_cutoff;
   SampleRealization prev;  // sample 0 edits away from the nominal placement
 
   const auto t0 = std::chrono::steady_clock::now();

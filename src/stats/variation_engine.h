@@ -42,11 +42,12 @@
 namespace tsv::stats {
 
 struct VariationOptions {
-  /// Engine configuration shared by every corner. Its num_threads is
-  /// forced to 1: corner engines build and apply serially, and num_threads
-  /// below parallelizes the per-point accumulation instead.
-  core::IncrementalOptions engine{};
+  /// Every corner's engine runs on the default cutoffs and builds and
+  /// applies serially; num_threads below parallelizes the per-point
+  /// accumulation instead.
   mat::ThermalLoad load{};
+  /// Sweep the LS baseline: Stage I alone, no interaction model.
+  bool ls_only = false;
   /// Von Mises exceedance thresholds, MPa.
   std::vector<double> thresholds{60.0, 80.0, 100.0};
   /// Quantile levels reported per point.

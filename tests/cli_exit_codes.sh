@@ -52,6 +52,30 @@ else
   echo "ok [checkpointed field matches plain evaluate]"
 fi
 
+# --- exit 0: --ls-only runs Stage I alone ---------------------------------
+expect_code 0 "ls-only evaluate" \
+  evaluate "$WORK/ok.tsv" --spacing=2 --ls-only --out="$WORK/ls.csv"
+expect_code 0 "ls-only checkpointed evaluate" \
+  evaluate "$WORK/ok.tsv" --spacing=2 --ls-only --out="$WORK/ls_cp.csv" \
+  --checkpoint="$WORK/ls.ckpt" --checkpoint-every=1
+if ! cmp -s "$WORK/ls.csv" "$WORK/ls_cp.csv"; then
+  echo "FAIL [ls-only checkpointed field]: differs from the plain run" >&2
+  fails=$((fails + 1))
+else
+  echo "ok [ls-only checkpointed field matches plain run]"
+fi
+# At 12 um pitch Stage II moves the field, so LS and PF must differ.
+if cmp -s "$WORK/ls.csv" "$WORK/field.csv"; then
+  echo "FAIL [ls-only field]: equals the PF field" >&2
+  fails=$((fails + 1))
+else
+  echo "ok [ls-only field differs from PF]"
+fi
+expect_code 0 "ls-only eco" eco "$WORK/ok.tsv" --spacing=2 --ls-only
+expect_code 0 "ls-only variation" \
+  variation "$WORK/ok.tsv" --spacing=2 --ls-only --samples=2 \
+  --out="$WORK/variation.csv"
+
 # --- exit 2: invalid input ------------------------------------------------
 cat >"$WORK/nan.tsv" <<EOF
 structure 2.5 0.5 BCB

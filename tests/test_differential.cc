@@ -149,17 +149,18 @@ TEST(Differential, StageTwoIsIndependentOfPairOrder) {
     const std::vector<geo::Point> pts = d.grid.points();
     const InteractiveStage exact_stage(d.placement, fresh_model());
     const InteractiveStage fast_stage(d.placement, sur_model);
-    const auto sorted = exact_stage.ordered_pairs();
+    const auto sorted = exact_stage.victim_runs().pairs();
     auto shuffled = sorted;
     std::mt19937_64 rng(seed);
     std::shuffle(shuffled.begin(), shuffled.end(), rng);
 
-    const auto exact = exact_stage.evaluate_with_pairs(pts, sorted);
-    EXPECT_LE(max_rel_err(exact_stage.evaluate_with_pairs(pts, shuffled),
-                          exact),
+    const VictimRuns sorted_runs = VictimRuns::from_pairs(sorted);
+    const VictimRuns shuffled_runs = VictimRuns::from_pairs(shuffled);
+    const auto exact = exact_stage.evaluate_runs(pts, sorted_runs);
+    EXPECT_LE(max_rel_err(exact_stage.evaluate_runs(pts, shuffled_runs), exact),
               1e-12);
-    const auto fast = fast_stage.evaluate_with_pairs(pts, sorted);
-    const auto fast_shuffled = fast_stage.evaluate_with_pairs(pts, shuffled);
+    const auto fast = fast_stage.evaluate_runs(pts, sorted_runs);
+    const auto fast_shuffled = fast_stage.evaluate_runs(pts, shuffled_runs);
     EXPECT_LE(max_rel_err(fast_shuffled, fast), 1e-12);
     const double budget = static_cast<double>(sorted.size()) *
                           cert.certified_rel_bound * cert.field_scale;

@@ -9,7 +9,7 @@
 //     disc lengths that are not a multiple of the lane count.
 //   - StressFramework::evaluate(grid) and TiledEvaluator (many tiles) equal
 //     LinearSuperposition::evaluate(window) +
-//     InteractiveStage::evaluate_with_pairs(window, ordered_pairs()) within
+//     InteractiveStage::evaluate_runs(window, victim_runs()) within
 //     1e-12 of the field scale, at 1 and 4 threads, on placements with a
 //     lone TSV, an isolated TSV, a rim point exactly 25 um from a TSV, TSV
 //     centers on grid points and on tile corners; with the series and the
@@ -190,8 +190,8 @@ tsvlib::Placement mixed_placement(const geo::SampleGrid& grid) {
 std::vector<num::SymTensor2> separate_passes(const StressFramework& fw,
                                              const geo::GridWindow& window) {
   std::vector<num::SymTensor2> total = fw.stage1().evaluate(window);
-  const std::vector<num::SymTensor2> stage2 = fw.stage2()->evaluate_with_pairs(
-      window, fw.stage2()->ordered_pairs());
+  const std::vector<num::SymTensor2> stage2 =
+      fw.stage2()->evaluate_runs(window, fw.stage2()->victim_runs());
   for (std::size_t i = 0; i < total.size(); ++i) total[i] += stage2[i];
   return total;
 }
@@ -295,25 +295,6 @@ TEST(FusedPass, MatchesSeparatePassesWithAStressMapStageOne) {
       series_model());
 }
 
-TEST(FusedPass, UnequalRadiiKeepTheSeparatePasses) {
-  const geo::SampleGrid grid = test_grid();
-  FrameworkOptions opt;
-  opt.stage1.influence_radius = 20.0;
-  const StressFramework fw(mixed_placement(grid),
-                           std::make_shared<const RadialStressTable>(
-                               default_table()),
-                           series_model(), opt);
-  const StressResult r = fw.evaluate(grid);
-  EXPECT_GT(r.stage1_seconds, 0.0);
-  const std::vector<num::SymTensor2> want =
-      separate_passes(fw, geo::GridWindow(grid));
-  ASSERT_EQ(r.stress.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(bits(r.stress[i].s11), bits(want[i].s11)) << i;
-    EXPECT_EQ(bits(r.stress[i].s12), bits(want[i].s12)) << i;
-  }
-}
-
 TEST(FusedPass, TileRunsHoldEveryTsvWithinReachAndKeepThePairCounts) {
   const geo::SampleGrid grid = test_grid();
   const tsvlib::Placement p = mixed_placement(grid);
@@ -324,7 +305,6 @@ TEST(FusedPass, TileRunsHoldEveryTsvWithinReachAndKeepThePairCounts) {
   ASSERT_EQ(all.victims.size(), p.size());
   EXPECT_EQ(all.offsets[4], all.offsets[3]);
   EXPECT_EQ(all.pair_count(), stage2.pair_count());
-  EXPECT_EQ(all.pairs(), stage2.ordered_pairs());
   // A window whose nearest point is exactly 25 um from the origin TSV.
   const geo::Box rim{{15.0, 20.0}, {30.0, 30.0}};
   const VictimRuns near = stage2.victim_runs_near(rim);

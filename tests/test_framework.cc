@@ -16,9 +16,7 @@ const tsvlib::TsvStructure kS = tsvlib::TsvStructure::baseline_bcb();
 
 TEST(Framework, LsOnlyEqualsStageOne) {
   const tsvlib::Placement pair = tsvlib::make_pair(kS, 10.0);
-  FrameworkOptions opt;
-  opt.enable_interactive = false;
-  const StressFramework fw(pair, opt);
+  const StressFramework fw(pair, {}, StageTwo::kOff);
   const geo::Point p{3.0, 1.0};
   const num::SymTensor2 direct = fw.stage1().stress_at(p);
   const num::SymTensor2 total = fw.stress_at(p);
@@ -78,10 +76,7 @@ TEST(Framework, TableMustCoverInfluenceRadius) {
       RadialStressTable::from_analytic(
           ana::SingleTsvModel(kS, mat::ThermalLoad{}), 10.0,
           512));  // < influence radius 25
-  FrameworkOptions opt;
-  opt.enable_interactive = false;
-  EXPECT_THROW(StressFramework(tsvlib::make_pair(kS, 10.0), table, nullptr,
-                               opt),
+  EXPECT_THROW(StressFramework(tsvlib::make_pair(kS, 10.0), table, nullptr),
                std::invalid_argument);
 }
 
@@ -114,10 +109,8 @@ TEST(Framework, ProposedFrameworkBeatsLinearSuperpositionAt8um) {
   for (std::size_t i = 0; i < pts.size(); ++i)
     gold[i] = golden.stress.sample(pts[i]);
 
-  FrameworkOptions ls_opt;
-  ls_opt.enable_interactive = false;
-  const StressFramework ls(pair, table, nullptr, ls_opt);
-  const StressFramework pf(pair, table, model, FrameworkOptions{});
+  const StressFramework ls(pair, table, nullptr);
+  const StressFramework pf(pair, table, model);
   const auto r_ls = ls.evaluate(pts);
   const auto r_pf = pf.evaluate(pts);
 
@@ -159,10 +152,8 @@ TEST(Framework, PairwiseInteractiveHoldsForThreeTsvChain) {
   for (std::size_t i = 0; i < pts.size(); ++i)
     gold[i] = golden.stress.sample(pts[i]);
 
-  FrameworkOptions ls_opt;
-  ls_opt.enable_interactive = false;
-  const StressFramework ls(chain, table, nullptr, ls_opt);
-  const StressFramework pf(chain, table, model, FrameworkOptions{});
+  const StressFramework ls(chain, table, nullptr);
+  const StressFramework pf(chain, table, model);
   const ErrorStats e_ls = compare_fields(
       StressMeasure::kSigmaXX, pts, ls.evaluate(pts).stress, gold, chain);
   const ErrorStats e_pf = compare_fields(

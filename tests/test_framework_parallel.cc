@@ -94,9 +94,8 @@ TEST(FrameworkParallel, ZeroMeansHardwareConcurrency) {
 TEST(FrameworkParallel, LsOnlyParallelRunHasNoInteractivePart) {
   const tsvlib::Placement arr = tsvlib::make_array(kS, 3, 3, 10.0);
   FrameworkOptions opt;
-  opt.enable_interactive = false;
   opt.num_threads = 4;
-  const StressFramework fw(arr, opt);
+  const StressFramework fw(arr, opt, StageTwo::kOff);
   const geo::SampleGrid grid(geo::Box::centered({10, 10}, 40, 40), 41, 41);
   EXPECT_EQ(fw.stage2(), nullptr);
   const StressResult res = fw.evaluate(grid);

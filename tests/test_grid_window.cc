@@ -271,7 +271,8 @@ TEST(StageOneWindow, IsBitwiseThePointMajorEvaluate) {
       radial_table(), map_table()};
   for (const auto& table : tables) {
     for (const std::size_t threads : {1u, 4u}) {
-      const core::LinearSuperposition ls(d.placement, table, {}, threads);
+      const core::LinearSuperposition ls(d.placement, table,
+                                         core::kInfluenceRadius, threads);
       for (const GridWindow& w : windows_of(d.grid)) {
         SCOPED_TRACE(testing::Message() << "threads " << threads << ", "
                                         << w.nx() << "x" << w.ny());
@@ -311,16 +312,17 @@ std::shared_ptr<const ana::InteractiveStressModel> surrogate_model() {
 TEST(StageTwoWindow, IsBitwiseThePointListEvaluate) {
   const Design d;
   for (const std::size_t threads : {1u, 4u}) {
-    const core::InteractiveStage stage(d.placement, surrogate_model(), {},
-                                       threads);
+    const core::InteractiveStage stage(d.placement, surrogate_model(),
+                                       core::kInfluenceRadius,
+                                       core::kPairPitchCutoff, threads);
     for (const GridWindow& w : windows_of(d.grid)) {
       SCOPED_TRACE(testing::Message() << "threads " << threads << ", "
                                       << w.nx() << "x" << w.ny());
-      // Whole-placement pairs, and the tiled evaluator's culled pairs.
-      for (const auto& pairs :
-           {stage.ordered_pairs(), stage.ordered_pairs_near(w.bounds())}) {
-        const auto want = stage.evaluate_with_pairs(w.points(), pairs);
-        const auto got = stage.evaluate_with_pairs(w, pairs);
+      // Whole-placement runs, and the tiled evaluator's culled runs.
+      for (const core::VictimRuns& runs :
+           {stage.victim_runs(), stage.victim_runs_near(w.bounds())}) {
+        const auto want = stage.evaluate_runs(w.points(), runs);
+        const auto got = stage.evaluate_runs(w, runs);
         EXPECT_TRUE(bitwise_equal(got, want));
       }
     }
@@ -331,11 +333,11 @@ TEST(StageTwoWindow, EmptyPairsAndLoneTsvGiveZero) {
   const Design d;
   const core::InteractiveStage stage(d.placement, surrogate_model());
   const GridWindow w(d.grid, 0, 5, 0, 4);
-  const auto none = stage.evaluate_with_pairs(w, {});
+  const auto none = stage.evaluate_runs(w, core::VictimRuns{});
   EXPECT_TRUE(bitwise_equal(none, std::vector<num::SymTensor2>(w.size())));
   const tsvlib::Placement lone(kS, {{0.0, 0.0}});
   const core::InteractiveStage single(lone, surrogate_model());
-  EXPECT_TRUE(bitwise_equal(single.evaluate_with_pairs(w, {}),
+  EXPECT_TRUE(bitwise_equal(single.evaluate_runs(w, core::VictimRuns{}),
                             std::vector<num::SymTensor2>(w.size())));
 }
 

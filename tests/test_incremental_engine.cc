@@ -99,8 +99,7 @@ std::vector<num::SymTensor2> full_reference(const IncrementalEngine& e) {
 TEST(IncrementalEngine, InitialBuildMatchesFramework) {
   const Fixture f;
   const IncrementalEngine engine = f.engine();
-  FrameworkOptions fopt;
-  const StressFramework fw(f.placement, shared_table(), shared_model(), fopt);
+  const StressFramework fw(f.placement, shared_table(), shared_model());
   // The engine keeps the two stage buffers apart, like the framework's
   // point-list evaluation (its grid evaluation fuses the stages, which
   // regroups the sum).
@@ -183,20 +182,19 @@ EditCount count_edit_side(const IncrementalEngine& e,
       if (geo::distance_squared(p, c) <= radius * radius) ++n;
     return n;
   };
-  const double cutoff = e.options().stage2.pair_pitch_cutoff;
+  const double cutoff = e.options().pair_pitch_cutoff;
+  const double radius = e.options().influence_radius;
   EditCount count;
   const std::vector<std::uint32_t> ids = e.active_ids();
   for (const std::uint32_t v : ids) {
     if (is_touched(v))
-      count.stage1_points +=
-          disc_points(e.center(v), e.options().stage1.influence_radius);
+      count.stage1_points += disc_points(e.center(v), radius);
     for (const std::uint32_t a : ids) {
       if (a == v || !(is_touched(v) || is_touched(a))) continue;
       if (geo::distance_squared(e.center(v), e.center(a)) > cutoff * cutoff)
         continue;
       ++count.pairs;
-      count.stage2_points +=
-          disc_points(e.center(v), e.options().stage2.influence_radius);
+      count.stage2_points += disc_points(e.center(v), radius);
       if (sur.covers(geo::distance(e.center(v), e.center(a))))
         ++count.covered;
       else
@@ -267,18 +265,20 @@ TEST(IncrementalEngine, ApplyIsBitwiseDeterministic) {
   EXPECT_TRUE(bitwise_equal(a.stage2_field(), b.stage2_field()));
 }
 
+// The bound is zero: Stage I evaluates each point on its own, and Stage II's
+// cell schedule fixes each point's summation order (interactive_stage.h),
+// so both fields are the serial build's bits at every thread count.
 TEST(IncrementalEngine, ParallelBuildMatchesSerialWithinBound) {
   const Fixture f;
-  IncrementalOptions serial;
-  serial.num_threads = 1;
-  IncrementalOptions par;
-  par.num_threads = 4;
-  const IncrementalEngine a = f.engine(serial);
-  const IncrementalEngine b = f.engine(par);
-  // Stage I is bitwise under the chunk-ordered reduce; Stage II carries the
-  // documented <= 1e-12 merge-order tolerance.
-  EXPECT_TRUE(bitwise_equal(a.stage1_field(), b.stage1_field()));
-  EXPECT_LE(max_rel_err(b.stage2_field(), a.stage2_field()), 1e-12);
+  const IncrementalEngine serial = f.engine();
+  for (const std::size_t threads : {2u, 3u, 4u}) {
+    SCOPED_TRACE(threads);
+    IncrementalOptions opt;
+    opt.num_threads = threads;
+    const IncrementalEngine pooled = f.engine(opt);
+    EXPECT_TRUE(bitwise_equal(pooled.stage1_field(), serial.stage1_field()));
+    EXPECT_TRUE(bitwise_equal(pooled.stage2_field(), serial.stage2_field()));
+  }
 }
 
 TEST(IncrementalEngine, FarPointsUntouchedBitwise) {
@@ -293,9 +293,7 @@ TEST(IncrementalEngine, FarPointsUntouchedBitwise) {
   // — so the conservative untouched region starts pair_pitch_cutoff +
   // influence_radius away from the moved TSV.
   const double reach =
-      engine.options().stage2.pair_pitch_cutoff +
-      std::max(engine.options().stage1.influence_radius,
-               engine.options().stage2.influence_radius);
+      engine.options().pair_pitch_cutoff + engine.options().influence_radius;
   const std::vector<geo::Point> pts = f.grid.points();
   std::size_t far_points = 0;
   for (std::size_t i = 0; i < pts.size(); ++i) {
@@ -317,17 +315,15 @@ TEST(IncrementalEngine, DirtyPointsAreABruteForceDiscScan) {
   // The counts match a brute-force scan of those discs, and no point
   // outside them changes.
   const Fixture f;
-  IncrementalOptions opt;
-  opt.enable_interactive = false;
-  IncrementalEngine engine = f.engine(opt, nullptr);
+  IncrementalEngine engine = f.engine({}, nullptr);
   const std::vector<num::SymTensor2> before = engine.stage1_field();
   const geo::Point old_c = engine.center(3);
   const geo::Point new_c{old_c.x + 1.37, old_c.y - 0.83};
   const geo::Point corner = f.grid.box().lo + geo::Point{3.1, 4.2};
   const ApplyStats st =
       engine.apply({EcoOp::move(3, new_c), EcoOp::add(corner)});
-  const double r2 = engine.options().stage1.influence_radius *
-                    engine.options().stage1.influence_radius;
+  const double r2 = engine.options().influence_radius *
+                    engine.options().influence_radius;
   const std::vector<geo::Point> pts = f.grid.points();
   const std::vector<num::SymTensor2>& after = engine.stage1_field();
   std::size_t dirty_points = 0;
@@ -389,10 +385,7 @@ TEST(IncrementalEngine, InvalidEditsRejectedAtomically) {
 
 TEST(IncrementalEngine, StageOneOnlyEngineWorks) {
   const Fixture f;
-  IncrementalOptions opt;
-  opt.enable_interactive = false;
-  IncrementalEngine engine(f.placement, f.grid, shared_table(), nullptr,
-                           opt);
+  IncrementalEngine engine(f.placement, f.grid, shared_table(), nullptr);
   for (const auto& t : engine.stage2_field()) {
     EXPECT_EQ(t.s11, 0.0);
     EXPECT_EQ(t.s22, 0.0);
@@ -401,7 +394,7 @@ TEST(IncrementalEngine, StageOneOnlyEngineWorks) {
   const geo::Point c = engine.center(3);
   engine.apply({EcoOp::move(3, {c.x + 1.5, c.y})});
   const IncrementalEngine fresh(engine.placement(), f.grid, shared_table(),
-                                nullptr, opt);
+                                nullptr);
   EXPECT_LE(max_rel_err(engine.total_field(), fresh.total_field()), 1e-12);
 }
 

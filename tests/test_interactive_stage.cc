@@ -23,14 +23,14 @@ std::shared_ptr<const ana::InteractiveStressModel> make_model() {
 TEST(InteractiveStage, SingleTsvHasNoPairs) {
   const tsvlib::Placement p(kS, {{0.0, 0.0}});
   const InteractiveStage stage(p, make_model());
-  EXPECT_TRUE(stage.ordered_pairs().empty());
+  EXPECT_TRUE(stage.victim_runs().pairs().empty());
   EXPECT_DOUBLE_EQ(stage.stress_at({4.0, 0.0}).s11, 0.0);
 }
 
 TEST(InteractiveStage, PairYieldsTwoOrderedRounds) {
   const tsvlib::Placement pair = tsvlib::make_pair(kS, 10.0);
   const InteractiveStage stage(pair, make_model());
-  const auto pairs = stage.ordered_pairs();
+  const auto pairs = stage.victim_runs().pairs();
   ASSERT_EQ(pairs.size(), 2u);
   EXPECT_NE(pairs[0].first, pairs[0].second);
   EXPECT_EQ(pairs[0].first, pairs[1].second);
@@ -39,10 +39,8 @@ TEST(InteractiveStage, PairYieldsTwoOrderedRounds) {
 
 TEST(InteractiveStage, PitchCutoffExcludesFarPairs) {
   const tsvlib::Placement p(kS, {{0.0, 0.0}, {40.0, 0.0}});
-  InteractiveOptions opt;
-  opt.pair_pitch_cutoff = 25.0;
-  const InteractiveStage stage(p, make_model(), opt);
-  EXPECT_TRUE(stage.ordered_pairs().empty());
+  const InteractiveStage stage(p, make_model(), kInfluenceRadius, 25.0);
+  EXPECT_TRUE(stage.victim_runs().pairs().empty());
 }
 
 TEST(InteractiveStage, PointwiseSumsBothRounds) {
@@ -74,9 +72,7 @@ TEST(InteractiveStage, BatchMatchesPointwise) {
 
 TEST(InteractiveStage, InfluenceRadiusLimitsPointCoverage) {
   const tsvlib::Placement pair = tsvlib::make_pair(kS, 10.0);
-  InteractiveOptions opt;
-  opt.influence_radius = 10.0;
-  const InteractiveStage stage(pair, make_model(), opt);
+  const InteractiveStage stage(pair, make_model(), 10.0);
   // A point 40 um away from both TSVs gets no interactive contribution.
   EXPECT_DOUBLE_EQ(stage.stress_at({0.0, 40.0}).s11, 0.0);
   const auto batch = stage.evaluate({{0.0, 40.0}, {0.0, 2.0}});
@@ -100,7 +96,8 @@ TEST(InteractiveStage, ParallelEvaluateMatchesSerialWithinTolerance) {
   const auto want = serial.evaluate(pts);
 
   for (const std::size_t threads : {2u, 4u}) {
-    const InteractiveStage stage(cluster, make_model(), {}, threads);
+    const InteractiveStage stage(cluster, make_model(), kInfluenceRadius,
+                                 kPairPitchCutoff, threads);
     const auto got = stage.evaluate(pts);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < pts.size(); ++i) {
@@ -118,7 +115,8 @@ TEST(InteractiveStage, ParallelEvaluateMatchesSerialWithinTolerance) {
 // fixes each point's summation order whichever worker claims which cell.
 TEST(InteractiveStage, ParallelEvaluateIsReproducibleAtFixedThreadCount) {
   const tsvlib::Placement arr = tsvlib::make_array(kS, 4, 3, 9.0);
-  const InteractiveStage stage(arr, make_model(), {}, 4);
+  const InteractiveStage stage(arr, make_model(), kInfluenceRadius,
+                                 kPairPitchCutoff, 4);
   std::vector<geo::Point> pts;
   for (double x = -4; x <= 31; x += 1.7)
     for (double y = -4; y <= 22; y += 2.1) pts.push_back({x, y});
@@ -140,7 +138,8 @@ TEST(InteractiveStage, SurrogateParallelMatchesSerialWithinTolerance) {
   model->attach_surrogate(std::make_shared<const ana::PairSurrogate>(
       ana::PairSurrogate::fit(*model)));
   const InteractiveStage serial(arr, model);
-  const InteractiveStage parallel(arr, model, {}, 3);
+  const InteractiveStage parallel(arr, model, kInfluenceRadius,
+                                  kPairPitchCutoff, 3);
   std::vector<geo::Point> pts;
   for (double x = -3; x <= 23; x += 2.3)
     for (double y = -3; y <= 23; y += 2.7) pts.push_back({x, y});
@@ -248,7 +247,7 @@ TEST(InteractiveStage, VictimBatchingIsOrderIndependent) {
     for (double y = -6; y <= 34; y += 2.3) pts.push_back({x, y});
 
   const InteractiveStage serial(design, model);
-  const auto sorted = serial.ordered_pairs();
+  const auto sorted = serial.victim_runs().pairs();
   auto shuffled = sorted;
   std::mt19937 rng(20261017);
   std::shuffle(shuffled.begin(), shuffled.end(), rng);
@@ -259,9 +258,10 @@ TEST(InteractiveStage, VictimBatchingIsOrderIndependent) {
       ++sub_domain;
   ASSERT_GT(sub_domain, 0u);
 
-  const auto want = serial.evaluate_with_pairs(pts, sorted);
+  const auto want = serial.evaluate_runs(pts, VictimRuns::from_pairs(sorted));
   surrogate->reset_use_stats();
-  const auto got = serial.evaluate_with_pairs(pts, shuffled);
+  const VictimRuns shuffled_runs = VictimRuns::from_pairs(shuffled);
+  const auto got = serial.evaluate_runs(pts, shuffled_runs);
   EXPECT_EQ(surrogate->use_stats().fallback_pairs, sub_domain);
   EXPECT_EQ(surrogate->use_stats().surrogate_pairs,
             sorted.size() - sub_domain);
@@ -280,9 +280,10 @@ TEST(InteractiveStage, VictimBatchingIsOrderIndependent) {
   // Bitwise repeatable, serial and pooled.
   for (const std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE(threads);
-    const InteractiveStage stage(design, model, {}, threads);
-    const auto first = stage.evaluate_with_pairs(pts, shuffled);
-    const auto second = stage.evaluate_with_pairs(pts, shuffled);
+    const InteractiveStage stage(design, model, kInfluenceRadius,
+                                 kPairPitchCutoff, threads);
+    const auto first = stage.evaluate_runs(pts, shuffled_runs);
+    const auto second = stage.evaluate_runs(pts, shuffled_runs);
     for (std::size_t i = 0; i < pts.size(); ++i) {
       EXPECT_EQ(first[i].s11, second[i].s11) << i;
       EXPECT_EQ(first[i].s22, second[i].s22) << i;
@@ -372,16 +373,15 @@ TEST(InteractiveStage, EvaluateIsBitwiseAPerPairReferenceLoop) {
     for (double y = -6; y <= 76; y += 2.3) pts.push_back({x, y});
   const double tol = 1e-12 * surrogate->certificate().field_scale;
 
-  const InteractiveOptions options;
-  const auto pairs = InteractiveStage(design, model).ordered_pairs();
+  const auto pairs = InteractiveStage(design, model).victim_runs().pairs();
   std::vector<std::size_t> run_starts;
   for (std::size_t k = 0; k < pairs.size(); ++k)
     if (k == 0 || pairs[k].first != pairs[k - 1].first)
       run_starts.push_back(k);
   const std::size_t runs = run_starts.size();
   run_starts.push_back(pairs.size());
-  const VictimCells cells(design.bounding_box(), options.influence_radius);
-  const double r2 = options.influence_radius * options.influence_radius;
+  const VictimCells cells(design.bounding_box(), kInfluenceRadius);
+  const double r2 = kInfluenceRadius * kInfluenceRadius;
   std::vector<num::SymTensor2> want(pts.size()), by_pair(pts.size());
   bool coloured[4] = {false, false, false, false};
   for (int colour = 0; colour < 4; ++colour) {
@@ -410,7 +410,8 @@ TEST(InteractiveStage, EvaluateIsBitwiseAPerPairReferenceLoop) {
 
   for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
     SCOPED_TRACE(threads);
-    const InteractiveStage stage(design, model, options, threads);
+    const InteractiveStage stage(design, model, kInfluenceRadius,
+                                 kPairPitchCutoff, threads);
     const auto got = stage.evaluate(pts);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < pts.size(); ++i) {
@@ -436,10 +437,11 @@ TEST(InteractiveStage, OrderedPairsAreThreadCountIndependent) {
   for (const tsvlib::Placement& design : designs) {
     SCOPED_TRACE(design.size());
     const InteractiveStage serial(design, make_model());
-    const InteractiveStage pooled(design, make_model(), {}, 4);
-    const auto all = serial.ordered_pairs();
+    const InteractiveStage pooled(design, make_model(), kInfluenceRadius,
+                                 kPairPitchCutoff, 4);
+    const auto all = serial.victim_runs().pairs();
     ASSERT_GT(all.size(), 0u);
-    EXPECT_EQ(pooled.ordered_pairs(), all);
+    EXPECT_EQ(pooled.victim_runs().pairs(), all);
     const geo::Box hull = design.bounding_box();
     const geo::Point c = hull.center();
     const geo::Box boxes[] = {
@@ -450,10 +452,10 @@ TEST(InteractiveStage, OrderedPairsAreThreadCountIndependent) {
         {{hull.hi.x + 100.0, hull.hi.y + 100.0},
          {hull.hi.x + 200.0, hull.hi.y + 200.0}}};
     for (const geo::Box& box : boxes) {
-      const auto near = serial.ordered_pairs_near(box);
-      EXPECT_EQ(pooled.ordered_pairs_near(box), near);
+      const auto near = serial.victim_runs_near(box).pairs();
+      EXPECT_EQ(pooled.victim_runs_near(box).pairs(), near);
     }
-    EXPECT_EQ(serial.ordered_pairs_near(hull), all);
+    EXPECT_EQ(serial.victim_runs_near(hull).pairs(), all);
   }
 }
 
@@ -461,8 +463,9 @@ TEST(InteractiveStage, PairCountIsTheOrderedPairListSize) {
   const tsvlib::Placement design = tsvlib::make_random(
       kS, 2000, geo::Box{{0.0, 0.0}, {600.0, 600.0}}, 8.0, 20261017);
   const InteractiveStage serial(design, make_model());
-  const InteractiveStage pooled(design, make_model(), {}, 4);
-  const std::size_t want = serial.ordered_pairs().size();
+  const InteractiveStage pooled(design, make_model(), kInfluenceRadius,
+                                 kPairPitchCutoff, 4);
+  const std::size_t want = serial.victim_runs().pair_count();
   ASSERT_GT(want, 0u);
   EXPECT_EQ(serial.pair_count(), want);
   EXPECT_EQ(pooled.pair_count(), want);

@@ -152,11 +152,10 @@ TEST(Invariances, EquivarianceHoldsThroughTheSurrogatePath) {
 TEST(Invariances, StageTwoVanishesBeyondThePitchCutoff) {
   // Two TSVs just beyond the pair cutoff: Stage II must be identically zero
   // at every probe point, not merely small.
-  InteractiveOptions opt;
-  const double pitch = opt.pair_pitch_cutoff + 0.5;
+  const double pitch = kPairPitchCutoff + 0.5;
   const tsvlib::Placement p(kS, {{0.0, 0.0}, {pitch, 0.0}});
-  const InteractiveStage stage(p, shared_model(), opt);
-  EXPECT_TRUE(stage.ordered_pairs().empty());
+  const InteractiveStage stage(p, shared_model());
+  EXPECT_TRUE(stage.victim_runs().pairs().empty());
   std::vector<geo::Point> pts;
   for (double x = -10; x <= pitch + 10; x += 1.7)
     for (double y = -10; y <= 10; y += 2.3) pts.push_back({x, y});
@@ -168,17 +167,16 @@ TEST(Invariances, StageTwoVanishesBeyondThePitchCutoff) {
   }
   // Just inside the cutoff the pair interacts.
   const tsvlib::Placement close(
-      kS, {{0.0, 0.0}, {opt.pair_pitch_cutoff - 0.5, 0.0}});
-  const InteractiveStage near_stage(close, shared_model(), opt);
-  EXPECT_EQ(near_stage.ordered_pairs().size(), 2u);
+      kS, {{0.0, 0.0}, {kPairPitchCutoff - 0.5, 0.0}});
+  const InteractiveStage near_stage(close, shared_model());
+  EXPECT_EQ(near_stage.victim_runs().pair_count(), 2u);
 }
 
 TEST(Invariances, StageTwoVanishesBeyondTheInfluenceRadius) {
-  InteractiveOptions opt;
   const tsvlib::Placement pair = tsvlib::make_pair(kS, 10.0);
-  const InteractiveStage stage(pair, shared_model(), opt);
+  const InteractiveStage stage(pair, shared_model());
   // Points farther than influence_radius from BOTH victims get exactly zero.
-  const double far = opt.influence_radius + 6.0;
+  const double far = kInfluenceRadius + 6.0;
   const auto field = stage.evaluate({{0.0, far}, {far + 5.0, far}});
   for (const num::SymTensor2& s : field) {
     EXPECT_EQ(s.s11, 0.0);

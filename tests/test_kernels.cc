@@ -150,7 +150,7 @@ TEST(Kernels, SuperpositionRoutesThroughBatchKernel) {
   for (std::size_t i = 0; i < points.size(); ++i) {
     num::SymTensor2 ref;
     for (const geo::Point& c : arr.centers()) {
-      if (geo::distance(c, points[i]) <= stage1.options().influence_radius)
+      if (geo::distance(c, points[i]) <= stage1.influence_radius())
         ref += table->stress_at(c, points[i]);
     }
     EXPECT_LE(max_diff(field[i], ref), kRelTol * std::max(max_abs(ref), 1.0));

@@ -60,11 +60,8 @@ GoldenCase solve_case(const tsvlib::Placement& placement, const geo::Box& roi,
   c.pts = geo::SampleGrid::with_spacing(roi, config.spacing).points();
   c.gold = bench::sample_field(golden.stress, c.pts);
 
-  core::FrameworkOptions ls_opt;
-  ls_opt.enable_interactive = false;
-  const core::StressFramework ls(placement, ch.table, nullptr, ls_opt);
-  const core::StressFramework pf(placement, ch.table, ch.model,
-                                 core::FrameworkOptions{});
+  const core::StressFramework ls(placement, ch.table, nullptr);
+  const core::StressFramework pf(placement, ch.table, ch.model);
   c.ls = ls.evaluate(c.pts).stress;
   c.pf = pf.evaluate(c.pts).stress;
   return c;

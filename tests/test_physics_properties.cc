@@ -117,12 +117,15 @@ TEST(PhysicsProperties, PairCorrectionHasExchangeSymmetry) {
 TEST(PhysicsProperties, FrameworkFieldLinearInLoadEndToEnd) {
   const tsvlib::Placement pair =
       tsvlib::make_pair(TsvStructure::baseline_bcb(), 10.0);
-  core::FrameworkOptions half_opt;
-  half_opt.load.delta_t = -125.0;
-  core::FrameworkOptions full_opt;
-  full_opt.load.delta_t = -250.0;
-  const core::StressFramework half(pair, half_opt);
-  const core::StressFramework full(pair, full_opt);
+  const auto framework = [&](double delta_t) {
+    mat::ThermalLoad load;
+    load.delta_t = delta_t;
+    const core::Characterization ch =
+        core::characterize(pair.structure(), load, core::StageTwo::kSeries);
+    return core::StressFramework(pair, ch.table, ch.model);
+  };
+  const core::StressFramework half = framework(-125.0);
+  const core::StressFramework full = framework(-250.0);
   for (const geo::Point p : {geo::Point{0.0, 2.0}, geo::Point{8.0, 1.0}}) {
     EXPECT_NEAR(full.stress_at(p).s11, 2.0 * half.stress_at(p).s11, 2e-2);
     EXPECT_NEAR(full.stress_at(p).s22, 2.0 * half.stress_at(p).s22, 2e-2);
@@ -135,9 +138,7 @@ TEST(PhysicsProperties, SumOfNormalStressesDecaysFasterThanComponents) {
   // substrate — a useful regression on the transform chain.
   const tsvlib::Placement pair =
       tsvlib::make_pair(TsvStructure::baseline_bcb(), 10.0);
-  core::FrameworkOptions opt;
-  opt.enable_interactive = false;
-  const core::StressFramework ls(pair, opt);
+  const core::StressFramework ls(pair, {}, core::StageTwo::kOff);
   const num::SymTensor2 s = ls.stress_at({0.0, 6.0});
   EXPECT_LT(std::abs(s.trace()),
             0.2 * (std::abs(s.s11) + std::abs(s.s22)) + 1e-9);

@@ -63,7 +63,7 @@ double field_scale() {
 struct Case {
   std::string name;
   std::vector<geo::Point> centers;
-  InteractiveOptions options;
+  double radius;  ///< the influence radius
   geo::SampleGrid grid;
   std::vector<geo::Point> extra_points;  ///< appended to the point list
   /// A caller's pair list; empty means the stage's own enumeration.
@@ -79,13 +79,13 @@ struct Reference {
 
 Reference reference(const tsvlib::Placement& design,
                     const ana::InteractiveStressModel& model,
-                    const InteractiveOptions& options, const VictimRuns& runs,
+                    double radius, const VictimRuns& runs,
                     const std::vector<geo::Point>& pts,
                     const SingleTsvField* stage1) {
-  const auto surrogate = model.surrogate_for(options.influence_radius);
+  const auto surrogate = model.surrogate_for(radius);
   const std::vector<geo::Point>& centers = design.centers();
-  const VictimCells cells(design.bounding_box(), options.influence_radius);
-  const double r2 = options.influence_radius * options.influence_radius;
+  const VictimCells cells(design.bounding_box(), radius);
+  const double r2 = radius * radius;
   Reference ref;
   ref.serial.assign(pts.size(), num::SymTensor2{});
   ref.scheduled.assign(pts.size(), num::SymTensor2{});
@@ -138,22 +138,23 @@ void check(const Case& p) {
   const SingleTsvField* stage1 = series().table.get();
   for (const Characterization* ch : {&series(), &surrogate()}) {
     SCOPED_TRACE(ch == &series() ? "series" : "surrogate");
-    const InteractiveStage serial(design, ch->model, p.options);
+    const InteractiveStage serial(design, ch->model, p.radius);
     const VictimRuns runs = p.pairs.empty()
                                 ? serial.victim_runs()
                                 : VictimRuns::from_pairs(p.pairs);
     const VictimRuns near = p.pairs.empty()
                                 ? serial.victim_runs_near(window.bounds())
                                 : runs;
-    const Reference on_window = reference(design, *ch->model, p.options,
-                                          runs, p.grid.points(), nullptr);
+    const Reference on_window = reference(design, *ch->model, p.radius, runs,
+                                          p.grid.points(), nullptr);
     const Reference on_points =
-        reference(design, *ch->model, p.options, runs, pts, nullptr);
-    const Reference fused = reference(design, *ch->model, p.options, near,
+        reference(design, *ch->model, p.radius, runs, pts, nullptr);
+    const Reference fused = reference(design, *ch->model, p.radius, near,
                                       p.grid.points(), stage1);
     for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
       SCOPED_TRACE(threads);
-      const InteractiveStage stage(design, ch->model, p.options, threads);
+      const InteractiveStage stage(design, ch->model, p.radius,
+                                   kPairPitchCutoff, threads);
       {
         SCOPED_TRACE("grid window");
         expect_matches(stage.evaluate_runs(window, runs), on_window);
@@ -174,8 +175,12 @@ void check(const Case& p) {
 /// right, on a 2.5 um grid whose points sit exactly R from every lattice
 /// TSV along the axes; the point list adds rim points at (15, 20) from each.
 Case lattice(const geo::Point& offset) {
-  Case p{"lattice", {}, {}, geo::SampleGrid(geo::Box{offset, offset}, 1, 1),
-         {}, {}};
+  Case p{"lattice",
+         {},
+         kInfluenceRadius,
+         geo::SampleGrid(geo::Box{offset, offset}, 1, 1),
+         {},
+         {}};
   for (int i = 0; i < 4; ++i)
     for (int j = 0; j < 4; ++j) {
       const geo::Point c{offset.x + 50.0 * i, offset.y + 50.0 * j};
@@ -210,11 +215,10 @@ TEST(RunSchedule, LatticeOffsetToOneHundredThousandMicrons) {
 // (the cells are laid from its corner), before the pairs are laid against
 // the boundaries.
 TEST(RunSchedule, VictimsTwiceTheRadiusApartAcrossCellBoundaries) {
-  const InteractiveOptions options;
-  const double r = options.influence_radius;
+  const double r = kInfluenceRadius;
   Case p{"boundaries",
          {{0.0, 0.0}, {10.0, 0.0}, {400.0, 400.0}, {390.0, 400.0}},
-         options,
+         r,
          geo::SampleGrid::with_spacing(geo::Box{{0.0, 0.0}, {400.0, 400.0}},
                                        2.3),
          {},
@@ -253,12 +257,12 @@ TEST(RunSchedule, VictimsTwiceTheRadiusApartAcrossCellBoundaries) {
 }
 
 TEST(RunSchedule, EveryVictimInOneCell) {
-  Case p{"one cell", {}, {},
+  Case p{"one cell", {}, kInfluenceRadius,
          geo::SampleGrid(geo::Box{{-26, -26}, {48, 48}}, 38, 38), {}, {}};
   for (int i = 0; i < 3; ++i)
     for (int j = 0; j < 3; ++j) p.centers.push_back({11.0 * i, 11.0 * j});
   const VictimCells cells(tsvlib::Placement(kS, p.centers).bounding_box(),
-                          p.options.influence_radius);
+                          p.radius);
   for (const geo::Point& c : p.centers) {
     EXPECT_EQ(cells.cell(c).x, 0);
     EXPECT_EQ(cells.cell(c).y, 0);
@@ -270,7 +274,7 @@ TEST(RunSchedule, EveryVictimInOneCell) {
 // (columns and rows 20, 60, 120 and 160 um), each with its four lattice
 // neighbours as aggressors.
 TEST(RunSchedule, OneVictimPerCell) {
-  Case p{"one victim per cell", {}, {},
+  Case p{"one victim per cell", {}, kInfluenceRadius,
          geo::SampleGrid(geo::Box{{-25, -25}, {205, 205}}, 93, 93), {}, {}};
   for (int j = 0; j < 10; ++j)
     for (int i = 0; i < 10; ++i) p.centers.push_back({20.0 * i, 20.0 * j});
@@ -278,7 +282,7 @@ TEST(RunSchedule, OneVictimPerCell) {
     return static_cast<std::uint32_t>(10 * j + i);
   };
   const VictimCells cells(tsvlib::Placement(kS, p.centers).bounding_box(),
-                          p.options.influence_radius);
+                          p.radius);
   std::set<std::pair<std::int64_t, std::int64_t>> seen;
   for (const int j : {1, 3, 6, 8})
     for (const int i : {1, 3, 6, 8}) {
@@ -298,16 +302,15 @@ TEST(RunSchedule, OneVictimPerCell) {
 // victims, their partners 10 um away are out of every disc.
 TEST(RunSchedule, SpanBeyondThirtyTwoBitCellKeys) {
   const double span = std::ldexp(1.0, 21);
-  InteractiveOptions options;
-  options.influence_radius = std::ldexp(1.0, -14);
-  Case p{"wide span", {}, options,
+  const double radius = std::ldexp(1.0, -14);
+  Case p{"wide span", {}, radius,
          geo::SampleGrid(geo::Box{{0.0, 0.0}, {span, span}}, 3, 3), {}, {}};
   for (const geo::Point& c : p.grid.points()) {
     p.centers.push_back(c);
     p.centers.push_back({c.x + 10.0, c.y});
   }
   const VictimCells cells(tsvlib::Placement(kS, p.centers).bounding_box(),
-                          options.influence_radius);
+                          radius);
   const VictimCells::Cell far = cells.cell({span, span});
   EXPECT_GT(far.x, std::int64_t{1} << 33);
   EXPECT_GT(far.y, std::int64_t{1} << 33);
@@ -324,10 +327,10 @@ TEST(RunSchedule, SpanBeyondThirtyTwoBitCellKeys) {
 TEST(RunSchedule, PairListThatIsNotVictimMajor) {
   const tsvlib::Placement design = tsvlib::make_random(
       kS, 60, geo::Box{{0.0, 0.0}, {150.0, 150.0}}, 10.0, 20261018);
-  Case p{"shuffled pairs", design.centers(), {},
+  Case p{"shuffled pairs", design.centers(), kInfluenceRadius,
          geo::SampleGrid::with_spacing(design.bounding_box().expanded(10.0),
                                        2.3),
-         {}, InteractiveStage(design, series().model).ordered_pairs()};
+         {}, InteractiveStage(design, series().model).victim_runs().pairs()};
   std::mt19937 rng(20261018);
   std::shuffle(p.pairs.begin(), p.pairs.end(), rng);
   const std::size_t runs = VictimRuns::from_pairs(p.pairs).victims.size();

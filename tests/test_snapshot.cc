@@ -113,8 +113,8 @@ TEST(Snapshot, EngineStateRoundTripsBitwiseAndStaysEditable) {
   model->attach_surrogate(std::make_shared<const ana::PairSurrogate>(
       ana::PairSurrogate::fit(*model)));
   core::IncrementalOptions opt;
-  opt.stage2.pair_pitch_cutoff = 20.0;
-  opt.stage1.influence_radius = 22.0;
+  opt.pair_pitch_cutoff = 20.0;
+  opt.influence_radius = 22.0;
   opt.num_threads = 2;
   core::IncrementalEngine engine(placement, grid, table, model, opt);
   engine.apply({core::EcoOp::move(0, {2.0, 1.0})});
@@ -134,14 +134,11 @@ TEST(Snapshot, EngineStateRoundTripsBitwiseAndStaysEditable) {
                             sizeof(num::SymTensor2)), 0);
   // The options came back, and so did the surrogate (the edits below ride
   // it on both engines).
-  EXPECT_EQ(warmed.options().stage2.pair_pitch_cutoff, 20.0);
-  EXPECT_EQ(warmed.options().stage2.influence_radius,
-            opt.stage2.influence_radius);
-  EXPECT_EQ(warmed.options().stage1.influence_radius, 22.0);
+  EXPECT_EQ(warmed.options().pair_pitch_cutoff, 20.0);
+  EXPECT_EQ(warmed.options().influence_radius, 22.0);
   EXPECT_EQ(warmed.options().num_threads, 2u);
   ASSERT_NE(warmed.model(), nullptr);
-  ASSERT_NE(warmed.model()->surrogate_for(opt.stage2.influence_radius),
-            nullptr);
+  ASSERT_NE(warmed.model()->surrogate_for(22.0), nullptr);
 
   // save -> load -> save is byte-identical.
   const std::string path2 = temp_path("engine2.snap");
@@ -156,6 +153,39 @@ TEST(Snapshot, EngineStateRoundTripsBitwiseAndStaysEditable) {
                         engine.stage2_field().data(),
                         engine.stage2_field().size() *
                             sizeof(num::SymTensor2)), 0);
+}
+
+// An LS engine (no model) stores that it has none and restores without one.
+TEST(Snapshot, EngineStateWithoutAModelRestoresWithoutOne) {
+  const std::string path = temp_path("engine_ls.snap");
+  const tsvlib::Placement placement = tsvlib::make_five_cross(kS, 12.0);
+  const geo::SampleGrid grid =
+      geo::SampleGrid::with_spacing(placement.bounding_box().expanded(25.0),
+                                    4.0);
+  const auto table =
+      std::make_shared<const core::RadialStressTable>(make_table());
+  core::IncrementalEngine engine(placement, grid, table, nullptr);
+  engine.apply({core::EcoOp::move(0, {2.0, 1.0})});
+  save_engine_state(path, engine);
+
+  core::IncrementalEngine warmed = load_engine_state(path);
+  EXPECT_EQ(warmed.model(), nullptr);
+  EXPECT_EQ(std::memcmp(warmed.stage1_field().data(),
+                        engine.stage1_field().data(),
+                        engine.stage1_field().size() *
+                            sizeof(num::SymTensor2)), 0);
+  const core::Delta delta = {core::EcoOp::move(1, {13.0, 3.0})};
+  engine.apply(delta);
+  warmed.apply(delta);
+  EXPECT_EQ(std::memcmp(warmed.stage1_field().data(),
+                        engine.stage1_field().data(),
+                        engine.stage1_field().size() *
+                            sizeof(num::SymTensor2)), 0);
+  for (const num::SymTensor2& t : warmed.stage2_field()) {
+    EXPECT_EQ(t.s11, 0.0);
+    EXPECT_EQ(t.s22, 0.0);
+    EXPECT_EQ(t.s12, 0.0);
+  }
 }
 
 TEST(Snapshot, EngineStateEmbedsTheFittedSurrogate) {
@@ -240,7 +270,8 @@ TEST(Snapshot, EngineStateOfAnotherVersionIsRefused) {
   save_engine_state(path, engine);
   EXPECT_EQ(read_snapshot_info(path).version, kSnapshotVersion);
   const std::string current = read_bytes(path);
-  for (const std::uint32_t version : {1u, 2u, 3u, 4u, kSnapshotVersion + 1}) {
+  for (const std::uint32_t version :
+       {1u, 2u, 3u, 4u, 5u, kSnapshotVersion + 1}) {
     SCOPED_TRACE(version);
     std::string bytes = current;
     std::memcpy(&bytes[8], &version, sizeof(version));  // u32 version field
@@ -304,7 +335,7 @@ TEST(Snapshot, RejectsWrongVersion) {
   const std::string path = temp_path("version.snap");
   save_placement(path, tsvlib::Placement(kS, {{0.0, 0.0}}));
   const std::string current = read_bytes(path);
-  for (const std::uint32_t version : {4u, kSnapshotVersion + 1}) {
+  for (const std::uint32_t version : {4u, 5u, kSnapshotVersion + 1}) {
     SCOPED_TRACE(version);
     std::string bytes = current;
     std::memcpy(&bytes[8], &version, sizeof(version));  // u32 version field
@@ -313,7 +344,7 @@ TEST(Snapshot, RejectsWrongVersion) {
   }
 }
 
-// A checksum-valid engine file whose Stage I radius no engine could be
+// A checksum-valid engine file whose influence radius no engine could be
 // built with is refused with a typed error, not restored: restore holds the
 // state to the build constructor's rules.
 TEST(Snapshot, EngineStateWithInvalidStageOneRadiusIsRefused) {
@@ -324,7 +355,7 @@ TEST(Snapshot, EngineStateWithInvalidStageOneRadiusIsRefused) {
   const auto table =
       std::make_shared<const core::RadialStressTable>(make_table());
   core::IncrementalOptions opt;
-  opt.stage1.influence_radius = 23.25;  // a bit pattern found once below
+  opt.influence_radius = 23.25;  // a bit pattern found once below
   const core::IncrementalEngine engine(placement, grid, table, make_model(),
                                        opt);
   const std::string path = temp_path("engine_radius.snap");

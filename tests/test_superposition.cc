@@ -43,13 +43,11 @@ TEST(Superposition, TwoTsvFieldIsSumOfSingles) {
 
 TEST(Superposition, InfluenceRadiusCutsOffFarTsvs) {
   const tsvlib::Placement p(kS, {{0.0, 0.0}, {100.0, 0.0}});
-  SuperpositionOptions opt;
-  opt.influence_radius = 25.0;
-  const LinearSuperposition ls(p, make_table(), opt);
+  const LinearSuperposition ls(p, make_table(), 25.0);
   // Point near the first TSV: the second contributes nothing.
   const num::SymTensor2 near_first = ls.stress_at({5.0, 0.0});
   const tsvlib::Placement only_first(kS, {{0.0, 0.0}});
-  const LinearSuperposition ls1(only_first, make_table(), opt);
+  const LinearSuperposition ls1(only_first, make_table(), 25.0);
   const num::SymTensor2 expect = ls1.stress_at({5.0, 0.0});
   EXPECT_DOUBLE_EQ(near_first.s11, expect.s11);
   // Midpoint: both are beyond 25 um -> zero.
@@ -102,7 +100,8 @@ TEST(Superposition, ParallelEvaluateBitwiseMatchesSerial) {
   const auto want = serial.evaluate(pts);
 
   for (const std::size_t threads : {2u, 4u}) {
-    const LinearSuperposition ls(cluster, make_table(), {}, threads);
+    const LinearSuperposition ls(cluster, make_table(), kInfluenceRadius,
+                                 threads);
     const auto got = ls.evaluate(pts);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < pts.size(); ++i) {
@@ -115,7 +114,7 @@ TEST(Superposition, ParallelEvaluateBitwiseMatchesSerial) {
 
 TEST(Superposition, HardwareConcurrencyOptionEvaluates) {
   const tsvlib::Placement arr = tsvlib::make_array(kS, 3, 3, 10.0);
-  const LinearSuperposition ls(arr, make_table(), {},
+  const LinearSuperposition ls(arr, make_table(), kInfluenceRadius,
                                0);  // hardware concurrency
   const auto out = ls.evaluate({{1.0, 1.0}, {5.0, 5.0}, {30.0, 30.0}});
   EXPECT_EQ(out.size(), 3u);

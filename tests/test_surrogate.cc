@@ -685,13 +685,13 @@ TEST(Surrogate, InteractiveStageDispatchesThroughTheSurrogate) {
   // Every ordered pair of the 9-TSV array sits inside the fitted pitch
   // domain, so the surrogate took them all.
   const SurrogateUseStats stats = fitted_shared()->use_stats();
-  EXPECT_EQ(stats.surrogate_pairs, fast.ordered_pairs().size());
+  EXPECT_EQ(stats.surrogate_pairs, fast.victim_runs().pair_count());
   EXPECT_EQ(stats.fallback_pairs, 0u);
 
-  // Accuracy: each point sums at most ordered_pairs() surrogate errors,
+  // Accuracy: each point sums at most pair_count() surrogate errors,
   // each within the certified absolute budget.
   const SurrogateCertificate& c = fitted_shared()->certificate();
-  const double budget = static_cast<double>(fast.ordered_pairs().size()) *
+  const double budget = static_cast<double>(fast.victim_runs().pair_count()) *
                         c.certified_rel_bound * c.field_scale;
   for (std::size_t i = 0; i < pts.size(); ++i) {
     EXPECT_NEAR(got[i].s11, want[i].s11, budget) << i;
@@ -720,7 +720,7 @@ TEST(Surrogate, RejectedAttachedSurrogateIsCountedAndReportedOnce) {
       std::make_shared<const PairSurrogate>(PairSurrogate::fit(*model, opt)));
   const tsvlib::Placement arr = tsvlib::make_array(kS, 3, 3, 9.0);
   const core::InteractiveStage stage(arr, model);
-  ASSERT_EQ(stage.options().influence_radius, 25.0);
+  ASSERT_EQ(stage.influence_radius(), 25.0);
   ASSERT_EQ(model->surrogate_for(25.0), nullptr);
   std::vector<geo::Point> pts;
   for (double x = -5; x <= 23; x += 1.7)
@@ -785,7 +785,7 @@ TEST(Surrogate, OutOfDomainPitchesFallBackToTheExactSeries) {
   fast.evaluate(pts);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> fallback;
   const auto& centers = arr.centers();
-  for (const auto& pair : fast.ordered_pairs())
+  for (const auto& pair : fast.victim_runs().pairs())
     if (!fitted().covers(geo::distance(centers[pair.first],
                                        centers[pair.second])))
       fallback.push_back(pair);
@@ -794,10 +794,11 @@ TEST(Surrogate, OutOfDomainPitchesFallBackToTheExactSeries) {
   EXPECT_GT(stats.surrogate_pairs, 0u);
   EXPECT_EQ(stats.fallback_pairs, fallback.size());
   EXPECT_EQ(stats.surrogate_pairs,
-            fast.ordered_pairs().size() - fallback.size());
+            fast.victim_runs().pair_count() - fallback.size());
   // On the fallback pairs the stage is the exact series.
-  EXPECT_LE(max_rel_err(fast.evaluate_with_pairs(pts, fallback),
-                        series.evaluate_with_pairs(pts, fallback)),
+  const core::VictimRuns fallback_runs = core::VictimRuns::from_pairs(fallback);
+  EXPECT_LE(max_rel_err(fast.evaluate_runs(pts, fallback_runs),
+                        series.evaluate_runs(pts, fallback_runs)),
             1e-12);
 
   // IncrementalEngine::apply takes the same fallback. Every pitch of this

@@ -8,6 +8,7 @@
 
 #include "analytic/surrogate.h"
 #include "core/error.h"
+#include "core/stress_map_table.h"
 #include "io/snapshot.h"
 #include "tsv/generators.h"
 
@@ -105,7 +106,7 @@ TEST(TiledEvaluator, StatsReportCullingAndTimings) {
   const TiledStats stats = tiled.evaluate(grid, [](const Tile&) {});
 
   ASSERT_NE(fw.stage2(), nullptr);
-  EXPECT_EQ(stats.total_pairs, fw.stage2()->ordered_pairs().size());
+  EXPECT_EQ(stats.total_pairs, fw.stage2()->victim_runs().pair_count());
   EXPECT_GT(stats.total_pairs, 0u);
   // Every pair contributes to at least one tile, but small tiles of a large
   // chip must cull: the per-tile total stays below pairs x tiles.
@@ -342,48 +343,79 @@ TEST(TiledEvaluator, FingerprintSeparatesConfigurations) {
 }
 
 // Everything that changes the field changes the fingerprint: the three
-// materials, the thermal load, both stages' cutoffs and whether a certified
-// surrogate serves Stage II.
+// materials, the Stage I field (its thermal load, its kind), the cutoffs,
+// the Stage II model and whether a certified surrogate serves it. Two
+// characterizations built alike agree, so a checkpoint resumes in another
+// process.
 TEST(TiledEvaluator, FingerprintCoversStructureLoadCutoffsAndStageTwoPath) {
   const tsvlib::Placement p = cluster_placement();
   const geo::SampleGrid grid = test_grid(p);
   const Characterization ch =
       characterize(kS, mat::ThermalLoad{}, StageTwo::kSeries);
-  const auto fingerprint = [&](const tsvlib::Placement& placement,
-                               const Characterization& c,
-                               const FrameworkOptions& opt) {
-    const StressFramework fw(placement, c.table, c.model, opt);
-    return TiledEvaluator(fw, TiledOptions{200}).fingerprint(grid);
-  };
-  const std::uint64_t base = fingerprint(p, ch, {});
+  const auto fingerprint =
+      [&](std::shared_ptr<const SingleTsvField> table,
+          std::shared_ptr<const ana::InteractiveStressModel> model,
+          const FrameworkOptions& opt = {},
+          const tsvlib::TsvStructure& structure = kS) {
+        const StressFramework fw(tsvlib::Placement(structure, p.centers()),
+                                 std::move(table), std::move(model), opt);
+        return TiledEvaluator(fw, TiledOptions{200}).fingerprint(grid);
+      };
+  const std::uint64_t base = fingerprint(ch.table, ch.model);
+  const Characterization again = characterize(kS, {}, StageTwo::kSeries);
+  EXPECT_EQ(fingerprint(again.table, again.model), base);
 
   tsvlib::TsvStructure sio2 = kS;
   sio2.liner = tsvlib::TsvStructure::baseline_sio2().liner;
-  EXPECT_NE(fingerprint(tsvlib::Placement(sio2, p.centers()), ch, {}), base);
+  EXPECT_NE(fingerprint(ch.table, ch.model, {}, sio2), base);
   tsvlib::TsvStructure cnt = kS;
   cnt.body.cte *= 0.5;
-  EXPECT_NE(fingerprint(tsvlib::Placement(cnt, p.centers()), ch, {}), base);
+  EXPECT_NE(fingerprint(ch.table, ch.model, {}, cnt), base);
+
+  mat::ThermalLoad cooler;
+  cooler.delta_t = -200.0;
+  const Characterization cool = characterize(kS, cooler, StageTwo::kSeries);
+  EXPECT_NE(fingerprint(cool.table, ch.model), base);
+  EXPECT_NE(fingerprint(ch.table, cool.model), base);
+  // The same Stage I field sampled as a 2D map.
+  constexpr std::size_t kN = 121;
+  std::vector<num::SymTensor2> values;
+  for (std::size_t iy = 0; iy < kN; ++iy)
+    for (std::size_t ix = 0; ix < kN; ++ix)
+      values.push_back(ch.table->stress_at(
+          {0.0, 0.0}, {-30.0 + 0.5 * static_cast<double>(ix),
+                       -30.0 + 0.5 * static_cast<double>(iy)}));
+  EXPECT_NE(fingerprint(std::make_shared<const StressMapTable>(
+                            std::move(values), kN, 30.0),
+                        ch.model),
+            base);
+  // A model with another inclusion response, and no model (LS).
+  ana::InclusionResponseOptions coarse;
+  coarse.max_basis_power = 2;
+  coarse.series_order = 8;
+  coarse.collocation_points = 32;
+  EXPECT_NE(fingerprint(ch.table,
+                        std::make_shared<const ana::InteractiveStressModel>(
+                            std::make_shared<const ana::InclusionResponse>(
+                                kS, coarse),
+                            ch.model->k_hat())),
+            base);
+  EXPECT_NE(fingerprint(ch.table, nullptr), base);
 
   FrameworkOptions opt;
-  opt.load.delta_t = -200.0;
-  EXPECT_NE(fingerprint(p, ch, opt), base);
+  opt.influence_radius = 20.0;
+  EXPECT_NE(fingerprint(ch.table, ch.model, opt), base);
   opt = {};
-  opt.stage1.influence_radius = 20.0;
-  EXPECT_NE(fingerprint(p, ch, opt), base);
-  opt = {};
-  opt.stage2.pair_pitch_cutoff = 20.0;
-  EXPECT_NE(fingerprint(p, ch, opt), base);
-  opt = {};
-  opt.stage2.influence_radius = 20.0;
-  EXPECT_NE(fingerprint(p, ch, opt), base);
+  opt.pair_pitch_cutoff = 20.0;
+  EXPECT_NE(fingerprint(ch.table, ch.model, opt), base);
 
   const Characterization fitted =
       characterize(kS, mat::ThermalLoad{}, StageTwo::kSurrogate);
-  EXPECT_NE(fingerprint(p, fitted, {}), base);
+  EXPECT_NE(fingerprint(fitted.table, fitted.model), base);
   // The thread count does not change the field's identity.
   opt = {};
   opt.num_threads = 4;
-  EXPECT_EQ(fingerprint(p, ch, opt), base);
+  EXPECT_EQ(fingerprint(ch.table, ch.model, opt), base);
 }
 
 // A checkpoint of the BCB-liner run must not be replayed into the SiO2-liner

@@ -95,8 +95,6 @@ TEST(Variation, MomentsMatchBruteForceReference) {
   // The fit is deterministic, so this is bitwise the engine's surrogate.
   model->attach_surrogate(std::make_shared<const ana::PairSurrogate>(
       ana::PairSurrogate::fit(*model)));
-  core::IncrementalOptions eopt = opt.engine;
-  eopt.num_threads = 1;
 
   const std::size_t n = f.grid.size();
   std::vector<std::vector<double>> vm(spec.samples,
@@ -104,7 +102,7 @@ TEST(Variation, MomentsMatchBruteForceReference) {
   for (std::size_t s = 0; s < spec.samples; ++s) {
     const SampleRealization r = sampler.realize(s);
     const tsvlib::Placement realized(kS, sampler.realized_centers(r));
-    const core::IncrementalEngine fresh(realized, f.grid, table, model, eopt);
+    const core::IncrementalEngine fresh(realized, f.grid, table, model);
     const auto& s1 = fresh.stage1_field();
     const auto& s2 = fresh.stage2_field();
     for (std::size_t i = 0; i < n; ++i) {
@@ -454,6 +452,22 @@ TEST(Variation, GeometryCornerWithoutJitterSlackIsRejected) {
   const geo::SampleGrid wgrid = geo::SampleGrid::with_spacing(
       wide.bounding_box().expanded(25.0), 5.0);
   EXPECT_NO_THROW(VariationEngine(wide, wgrid, spec, fast_options()));
+}
+
+// An LS sweep builds its engines without an interaction model: Stage II
+// stays zero through every sample.
+TEST(Variation, LsOnlySweepRunsWithoutAModel) {
+  const Fixture f;
+  VariationOptions opt;
+  opt.ls_only = true;
+  VariationEngine engine(f.placement, f.grid, small_spec(3, 2), opt);
+  EXPECT_EQ(engine.engine(0).model(), nullptr);
+  EXPECT_EQ(engine.run().front().samples, 2u);
+  for (const num::SymTensor2& t : engine.engine(0).stage2_field()) {
+    EXPECT_EQ(t.s11, 0.0);
+    EXPECT_EQ(t.s22, 0.0);
+    EXPECT_EQ(t.s12, 0.0);
+  }
 }
 
 }  // namespace

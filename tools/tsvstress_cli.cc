@@ -284,7 +284,6 @@ int run_evaluate(const std::vector<std::string>& args) {
               placement.min_pitch());
 
   core::FrameworkOptions options;
-  options.enable_interactive = !c.ls_only;
   options.num_threads = c.threads;
 
   // The surrogate (loaded or fitted) is attached before the framework
@@ -379,7 +378,6 @@ core::IncrementalEngine build_engine(const CommonOptions& c) {
 
   const core::Characterization ch = characterize(placement, c);
   core::IncrementalOptions opt;
-  opt.enable_interactive = !c.ls_only;
   opt.num_threads = c.threads;
 
   const geo::Box roi = placement.bounding_box().expanded(c.margin);
@@ -575,10 +573,10 @@ int run_variation(const std::vector<std::string>& args) {
   }
 
   stats::VariationOptions options;
-  options.engine.enable_interactive = !c.ls_only;
+  options.ls_only = c.ls_only;
   options.num_threads = c.threads;
   options.parallel_corners = v.parallel_corners;
-  options.fit_surrogate = c.surrogate && !c.ls_only;
+  options.fit_surrogate = c.surrogate;
 
   const geo::Box roi = placement.bounding_box().expanded(c.margin);
   const geo::SampleGrid grid = geo::SampleGrid::with_spacing(roi, c.spacing);
