@@ -79,13 +79,4 @@ Complex aggressor_displacement(Complex z, double d_hat, double k_hat,
   return -std::conj(psi) / (2.0 * mu);
 }
 
-Complex aggressor_radial_traction(Complex z, double d_hat, double k_hat) {
-  const double r = std::abs(z);
-  TSV_REQUIRE(r > 0.0, "radial traction undefined at the origin");
-  const Complex e2it = (z / r) * (z / r);
-  const Complex w = z - Complex{d_hat, 0.0};
-  const Complex dpsi = -k_hat / (w * w);
-  return -e2it * dpsi;
-}
-
 }  // namespace tsv::ana

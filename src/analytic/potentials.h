@@ -68,8 +68,4 @@ num::SymTensor2 aggressor_stress(Complex z, double d_hat, double k_hat);
 Complex aggressor_displacement(Complex z, double d_hat, double k_hat,
                                const mat::Material& m);
 
-/// Traction combination sigma_rr - i sigma_rt of the aggressor field on the
-/// circle |z| = r (victim-centered polar frame).
-Complex aggressor_radial_traction(Complex z, double d_hat, double k_hat);
-
 }  // namespace tsv::ana

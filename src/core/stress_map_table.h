@@ -28,8 +28,6 @@ class StressMapTable : public SingleTsvField {
                             const geo::Point& p) const override;
   double coverage_radius() const override { return half_extent_; }
 
-  std::size_t grid_size() const { return n_; }
-
  private:
   std::vector<num::SymTensor2> values_;  ///< row-major, y outer
   std::size_t n_ = 0;                    ///< points per axis

@@ -308,12 +308,6 @@ num::SymTensor2 RadialStressTable::sum_at(const geo::Point& p,
   return {s11, s22, s12};
 }
 
-double RadialStressTable::max_srr() const {
-  double m = 0.0;
-  for (double v : srr_) m = std::max(m, std::abs(v));
-  return m;
-}
-
 namespace detail {
 
 void radial_accumulate_scalar(const RadialStressTable& table,

@@ -79,9 +79,6 @@ class RadialStressTable : public SingleTsvField {
 
   double coverage_radius() const override { return max_radius_; }
 
-  /// Largest |srr| entry (sanity/diagnostics).
-  double max_srr() const;
-
  private:
   std::vector<double> srr_, stt_;
   double max_radius_;

@@ -53,11 +53,6 @@ class StructuredMesh {
   /// (ix,iy), (ix+1,iy), (ix+1,iy+1), (ix,iy+1).
   std::array<std::size_t, 4> element_nodes(std::size_t ex, std::size_t ey) const;
 
-  geo::Point element_center(std::size_t ex, std::size_t ey) const {
-    return {domain_.lo.x + (static_cast<double>(ex) + 0.5) * dx_,
-            domain_.lo.y + (static_cast<double>(ey) + 0.5) * dy_};
-  }
-
   /// Majority material of the element (used for recovery bucketing).
   MaterialRegion material(std::size_t ex, std::size_t ey) const {
     return materials_[element_index(ex, ey)];

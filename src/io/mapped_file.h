@@ -33,15 +33,13 @@ class MappedFile {
 
   const char* data() const { return data_; }
   std::size_t size() const { return size_; }
-  /// True when the contents are an actual mmap (false = read() fallback).
-  bool is_mapped() const { return mapped_; }
 
  private:
   void release() noexcept;
 
   char* data_ = nullptr;
   std::size_t size_ = 0;
-  bool mapped_ = false;
+  bool mapped_ = false;  ///< data_ is an mmap, not the read() fallback
 };
 
 }  // namespace tsv::io

@@ -10,6 +10,7 @@
 
 #include "analytic/mode_solver.h"
 #include "core/error.h"
+#include "core/stress_table.h"
 #include "io/atomic_file.h"
 #include "io/mapped_file.h"
 #include "numeric/fault_injection.h"
@@ -213,7 +214,7 @@ struct OpenedSnapshot {
   Reader reader;
 };
 
-/// Maps the file and validates magic, version, size, and checksum. The
+/// Maps the file and validates magic, version, kind, size, and checksum. The
 /// returned reader points into the mapping — no heap copy of the payload.
 OpenedSnapshot read_file(const std::string& path) {
   MappedFile file(path);
@@ -245,6 +246,9 @@ OpenedSnapshot read_file(const std::string& path) {
        << ", this build reads version " << kSnapshotVersion;
     snapshot_error(path, os.str());
   }
+  if (kind_u < static_cast<std::uint32_t>(SnapshotKind::kEngineState) ||
+      kind_u > static_cast<std::uint32_t>(SnapshotKind::kSurrogate))
+    snapshot_error(path, "unknown object kind " + std::to_string(kind_u));
   if (total != off + info.payload_bytes + sizeof(std::uint64_t))
     snapshot_error(path, "truncated file (payload size does not match)");
 
@@ -385,10 +389,6 @@ ana::PairSurrogate get_surrogate(Reader& r) {
 
 const char* to_string(SnapshotKind kind) {
   switch (kind) {
-    case SnapshotKind::kRadialTable:
-      return "radial-table";
-    case SnapshotKind::kPlacement:
-      return "placement";
     case SnapshotKind::kEngineState:
       return "engine-state";
     case SnapshotKind::kTiledCheckpoint:
@@ -401,21 +401,6 @@ const char* to_string(SnapshotKind kind) {
 
 SnapshotInfo read_snapshot_info(const std::string& path) {
   return read_file(path).info;
-}
-
-void save_radial_table(const std::string& path,
-                       const core::RadialStressTable& table) {
-  Writer w;
-  put_radial_table(w, table);
-  w.commit(path, SnapshotKind::kRadialTable);
-}
-
-core::RadialStressTable load_radial_table(const std::string& path) {
-  OpenedSnapshot opened = open_kind(path, SnapshotKind::kRadialTable);
-  Reader& r = opened.reader;
-  core::RadialStressTable table = get_radial_table(r);
-  r.expect_end();
-  return table;
 }
 
 void save_surrogate(const std::string& path,
@@ -456,25 +441,6 @@ std::optional<ana::PairSurrogate> try_load_surrogate(const std::string& path) {
     // pure opportunism — skip it rather than fail the run.
     return std::nullopt;
   }
-}
-
-void save_placement(const std::string& path, const tsvlib::Placement& p) {
-  Writer w;
-  put_structure(w, p.structure());
-  w.size(p.size());
-  for (const geo::Point& c : p.centers()) w.point(c);
-  w.commit(path, SnapshotKind::kPlacement);
-}
-
-tsvlib::Placement load_placement(const std::string& path) {
-  OpenedSnapshot opened = open_kind(path, SnapshotKind::kPlacement);
-  Reader& r = opened.reader;
-  tsvlib::TsvStructure structure = get_structure(r);
-  const std::size_t n = r.size();
-  std::vector<geo::Point> centers(n);
-  for (geo::Point& c : centers) c = r.point();
-  r.expect_end();
-  return tsvlib::Placement(structure, std::move(centers));
 }
 
 std::string encode_placement(const tsvlib::Placement& p) {

@@ -1,6 +1,7 @@
 #pragma once
 // Versioned, checksummed binary snapshots for the framework's expensive
-// state: characterized tables, placements, and the incremental engine.
+// state: the incremental engine, tiled-run checkpoints, and the certified
+// surrogate.
 //
 // Cold starts pay for every radial-table characterization, the surrogate
 // fit, and the full field evaluation; in an ECO loop or a long-lived
@@ -13,13 +14,14 @@
 //
 //   bytes 0..7   magic "TSVSNAP\0"
 //   u32          format version (kSnapshotVersion)
-//   u32          object kind (SnapshotKind)
+//   u32          object kind (SnapshotKind: 4, 5 or 6)
 //   u64          payload size in bytes
 //   ...          payload
 //   u64          FNV-1a 64 checksum of the payload
 //
-// Readers reject wrong magic, wrong version, wrong kind, truncation, and
-// checksum mismatches with distinct std::runtime_error messages. Doubles
+// Readers reject wrong magic, wrong version, unknown or wrong kind,
+// truncation, and checksum mismatches with distinct IoCorruptionError
+// messages. Doubles
 // are stored bitwise, so save -> load -> save round-trips byte-identically.
 // Reads go through a memory-mapped view (io/mapped_file.h) instead of
 // double-buffering the file in the heap.
@@ -32,7 +34,6 @@
 #include "analytic/interaction.h"
 #include "analytic/surrogate.h"
 #include "core/incremental_engine.h"
-#include "core/stress_table.h"
 #include "core/tiled_evaluator.h"
 #include "tsv/placement.h"
 
@@ -47,9 +48,9 @@ namespace tsv::io {
 // them from the placement.
 inline constexpr std::uint32_t kSnapshotVersion = 6;
 
+// Ids 1-3 named kinds that no longer exist (a bare radial table, a pair
+// table, a bare placement); a file holding any id but these is refused.
 enum class SnapshotKind : std::uint32_t {
-  kRadialTable = 1,
-  kPlacement = 3,
   kEngineState = 4,
   kTiledCheckpoint = 5,
   kSurrogate = 6,
@@ -60,20 +61,15 @@ const char* to_string(SnapshotKind kind);
 /// Parsed header of a snapshot file (payload checksum already verified).
 struct SnapshotInfo {
   std::uint32_t version = 0;
-  SnapshotKind kind = SnapshotKind::kRadialTable;
+  SnapshotKind kind = SnapshotKind::kEngineState;
   std::uint64_t payload_bytes = 0;
   std::uint64_t checksum = 0;
 };
 
 /// Reads and validates a snapshot header + checksum without decoding the
-/// payload (any kind). Throws std::runtime_error on malformed files.
+/// payload (any kind this build names). Throws IoCorruptionError on
+/// malformed files, InvalidInputError on a missing one.
 SnapshotInfo read_snapshot_info(const std::string& path);
-
-// --- Stage-I radial table ------------------------------------------------
-
-void save_radial_table(const std::string& path,
-                       const core::RadialStressTable& table);
-core::RadialStressTable load_radial_table(const std::string& path);
 
 // --- Stage-II certified surrogate ----------------------------------------
 
@@ -94,13 +90,10 @@ std::optional<ana::PairSurrogate> try_load_surrogate(const std::string& path);
 
 // --- Placements ----------------------------------------------------------
 
-void save_placement(const std::string& path, const tsvlib::Placement& p);
-tsvlib::Placement load_placement(const std::string& path);
-
-/// In-memory equivalents of save/load_placement: the same payload bytes
-/// (structure + bitwise f64 centers) without the file header. The eco
-/// journal's open record embeds these so a session can be rebuilt exactly —
-/// placement *text* round-trips at print precision, these round-trip bits.
+/// A placement as bytes (structure + bitwise f64 centers), with no file
+/// header. The eco journal's open record embeds these so a session can be
+/// rebuilt exactly — placement *text* round-trips at print precision, these
+/// round-trip bits.
 std::string encode_placement(const tsvlib::Placement& p);
 tsvlib::Placement decode_placement(const std::string& bytes);
 

@@ -14,18 +14,13 @@
 //   * `num_threads` semantics everywhere: 0 = hardware concurrency,
 //     1 = exact serial path (no pool involvement, bitwise-identical to a
 //     plain loop), n = n.
-//   * parallel_reduce gives each chunk a private accumulator and merges the
-//     partials in chunk index order, making write ownership and merge order
-//     explicit (the serial path returns the single accumulator untouched).
 //   * Nested calls from inside a worker run serially instead of
 //     deadlocking; exceptions thrown by a chunk rethrow on the caller.
 
 #include <atomic>
 #include <cstddef>
 #include <functional>
-#include <optional>
 #include <utility>
-#include <vector>
 
 #include "numeric/check.h"
 
@@ -45,7 +40,7 @@ bool in_parallel_region();
 
 /// Persistent worker pool. One region runs at a time; concurrent run()
 /// callers serialize on an internal mutex. Most code should go through
-/// parallel_for / parallel_reduce instead of using the pool directly.
+/// parallel_for / parallel_for_chunks instead of using the pool directly.
 class ThreadPool {
  public:
   /// Pool with `worker_threads` background threads (the run() caller also
@@ -131,33 +126,6 @@ void parallel_for(std::size_t n, std::size_t num_threads, Body&& body) {
                       [&](std::size_t begin, std::size_t end, std::size_t) {
                         for (std::size_t i = begin; i < end; ++i) body(i);
                       });
-}
-
-/// Chunked reduction with explicit write ownership: every chunk builds a
-/// private accumulator `make()` and folds its range with
-/// body(acc, begin, end); partials then merge on the caller in chunk index
-/// order via merge(total, partial). Deterministic for a fixed thread count;
-/// with a single chunk the lone accumulator is returned without any merge,
-/// bitwise-identical to the serial loop.
-template <typename T, typename Make, typename Body, typename Merge>
-T parallel_reduce(std::size_t n, std::size_t num_threads, Make&& make,
-                  Body&& body, Merge&& merge) {
-  const std::size_t chunks =
-      n == 0 ? 1 : std::min(resolve_thread_count(num_threads), n);
-  if (chunks <= 1 || in_parallel_region()) {
-    T acc = make();
-    if (n > 0) body(acc, std::size_t{0}, n);
-    return acc;
-  }
-  std::vector<std::optional<T>> parts(chunks);
-  ThreadPool::shared().run(chunks, [&](std::size_t c) {
-    const auto [begin, end] = chunk_bounds(n, chunks, c);
-    parts[c].emplace(make());
-    body(*parts[c], begin, end);
-  });
-  T total = std::move(*parts[0]);
-  for (std::size_t c = 1; c < chunks; ++c) merge(total, *parts[c]);
-  return total;
 }
 
 }  // namespace tsv::num

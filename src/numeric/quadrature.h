@@ -17,10 +17,4 @@ inline constexpr std::array<QuadraturePoint1D, 2> gauss2() {
   return {{{-g, 1.0}, {g, 1.0}}};
 }
 
-/// Three-point Gauss rule (exact for quintics) — used by recovery tests.
-inline constexpr std::array<QuadraturePoint1D, 3> gauss3() {
-  constexpr double g = 0.77459666924148337704;  // sqrt(3/5)
-  return {{{-g, 5.0 / 9.0}, {0.0, 8.0 / 9.0}, {g, 5.0 / 9.0}}};
-}
-
 }  // namespace tsv::num

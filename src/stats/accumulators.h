@@ -246,8 +246,6 @@ class BivariateAccumulator {
   void merge(const BivariateAccumulator& o);
 
   std::uint64_t count() const { return n_; }
-  double mean_x() const { return mean_x_; }
-  double mean_y() const { return mean_y_; }
 
   OlsFit ols() const;
   /// Pearson r; 0 when either variable is degenerate.

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <iterator>
 #include <limits>
 
 #include "core/framework.h"
 #include "geometry/grid_index.h"
+#include "geometry/grid_window.h"
 #include "numeric/check.h"
 #include "numeric/parallel.h"
 #include "numeric/tensor.h"
@@ -24,39 +24,6 @@ double seconds_since(
     const std::chrono::steady_clock::time_point& t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-/// Calls f(point_index) for every grid point within `radius` of `c`
-/// (rectangular window refined by the disc test).
-template <typename F>
-void for_window_points(const geo::SampleGrid& grid, const geo::Point& c,
-                       double radius, F&& f) {
-  const geo::Box& box = grid.box();
-  const double r2 = radius * radius;
-  const auto clamp_idx = [](double v, std::size_t n) {
-    if (v < 0.0) return std::size_t{0};
-    const auto i = static_cast<std::size_t>(v);
-    return std::min(i, n - 1);
-  };
-  const std::size_t ix0 =
-      clamp_idx(grid.dx() > 0.0 ? (c.x - radius - box.lo.x) / grid.dx() : 0.0,
-                grid.nx());
-  const std::size_t ix1 = clamp_idx(
-      grid.dx() > 0.0 ? (c.x + radius - box.lo.x) / grid.dx() + 1.0 : 0.0,
-      grid.nx());
-  const std::size_t iy0 =
-      clamp_idx(grid.dy() > 0.0 ? (c.y - radius - box.lo.y) / grid.dy() : 0.0,
-                grid.ny());
-  const std::size_t iy1 = clamp_idx(
-      grid.dy() > 0.0 ? (c.y + radius - box.lo.y) / grid.dy() + 1.0 : 0.0,
-      grid.ny());
-  for (std::size_t iy = iy0; iy <= iy1; ++iy)
-    for (std::size_t ix = ix0; ix <= ix1; ++ix) {
-      const geo::Point p = grid.point(ix, iy);
-      const double dx = p.x - c.x;
-      const double dy = p.y - c.y;
-      if (dx * dx + dy * dy <= r2) f(iy * grid.nx() + ix);
-    }
 }
 
 /// The edit batch turning the previous realization into the next one:
@@ -99,8 +66,6 @@ VariationEngine::VariationEngine(const tsvlib::Placement& nominal,
       options_(options),
       sampler_(nominal, spec) {
   TSV_REQUIRE(!nominal_.empty(), "variation needs a non-empty placement");
-  TSV_REQUIRE(!options_.quantiles.empty() && !options_.thresholds.empty(),
-              "variation needs >= 1 quantile and >= 1 threshold");
   corners_ = spec_.corners;
   if (corners_.empty()) corners_.push_back({"nominal", nominal_.structure()});
 
@@ -116,7 +81,7 @@ VariationEngine::VariationEngine(const tsvlib::Placement& nominal,
     const auto t0 = std::chrono::steady_clock::now();
     const tsvlib::Placement placement(corner.structure, nominal_.centers());
     const core::Characterization ch = core::characterize(
-        corner.structure, options_.load,
+        corner.structure, mat::ThermalLoad{},
         options_.ls_only         ? core::StageTwo::kOff
         : options_.fit_surrogate ? core::StageTwo::kSurrogate
                                  : core::StageTwo::kSeries);
@@ -154,27 +119,16 @@ CornerResult VariationEngine::run_corner(std::size_t corner_index) {
   res.samples = spec_.samples;
   res.build_seconds = build_seconds_[corner_index];
 
-  // The KOZ threshold rides along in the exceedance engine; only the
-  // user-requested thresholds are exported.
-  std::vector<double> thresholds = options_.thresholds;
-  auto koz_it =
-      std::find(thresholds.begin(), thresholds.end(), options_.koz_limit);
-  if (koz_it == thresholds.end()) {
-    thresholds.push_back(options_.koz_limit);
-    koz_it = std::prev(thresholds.end());
-  }
-  const auto koz_threshold =
-      static_cast<std::size_t>(koz_it - thresholds.begin());
-
   DescriptiveField desc(n_points);
-  QuantileField quant(n_points, options_.histogram_lo, options_.histogram_hi,
-                      options_.histogram_bins);
-  ExceedanceField exceed(n_points, thresholds);
+  QuantileField quant(n_points, kHistogramLo, kHistogramHi, kHistogramBins);
+  ExceedanceField exceed(n_points, {kExceedanceThresholds.begin(),
+                                    kExceedanceThresholds.end()});
   std::vector<double> vm(n_points, 0.0);
   std::vector<double> chunk_peak(
       num::resolve_thread_count(options_.num_threads));
 
   const double pitch_cutoff = engine.options().pair_pitch_cutoff;
+  const geo::GridWindow whole_grid(grid_);
   SampleRealization prev;  // sample 0 edits away from the nominal placement
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -240,10 +194,13 @@ CornerResult VariationEngine::run_corner(std::size_t corner_index) {
       }
       if (!std::isfinite(pitch)) continue;  // isolated TSV: no pitch
       double local_peak = 0.0;
-      for_window_points(grid_, centers[id], options_.probe_radius,
-                        [&](std::size_t i) {
-                          local_peak = std::max(local_peak, vm[i]);
-                        });
+      whole_grid.for_disc_rows(
+          centers[id], kProbeRadius,
+          [&](std::size_t iy, std::size_t begin, std::size_t end) {
+            for (std::size_t i = iy * grid_.nx() + begin;
+                 i < iy * grid_.nx() + end; ++i)
+              local_peak = std::max(local_peak, vm[i]);
+          });
       res.pitch_stress.add(pitch, local_peak);
     }
 
@@ -260,28 +217,28 @@ CornerResult VariationEngine::run_corner(std::size_t corner_index) {
 
   res.mean = desc.means();
   res.sigma = desc.stddevs();
-  res.quantile.reserve(options_.quantiles.size());
-  for (const double q : options_.quantiles)
+  res.quantile.reserve(kQuantileLevels.size());
+  for (const double q : kQuantileLevels)
     res.quantile.push_back(quant.quantiles(q));
-  res.exceedance.reserve(options_.thresholds.size());
-  for (std::size_t t = 0; t < options_.thresholds.size(); ++t)
+  res.exceedance.reserve(kExceedanceThresholds.size());
+  for (std::size_t t = 0; t < kExceedanceThresholds.size(); ++t)
     res.exceedance.push_back(exceed.probabilities(t));
   res.pitch_fit = res.pitch_stress.ols();
 
   // Statistical KOZ: per nominal TSV, per ray, the largest radius where the
-  // interpolated exceedance probability still reaches koz_alpha (floored at
+  // interpolated exceedance probability still reaches kKozAlpha (floored at
   // the corner's outer radius), through the ray march core::compute_koz
   // uses.
-  const std::vector<double> p_exceed = exceed.probabilities(koz_threshold);
+  const std::vector<double> p_exceed = exceed.probabilities(kKozThreshold);
   const double r_outer = corners_[corner_index].structure.outer_radius();
   const auto exceeds = [&](const geo::Point& p) {
-    return geo::bilinear(grid_, p_exceed, p) >= options_.koz_alpha;
+    return geo::bilinear(grid_, p_exceed, p) >= kKozAlpha;
   };
   res.koz_contours.reserve(nominal.size());
   for (std::size_t t = 0; t < nominal.size(); ++t)
     res.koz_contours.push_back(core::march_koz(
-        t, nominal[t], r_outer, options_.koz_max_radius,
-        options_.koz_radial_step, options_.koz_rays, exceeds));
+        t, nominal[t], r_outer, kKozMaxRadius, kKozRadialStep, kKozRays,
+        exceeds));
   res.koz = core::summarize_koz(res.koz_contours);
   return res;
 }

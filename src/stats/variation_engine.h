@@ -10,9 +10,9 @@
 // the certified surrogate when fit_surrogate is set); per corner the engine
 // streams every sample through the stats/accumulators.h engines and reports
 //   * per-point mean / sigma / quantiles of von Mises stress,
-//   * per-point exceedance probability at the configured MPa thresholds,
+//   * per-point exceedance probability at the kExceedanceThresholds (MPa),
 //   * statistical KOZ contours: per nominal TSV, the region where
-//     P(von Mises > koz_limit) >= koz_alpha (a probabilistic version of
+//     P(von Mises > kKozLimit) >= kKozAlpha (a probabilistic version of
 //     core/koz.h, reusing its contour/report types),
 //   * a stress-vs-pitch OLS regression + correlation (pitch is the dominant
 //     extrusion covariate, arXiv:2009.12388), pooling (nearest-neighbor
@@ -25,6 +25,7 @@
 // counts). Results are therefore bitwise identical at any thread count, and
 // identical across runs for a fixed (seed, samples, corners).
 
+#include <array>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -34,38 +35,46 @@
 #include "core/koz.h"
 #include "core/metrics.h"
 #include "geometry/sample_grid.h"
-#include "materials/material.h"
 #include "stats/accumulators.h"
 #include "stats/sampler.h"
 #include "tsv/placement.h"
 
 namespace tsv::stats {
 
+// The sweep's fixed statistics: every corner characterizes at
+// mat::ThermalLoad{} (the load StressFramework's self-characterizing
+// constructor uses) and reports these levels.
+
+/// Von Mises exceedance thresholds, MPa.
+inline constexpr std::array<double, 3> kExceedanceThresholds{60.0, 80.0,
+                                                             100.0};
+/// Quantile levels reported per point.
+inline constexpr std::array<double, 3> kQuantileLevels{0.05, 0.5, 0.95};
+/// Quantile sketch shape (log-spaced bins over [lo, hi] MPa).
+inline constexpr std::size_t kHistogramBins = 48;
+inline constexpr double kHistogramLo = 1e-2;
+inline constexpr double kHistogramHi = 1e4;
+/// Radius (um) of the per-TSV probe disc whose peak von Mises feeds the
+/// pitch regression.
+inline constexpr double kProbeRadius = 5.0;
+/// Statistical KOZ: contour of P(von Mises > kKozLimit) >= kKozAlpha. The
+/// limit is exceedance threshold kKozThreshold, so its probabilities come
+/// from the same pass.
+inline constexpr std::size_t kKozThreshold = 2;
+inline constexpr double kKozLimit = 100.0;
+static_assert(kExceedanceThresholds[kKozThreshold] == kKozLimit,
+              "the KOZ limit must be one of the exceedance thresholds");
+inline constexpr double kKozAlpha = 0.05;
+inline constexpr std::size_t kKozRays = 32;
+inline constexpr double kKozMaxRadius = 25.0;
+inline constexpr double kKozRadialStep = 0.25;
+
 struct VariationOptions {
-  /// Every corner's engine runs on the default cutoffs and builds and
-  /// applies serially; num_threads below parallelizes the per-point
-  /// accumulation instead.
-  mat::ThermalLoad load{};
   /// Sweep the LS baseline: Stage I alone, no interaction model.
   bool ls_only = false;
-  /// Von Mises exceedance thresholds, MPa.
-  std::vector<double> thresholds{60.0, 80.0, 100.0};
-  /// Quantile levels reported per point.
-  std::vector<double> quantiles{0.05, 0.5, 0.95};
-  /// Quantile sketch shape (log-spaced bins over [lo, hi] MPa).
-  std::size_t histogram_bins = 48;
-  double histogram_lo = 1e-2;
-  double histogram_hi = 1e4;
-  /// Radius (um) of the per-TSV probe disc whose peak von Mises feeds the
-  /// pitch regression.
-  double probe_radius = 5.0;
-  /// Statistical KOZ: contour of P(von Mises > koz_limit) >= koz_alpha.
-  double koz_limit = 100.0;
-  double koz_alpha = 0.05;
-  std::size_t koz_rays = 32;
-  double koz_max_radius = 25.0;
-  double koz_radial_step = 0.25;
   /// Threads for the per-point accumulation pass (0 = hardware, 1 = serial).
+  /// Every corner's engine runs on the default cutoffs and builds and
+  /// applies serially.
   std::size_t num_threads = 1;
   /// Sweep structure corners concurrently on the shared pool. Corners are
   /// fully independent (own engine, own accumulators, counter-based
@@ -85,9 +94,9 @@ struct CornerResult {
   /// Per grid point (indexed like the sample grid).
   std::vector<double> mean;
   std::vector<double> sigma;
-  /// quantile[qi][point] for VariationOptions::quantiles[qi].
+  /// quantile[qi][point] for kQuantileLevels[qi].
   std::vector<std::vector<double>> quantile;
-  /// exceedance[ti][point] for VariationOptions::thresholds[ti].
+  /// exceedance[ti][point] for kExceedanceThresholds[ti].
   std::vector<std::vector<double>> exceedance;
 
   /// Distribution of the per-sample peak von Mises over the grid.

@@ -68,16 +68,6 @@ Placement make_random(const TsvStructure& s, std::size_t count,
   return p;
 }
 
-Placement make_random_with_density(const TsvStructure& s, std::size_t count,
-                                   double density, double min_pitch,
-                                   std::uint64_t seed) {
-  TSV_REQUIRE(density > 0.0, "density must be positive");
-  const double area = static_cast<double>(count) / density;
-  const double side = std::sqrt(area);
-  return make_random(s, count, geo::Box{{0.0, 0.0}, {side, side}}, min_pitch,
-                     seed);
-}
-
 Placement make_jittered_array(const TsvStructure& s, std::size_t count,
                               double density, double min_pitch,
                               std::uint64_t seed) {

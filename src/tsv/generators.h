@@ -27,14 +27,6 @@ Placement make_random(const TsvStructure& s, std::size_t count,
                       const geo::Box& area, double min_pitch,
                       std::uint64_t seed);
 
-/// Random placement sized to hit a target density (TSVs per um^2) with
-/// `count` TSVs in a square region (paper Table 6 workloads). For densities
-/// close to the square-array packing limit dart throwing cannot converge;
-/// use make_jittered_array instead.
-Placement make_random_with_density(const TsvStructure& s, std::size_t count,
-                                   double density, double min_pitch,
-                                   std::uint64_t seed);
-
 /// Square-ish array hitting `density` (TSVs per um^2) with `count` TSVs,
 /// each jittered uniformly so that the pitch never drops below `min_pitch`.
 /// This reaches the dense-array packing limit (paper: 1.0e-2 um^-2 at 10 um

@@ -75,6 +75,25 @@ expect_code 0 "ls-only eco" eco "$WORK/ok.tsv" --spacing=2 --ls-only
 expect_code 0 "ls-only variation" \
   variation "$WORK/ok.tsv" --spacing=2 --ls-only --samples=2 \
   --out="$WORK/variation.csv"
+# The per-point CSV header: fixed quantile levels and exceedance thresholds.
+if [ "$(head -n 1 "$WORK/variation.csv")" != \
+     "x,y,mean,sigma,q05,q50,q95,p_gt_60,p_gt_80,p_gt_100" ]; then
+  echo "FAIL [variation header]: $(head -n 1 "$WORK/variation.csv")" >&2
+  fails=$((fails + 1))
+else
+  echo "ok [variation header]"
+fi
+
+# --- exit 0: snapshot save, then info names its kind ----------------------
+expect_code 0 "snapshot save" \
+  snapshot save "$WORK/ok.tsv" --spacing=2 --out="$WORK/engine.snap"
+expect_code 0 "snapshot info" snapshot info "$WORK/engine.snap"
+if ! grep -q "kind engine-state" "$WORK/out.log"; then
+  echo "FAIL [snapshot info kind]: $(cat "$WORK/out.log")" >&2
+  fails=$((fails + 1))
+else
+  echo "ok [snapshot info names engine-state]"
+fi
 
 # --- exit 2: invalid input ------------------------------------------------
 cat >"$WORK/nan.tsv" <<EOF
@@ -93,6 +112,12 @@ expect_code 2 "missing snapshot" eco --snapshot="$WORK/missing.snap"
 printf 'TSVSNAP\0garbage-after-a-valid-magic-but-nothing-else' \
   >"$WORK/broken.snap"
 expect_code 4 "corrupt snapshot" snapshot info "$WORK/broken.snap"
+# Kind id 3 (a retired kind) in the header of a valid engine snapshot: the
+# payload checksum still holds, so only the kind check can refuse it.
+cp "$WORK/engine.snap" "$WORK/kind3.snap"
+printf '\003\000\000\000' |
+  dd of="$WORK/kind3.snap" bs=1 seek=12 conv=notrunc 2>/dev/null
+expect_code 4 "retired snapshot kind" snapshot info "$WORK/kind3.snap"
 
 # --- usage errors are invalid input too ----------------------------------
 expect_code 2 "no arguments"

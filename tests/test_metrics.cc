@@ -7,8 +7,8 @@
 namespace tsv::core {
 namespace {
 
-const tsvlib::Placement kPlacement(tsvlib::TsvStructure::baseline_bcb(),
-                                   {{0.0, 0.0}});
+const tsvlib::Placement kLoneTsv(tsvlib::TsvStructure::baseline_bcb(),
+                                 {{0.0, 0.0}});
 
 TEST(Metrics, ExtractMeasures) {
   const num::SymTensor2 t{30.0, -10.0, 5.0};
@@ -26,7 +26,7 @@ TEST(Metrics, PerfectModelHasZeroError) {
   const std::vector<num::SymTensor2> f = {
       {60, 0, 0}, {20, 0, 0}, {5, 0, 0}};
   const ErrorStats st =
-      compare_fields(StressMeasure::kSigmaXX, pts, f, f, kPlacement);
+      compare_fields(StressMeasure::kSigmaXX, pts, f, f, kLoneTsv);
   EXPECT_DOUBLE_EQ(st.avg_error, 0.0);
   EXPECT_DOUBLE_EQ(st.rate_thr10, 0.0);
   EXPECT_EQ(st.n_points, 3u);
@@ -41,7 +41,7 @@ TEST(Metrics, ThresholdBucketsAndRates) {
   const std::vector<num::SymTensor2> model = {
       {66, 0, 0}, {22, 0, 0}, {10, 0, 0}};
   const ErrorStats st =
-      compare_fields(StressMeasure::kSigmaXX, pts, model, golden, kPlacement);
+      compare_fields(StressMeasure::kSigmaXX, pts, model, golden, kLoneTsv);
   EXPECT_EQ(st.n_thr10, 2u);
   EXPECT_EQ(st.n_thr50, 1u);
   EXPECT_EQ(st.n_critical, 1u);
@@ -60,7 +60,7 @@ TEST(Metrics, CriticalRegionIsNearTsvCenters) {
   const std::vector<num::SymTensor2> golden = {{100, 0, 0}, {100, 0, 0}};
   const std::vector<num::SymTensor2> model = {{90, 0, 0}, {90, 0, 0}};
   const ErrorStats st =
-      compare_fields(StressMeasure::kSigmaXX, pts, model, golden, kPlacement);
+      compare_fields(StressMeasure::kSigmaXX, pts, model, golden, kLoneTsv);
   EXPECT_EQ(st.n_thr50, 2u);
   EXPECT_EQ(st.n_critical, 1u);
 }
@@ -70,7 +70,7 @@ TEST(Metrics, NegativeGoldenCountsByMagnitude) {
   const std::vector<num::SymTensor2> golden = {{-80, 0, 0}};
   const std::vector<num::SymTensor2> model = {{-60, 0, 0}};
   const ErrorStats st =
-      compare_fields(StressMeasure::kSigmaXX, pts, model, golden, kPlacement);
+      compare_fields(StressMeasure::kSigmaXX, pts, model, golden, kLoneTsv);
   EXPECT_EQ(st.n_thr50, 1u);
   EXPECT_NEAR(st.avg_error_thr50, 20.0, 1e-12);
   EXPECT_NEAR(st.rate_thr50, 25.0, 1e-9);
@@ -85,7 +85,7 @@ TEST(Metrics, CustomOptions) {
   const std::vector<num::SymTensor2> golden = {{3, 0, 0}};
   const std::vector<num::SymTensor2> model = {{4, 0, 0}};
   const ErrorStats st = compare_fields(StressMeasure::kSigmaXX, pts, model,
-                                       golden, kPlacement, opt);
+                                       golden, kLoneTsv, opt);
   EXPECT_EQ(st.n_thr10, 1u);
   EXPECT_EQ(st.n_thr50, 1u);
   EXPECT_EQ(st.n_critical, 1u);
@@ -95,7 +95,7 @@ TEST(Metrics, SizeMismatchThrows) {
   const std::vector<geo::Point> pts = {{0, 0}};
   const std::vector<num::SymTensor2> one(1), two(2);
   EXPECT_THROW(
-      compare_fields(StressMeasure::kSigmaXX, pts, one, two, kPlacement),
+      compare_fields(StressMeasure::kSigmaXX, pts, one, two, kLoneTsv),
       std::invalid_argument);
 }
 

@@ -26,11 +26,6 @@ TEST(Parallel, EmptyRangeNeverCallsBody) {
     ++calls;
   });
   EXPECT_EQ(calls.load(), 0);
-  // A reduce over nothing returns the bare accumulator.
-  const int total = parallel_reduce<int>(
-      0, 4, [] { return 42; }, [](int&, std::size_t, std::size_t) {},
-      [](int& a, const int& b) { a += b; });
-  EXPECT_EQ(total, 42);
 }
 
 TEST(Parallel, EveryIndexVisitedExactlyOnce) {
@@ -116,41 +111,6 @@ TEST(Parallel, NestedCallsRunSeriallyWithoutDeadlock) {
   // single-core host the outer loop itself degenerates to serial.
   if (hardware_thread_count() > 1) EXPECT_TRUE(saw_region.load());
   EXPECT_FALSE(in_parallel_region());
-}
-
-TEST(Parallel, ReduceMergesPartialsInChunkOrder) {
-  // Concatenating each chunk's indices must reproduce 0..n-1 exactly —
-  // proof that partials merge in chunk index order, not completion order.
-  const std::size_t n = 100;
-  for (const std::size_t threads : {2u, 3u, 7u, 16u}) {
-    const auto order = parallel_reduce<std::vector<std::size_t>>(
-        n, threads, [] { return std::vector<std::size_t>{}; },
-        [](std::vector<std::size_t>& acc, std::size_t b, std::size_t e) {
-          for (std::size_t i = b; i < e; ++i) acc.push_back(i);
-        },
-        [](std::vector<std::size_t>& total,
-           const std::vector<std::size_t>& part) {
-          total.insert(total.end(), part.begin(), part.end());
-        });
-    ASSERT_EQ(order.size(), n);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(order[i], i);
-  }
-}
-
-TEST(Parallel, ReduceMatchesSerialSumWithinTolerance) {
-  const std::size_t n = 20000;
-  const auto sum_with = [&](std::size_t threads) {
-    return parallel_reduce<double>(
-        n, threads, [] { return 0.0; },
-        [](double& acc, std::size_t b, std::size_t e) {
-          for (std::size_t i = b; i < e; ++i)
-            acc += 1.0 / static_cast<double>(i + 1);
-        },
-        [](double& total, const double& part) { total += part; });
-  };
-  const double serial = sum_with(1);
-  for (const std::size_t threads : {2u, 4u, 8u})
-    EXPECT_NEAR(sum_with(threads), serial, std::abs(serial) * 1e-12);
 }
 
 TEST(Parallel, SerialPathIsBitwiseIdenticalToPlainLoop) {

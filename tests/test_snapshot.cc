@@ -1,7 +1,8 @@
 // io/snapshot: save -> load must round-trip bitwise (and re-save
 // byte-identically), and malformed files — wrong magic, wrong version,
-// corrupt payload, wrong kind, truncation — must be rejected with distinct,
-// clear errors.
+// corrupt payload, unknown or wrong kind, truncation — must be rejected with
+// distinct, clear errors. The generic reader checks run on tiled-run
+// checkpoints, the smallest kind.
 
 #include "io/snapshot.h"
 
@@ -52,6 +53,15 @@ std::shared_ptr<const ana::InteractiveStressModel> make_model() {
       ana::SingleTsvModel(kS, mat::ThermalLoad{}).k_hat());
 }
 
+/// A small checkpoint: the cheapest snapshot to write and read.
+core::TiledCheckpoint make_checkpoint() {
+  core::TiledCheckpoint cp;
+  cp.fingerprint = 0x0123456789abcdefull;
+  cp.tiles_done = 2;
+  cp.stress = {{1.0, -2.0, 0.5}, {3.25, 4.0, -1.125}, {0.0, 7.5, 2.0}};
+  return cp;
+}
+
 /// Expects `fn` to throw std::runtime_error whose message contains `what`.
 template <typename Fn>
 void expect_rejection(Fn&& fn, const std::string& what) {
@@ -64,33 +74,39 @@ void expect_rejection(Fn&& fn, const std::string& what) {
   }
 }
 
+// The engine-state payload embeds the Stage I table: a restored engine's
+// table is bitwise the saved one.
 TEST(Snapshot, RadialTableRoundTripsBitwise) {
   const std::string path = temp_path("radial.snap");
-  const core::RadialStressTable table = make_table();
-  save_radial_table(path, table);
+  const tsvlib::Placement placement(kS, {{0.0, 0.0}});
+  const geo::SampleGrid grid =
+      geo::SampleGrid::with_spacing(placement.bounding_box().expanded(25.0),
+                                    5.0);
+  const auto table =
+      std::make_shared<const core::RadialStressTable>(make_table());
+  save_engine_state(path,
+                    core::IncrementalEngine(placement, grid, table, nullptr));
 
-  const core::RadialStressTable loaded = load_radial_table(path);
-  EXPECT_EQ(loaded.max_radius(), table.max_radius());
-  ASSERT_EQ(loaded.srr().size(), table.srr().size());
-  EXPECT_EQ(std::memcmp(loaded.srr().data(), table.srr().data(),
-                        table.srr().size() * sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(loaded.stt().data(), table.stt().data(),
-                        table.stt().size() * sizeof(double)), 0);
-
-  // save -> load -> save is byte-identical.
-  const std::string path2 = temp_path("radial2.snap");
-  save_radial_table(path2, loaded);
-  EXPECT_EQ(read_bytes(path), read_bytes(path2));
+  const core::IncrementalEngine warmed = load_engine_state(path);
+  const auto* loaded =
+      dynamic_cast<const core::RadialStressTable*>(&warmed.table());
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(loaded->max_radius(), table->max_radius());
+  ASSERT_EQ(loaded->srr().size(), table->srr().size());
+  ASSERT_EQ(loaded->stt().size(), table->stt().size());
+  EXPECT_EQ(std::memcmp(loaded->srr().data(), table->srr().data(),
+                        table->srr().size() * sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(loaded->stt().data(), table->stt().data(),
+                        table->stt().size() * sizeof(double)), 0);
 }
 
 TEST(Snapshot, PlacementRoundTripsBitwise) {
-  const std::string path = temp_path("placement.snap");
   tsvlib::TsvStructure s = tsvlib::TsvStructure::baseline_sio2();
   s.body_radius = 3.25;
   const tsvlib::Placement p(s, {{0.0, 0.0}, {13.5, -2.25}, {-7.0, 21.0}});
-  save_placement(path, p);
+  const std::string bytes = encode_placement(p);
 
-  const tsvlib::Placement loaded = load_placement(path);
+  const tsvlib::Placement loaded = decode_placement(bytes);
   EXPECT_EQ(loaded.structure().body_radius, s.body_radius);
   EXPECT_EQ(loaded.structure().liner.name, s.liner.name);
   EXPECT_EQ(loaded.structure().liner.cte, s.liner.cte);
@@ -99,6 +115,8 @@ TEST(Snapshot, PlacementRoundTripsBitwise) {
     EXPECT_EQ(loaded.centers()[i].x, p.centers()[i].x);
     EXPECT_EQ(loaded.centers()[i].y, p.centers()[i].y);
   }
+  // encode -> decode -> encode is byte-identical.
+  EXPECT_EQ(encode_placement(loaded), bytes);
 }
 
 TEST(Snapshot, EngineStateRoundTripsBitwiseAndStaysEditable) {
@@ -314,11 +332,10 @@ TEST(Snapshot, CorruptEmbeddedSurrogateSectionIsRejectedNotEvaluated) {
 
 TEST(Snapshot, InfoReportsValidatedHeader) {
   const std::string path = temp_path("info.snap");
-  const tsvlib::Placement p(kS, {{0.0, 0.0}});
-  save_placement(path, p);
+  save_tiled_checkpoint(path, make_checkpoint());
   const SnapshotInfo info = read_snapshot_info(path);
   EXPECT_EQ(info.version, kSnapshotVersion);
-  EXPECT_EQ(info.kind, SnapshotKind::kPlacement);
+  EXPECT_EQ(info.kind, SnapshotKind::kTiledCheckpoint);
   EXPECT_GT(info.payload_bytes, 0u);
   EXPECT_EQ(read_bytes(path).size(),
             24 + info.payload_bytes + 8);  // header + payload + checksum
@@ -333,14 +350,15 @@ TEST(Snapshot, RejectsBadMagic) {
 
 TEST(Snapshot, RejectsWrongVersion) {
   const std::string path = temp_path("version.snap");
-  save_placement(path, tsvlib::Placement(kS, {{0.0, 0.0}}));
+  save_tiled_checkpoint(path, make_checkpoint());
   const std::string current = read_bytes(path);
   for (const std::uint32_t version : {4u, 5u, kSnapshotVersion + 1}) {
     SCOPED_TRACE(version);
     std::string bytes = current;
     std::memcpy(&bytes[8], &version, sizeof(version));  // u32 version field
     write_bytes(path, bytes);
-    expect_rejection([&] { load_placement(path); }, "version mismatch");
+    expect_rejection([&] { load_tiled_checkpoint(path); },
+                     "version mismatch");
   }
 }
 
@@ -397,26 +415,45 @@ TEST(Snapshot, EngineStateWithInvalidStageOneRadiusIsRefused) {
 
 TEST(Snapshot, RejectsCorruptPayload) {
   const std::string path = temp_path("corrupt.snap");
-  save_placement(path, tsvlib::Placement(kS, {{0.0, 0.0}}));
+  save_tiled_checkpoint(path, make_checkpoint());
   std::string bytes = read_bytes(path);
   bytes[30] = static_cast<char>(bytes[30] ^ 0x5a);  // flip payload bits
   write_bytes(path, bytes);
-  expect_rejection([&] { load_placement(path); }, "checksum");
+  expect_rejection([&] { load_tiled_checkpoint(path); }, "checksum");
 }
 
 TEST(Snapshot, RejectsWrongKind) {
   const std::string path = temp_path("kind.snap");
-  save_placement(path, tsvlib::Placement(kS, {{0.0, 0.0}}));
-  expect_rejection([&] { load_radial_table(path); }, "kind");
+  save_tiled_checkpoint(path, make_checkpoint());
+  expect_rejection([&] { load_surrogate(path); }, "kind");
+}
+
+// A kind id this build cannot name (the retired 1 and 3, or one never
+// issued) is refused on the header alone, even though the payload checksum
+// holds.
+TEST(Snapshot, RejectsKindsThisBuildCannotName) {
+  const std::string path = temp_path("unknown_kind.snap");
+  save_tiled_checkpoint(path, make_checkpoint());
+  const std::string valid = read_bytes(path);
+  for (const std::uint32_t kind : {1u, 3u, 99u}) {
+    SCOPED_TRACE(kind);
+    std::string bytes = valid;
+    std::memcpy(&bytes[12], &kind, sizeof(kind));  // u32 kind field
+    write_bytes(path, bytes);
+    expect_rejection([&] { read_snapshot_info(path); },
+                     "unknown object kind " + std::to_string(kind));
+    EXPECT_THROW(read_snapshot_info(path), IoCorruptionError);
+    EXPECT_THROW(load_tiled_checkpoint(path), IoCorruptionError);
+  }
 }
 
 TEST(Snapshot, RejectsTruncation) {
   const std::string path = temp_path("trunc.snap");
-  save_radial_table(path, make_table());
+  save_tiled_checkpoint(path, make_checkpoint());
   const std::string bytes = read_bytes(path);
   // Cut mid-payload and mid-header.
   write_bytes(path, bytes.substr(0, bytes.size() / 2));
-  expect_rejection([&] { load_radial_table(path); }, "truncated");
+  expect_rejection([&] { load_tiled_checkpoint(path); }, "truncated");
   write_bytes(path, bytes.substr(0, 10));
   expect_rejection([&] { read_snapshot_info(path); }, "truncated");
 }
@@ -433,12 +470,12 @@ TEST(Snapshot, ErrorsCarryTaxonomyCategories) {
                InvalidInputError);
   // Damaged payload: corruption.
   const std::string path = temp_path("category.snap");
-  save_placement(path, tsvlib::Placement(kS, {{0.0, 0.0}}));
+  save_tiled_checkpoint(path, make_checkpoint());
   std::string bytes = read_bytes(path);
   bytes[30] = static_cast<char>(bytes[30] ^ 0x5a);
   write_bytes(path, bytes);
   try {
-    load_placement(path);
+    load_tiled_checkpoint(path);
     FAIL() << "expected IoCorruptionError";
   } catch (const Error& e) {
     EXPECT_EQ(e.category(), ErrorCategory::kIoCorruption);
@@ -447,23 +484,24 @@ TEST(Snapshot, ErrorsCarryTaxonomyCategories) {
 
 TEST(Snapshot, InterruptedSaveLeavesPreviousFileIntact) {
   const std::string path = temp_path("atomic.snap");
-  const tsvlib::Placement original(kS, {{0.0, 0.0}, {10.0, 0.0}});
-  save_placement(path, original);
+  save_tiled_checkpoint(path, make_checkpoint());
   const std::string before = read_bytes(path);
 
   // Inject a write failure mid-save: fwrite stops halfway and the save
   // throws. The *previous* snapshot must survive untouched, because the
   // partial write only ever touched the temp file.
+  core::TiledCheckpoint next = make_checkpoint();
+  next.tiles_done = 3;
+  next.stress.push_back({99.0, 99.0, 99.0});
   fault::arm(fault::Site::kSnapshotWriteFail);
-  EXPECT_THROW(
-      save_placement(path, tsvlib::Placement(kS, {{99.0, 99.0}})),
-      IoCorruptionError);
+  EXPECT_THROW(save_tiled_checkpoint(path, next), IoCorruptionError);
   fault::disarm_all();
 
   EXPECT_EQ(read_bytes(path), before);
-  const tsvlib::Placement reloaded = load_placement(path);
-  ASSERT_EQ(reloaded.size(), 2u);
-  EXPECT_DOUBLE_EQ(reloaded.centers()[1].x, 10.0);
+  const core::TiledCheckpoint reloaded = load_tiled_checkpoint(path);
+  EXPECT_EQ(reloaded.tiles_done, 2u);
+  ASSERT_EQ(reloaded.stress.size(), 3u);
+  EXPECT_EQ(reloaded.stress[1].s11, 3.25);
   // The aborted temp file was cleaned up.
   std::ifstream tmp(path + ".tmp", std::ios::binary);
   EXPECT_FALSE(tmp.good());
@@ -490,7 +528,14 @@ TEST(Snapshot, TryLoadTiledCheckpointSwallowsAllDamage) {
   EXPECT_FALSE(try_load_tiled_checkpoint(temp_path("nope.snap")).has_value());
   // Wrong kind.
   const std::string wrong = temp_path("wrongkind.snap");
-  save_placement(wrong, tsvlib::Placement(kS, {{0.0, 0.0}}));
+  const tsvlib::Placement lone(kS, {{0.0, 0.0}});
+  save_engine_state(
+      wrong, core::IncrementalEngine(
+                 lone,
+                 geo::SampleGrid::with_spacing(
+                     lone.bounding_box().expanded(25.0), 5.0),
+                 std::make_shared<const core::RadialStressTable>(make_table()),
+                 nullptr));
   EXPECT_FALSE(try_load_tiled_checkpoint(wrong).has_value());
   // Truncated checkpoint (the fault harness chops the file in half after a
   // successful save).

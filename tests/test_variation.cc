@@ -87,7 +87,7 @@ TEST(Variation, MomentsMatchBruteForceReference) {
   // engine (same characterization, same serial options), then compute the
   // per-point moments directly from the stored samples.
   const VariationSampler sampler(f.placement, spec);
-  const ana::SingleTsvModel single(kS, opt.load);
+  const ana::SingleTsvModel single(kS, mat::ThermalLoad{});
   const auto table = std::make_shared<const core::RadialStressTable>(
       core::RadialStressTable::from_analytic(single, 30.0, 4096));
   const auto model = std::make_shared<const ana::InteractiveStressModel>(
@@ -157,30 +157,29 @@ TEST(Variation, MomentsMatchBruteForceReference) {
   // be equal and each quantile must land in the bin of the reference's
   // order statistic (same rank rule: the ceil(q n)-th smallest sample).
   const double margin = 1e-9 * field_scale;
-  const auto clear_of = [&](std::size_t i, const std::vector<double>& cuts) {
+  const auto clear_of = [&](std::size_t i, const auto& cuts) {
     for (std::size_t s = 0; s < spec.samples; ++s)
       for (const double c : cuts)
         if (std::abs(vm[s][i] - c) <= margin) return false;
     return true;
   };
-  ASSERT_EQ(res.exceedance.size(), opt.thresholds.size());
+  ASSERT_EQ(res.exceedance.size(), kExceedanceThresholds.size());
   std::size_t exceed_checked = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!clear_of(i, opt.thresholds)) continue;
+    if (!clear_of(i, kExceedanceThresholds)) continue;
     ++exceed_checked;
-    for (std::size_t t = 0; t < opt.thresholds.size(); ++t) {
+    for (std::size_t t = 0; t < kExceedanceThresholds.size(); ++t) {
       std::size_t above = 0;
       for (std::size_t s = 0; s < spec.samples; ++s)
-        above += vm[s][i] > opt.thresholds[t] ? 1 : 0;
+        above += vm[s][i] > kExceedanceThresholds[t] ? 1 : 0;
       EXPECT_EQ(res.exceedance[t][i], static_cast<double>(above) /
                                           static_cast<double>(spec.samples))
-          << "point " << i << " threshold " << opt.thresholds[t];
+          << "point " << i << " threshold " << kExceedanceThresholds[t];
     }
   }
-  const QuantileField bins(1, opt.histogram_lo, opt.histogram_hi,
-                           opt.histogram_bins);
+  const QuantileField bins(1, kHistogramLo, kHistogramHi, kHistogramBins);
   const std::vector<double>& edges = bins.edges();
-  ASSERT_EQ(res.quantile.size(), opt.quantiles.size());
+  ASSERT_EQ(res.quantile.size(), kQuantileLevels.size());
   std::size_t quantile_checked = 0;
   std::size_t in_range_bins = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -189,18 +188,18 @@ TEST(Variation, MomentsMatchBruteForceReference) {
     std::vector<double> sorted(spec.samples);
     for (std::size_t s = 0; s < spec.samples; ++s) sorted[s] = vm[s][i];
     std::sort(sorted.begin(), sorted.end());
-    for (std::size_t q = 0; q < opt.quantiles.size(); ++q) {
+    for (std::size_t q = 0; q < kQuantileLevels.size(); ++q) {
       const auto rank = static_cast<std::size_t>(std::max(
-          1.0, std::ceil(opt.quantiles[q] *
+          1.0, std::ceil(kQuantileLevels[q] *
                          static_cast<double>(spec.samples))));
       const double order_stat = sorted[rank - 1];
       const std::size_t b = bins.bin_of(order_stat);
       in_range_bins += b > 0 ? 1 : 0;
       // The in-bin interpolation can round one ulp past either edge.
       EXPECT_GE(res.quantile[q][i], edges[b] * (1.0 - 1e-15))
-          << "point " << i << " q=" << opt.quantiles[q];
+          << "point " << i << " q=" << kQuantileLevels[q];
       EXPECT_LE(res.quantile[q][i], edges[b + 1] * (1.0 + 1e-15))
-          << "point " << i << " q=" << opt.quantiles[q];
+          << "point " << i << " q=" << kQuantileLevels[q];
     }
   }
   // Nearly every point is clear of every cut, and the quantile check

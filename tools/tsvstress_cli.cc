@@ -53,8 +53,8 @@
 //   --save-snapshot=FILE  save the engine state after the edits
 //   --threads=N           threads for the cold build / --verify recompute
 //
-// variation options (besides --spacing/--margin/--surrogate/--threads/
-// --out):
+// variation options (besides --spacing/--margin/--ls-only/--surrogate/
+// --threads/--out):
 //   --samples=N       Monte Carlo samples per corner (default 128)
 //   --seed=S          sampler seed (default 1)
 //   --jitter-tsvs=K   TSVs jittered per sample (default 8)
@@ -62,9 +62,12 @@
 //   --cte-sigma=X     relative sigma of the thermal-load scale (default 0.05)
 //   --corners=MODE    none | materials ({Cu,CNT} x {BCB,SiO2}) | geometry
 //                     (+/- radius and liner corners); default none
+//   --parallel-corners  sweep the corners concurrently (same results)
 // Per corner the sweep streams every sample through a resident incremental
 // engine (an edit batch, never a full rebuild) and writes a per-point CSV
-// (mean/sigma/quantiles/exceedance); multiple corners write
+// x,y,mean,sigma,q05,q50,q95,p_gt_60,p_gt_80,p_gt_100 (the fixed levels of
+// stats/variation_engine.h) and prints the statistical KOZ at
+// P(von Mises > 100 MPa) >= 0.05; multiple corners write
 // <out-stem>.<corner>.csv.
 //
 // snapshot save: builds the engine (same knobs as eco) and writes the
@@ -72,8 +75,9 @@
 // `eco --snapshot=FILE` then skips characterization and evaluation —
 // including the surrogate fit when the engine had one attached (the
 // snapshot embeds it, certificate and all).
-// snapshot info: prints the header of any snapshot file (kind, version,
-// payload size, checksum) after validating its checksum.
+// snapshot info: prints the header of a snapshot file (kind engine-state,
+// tiled-checkpoint or surrogate; version, payload size, checksum) after
+// validating its checksum. Any other kind id is corruption (exit 4).
 //
 // Placement format (see src/tsv/placement_io.h):
 //   structure <body_radius_um> <liner_thickness_um> <BCB|SiO2>
@@ -498,16 +502,15 @@ bool parse_variation_flag(const std::string& arg, VariationCliOptions& v) {
 /// x,y,mean,sigma,q<levels...>,p_gt_<thresholds...>.
 void write_variation_csv(const std::string& path,
                          const geo::SampleGrid& grid,
-                         const stats::VariationOptions& options,
                          const stats::CornerResult& res) {
   io::CsvWriter csv(path);
   std::vector<std::string> columns{"x", "y", "mean", "sigma"};
   char buf[64];
-  for (const double q : options.quantiles) {
+  for (const double q : stats::kQuantileLevels) {
     std::snprintf(buf, sizeof(buf), "q%02.0f", 100.0 * q);
     columns.emplace_back(buf);
   }
-  for (const double t : options.thresholds) {
+  for (const double t : stats::kExceedanceThresholds) {
     std::snprintf(buf, sizeof(buf), "p_gt_%g", t);
     columns.emplace_back(buf);
   }
@@ -531,7 +534,8 @@ int run_variation(const std::vector<std::string>& args) {
       "usage: tsvstress_cli variation <placement.tsv> [--samples=N] "
       "[--seed=S] [--jitter-tsvs=K] [--jitter-sigma=X] [--cte-sigma=X] "
       "[--corners=none|materials|geometry] [--parallel-corners] "
-      "[--surrogate] [--threads=N] [--spacing=X] [--margin=X] [--out=FILE]";
+      "[--ls-only | --surrogate] [--threads=N] [--spacing=X] [--margin=X] "
+      "[--out=FILE]";
   CommonOptions c;
   EcoOptions e;
   e.seed = 1;  // the sampler's documented default, not eco's move seed
@@ -607,7 +611,7 @@ int run_variation(const std::vector<std::string>& args) {
                   static_cast<unsigned long long>(res.pitch_fit.n));
     std::printf("  statistical KOZ (P(vm>%g) >= %g): mean radius %.2f um, "
                 "worst %.2f um (tsv %zu), total area %.0f um^2\n",
-                options.koz_limit, options.koz_alpha, res.koz.mean_radius,
+                stats::kKozLimit, stats::kKozAlpha, res.koz.mean_radius,
                 res.koz.worst_radius, res.koz.worst_tsv,
                 res.koz.total_area);
 
@@ -620,7 +624,7 @@ int run_variation(const std::vector<std::string>& args) {
           dot == std::string::npos ? ".csv" : out.substr(dot);
       out = stem + "." + res.name + ext;
     }
-    write_variation_csv(out, grid, options, res);
+    write_variation_csv(out, grid, res);
     std::printf("  wrote %s\n", out.c_str());
   }
   return 0;
