@@ -64,15 +64,15 @@ StressFramework::StressFramework(
 }
 
 template <typename Points>
-StressResult StressFramework::evaluate_stages(
-    const Points& points, const std::function<VictimRuns()>& runs) const {
+StressResult StressFramework::evaluate_stages(const Points& points) const {
   StressResult result;
   if constexpr (std::is_same_v<Points, geo::GridWindow>) {
     if (stage2_ != nullptr) {
       // One disc pass per TSV for both stages, timed as Stage II (see the
       // header comment).
       const auto t0 = Clock::now();
-      result.stress = stage2_->evaluate_runs(points, runs(), &stage1_.table());
+      result.stress = stage2_->evaluate_runs(points, stage2_->victim_runs(),
+                                             &stage1_.table());
       result.stage2_seconds = seconds_since(t0);
       return result;
     }
@@ -84,7 +84,7 @@ StressResult StressFramework::evaluate_stages(
   if (stage2_ != nullptr) {  // a point list: Stage II as its own pass
     const auto t1 = Clock::now();
     const std::vector<num::SymTensor2> interactive =
-        stage2_->evaluate_runs(points, runs());
+        stage2_->evaluate_runs(points, stage2_->victim_runs());
     num::parallel_for(
         result.stress.size(), options_.num_threads,
         [&](std::size_t i) { result.stress[i] += interactive[i]; });
@@ -94,16 +94,20 @@ StressResult StressFramework::evaluate_stages(
 }
 
 template StressResult StressFramework::evaluate_stages(
-    const geo::GridWindow&, const std::function<VictimRuns()>&) const;
+    const geo::GridWindow&) const;
+
+RunPlan StressFramework::plan_window(const geo::GridWindow& window,
+                                     const VictimRuns& runs) const {
+  return stage2_->plan_runs(window, runs, &stage1_.table());
+}
 
 StressResult StressFramework::evaluate(
     const std::vector<geo::Point>& points) const {
-  return evaluate_stages(points, [&] { return stage2_->victim_runs(); });
+  return evaluate_stages(points);
 }
 
 StressResult StressFramework::evaluate(const geo::SampleGrid& grid) const {
-  return evaluate_stages(geo::GridWindow(grid),
-                         [&] { return stage2_->victim_runs(); });
+  return evaluate_stages(geo::GridWindow(grid));
 }
 
 num::SymTensor2 StressFramework::stress_at(const geo::Point& p) const {

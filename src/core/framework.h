@@ -24,7 +24,6 @@
 // stages (and a tiled evaluator's tiles) run on.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -120,14 +119,17 @@ class StressFramework {
   StressFramework(const tsvlib::Placement& placement, Characterization ch,
                   const FrameworkOptions& options);
 
-  /// Both stages at a point list or a grid window: one fused pass on a
-  /// window when Stage II is on, else Stage I then (on a point list)
-  /// Stage II. Stage II evaluates the victim runs `runs()` returns,
-  /// enumerated inside the Stage II timer: victim_runs() for a whole
-  /// evaluation, victim_runs_near(tile) for a tile of a TiledEvaluator.
+  /// Both stages at a point list or a grid window, over every victim run:
+  /// one fused pass on a window when Stage II is on, else Stage I then (on
+  /// a point list) Stage II.
   template <typename Points>
-  StressResult evaluate_stages(const Points& points,
-                               const std::function<VictimRuns()>& runs) const;
+  StressResult evaluate_stages(const Points& points) const;
+
+  /// With Stage II on, a window's fused pass over `runs` as a plan whose
+  /// cells the caller runs: how a TiledEvaluator evaluates a tile, given
+  /// victim_runs_near(tile bounds). `runs` must outlive the plan.
+  RunPlan plan_window(const geo::GridWindow& window,
+                      const VictimRuns& runs) const;
 
   FrameworkOptions options_;
   LinearSuperposition stage1_;

@@ -33,19 +33,6 @@ std::vector<std::uint32_t> all_tsvs(std::size_t n) {
   return ids;
 }
 
-/// The runs of one evaluate bucketed into victim cells, in the order
-/// workers claim the cells, with the cells each one waits for: cell k runs
-/// runs[cell_offsets[k], cell_offsets[k + 1]) in that order, after the
-/// cells waits[wait_offsets[k], wait_offsets[k + 1]) (claim order indices).
-struct CellSchedule {
-  std::vector<std::size_t> runs;
-  std::vector<std::size_t> cell_offsets{0};
-  std::vector<std::size_t> wait_offsets{0};
-  std::vector<std::size_t> waits;
-
-  std::size_t cells() const { return cell_offsets.size() - 1; }
-};
-
 /// Claim order: colour by colour, and within a colour the cells with the
 /// most runs first, so the last ones claimed are short (ties by position).
 /// The victims that reach one point lie in a 2 x 2 block of cells, one of
@@ -269,95 +256,95 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_runs(
   // stay indexed.
   const geo::GridIndex index(points, geo::Box::bounding(points),
                              std::max(influence_radius_ / 2.0, 1.0));
-  return evaluate_runs(
-      points.size(), runs, nullptr,
-      [&](const geo::Point& victim, std::vector<std::uint32_t>& affected,
-          std::vector<geo::Point>& gathered) {
-        index.query_radius(victim, influence_radius_, affected);
-        gathered.resize(affected.size());
-        for (std::size_t j = 0; j < affected.size(); ++j)
-          gathered[j] = points[affected[j]];
-      });
+  RunPlan plan(*this, points.size(), runs, nullptr,
+               [&](const geo::Point& victim,
+                   std::vector<std::uint32_t>& affected,
+                   std::vector<geo::Point>& gathered) {
+                 index.query_radius(victim, influence_radius_, affected);
+                 gathered.resize(affected.size());
+                 for (std::size_t j = 0; j < affected.size(); ++j)
+                   gathered[j] = points[affected[j]];
+               });
+  return run(plan);
 }
 
 std::vector<num::SymTensor2> InteractiveStage::evaluate_runs(
     const geo::GridWindow& window, const VictimRuns& runs,
     const SingleTsvField* stage1) const {
-  TSV_REQUIRE(window.size() <= UINT32_MAX,
-              "grid window too large for 32-bit point indices");
-  return evaluate_runs(
-      window.size(), runs, stage1,
-      [&](const geo::Point& victim, std::vector<std::uint32_t>& affected,
-          std::vector<geo::Point>& gathered) {
-        window.gather_disc(victim, influence_radius_, affected,
-                           gathered);
-      });
+  RunPlan plan = plan_runs(window, runs, stage1);
+  return run(plan);
 }
 
-template <typename GatherDisc>
-std::vector<num::SymTensor2> InteractiveStage::evaluate_runs(
-    std::size_t num_points, const VictimRuns& runs,
-    const SingleTsvField* stage1, GatherDisc&& gather) const {
-  const auto& centers = placement_.centers();
-  // The certificate/coverage gate is resolved once per evaluate; the
-  // per-pair pitch gate lives in accumulate_run.
-  const std::shared_ptr<const ana::PairSurrogate> surrogate =
-      model_->surrogate_for(influence_radius_);
+RunPlan InteractiveStage::plan_runs(const geo::GridWindow& window,
+                                    const VictimRuns& runs,
+                                    const SingleTsvField* stage1) const {
+  TSV_REQUIRE(window.size() <= UINT32_MAX,
+              "grid window too large for 32-bit point indices");
+  return RunPlan(*this, window.size(), runs, stage1,
+                 [window, radius = influence_radius_](
+                     const geo::Point& victim,
+                     std::vector<std::uint32_t>& affected,
+                     std::vector<geo::Point>& gathered) {
+                   window.gather_disc(victim, radius, affected, gathered);
+                 });
+}
 
-  const CellSchedule schedule =
-      schedule_cells(cells_, centers, runs, stage1 != nullptr);
-  std::vector<std::atomic<bool>> done(schedule.cells());
-  for (std::atomic<bool>& d : done) d.store(false, std::memory_order_relaxed);
+std::vector<num::SymTensor2> InteractiveStage::run(RunPlan& plan) const {
+  std::vector<RunScratch> scratch(num::resolve_thread_count(num_threads_));
+  num::parallel_for_dynamic(plan.cells(), num_threads_,
+                            [&](std::size_t cell, std::size_t worker) {
+                              plan.run_cell(cell, scratch[worker]);
+                            });
+  return std::move(plan.output());
+}
 
-  // Worker-local gather/scatter buffers keep their steady-state capacity
-  // across victims.
-  struct Scratch {
-    std::vector<std::uint32_t> affected;
-    std::vector<geo::Point> gathered;
-    std::vector<geo::Point> aggressors;
-    std::vector<num::SymTensor2> contrib;
-  };
-  std::vector<Scratch> scratch(num::resolve_thread_count(num_threads_));
-  std::vector<num::SymTensor2> out(num_points);
+RunPlan::RunPlan(const InteractiveStage& stage, std::size_t num_points,
+                 const VictimRuns& runs, const SingleTsvField* stage1,
+                 GatherDisc gather)
+    : stage_(&stage),
+      runs_(&runs),
+      stage1_(stage1),
+      surrogate_(stage.model_->surrogate_for(stage.influence_radius_)),
+      gather_(std::move(gather)),
+      schedule_(schedule_cells(stage.cells_, stage.placement_.centers(), runs,
+                               stage1 != nullptr)),
+      done_(schedule_.cells()),
+      out_(num_points) {
+  for (std::atomic<bool>& d : done_) d.store(false, std::memory_order_relaxed);
+}
+
+void RunPlan::run_cell(std::size_t cell, RunScratch& w) {
+  for (std::size_t k = schedule_.wait_offsets[cell];
+       k < schedule_.wait_offsets[cell + 1]; ++k)
+    while (!done_[schedule_.waits[k]].load(std::memory_order_acquire))
+      std::this_thread::yield();
+  struct MarkDone {
+    std::atomic<bool>& flag;
+    ~MarkDone() { flag.store(true, std::memory_order_release); }
+  } mark{done_[cell]};
   // Every aggressor of a victim, and the victim's own Stage I field, read
   // the same disc: one gather, one buffer, one scatter per run. The cells
-  // in flight touch disjoint points of `out`.
-  const auto run_cell = [&](std::size_t cell, Scratch& w) {
-    for (std::size_t k = schedule.cell_offsets[cell];
-         k < schedule.cell_offsets[cell + 1]; ++k) {
-      const std::size_t i = schedule.runs[k];
-      const geo::Point& victim = centers[runs.victims[i]];
-      gather(victim, w.affected, w.gathered);
-      const std::size_t m = w.affected.size();
-      w.aggressors.clear();
-      for (std::size_t a = runs.offsets[i]; a < runs.offsets[i + 1]; ++a)
-        w.aggressors.push_back(centers[runs.aggressors[a]]);
-      w.contrib.assign(m, num::SymTensor2{});
-      if (stage1 != nullptr)
-        stage1->accumulate(victim, w.gathered.data(), m, w.contrib.data());
-      if (!w.aggressors.empty())
-        model_->accumulate_run(surrogate.get(), victim, w.aggressors.data(),
-                               w.aggressors.size(), w.gathered.data(), m,
-                               w.contrib.data());
-      for (std::size_t j = 0; j < m; ++j) out[w.affected[j]] += w.contrib[j];
-    }
-  };
-  num::parallel_for_dynamic(
-      schedule.cells(), num_threads_,
-      [&](std::size_t cell, std::size_t worker) {
-        for (std::size_t k = schedule.wait_offsets[cell];
-             k < schedule.wait_offsets[cell + 1]; ++k)
-          while (!done[schedule.waits[k]].load(std::memory_order_acquire))
-            std::this_thread::yield();
-        // Marked done even when the cell throws, so no worker waits on it
-        // forever; the exception still reaches the caller.
-        struct MarkDone {
-          std::atomic<bool>& flag;
-          ~MarkDone() { flag.store(true, std::memory_order_release); }
-        } mark{done[cell]};
-        run_cell(cell, scratch[worker]);
-      });
-  return out;
+  // in flight touch disjoint points of the output.
+  const auto& centers = stage_->placement_.centers();
+  const VictimRuns& runs = *runs_;
+  for (std::size_t k = schedule_.cell_offsets[cell];
+       k < schedule_.cell_offsets[cell + 1]; ++k) {
+    const std::size_t i = schedule_.runs[k];
+    const geo::Point& victim = centers[runs.victims[i]];
+    gather_(victim, w.affected, w.gathered);
+    const std::size_t m = w.affected.size();
+    w.aggressors.clear();
+    for (std::size_t a = runs.offsets[i]; a < runs.offsets[i + 1]; ++a)
+      w.aggressors.push_back(centers[runs.aggressors[a]]);
+    w.contrib.assign(m, num::SymTensor2{});
+    if (stage1_ != nullptr)
+      stage1_->accumulate(victim, w.gathered.data(), m, w.contrib.data());
+    if (!w.aggressors.empty())
+      stage_->model_->accumulate_run(surrogate_.get(), victim,
+                                     w.aggressors.data(), w.aggressors.size(),
+                                     w.gathered.data(), m, w.contrib.data());
+    for (std::size_t j = 0; j < m; ++j) out_[w.affected[j]] += w.contrib[j];
+  }
 }
 
 }  // namespace tsv::core

@@ -44,9 +44,14 @@
 // its contributions by colour, then within the one cell of that colour
 // that reaches it, in run order: an order no schedule or thread count
 // changes, so every batched evaluate is bitwise the same at any thread
-// count, 1 included.
+// count, 1 included. The run loop is a RunPlan (the schedule and the zeroed
+// output) plus its claimable cell body: evaluate_runs claims a plan's cells
+// on num_threads workers, and a TiledEvaluator claims the cells of two
+// tiles' plans in one parallel region.
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -107,6 +112,83 @@ struct VictimRuns {
   static VictimRuns from_pairs(const PairList& pairs);
 };
 
+/// The runs of one evaluation bucketed into victim cells, in the order
+/// workers claim the cells, with the cells each one waits for: cell k runs
+/// runs[cell_offsets[k], cell_offsets[k + 1]) in that order, after the
+/// cells waits[wait_offsets[k], wait_offsets[k + 1]) (claim order indices).
+struct CellSchedule {
+  std::vector<std::size_t> runs;
+  std::vector<std::size_t> cell_offsets{0};
+  std::vector<std::size_t> wait_offsets{0};
+  std::vector<std::size_t> waits;
+
+  std::size_t cells() const { return cell_offsets.size() - 1; }
+};
+
+/// A thread's buffers for the runs it executes: a disc's point indices and
+/// points, the run's aggressors and its contribution. Reused across cells
+/// and plans, they keep their steady-state capacity.
+struct RunScratch {
+  std::vector<std::uint32_t> affected;
+  std::vector<geo::Point> gathered;
+  std::vector<geo::Point> aggressors;
+  std::vector<num::SymTensor2> contrib;
+};
+
+class InteractiveStage;
+
+/// One batched evaluation as claimable cells, made by
+/// InteractiveStage::plan_runs: the cell schedule of its runs and the zeroed
+/// output, plus a cell body any thread may run. Claim the cells in index
+/// order from one cursor and run every claimed cell: run_cell waits for the
+/// cell's neighbours of earlier colours, which come earlier in that order,
+/// so no set of claiming threads deadlocks, and output() is the same, bit
+/// for bit, whichever threads run which cells. Plans are independent:
+/// threads may run the cells of several at once. The stage and the runs a
+/// plan was made from (and a window plan's grid) must outlive it.
+class RunPlan {
+ public:
+  std::size_t cells() const { return schedule_.cells(); }
+
+  /// Runs cell `cell` with `scratch`, once its neighbours of earlier
+  /// colours are done, and marks it done, also when it throws (so no other
+  /// cell waits on it forever; the exception still propagates). The cell's
+  /// runs execute in run order. Each run gathers its disc's point indices
+  /// (ascending) and points once, adds into a zeroed buffer the Stage I
+  /// field of its victim (in a fused plan) and all its aggressors with one
+  /// InteractiveStressModel::accumulate_run (one chip-frame series for a
+  /// covered stretch, equal to the sequence of its pairs as runs of one up
+  /// to rounding), and scatters that buffer into the output once. Without
+  /// a Stage I field, runs with no aggressor are not scheduled. Any run
+  /// order is correct: one that is not victim-major just splits a victim
+  /// into several runs, which share its cell, and differs from the sorted
+  /// one by summation regrouping only.
+  void run_cell(std::size_t cell, RunScratch& scratch);
+
+  /// The field, complete once every cell has run.
+  std::vector<num::SymTensor2>& output() { return out_; }
+
+ private:
+  friend class InteractiveStage;
+  using GatherDisc = std::function<void(
+      const geo::Point&, std::vector<std::uint32_t>&, std::vector<geo::Point>&)>;
+
+  RunPlan(const InteractiveStage& stage, std::size_t num_points,
+          const VictimRuns& runs, const SingleTsvField* stage1,
+          GatherDisc gather);
+
+  const InteractiveStage* stage_;
+  const VictimRuns* runs_;
+  const SingleTsvField* stage1_;
+  /// The certificate/coverage gate, resolved once per plan; the per-pair
+  /// pitch gate lives in accumulate_run.
+  std::shared_ptr<const ana::PairSurrogate> surrogate_;
+  GatherDisc gather_;
+  CellSchedule schedule_;
+  std::vector<std::atomic<bool>> done_;
+  std::vector<num::SymTensor2> out_;
+};
+
 class InteractiveStage {
  public:
   InteractiveStage(const tsvlib::Placement& placement,
@@ -151,6 +233,12 @@ class InteractiveStage {
       const geo::GridWindow& window, const VictimRuns& runs,
       const SingleTsvField* stage1 = nullptr) const;
 
+  /// That evaluation as a plan whose cells the caller runs: running every
+  /// cell leaves output() bitwise evaluate_runs(window, runs, stage1).
+  /// `runs` and the window's grid must outlive the plan.
+  RunPlan plan_runs(const geo::GridWindow& window, const VictimRuns& runs,
+                    const SingleTsvField* stage1 = nullptr) const;
+
   /// victim_runs().pair_count(), from the enumeration's count pass alone.
   std::size_t pair_count() const;
 
@@ -173,24 +261,11 @@ class InteractiveStage {
   VictimRuns runs_of(std::vector<std::uint32_t> victims,
                      std::size_t* count = nullptr) const;
 
-  /// The batched run loop behind every evaluate, over `num_points` points.
-  /// Each run has gather(victim, affected, gathered) collect its disc's
-  /// point indices (ascending) and points once, adds into a zeroed buffer
-  /// stage1's field of the victim (when stage1 is given) and all its
-  /// aggressors with one InteractiveStressModel::accumulate_run (one
-  /// chip-frame series for a covered stretch, equal to the sequence of its
-  /// pairs as runs of one up to rounding), and scatters that buffer into the
-  /// output once. Without stage1, runs with no aggressor are skipped. A
-  /// cell's runs execute in run order, after its neighbours of earlier
-  /// colours (see the header comment). Any run order is correct: one that
-  /// is not victim-major just splits a victim into several runs, which
-  /// share its cell, and differs from the sorted one by summation
-  /// regrouping only.
-  template <typename GatherDisc>
-  std::vector<num::SymTensor2> evaluate_runs(std::size_t num_points,
-                                             const VictimRuns& runs,
-                                             const SingleTsvField* stage1,
-                                             GatherDisc&& gather) const;
+  /// Runs every cell of `plan` on num_threads() workers and returns its
+  /// output: the batched run loop behind every evaluate.
+  std::vector<num::SymTensor2> run(RunPlan& plan) const;
+
+  friend class RunPlan;
 
   tsvlib::Placement placement_;
   std::shared_ptr<const ana::InteractiveStressModel> model_;

@@ -1,8 +1,11 @@
 #include "core/tiled_evaluator.h"
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstring>
+#include <optional>
+#include <thread>
 
 #include "core/error.h"
 #include "numeric/parallel.h"
@@ -52,6 +55,119 @@ void hash_field(Fnv1a& h, const SingleTsvField& field) {
     h.f64(s.s12);
   }
 }
+
+/// One tile alive in the pipeline: where it lies, and the plan of its fused
+/// pass (a fresh Stage II tile) or its field (a replayed or LS-only tile).
+struct TileSlot {
+  std::optional<geo::GridWindow> window;
+  geo::Box bounds;
+  std::vector<geo::Point> points;
+  VictimRuns runs;  ///< the plan's runs
+  std::optional<RunPlan> plan;
+  std::vector<num::SymTensor2> stress;
+  bool replay = false;
+  /// Cells run so far; the thread that runs the last one stamps `completed`
+  /// and then sets `complete`.
+  std::atomic<std::size_t> cells_run{0};
+  std::atomic<bool> complete{false};
+  Clock::time_point published, completed;
+};
+
+/// The tiles of one evaluate as two slots (tile k lives in slot k % 2) and
+/// the cells of their plans as one claim sequence: tile k's cells are
+/// numbers [first_cell[k], first_cell[k + 1]), known once it is published.
+/// Every thread claims from the one cursor, so each tile's cells are claimed
+/// in its plan's order, as RunPlan requires, and a thread that runs out of
+/// one tile's cells goes on with the next tile's without a join. A worker
+/// may claim a number its tile has not yet been published for; it waits for
+/// the publication (or the end) and then runs it. No cell waits on such a
+/// claim: a cell waits only on earlier cells of its own tile.
+class TilePipeline {
+ public:
+  explicit TilePipeline(std::size_t tiles) : first_cell_(tiles + 1, 0) {}
+
+  TileSlot& slot(std::size_t tile) { return slots_[tile % 2]; }
+
+  /// Makes tile `tile`'s cells claimable (tiles publish in order; the slot
+  /// holds the tile).
+  void publish(std::size_t tile) {
+    TileSlot& s = slot(tile);
+    const std::size_t cells = s.plan ? s.plan->cells() : 0;
+    s.cells_run.store(0, std::memory_order_relaxed);
+    s.complete.store(cells == 0, std::memory_order_relaxed);
+    s.published = s.completed = Clock::now();
+    first_cell_[tile + 1] = first_cell_[tile] + cells;
+    published_.store(first_cell_[tile + 1], std::memory_order_release);
+  }
+
+  /// Every tile is published: workers return once no cell is left.
+  void close() { closed_.store(true, std::memory_order_release); }
+
+  /// Abandons the run: workers return after the cell they are running.
+  void stop() { stopped_.store(true, std::memory_order_relaxed); }
+
+  /// A worker: claims and runs cells until the run is closed and drained,
+  /// or stopped.
+  void work(RunScratch& scratch) {
+    std::size_t tile = 0;
+    while (!stopped_.load(std::memory_order_relaxed)) {
+      const std::size_t g = next_.fetch_add(1, std::memory_order_relaxed);
+      while (g >= published_.load(std::memory_order_acquire)) {
+        if (stopped_.load(std::memory_order_relaxed)) return;
+        if (closed_.load(std::memory_order_acquire) &&
+            g >= published_.load(std::memory_order_acquire))
+          return;
+        std::this_thread::yield();
+      }
+      run(g, tile, scratch);
+    }
+  }
+
+  /// The driver: runs published cells until tile `tile` is complete. False
+  /// when a worker's cell threw, so the tile never will be.
+  bool await(std::size_t tile, RunScratch& scratch) {
+    const TileSlot& s = slot(tile);
+    while (!s.complete.load(std::memory_order_acquire)) {
+      if (stopped_.load(std::memory_order_relaxed)) return false;
+      std::size_t g = next_.load(std::memory_order_relaxed);
+      if (g < published_.load(std::memory_order_acquire) &&
+          next_.compare_exchange_weak(g, g + 1, std::memory_order_relaxed))
+        run(g, driver_tile_, scratch);
+      else
+        std::this_thread::yield();
+    }
+    return true;
+  }
+
+ private:
+  /// Runs claimed cell `g` of a published tile; `tile` is the caller's
+  /// last tile, advanced to g's (claims only grow).
+  void run(std::size_t g, std::size_t& tile, RunScratch& scratch) {
+    while (g >= first_cell_[tile + 1]) ++tile;
+    TileSlot& s = slot(tile);
+    const std::size_t cells = s.plan->cells();
+    try {
+      s.plan->run_cell(g - first_cell_[tile], scratch);
+    } catch (...) {
+      stop();
+      throw;
+    }
+    // Past its count a thread touches the slot only if its cell was the
+    // last: the driver may refill the slot as soon as the tile completes.
+    if (s.cells_run.fetch_add(1, std::memory_order_acq_rel) + 1 == cells) {
+      s.completed = Clock::now();
+      s.complete.store(true, std::memory_order_release);
+    }
+  }
+
+  std::array<TileSlot, 2> slots_;
+  std::vector<std::size_t> first_cell_;
+  std::size_t driver_tile_ = 0;
+  std::atomic<std::size_t> next_{0};       ///< the claim cursor
+  std::atomic<std::size_t> published_{0};  ///< cells claimable so far
+  std::atomic<bool> closed_{false};
+  std::atomic<bool> stopped_{false};
+};
 
 }  // namespace
 
@@ -130,9 +246,18 @@ TiledStats TiledEvaluator::evaluate(const geo::SampleGrid& grid,
 
   // Accumulated completed-tile state (only when a writer may need it).
   TiledCheckpoint cp;
-  cp.fingerprint = fingerprint(grid);
-  if (checkpointing) cp.stress.reserve(grid.size());
   const TiledCheckpoint* resume = checkpoint.resume;
+  if (checkpoint.writer != nullptr || resume != nullptr)
+    cp.fingerprint = fingerprint(grid);
+  if (checkpointing) cp.stress.reserve(grid.size());
+  // Tile k, row-major (y outer).
+  const auto tile_window = [&](std::size_t k) {
+    const auto [iy0, iy1] =
+        num::chunk_bounds(grid.ny(), stats.tiles_y, k / stats.tiles_x);
+    const auto [ix0, ix1] =
+        num::chunk_bounds(grid.nx(), stats.tiles_x, k % stats.tiles_x);
+    return geo::GridWindow(grid, ix0, ix1, iy0, iy1);
+  };
   if (resume != nullptr) {
     if (resume->fingerprint != cp.fingerprint)
       throw InvalidInputError(
@@ -141,69 +266,119 @@ TiledStats TiledEvaluator::evaluate(const geo::SampleGrid& grid,
     if (resume->tiles_done > total_tiles)
       throw InvalidInputError(
           "tiled checkpoint claims more finished tiles than the run has");
+    std::size_t stored = 0;
+    for (std::size_t k = 0; k < resume->tiles_done; ++k)
+      stored += tile_window(k).size();
+    if (stored > resume->stress.size())
+      throw InvalidInputError(
+          "tiled checkpoint is shorter than its tile count claims");
   }
   std::size_t resume_offset = 0;  // cursor into resume->stress
   std::size_t fresh_tiles = 0;    // computed (not replayed) since last write
 
-  std::vector<geo::Point> points;
-  std::vector<num::SymTensor2> stress;
-  for (std::size_t ty = 0; ty < stats.tiles_y; ++ty) {
-    const auto [iy0, iy1] = num::chunk_bounds(grid.ny(), stats.tiles_y, ty);
-    for (std::size_t tx = 0; tx < stats.tiles_x; ++tx) {
-      const auto [ix0, ix1] = num::chunk_bounds(grid.nx(), stats.tiles_x, tx);
-      const geo::GridWindow window(grid, ix0, ix1, iy0, iy1);
-      points = window.points();
-      const geo::Box bounds = window.bounds();
-
-      const bool replay = resume != nullptr && stats.tiles < resume->tiles_done;
-      if (replay) {
-        // Finished before the interruption: stream the stored field instead
-        // of re-evaluating (bitwise what the original run produced).
-        if (resume_offset + points.size() > resume->stress.size())
-          throw InvalidInputError(
-              "tiled checkpoint is shorter than its tile count claims");
-        stress.assign(resume->stress.begin() +
+  TilePipeline pipe(total_tiles);
+  // Tile k's window, its replayed field, Stage I field (LS only) or plan.
+  const auto prepare = [&](std::size_t k) {
+    TileSlot& s = pipe.slot(k);
+    s.plan.reset();
+    const geo::GridWindow& window = s.window.emplace(tile_window(k));
+    s.bounds = window.bounds();
+    s.points = window.points();
+    s.replay = resume != nullptr && k < resume->tiles_done;
+    if (s.replay) {
+      // Finished before the interruption: stream the stored field instead
+      // of re-evaluating (bitwise what the original run produced).
+      s.stress.assign(resume->stress.begin() +
                           static_cast<std::ptrdiff_t>(resume_offset),
                       resume->stress.begin() +
                           static_cast<std::ptrdiff_t>(resume_offset +
-                                                      points.size()));
-        resume_offset += points.size();
-        ++stats.resumed_tiles;
-      } else {
-        // One run enumeration per tile, shared between the statistics and
-        // the evaluation.
-        StressResult r = framework_->evaluate_stages(window, [&] {
-          VictimRuns runs = stage2->victim_runs_near(bounds);
-          stats.culled_pairs += runs.pair_count();
-          return runs;
-        });
-        stress = std::move(r.stress);
-        stats.stage1_seconds += r.stage1_seconds;
-        stats.stage2_seconds += r.stage2_seconds;
-      }
+                                                      s.points.size()));
+      resume_offset += s.points.size();
+      ++stats.resumed_tiles;
+    } else if (stage2 == nullptr) {
+      StressResult r = framework_->evaluate_stages(window);
+      s.stress = std::move(r.stress);
+      stats.stage1_seconds += r.stage1_seconds;
+    } else {
+      // One run enumeration per tile, shared between the statistics and
+      // the evaluation.
+      s.runs = stage2->victim_runs_near(s.bounds);
+      stats.culled_pairs += s.runs.pair_count();
+      s.plan.emplace(framework_->plan_window(window, s.runs));
+    }
+    pipe.publish(k);
+  };
+  Clock::time_point computed_until;  // end of the Stage II time counted so far
+  const auto finish = [&](std::size_t k) {
+    TileSlot& s = pipe.slot(k);
+    if (s.plan) {
+      // Tiles publish in order, so this adds the part of tile k's interval
+      // not yet covered: the total is the union of the intervals.
+      const Clock::time_point from = std::max(s.published, computed_until);
+      if (s.completed > from)
+        stats.stage2_seconds +=
+            std::chrono::duration<double>(s.completed - from).count();
+      computed_until = std::max(computed_until, s.completed);
+    }
+    const std::vector<num::SymTensor2>& stress =
+        s.plan ? s.plan->output() : s.stress;
+    const geo::GridWindow& w = *s.window;
+    consume(Tile{k, w.ix0(), w.iy0(), w.nx(), w.ny(), s.bounds, s.points,
+                 stress});
+    ++stats.tiles;
+    stats.points += s.points.size();
+    stats.peak_tile_points = std::max(stats.peak_tile_points, s.points.size());
 
-      const Tile tile{stats.tiles, ix0,    iy0,    window.nx(),
-                      window.ny(), bounds, points, stress};
-      consume(tile);
-      ++stats.tiles;
-      stats.points += points.size();
-      stats.peak_tile_points = std::max(stats.peak_tile_points, points.size());
-
-      if (checkpointing) {
-        cp.stress.insert(cp.stress.end(), stress.begin(), stress.end());
-        cp.tiles_done = stats.tiles;
-        if (!replay) ++fresh_tiles;
-        // The final tile needs no checkpoint: the run is complete.
-        if (!replay && fresh_tiles % checkpoint.every_tiles == 0 &&
-            stats.tiles < total_tiles) {
-          const auto t2 = Clock::now();
-          checkpoint.writer(cp);
-          stats.checkpoint_seconds += seconds_since(t2);
-          ++stats.checkpoints_written;
-        }
+    if (checkpointing) {
+      cp.stress.insert(cp.stress.end(), stress.begin(), stress.end());
+      cp.tiles_done = stats.tiles;
+      if (!s.replay) ++fresh_tiles;
+      // The final tile needs no checkpoint: the run is complete.
+      if (!s.replay && fresh_tiles % checkpoint.every_tiles == 0 &&
+          stats.tiles < total_tiles) {
+        const auto t2 = Clock::now();
+        checkpoint.writer(cp);
+        stats.checkpoint_seconds += seconds_since(t2);
+        ++stats.checkpoints_written;
       }
     }
+  };
+  // The driver, on the calling thread: tile k + 1 is prepared and published
+  // before tile k is awaited (its cells run meanwhile on the workers and,
+  // when it has nothing else to do, the driver), and tile k is consumed
+  // while the workers run tile k + 1's cells. So at most two tiles are
+  // alive, one slot each.
+  const auto drive = [&](RunScratch& scratch) {
+    prepare(0);
+    for (std::size_t k = 0; k < total_tiles; ++k) {
+      if (k + 1 < total_tiles)
+        prepare(k + 1);
+      else
+        pipe.close();
+      if (!pipe.await(k, scratch)) return;  // a worker threw
+      finish(k);
+    }
+  };
+
+  const std::size_t threads =
+      num::resolve_thread_count(framework_->options().num_threads);
+  std::vector<RunScratch> scratch(threads);
+  if (stage2 == nullptr || threads == 1 || num::in_parallel_region()) {
+    drive(scratch[0]);
+    return stats;
   }
+  num::ThreadPool::shared().run(threads, [&](std::size_t c) {
+    if (c != 0) {
+      pipe.work(scratch[c]);
+      return;
+    }
+    try {
+      drive(scratch[0]);
+    } catch (...) {
+      pipe.stop();
+      throw;
+    }
+  });
   return stats;
 }
 

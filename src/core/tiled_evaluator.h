@@ -2,18 +2,33 @@
 // Tiled, streaming evaluation of the two-stage framework over a sample
 // grid — the full-chip driver. A 10k-TSV chip sampled at sub-um spacing has
 // millions of points; materializing the whole field costs O(chip) memory.
-// This
-// driver splits the grid into cache-sized tiles, evaluates both stages per
-// tile (Stage II enumerates only the pairs whose victim can reach the tile,
-// via the TSV grid index) and hands each finished tile to a consumer, so
-// peak memory is O(tile) and results stream in deterministic row-major
-// tile order. A tile is a geo::GridWindow evaluated disc-major. Each tile
-// runs through the framework's own stage sequence on its threads (tiles x
-// threads compose because the outer tile loop is serial), given the tile's
-// victim runs, victim_runs_near(tile) instead of the whole grid's
+// This driver splits the grid into cache-sized tiles, evaluates both stages
+// per tile (Stage II enumerates only the pairs whose victim can reach the
+// tile, via the TSV grid index) and hands each finished tile to a consumer,
+// so peak memory is O(tile) and results stream in deterministic row-major
+// tile order. A tile is a geo::GridWindow evaluated disc-major, given the
+// tile's victim runs, victim_runs_near(tile) instead of the whole grid's
 // victim_runs(): every TSV that can reach the tile, with its aggressors
-// (possibly none). With Stage II on that is the fused pass, one disc walk per TSV for both stages, and the tile's whole time
-// counts as Stage II: TiledStats::stage1_seconds stays 0. A tile (and a
+// (possibly none). With Stage II on that is the fused pass, one disc walk
+// per TSV for both stages, planned per tile by the framework
+// (StressFramework::plan_window): its cell schedule and zeroed output.
+//
+// With Stage II on and more than one thread, the tiles run as a two-deep
+// pipeline in one parallel region. Every thread claims cells from one
+// cursor over the published tiles' plans, so a thread that runs out of tile
+// k's cells goes on with tile k + 1's. Meanwhile the calling thread
+// prepares tile k + 1 (its window, runs and plan) and hands tile k - 1 to
+// the consumer, then the checkpoint writer, and otherwise runs cells too.
+// At most two tiles are alive. Each tile keeps its own schedule and claim
+// order, so its field is bitwise the serial one at every thread count. The
+// consumer runs on the calling thread, in tile order, one call at a time,
+// but inside the region: parallel library calls it makes run serially. At
+// 1 thread (or called from inside a parallel region) the same loop runs
+// without the region, one tile after another; an LS-only framework's tiles
+// take Stage I's own parallel band pass that way.
+//
+// A fused tile has no separate Stage I time: TiledStats::stage1_seconds
+// stays 0 and the tiles' computing time is Stage II. A tile (and a
 // checkpoint) carries the total field only; the Stage II part alone comes
 // from InteractiveStage::evaluate, or as the difference with an LS-only
 // framework.
@@ -86,8 +101,13 @@ struct TiledStats {
   std::size_t tiles_y = 0;
   std::size_t points = 0;
   std::size_t peak_tile_points = 0;
-  /// Stage times summed over the evaluated tiles; a fused tile pass counts
-  /// wholly as Stage II (see the header comment).
+  /// Stage I: the LS-only tiles' band passes, summed (they run one after
+  /// another). Stage II: the wall time during which some fused tile was
+  /// computing, from its publication to the threads until its last cell
+  /// finished; tiles overlap, so this is the union of those intervals, not
+  /// their sum. stage1_seconds + stage2_seconds never exceeds the wall time
+  /// of evaluate(). Preparation and consumption that overlap a computing
+  /// tile count inside it.
   double stage1_seconds = 0.0;
   double stage2_seconds = 0.0;
   /// Ordered pairs in the whole design, and the total over tiles of the
@@ -114,8 +134,9 @@ class TiledEvaluator {
   const TiledOptions& options() const { return options_; }
 
   /// Evaluates the framework over `grid`, streaming tiles to `consume` in
-  /// row-major tile order. The Tile references are only valid inside the
-  /// callback — copy what you keep.
+  /// row-major tile order, on the calling thread, one call at a time. The
+  /// Tile references are only valid inside the callback — copy what you
+  /// keep. An exception from `consume` ends the run and propagates.
   TiledStats evaluate(const geo::SampleGrid& grid,
                       const TileConsumer& consume) const;
 

@@ -64,6 +64,8 @@ class GridWindow {
                 "grid window must be a non-empty part of its grid");
   }
 
+  std::size_t ix0() const { return ix0_; }  ///< first grid column
+  std::size_t iy0() const { return iy0_; }  ///< first grid row
   std::size_t nx() const { return nx_; }
   std::size_t ny() const { return ny_; }
   std::size_t size() const { return nx_ * ny_; }

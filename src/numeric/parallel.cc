@@ -51,19 +51,24 @@ struct ThreadPool::Impl {
 
   std::vector<std::thread> workers;
 
-  // Consumes chunks until exhausted or a chunk threw (first error wins).
+  // Runs one chunk unless a chunk threw (first error wins).
+  void run_chunk(const std::function<void(std::size_t)>& fn, std::size_t c) {
+    if (abort.load(std::memory_order_relaxed)) return;
+    try {
+      fn(c);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (!error) error = std::current_exception();
+      abort.store(true, std::memory_order_relaxed);
+    }
+  }
+
+  // Consumes chunks until exhausted or a chunk threw.
   void work(const std::function<void(std::size_t)>& fn, std::size_t chunks) {
-    for (;;) {
-      if (abort.load(std::memory_order_relaxed)) return;
+    while (!abort.load(std::memory_order_relaxed)) {
       const std::size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
       if (c >= chunks) return;
-      try {
-        fn(c);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!error) error = std::current_exception();
-        abort.store(true, std::memory_order_relaxed);
-      }
+      run_chunk(fn, c);
     }
   }
 
@@ -124,7 +129,7 @@ void ThreadPool::run(std::size_t chunks,
     std::lock_guard<std::mutex> lock(impl_->mutex);
     impl_->job = &fn;
     impl_->job_chunks = chunks;
-    impl_->next_chunk.store(0, std::memory_order_relaxed);
+    impl_->next_chunk.store(1, std::memory_order_relaxed);  // 0: the caller's
     impl_->abort.store(false, std::memory_order_relaxed);
     impl_->error = nullptr;
     impl_->acked = 0;
@@ -133,6 +138,7 @@ void ThreadPool::run(std::size_t chunks,
   impl_->work_cv.notify_all();
   {
     RegionGuard guard;
+    impl_->run_chunk(fn, 0);
     impl_->work(fn, chunks);
   }
   std::unique_lock<std::mutex> lock(impl_->mutex);

@@ -54,9 +54,11 @@ class ThreadPool {
   std::size_t worker_threads() const;
 
   /// Runs fn(chunk) for every chunk in [0, chunks), distributing chunks over
-  /// the caller plus the workers; blocks until all chunks finish. The first
-  /// exception thrown by a chunk aborts the remaining chunks and rethrows
-  /// here. Called from inside a region (nested), runs inline serially.
+  /// the caller plus the workers; blocks until all chunks finish. The caller
+  /// always runs chunk 0, so a region may put work that must stay on the
+  /// calling thread there. The first exception thrown by a chunk aborts the
+  /// remaining chunks and rethrows here. Called from inside a region
+  /// (nested), runs inline serially.
   void run(std::size_t chunks, const std::function<void(std::size_t)>& fn);
 
   /// Process-wide pool with hardware_thread_count() - 1 workers.

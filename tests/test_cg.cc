@@ -74,7 +74,7 @@ INSTANTIATE_TEST_SUITE_P(AllPreconditioners, CgPreconditionerTest,
                                            Preconditioner::kJacobi,
                                            Preconditioner::kSsor,
                                            Preconditioner::kIncompleteCholesky),
-                         [](const auto& info) { return to_string(info.param); });
+                         [](const auto& p) { return to_string(p.param); });
 
 TEST(Cg, ZeroRhsGivesZeroSolution) {
   const SparseMatrix a = poisson1d(10);

@@ -109,7 +109,9 @@ TEST(Parallel, NestedCallsRunSeriallyWithoutDeadlock) {
   EXPECT_EQ(inner_total.load(), 8u * (16u * 15u / 2u));
   // With > 1 hardware thread the outer body runs inside a region; on a
   // single-core host the outer loop itself degenerates to serial.
-  if (hardware_thread_count() > 1) EXPECT_TRUE(saw_region.load());
+  if (hardware_thread_count() > 1) {
+    EXPECT_TRUE(saw_region.load());
+  }
   EXPECT_FALSE(in_parallel_region());
 }
 
@@ -165,6 +167,19 @@ TEST(Parallel, PoolRunExecutesAllChunks) {
   ThreadPool::shared().run(hits.size(),
                            [&](std::size_t c) { ++hits[c]; });
   for (std::size_t c = 0; c < hits.size(); ++c) EXPECT_EQ(hits[c], 1) << c;
+}
+
+// A region may keep work on the calling thread by putting it in chunk 0,
+// even when the workers alone could take every chunk.
+TEST(Parallel, PoolCallerRunsChunkZero) {
+  ThreadPool pool(3);
+  for (const std::size_t chunks : {1u, 2u, 4u, 9u}) {
+    std::thread::id ran_zero;
+    pool.run(chunks, [&](std::size_t c) {
+      if (c == 0) ran_zero = std::this_thread::get_id();
+    });
+    EXPECT_EQ(ran_zero, std::this_thread::get_id()) << chunks;
+  }
 }
 
 TEST(Parallel, DedicatedPoolConstructsAndDrains) {

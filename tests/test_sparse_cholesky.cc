@@ -82,8 +82,8 @@ TEST_P(CholeskyOrderingTest, SolvesPoissonExactly) {
 
 INSTANTIATE_TEST_SUITE_P(Orderings, CholeskyOrderingTest,
                          ::testing::Values(true, false),
-                         [](const auto& info) {
-                           return info.param ? "rcm" : "natural";
+                         [](const auto& p) {
+                           return p.param ? "rcm" : "natural";
                          });
 
 TEST(SparseCholesky, MatchesCgSolution) {

@@ -2,14 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "analytic/surrogate.h"
 #include "core/error.h"
 #include "core/stress_map_table.h"
 #include "io/snapshot.h"
+#include "numeric/parallel.h"
 #include "tsv/generators.h"
 
 namespace tsv::core {
@@ -115,6 +119,22 @@ TEST(TiledEvaluator, StatsReportCullingAndTimings) {
   // Every tile takes the fused pass, timed as Stage II.
   EXPECT_EQ(stats.stage1_seconds, 0.0);
   EXPECT_GT(stats.stage2_seconds, 0.0);
+
+  // Tiles overlap at 4 threads; Stage II counts the wall time during which
+  // some tile was computing, so the stage times never exceed the wall time.
+  FrameworkOptions fopt;
+  fopt.num_threads = 4;
+  const StressFramework fw4(p, fopt);
+  const TiledEvaluator tiled4(fw4, topt);
+  const auto t0 = std::chrono::steady_clock::now();
+  const TiledStats stats4 = tiled4.evaluate(grid, [](const Tile&) {});
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  EXPECT_EQ(stats4.culled_pairs, stats.culled_pairs);
+  EXPECT_EQ(stats4.stage1_seconds, 0.0);
+  EXPECT_GT(stats4.stage2_seconds, 0.0);
+  EXPECT_LE(stats4.stage1_seconds + stats4.stage2_seconds, wall);
 }
 
 TEST(TiledEvaluator, SingleTileWhenBudgetCoversTheGrid) {
@@ -300,6 +320,116 @@ TEST(TiledEvaluator, CheckpointResumesBitwiseAtAnotherThreadCount) {
     EXPECT_EQ(got[i].s22, want[i].s22) << i;
     EXPECT_EQ(got[i].s12, want[i].s12) << i;
   }
+}
+
+// --- the tile pipeline at 4 threads ---------------------------------------
+
+std::vector<num::SymTensor2> serial_field(const tsvlib::Placement& p,
+                                          const geo::SampleGrid& grid,
+                                          std::size_t max_tile_points) {
+  const StressFramework fw(p);
+  return collect(grid, TiledEvaluator(fw, TiledOptions{max_tile_points}),
+                 CheckpointConfig{0, nullptr, nullptr});
+}
+
+void expect_bitwise(const std::vector<num::SymTensor2>& got,
+                    const std::vector<num::SymTensor2>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].s11, want[i].s11) << i;
+    EXPECT_EQ(got[i].s22, want[i].s22) << i;
+    EXPECT_EQ(got[i].s12, want[i].s12) << i;
+  }
+}
+
+// While the workers compute, the consumer runs on the calling thread, one
+// tile at a time, in tile order, inside the parallel region (so library
+// parallel calls it makes run serially).
+TEST(TiledEvaluator, ConsumerRunsInOrderOneAtATimeOnTheCallingThread) {
+  const tsvlib::Placement p = cluster_placement();
+  const geo::SampleGrid grid = test_grid(p);
+  FrameworkOptions fopt;
+  fopt.num_threads = 4;
+  const StressFramework fw(p, fopt);
+  const TiledEvaluator tiled(fw, TiledOptions{60});
+
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> in_flight{0};
+  int peak_in_flight = 0;
+  std::size_t next_index = 0;
+  bool on_caller = true;
+  bool in_region = true;
+  const TiledStats stats = tiled.evaluate(grid, [&](const Tile& tile) {
+    peak_in_flight = std::max(peak_in_flight, ++in_flight);
+    EXPECT_EQ(tile.index, next_index++);
+    on_caller = on_caller && std::this_thread::get_id() == caller;
+    in_region = in_region && num::in_parallel_region();
+    std::this_thread::yield();  // widen the window for an overlapping call
+    --in_flight;
+  });
+  ASSERT_GT(stats.tiles, 16u);
+  EXPECT_EQ(next_index, stats.tiles);
+  EXPECT_EQ(peak_in_flight, 1);
+  EXPECT_TRUE(on_caller);
+  EXPECT_TRUE(in_region);
+}
+
+// A consumer that throws ends the run with its exception; no worker is left
+// waiting, so the same evaluator then streams the serial field again.
+TEST(TiledEvaluator, ThrowingConsumerLeavesTheEvaluatorUsable) {
+  const tsvlib::Placement p = cluster_placement();
+  const geo::SampleGrid grid = test_grid(p);
+  FrameworkOptions fopt;
+  fopt.num_threads = 4;
+  const StressFramework fw(p, fopt);
+  const TiledEvaluator tiled(fw, TiledOptions{60});
+  const CheckpointConfig none{0, nullptr, nullptr};
+
+  EXPECT_THROW(collect(grid, tiled, none, nullptr, 3), InterruptedRun);
+  expect_bitwise(collect(grid, tiled, none), serial_field(p, grid, 60));
+}
+
+// A checkpoint counts the tiles the consumer has seen, never the tile in
+// flight; resumed at 1 thread it gives the uninterrupted field.
+TEST(TiledEvaluator, CheckpointCountsOnlyConsumedTiles) {
+  const tsvlib::Placement p = cluster_placement();
+  const geo::SampleGrid grid = test_grid(p);
+  FrameworkOptions fopt;
+  fopt.num_threads = 4;
+  const StressFramework fw4(p, fopt);
+  const TiledEvaluator tiled4(fw4, TiledOptions{60});
+
+  std::size_t consumed = 0;
+  std::size_t consumed_points = 0;
+  TiledCheckpoint last;
+  CheckpointConfig config;
+  config.every_tiles = 2;
+  config.writer = [&](const TiledCheckpoint& cp) {
+    EXPECT_EQ(cp.tiles_done, consumed);
+    EXPECT_EQ(cp.stress.size(), consumed_points);
+    last = cp;
+  };
+  EXPECT_THROW(tiled4.evaluate(
+                   grid,
+                   [&](const Tile& tile) {
+                     if (consumed == 7) throw InterruptedRun{};
+                     ++consumed;
+                     consumed_points += tile.points.size();
+                   },
+                   config),
+               InterruptedRun);
+  EXPECT_EQ(consumed, 7u);
+  ASSERT_EQ(last.tiles_done, 6u);
+
+  const StressFramework fw1(p);
+  const TiledEvaluator tiled1(fw1, TiledOptions{60});
+  CheckpointConfig resume_config;
+  resume_config.resume = &last;
+  TiledStats stats;
+  const std::vector<num::SymTensor2> got =
+      collect(grid, tiled1, resume_config, &stats);
+  EXPECT_EQ(stats.resumed_tiles, 6u);
+  expect_bitwise(got, serial_field(p, grid, 60));
 }
 
 TEST(TiledEvaluator, MismatchedCheckpointRejected) {
